@@ -232,12 +232,9 @@ def cmd_bound(args) -> int:
         _emit({"deterministic": det, "timing": {"wall_s": time.perf_counter() - t0}}, args)
         return EXIT_UNBOUNDED if feasible else EXIT_INFEASIBLE
 
+    # column generation needs vertices for every cell that does not collapse
     use_dcg = mode is ReductionMode.LAMBDA_ELIMINATED and bool(
-        np.all(dual._eliminable)
-        or all(
-            partition.cell_at(int(i)).bounded
-            for i in np.nonzero(~dual._eliminable)[0]
-        )
+        np.all(partition.bounded_mask()[~dual.eliminable])
     )
     if use_dcg:
         log.debug("bound: column generation over %d cells", partition.cell_count)
@@ -246,6 +243,9 @@ def cmd_bound(args) -> int:
         det["engine"] = "dcg"
         det["iterations"] = sol.iterations
         det["columns_generated"] = sol.columns_generated
+        # a clean pricing sweep over every scan entry certifies the optimum
+        det["certified"] = bool(sol.certified)
+        det["feas_residual"] = sol.feas_residual
         if sol.status is LPStatus.OPTIMAL:
             det["status"] = "optimal"
             det["bound"] = float(sol.objective)
@@ -268,6 +268,9 @@ def cmd_bound(args) -> int:
         sol = solve_dense_simplex(lp)
         det["engine"] = "dense_rows"
         det["iterations"] = sol.iterations
+        # the row dual holds every cell's constraints, so its optimum is final
+        det["certified"] = sol.status is LPStatus.OPTIMAL
+        det["feas_residual"] = sol.feas_residual
         if sol.status is LPStatus.OPTIMAL:
             det["status"] = "optimal"
             det["bound"] = float(sol.objective)

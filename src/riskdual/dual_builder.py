@@ -13,8 +13,16 @@ Three reduction routes produce the rows:
 
 All three describe the same feasible set on their common domain;
 keeping the routes separate is what lets tests cross-check one against
-another.  The collapsed form also transposes into a column-per-cell
-master suitable for delayed column generation.
+another.
+
+The transposed master, used by column generation and the single-shot
+solve, has one column per scan entry: a collapsible cell, a vertex of
+any other cell, or the corner point.  Its columns and reduced costs
+come from one array source: per-axis tables of each record's signed
+slab containment, indexed by the cells' slab indices, times the
+record's affine factor at the entry's vertex.  No column goes through
+a per-cell restriction; the row-form routes above and the primal
+oracle still do, which keeps them an independent check.
 """
 
 from __future__ import annotations
@@ -31,14 +39,23 @@ from .errors import (
     ModelInfeasibleOnCell,
     PartitionIncompatibleError,
 )
-from .geometry import Cell, Partition, SideOfTau, cell_vertices, maximize_linear_over_cell
+from .geometry import (
+    Cell,
+    Partition,
+    SideOfTau,
+    cell_vertices,
+    maximize_linear_over_cell,
+    partition_vertices,
+)
 from .lp_engine import DENSE_BUDGET, ColumnGenerator, LinearProgram
 from .test_functions import (
+    EVAL_TOL,
     RiskFunctional,
     RiskKind,
     TestFunctionKind,
     normalized_records,
     restrict_to_cell,
+    slab_inside,
 )
 
 # slab endpoints must sit on partition breakpoints within this
@@ -49,8 +66,6 @@ TAU_MATCH_TOL = 1e-9
 CONST_TOL = 1e-12
 # threshold at which the top corner of the box counts as reaching tau
 CORNER_TOL = 1e-9
-# generator precomputes a dense column matrix up to this many positions
-EAGER_MATRIX_LIMIT = 8192
 
 
 @unique
@@ -217,6 +232,26 @@ def _collapsed_block(cell, records, riskfn, lam_cache):
     )
 
 
+@dataclass(eq=False)
+class ScanEntries:
+    """Master columns in scan order, one entry per column.
+
+    ``cell`` holds the partition cell of each entry, -1 for the corner.
+    ``vertex`` holds the entry's row in ``points`` for a vertex or the
+    corner, -1 for a collapsed cell.  ``objective`` is the risk the
+    column carries.
+    """
+
+    cell: np.ndarray
+    vertex: np.ndarray
+    points: np.ndarray
+    objective: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return int(self.cell.size)
+
+
 class DualLP:
     """Assembled finite dual, ready to materialize or transpose.
 
@@ -225,6 +260,9 @@ class DualLP:
     the normalization row with right-hand side one.  Cells are scanned
     with the synthetic corner first (when present), then cells on the
     high side of tau, then the rest, each group in partition order.
+    ``eliminable`` flags the cells on which every record restricts to
+    a constant; those collapse to one master column, the others get
+    one column per vertex.
     """
 
     def __init__(self, partition, testfns, riskfn, mode, records, corner_cell):
@@ -241,7 +279,6 @@ class DualLP:
         grid, flag, side, rmin, rmax = partition.ref_arrays()
         self._grid = grid
         self._side = side
-        self._rmax = rmax
         above = np.nonzero(side > 0)[0]
         below = np.nonzero(side <= 0)[0]
         self.scan_order = np.concatenate([above, below])
@@ -256,11 +293,32 @@ class DualLP:
             and np.any((side > 0) & ~np.isfinite(rmax))
         )
 
-        self._all_indicator = all(
-            fn.kind is TestFunctionKind.SLAB_INDICATOR for fn, _, _, _ in records
-        )
+        # restrict_to_cell checks these on every cell; here once per model
+        if abs(partition.tau - tau) > EVAL_TOL:
+            raise PartitionIncompatibleError(
+                f"cells were sliced at tau={partition.tau}, risk uses tau={tau}"
+            )
+        # each record's affine factor <v, x> + c; an indicator has v = 0, c = 1
+        n = partition.dimension
+        self._rec_v = np.zeros((len(records), n))
+        self._rec_c = np.ones(len(records))
+        for row, (fn, _sign, _rhs, _iseq) in enumerate(records):
+            if fn.kind is TestFunctionKind.SLAB_AFFINE:
+                if fn.v.shape != (n,):
+                    raise InputError(
+                        f"test function {fn.id}: v has dimension {fn.v.size}, cell has {n}"
+                    )
+                self._rec_v[row] = fn.v
+                self._rec_c[row] = fn.c
         self._tables = self._containment_tables()
-        self._eliminable = self._eliminable_mask()
+        self.eliminable = self._eliminable_mask()
+        # slab indices per cell; the corner takes an extra last row (its
+        # table rows hold the top breakpoint), so entry cell -1 finds it
+        self._grid_ext = grid
+        if corner_cell is not None:
+            top = [len(b) - 1 for b in partition.breakpoints]
+            self._grid_ext = np.vstack([grid, np.array([top], dtype=grid.dtype)])
+        self._entries = None
 
     # -- per-record slab containment, tabulated over slab indices --
 
@@ -270,30 +328,30 @@ class DualLP:
         for row, (fn, sign, _rhs, _iseq) in enumerate(self.records):
             a = fn.axis
             b = bp[a]
-            lo, hi = fn.slab
-            contain = (lo <= b[:-1] + GRID_TOL) & (b[1:] <= hi + GRID_TOL)
+            lows, highs = b[:-1], b[1:]
+            if self.corner_cell is not None:
+                # the corner's interval on every axis is the top breakpoint
+                lows = np.append(lows, b[-1])
+                highs = np.append(highs, b[-1])
+            inside = slab_inside(fn, lows, highs)
             rows, mat = tables.setdefault(a, ([], []))
             rows.append(row)
             # table entries carry the record sign so lookups give the
             # signed restriction constant directly
-            mat.append(sign * contain.astype(float))
+            mat.append(sign * inside.astype(float))
         out = {}
         for a, (rows, mat) in tables.items():
             out[a] = (np.array(rows, dtype=int), np.column_stack(mat))
         return out
 
     def _eliminable_mask(self):
-        k = self.partition.cell_count
-        mask = np.ones(k, dtype=bool)
-        for row, (fn, sign, _rhs, _iseq) in enumerate(self.records):
-            if fn.kind is TestFunctionKind.SLAB_INDICATOR:
-                continue
-            if fn.v is not None and np.max(np.abs(fn.v)) <= CONST_TOL:
-                continue
-            rows_a, mat = self._tables[fn.axis]
-            col = int(np.nonzero(rows_a == row)[0][0])
-            inside = np.abs(mat[self._grid[:, fn.axis], col]) > 0.5
-            mask &= ~inside
+        # a cell collapses unless the slab of a record with a non-constant
+        # linear part holds it
+        linear = np.max(np.abs(self._rec_v), axis=1, initial=0.0) > CONST_TOL
+        mask = np.ones(self.partition.cell_count, dtype=bool)
+        for a, (rows_a, mat) in self._tables.items():
+            held = np.any(mat[:, linear[rows_a]] != 0.0, axis=1)
+            mask &= ~held[self._grid[:, a]]
         return mask
 
     # -- cell enumeration --
@@ -412,127 +470,103 @@ class DualLP:
         vals = np.concatenate([V @ q + cvec, [1.0]])
         return vals, float(g @ q + e)
 
-    def _cell_column(self, cell):
-        V, cvec = _signed_restrictions(self.records, cell)
-        g, e = restrict_to_cell(self.riskfn, cell)
-        cached = self._lam_cache.get(cell.id)
-        if cached is None:
-            cached = precompute_cell_lambda(cell, g)
-            self._lam_cache[cell.id] = cached
-        _lam, support = cached
-        vals = np.concatenate([cvec, [1.0]])
-        return vals, float(e - support)
+    def scan_entries(self) -> ScanEntries:
+        """The master's columns in scan order, built on first use.
 
-    def _generator_entries(self):
-        entries = []
+        A collapsible cell is one entry; any other cell is one entry per
+        vertex, in :func:`cell_vertices` order; the corner is a point
+        entry.  Raises UnsupportedCellError when a cell that needs
+        vertices is unbounded.
+        """
+        if self._entries is not None:
+            return self._entries
+        order = self.scan_order
+        by_vertex = ~self.eliminable[order]
+        start, points = partition_vertices(self.partition, order[by_vertex])
+        counts = np.ones(order.size, dtype=np.intp)
+        counts[by_vertex] = np.diff(start)
+        cell = np.repeat(order, counts)
+        vertex = np.full(cell.size, -1, dtype=np.intp)
+        vertex[np.repeat(by_vertex, counts)] = np.arange(len(points))
+        r_cells = self._r_cells
         if self.corner_cell is not None:
-            entries.append(("corner", -1, -1))
-        for ridx in self.scan_order:
-            i = int(ridx)
-            if self._eliminable[i]:
-                entries.append(("cell", i, -1))
-            else:
-                cell = self.partition.cell_at(i)
-                for k in range(len(cell_vertices(cell))):
-                    entries.append(("vx", i, k))
-        return entries
+            cell = np.concatenate([[-1], cell])
+            vertex = np.concatenate([[len(points)], vertex])
+            points = np.vstack([points, self.corner_cell.lows])
+            # the indicator risk charges the corner: it lies on the threshold
+            r_cells = np.append(r_cells, 1.0)
+        objective = r_cells[cell]
+        if self.riskfn.kind is RiskKind.CVAR_HINGE:
+            # the hinge is sum(q) - tau at a vertex past the threshold;
+            # there is no corner under this risk
+            at = np.nonzero(vertex >= 0)[0]
+            objective[at] = np.where(
+                self._side[cell[at]] > 0,
+                np.sum(points[vertex[at]], axis=1) - self.riskfn.tau,
+                0.0,
+            )
+        self._entries = ScanEntries(cell, vertex, points, objective)
+        return self._entries
+
+    def _columns(self, pos):
+        """Master columns at scan positions ``pos``, as a (rows, len(pos))
+        matrix, and their objectives.  Record r's value is its signed
+        slab containment times its affine factor: <v, q> + c at a point
+        entry, c on a collapsed cell."""
+        entries = self.scan_entries()
+        cells = entries.cell[pos]
+        M = np.zeros((len(self.records) + 1, cells.size))
+        for a, (rows_a, mat) in self._tables.items():
+            M[rows_a, :] = mat[self._grid_ext[cells, a], :].T
+        M[-1, :] = 1.0
+        factor = np.repeat(self._rec_c[:, None], cells.size, axis=1)
+        vx = entries.vertex[pos]
+        at = vx >= 0
+        if np.any(at):
+            factor[:, at] += self._rec_v @ entries.points[vx[at]].T
+        M[:-1] *= factor
+        return M, entries.objective[pos]
+
+    def _reduced_costs(self, duals, use_objective):
+        """Reduced cost of every scan entry: per axis, the slab tables
+        weighted by the duals give each cell's constant part; point
+        entries add <G, q>, with G the dual-weighted sum of the linear
+        parts of the records whose slab holds the cell."""
+        entries = self.scan_entries()
+        duals = np.asarray(duals, dtype=float)
+        grid = self._grid_ext
+        acc = np.full(grid.shape[0], duals[-1])
+        for a, (rows_a, mat) in self._tables.items():
+            acc += (mat @ (duals[rows_a] * self._rec_c[rows_a]))[grid[:, a]]
+        score = acc[entries.cell]
+        at = np.nonzero(entries.vertex >= 0)[0]
+        if at.size:
+            cells = entries.cell[at]
+            G = np.zeros((at.size, self.partition.dimension))
+            for a, (rows_a, mat) in self._tables.items():
+                G += (mat @ (duals[rows_a, None] * self._rec_v[rows_a]))[grid[cells, a]]
+            score[at] += np.einsum("ij,ij->i", G, entries.points[entries.vertex[at]])
+        return score - entries.objective if use_objective else -score
 
     def master_generator(self) -> ColumnGenerator:
-        """Column producer over the cell scan order.
+        """Column producer over the scan entries: one column per
+        collapsible cell, one per vertex of every other cell, and the
+        corner.
 
-        Collapsible cells contribute one aggregated column; the rest
-        contribute one column per vertex.  Pricing uses a vectorized
-        scorer when every record is a slab indicator, falling back to
-        an eagerly built column matrix on small instances.
+        ``column_at`` and the vectorized pricing scorer read the same
+        source, the per-axis slab tables and the vertex table, for
+        indicator and affine records alike; neither restricts a record
+        to a cell.
         """
-        n_rows = self.n_ineq + self.n_eq + 1
-        all_rows = np.arange(n_rows)
-        entries = self._generator_entries()
-        indicator_only = self._all_indicator and all(e[0] != "vx" for e in entries)
+        all_rows = np.arange(len(self.records) + 1)
 
-        def generic_column_at(pos):
-            kind, i, k = entries[pos]
-            if kind == "corner":
-                vals, obj = self._point_column(self.corner_cell, self.corner_cell.lows)
-                return all_rows, vals, obj
-            cell = self.partition.cell_at(i)
-            if kind == "cell":
-                vals, obj = self._cell_column(cell)
-                return all_rows, vals, obj
-            q = cell_vertices(cell)[k]
-            vals, obj = self._point_column(cell, q)
-            return all_rows, vals, obj
-
-        if indicator_only:
-            # tables give the signed restriction constants directly, so
-            # a generated column never touches per-record restriction
-            def column_at(pos):
-                kind, i, _k = entries[pos]
-                if kind == "corner":
-                    vals, obj = self._point_column(self.corner_cell, self.corner_cell.lows)
-                    return all_rows, vals, obj
-                vals = np.zeros(n_rows)
-                for a, (rows_a, mat) in self._tables.items():
-                    vals[rows_a] = mat[self._grid[i, a], :]
-                vals[-1] = 1.0
-                return all_rows, vals, float(self._r_cells[i])
-        else:
-            column_at = generic_column_at
-
-        reduced = None
-        if indicator_only:
-            reduced = self._fast_reduced_costs(entries, column_at)
-        elif len(entries) <= EAGER_MATRIX_LIMIT:
-            reduced = self._eager_reduced_costs(entries, column_at)
+        def column_at(pos):
+            M, obj = self._columns(np.array([pos]))
+            return all_rows, M[:, 0], float(obj[0])
 
         return ColumnGenerator(
-            len(entries),
-            column_at,
-            reduced_costs=reduced,
-            label_at=lambda pos: entries[pos],
+            self.scan_entries().count, column_at, reduced_costs=self._reduced_costs
         )
-
-    def _fast_reduced_costs(self, entries, column_at):
-        grid = self._grid
-        order = self.scan_order
-        r_scan = self._r_cells[order]
-        has_corner = self.corner_cell is not None
-        corner = column_at(0) if has_corner else None
-
-        def scorer(duals, use_objective):
-            duals = np.asarray(duals, dtype=float)
-            acc = np.full(grid.shape[0], duals[-1])
-            for a, (rows_a, mat) in self._tables.items():
-                acc += (mat @ duals[rows_a])[grid[:, a]]
-            score = acc[order]
-            rc = score - r_scan if use_objective else -score
-            if has_corner:
-                _rows, vals, obj = corner
-                s = float(duals @ vals)
-                rc0 = s - obj if use_objective else -s
-                rc = np.concatenate([[rc0], rc])
-            return rc
-
-        return scorer
-
-    def _eager_reduced_costs(self, entries, column_at):
-        cache = {}
-
-        def scorer(duals, use_objective):
-            if "M" not in cache:
-                cols = []
-                objs = np.empty(len(entries))
-                for pos in range(len(entries)):
-                    _rows, vals, obj = column_at(pos)
-                    cols.append(vals)
-                    objs[pos] = obj
-                cache["M"] = np.column_stack(cols)
-                cache["r"] = objs
-            duals = np.asarray(duals, dtype=float)
-            score = duals @ cache["M"]
-            return score - cache["r"] if use_objective else -score
-
-        return scorer
 
     def master_lp(self, budget: int = DENSE_BUDGET) -> LinearProgram:
         """Fully materialized master with one column per scan entry.
@@ -541,42 +575,12 @@ class DualLP:
         and handed to the dense solver.  Raises CapacityError when the
         column count exceeds ``budget``.
         """
-        entries = self._generator_entries()
-        if len(entries) > budget:
-            raise CapacityError(
-                f"{len(entries)} master columns exceed the budget {budget}"
-            )
+        count = self.scan_entries().count
+        if count > budget:
+            raise CapacityError(f"{count} master columns exceed the budget {budget}")
         senses, rhs = self.master_row_data()
-        n_rows = len(rhs)
-        if self._all_indicator and all(e[0] != "vx" for e in entries):
-            M, robj = self._indicator_master_matrix(entries)
-        else:
-            gen_cols = []
-            robj = np.empty(len(entries))
-            gen = self.master_generator()
-            for pos in range(len(entries)):
-                _rows, vals, obj = gen.column_at(pos)
-                gen_cols.append(vals)
-                robj[pos] = obj
-            M = np.column_stack(gen_cols) if gen_cols else np.zeros((n_rows, 0))
-        lp = LinearProgram("max", robj, M, senses, rhs, name="master")
-        return lp
-
-    def _indicator_master_matrix(self, entries):
-        k = self.partition.cell_count
-        n_rows = self.n_ineq + self.n_eq + 1
-        M = np.zeros((n_rows, k))
-        for a, (rows_a, mat) in self._tables.items():
-            M[rows_a, :] = mat[self._grid[:, a], :].T
-        M[-1, :] = 1.0
-        M = M[:, self.scan_order]
-        robj = self._r_cells[self.scan_order]
-        if self.corner_cell is not None:
-            gen = self.master_generator()
-            _rows, vals, obj = gen.column_at(0)
-            M = np.column_stack([vals, M])
-            robj = np.concatenate([[obj], robj])
-        return M, robj
+        M, robj = self._columns(np.arange(count))
+        return LinearProgram("max", robj, M, senses, rhs, name="master")
 
     def master_seed(self, seed_size: int = 8):
         """Restricted master primed for column generation.
@@ -588,29 +592,18 @@ class DualLP:
         seeded positions marked generated.
         """
         gen = self.master_generator()
-        entries = self._generator_entries()
+        entries = self.scan_entries()
         picks = set(range(min(seed_size, gen.count)))
-        cell_of_entry = np.array([e[1] for e in entries], dtype=int)
-        real = cell_of_entry >= 0
-        if np.any(real):
-            entry_grid = self._grid[np.where(real, cell_of_entry, 0)]
-            for a in range(self.partition.dimension):
-                col = entry_grid[:, a]
-                for g in range(self.partition.slab_counts[a]):
-                    hit = np.nonzero(real & (col == g))[0]
-                    if hit.size:
-                        picks.add(int(hit[0]))
+        real = np.nonzero(entries.cell >= 0)[0]
+        for a, slabs in enumerate(self.partition.slab_counts):
+            first = np.full(slabs, gen.count)
+            np.minimum.at(first, self._grid[entries.cell[real], a], real)
+            picks.update(first[first < gen.count].tolist())
+        pos = np.array(sorted(picks), dtype=np.intp)
         senses, rhs = self.master_row_data()
-        n_rows = len(rhs)
-        cols = []
-        objs = []
-        for pos in sorted(picks):
-            _rows, vals, obj = gen.column_at(pos)
-            cols.append(vals)
-            objs.append(obj)
-            gen.generated.add(pos)
-        M = np.column_stack(cols) if cols else np.zeros((n_rows, 0))
-        lp = LinearProgram("max", np.array(objs), M, senses, rhs, name="master_seed")
+        M, objs = self._columns(pos)
+        gen.generated.update(pos.tolist())
+        lp = LinearProgram("max", objs, M, senses, rhs, name="master_seed")
         return lp, gen
 
 

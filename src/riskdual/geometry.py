@@ -241,6 +241,112 @@ def cell_vertices(cell: Cell):
     return verts
 
 
+# cells per block in partition_vertices' deduplication, which holds a
+# cells x candidates x dimension temporary
+VERTEX_BLOCK = 1024
+
+
+def _product_bits(n):
+    """Rows of itertools.product((lo, hi), repeat=n) as high-end flags."""
+    k = np.arange(1 << n)
+    return ((k[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+
+
+def _vertex_candidates(lows, highs, sign, tau):
+    """The candidate list of cell_vertices for each cell, before
+    deduplication: corners in product order, then the hyperplane cuts
+    axis by axis.  Returns points (K, C, n) and a validity mask (K, C)."""
+    n = lows.shape[1]
+    corners = np.where(_product_bits(n), highs[:, None, :], lows[:, None, :])
+    sums = np.sum(corners, axis=-1)
+    kept = (sign[:, None] == 0) | (sign[:, None] * (sums - tau) >= -VERTEX_TOL)
+    points, valid = [corners], [kept]
+    other_bits = _product_bits(n - 1)
+    for axis in range(n):
+        others = [i for i in range(n) if i != axis]
+        fixed = np.where(other_bits, highs[:, None, others], lows[:, None, others])
+        # summed left to right, as the builtin sum in cell_vertices does
+        total = np.zeros(fixed.shape[:2])
+        for j in range(n - 1):
+            total = total + fixed[:, :, j]
+        t = tau - total
+        cut = np.empty(fixed.shape[:2] + (n,))
+        cut[:, :, others] = fixed
+        cut[:, :, axis] = t
+        points.append(cut)
+        valid.append(
+            (sign[:, None] != 0)
+            & (lows[:, axis, None] + VERTEX_TOL < t)
+            & (t < highs[:, axis, None] - VERTEX_TOL)
+        )
+    return np.concatenate(points, axis=1), np.concatenate(valid, axis=1)
+
+
+def _dedup_candidates(points, valid):
+    """_dedup_points on every cell at once: a candidate survives unless
+    it lies within VERTEX_TOL of an earlier survivor."""
+    keep = valid.copy()
+    for j in range(1, points.shape[1]):
+        near = np.max(np.abs(points[:, :j, :] - points[:, j : j + 1, :]), axis=-1) <= VERTEX_TOL
+        keep[:, j] &= ~np.any(near & keep[:, :j], axis=1)
+    return keep
+
+
+def partition_vertices(partition, idx):
+    """Vertices of the partition cells ``idx``, stacked in that order.
+
+    Returns ``(start, points)``: the vertices of cell ``idx[j]`` are
+    ``points[start[j]:start[j + 1]]``, with the values, the order and
+    the VERTEX_TOL deduplication that :func:`cell_vertices` gives on
+    ``partition.cell_at(idx[j])``.  Raises UnsupportedCellError for
+    the first cell of ``idx`` that cell_vertices rejects.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    n = partition.dimension
+    grid, flag, _side, _min, _max = partition.ref_arrays()
+    g = grid[idx]
+    lows = np.column_stack([b[g[:, a]] for a, b in enumerate(partition.breakpoints)])
+    highs = np.column_stack([b[g[:, a] + 1] for a, b in enumerate(partition.breakpoints)])
+    sign = flag[idx]
+    tau = 0.0 if partition.tau is None else partition.tau
+    bounded = np.all(np.isfinite(lows) & np.isfinite(highs), axis=1)
+    counts = np.zeros(idx.size, dtype=np.intp)
+    # a whole box wider than VERTEX_TOL on every axis keeps all its
+    # corners, and product order is already sorted
+    plain = bounded & (sign == 0) & np.all(highs - lows > VERTEX_TOL, axis=1)
+    counts[plain] = 1 << n
+    rest = np.nonzero(bounded & ~plain)[0]
+    rest_points = []
+    for lo in range(0, rest.size, VERTEX_BLOCK):
+        blk = rest[lo : lo + VERTEX_BLOCK]
+        cand, valid = _vertex_candidates(lows[blk], highs[blk], sign[blk], tau)
+        keep = _dedup_candidates(cand, valid)
+        counts[blk] = keep.sum(axis=1)
+        k, c = np.nonzero(keep)
+        pts = cand[k, c]
+        order = np.lexsort([pts[:, i] for i in range(n - 1, -1, -1)] + [k])
+        rest_points.append(pts[order])
+    bad = ~bounded | (counts == 0)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        if not bounded[j]:
+            raise UnsupportedCellError(
+                f"cell {idx[j]} is unbounded and has no vertex representation"
+            )
+        raise UnsupportedCellError(f"sliced cell {idx[j]} has an empty vertex set")
+    start = np.zeros(idx.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=start[1:])
+    points = np.empty((int(start[-1]), n))
+    if np.any(plain):
+        at = start[:-1][plain, None] + np.arange(1 << n)
+        points[at] = np.where(_product_bits(n), highs[plain, None, :], lows[plain, None, :])
+    if rest.size:
+        n_rest = counts[rest]
+        rank = np.arange(int(n_rest.sum())) - np.repeat(np.cumsum(n_rest) - n_rest, n_rest)
+        points[np.repeat(start[rest], n_rest) + rank] = np.concatenate(rest_points)
+    return start, points
+
+
 def cell_interior_point(cell: Cell) -> np.ndarray:
     """A point of the cell away from its boundary wherever the cell
     has extent.
@@ -467,6 +573,14 @@ class Partition:
         per cell slot.  Flags: 0 whole cell, -1 below half, +1 above half.
         Sides: -1 below, +1 above, 0 no tau."""
         return self._ref_grid, self._ref_flag, self._ref_side, self._ref_min, self._ref_max
+
+    def bounded_mask(self) -> np.ndarray:
+        """Per-cell flag: every axis interval of the cell is finite."""
+        mask = np.ones(self.cell_count, dtype=bool)
+        for a, b in enumerate(self.breakpoints):
+            finite = np.isfinite(b)
+            mask &= (finite[:-1] & finite[1:])[self._ref_grid[:, a]]
+        return mask
 
     def cell_at(self, i: int) -> Cell:
         cell = self._cache.get(i)

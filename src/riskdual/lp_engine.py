@@ -439,11 +439,10 @@ class ColumnGenerator:
     positions already present in the restricted master.
     """
 
-    def __init__(self, count, column_at, *, reduced_costs=None, label_at=None):
+    def __init__(self, count, column_at, *, reduced_costs=None):
         self.count = int(count)
         self.column_at = column_at
         self._reduced_costs = reduced_costs
-        self.label_at = label_at or (lambda pos: pos)
         self.generated = set()
 
     def reduced_costs(self, duals, use_objective=True):

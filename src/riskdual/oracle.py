@@ -91,7 +91,7 @@ def _cell_is_constant(dual, cell):
     cell, so one interior point carries the cell's whole column."""
     k = dual.partition.cell_count
     if cell.id < k:
-        eliminable = bool(dual._eliminable[cell.id])
+        eliminable = bool(dual.eliminable[cell.id])
     else:
         eliminable = False
     if not eliminable:

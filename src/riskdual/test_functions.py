@@ -115,6 +115,24 @@ def _slab_relation(fn: TestFunction, cell: Cell) -> str:
     )
 
 
+def slab_inside(fn: TestFunction, lows, highs) -> np.ndarray:
+    """:func:`_slab_relation` over arrays of axis intervals [lows, highs]:
+    True where the interval lies in the slab, False where it lies
+    outside.  Raises PartitionIncompatibleError when any interval
+    straddles a slab boundary."""
+    lo, hi = fn.slab
+    inside = (lows >= lo - EVAL_TOL) & (highs <= hi + EVAL_TOL)
+    outside = (highs <= lo + EVAL_TOL) | (lows >= hi - EVAL_TOL)
+    straddle = ~(inside | outside)
+    if np.any(straddle):
+        j = int(np.argmax(straddle))
+        raise PartitionIncompatibleError(
+            f"test function {fn.id}: interval [{lows[j]}, {highs[j]}] straddles "
+            f"the slab boundary on axis {fn.axis}"
+        )
+    return inside
+
+
 def _cell_side(risk: RiskFunctional, cell: Cell) -> SideOfTau:
     if cell.side_of_tau in (SideOfTau.BELOW, SideOfTau.ABOVE):
         if cell.tau is not None and abs(cell.tau - risk.tau) > EVAL_TOL:

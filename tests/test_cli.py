@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from riskdual import LPStatus, assemble_dual_lp, build_box_partition, solve_primal_discretization
 from riskdual.cli import (
     EXIT_BUDGET,
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNBOUNDED,
+    ModelConfig,
     main,
 )
 
@@ -62,6 +64,9 @@ def test_bound_on_the_two_point_model(tmp_path):
     assert det["cells"] == 1
     assert len(det["config_sha256"]) == 64
     assert det["mode"] == "lambda_eliminated"
+    assert det["engine"] == "dcg"
+    assert det["certified"] is True
+    assert 0.0 <= det["feas_residual"] <= 1e-9
     mult = det["multipliers"]
     assert {r["id"] for r in mult["records"]} == {"mean_one_plus_x"}
     assert "wall_s" in report["timing"]
@@ -82,6 +87,8 @@ def test_bound_mode_override_and_formats(tmp_path):
     assert code == EXIT_OK
     assert report["deterministic"]["mode"] == "explicit"
     assert report["deterministic"]["engine"] == "dense_rows"
+    assert report["deterministic"]["certified"] is True
+    assert 0.0 <= report["deterministic"]["feas_residual"] <= 1e-9
 
     out = tmp_path / "report.csv"
     assert main(["bound", cfg, "--format", "csv", "--out", str(out)]) == EXIT_OK
@@ -93,6 +100,40 @@ def test_bound_mode_override_and_formats(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["bound", cfg, "--format", "text", "--out", str(out)]) == EXIT_OK
     assert out.read_text().startswith("riskdual bound")
+
+
+def test_column_generation_past_the_old_eager_limit(tmp_path):
+    # two-sided slab frequencies plus a mean equality per axis, hinge
+    # risk: every cell needs vertex columns, about 8.6k of them at d=3,
+    # m=10, which once sent pricing through a per-record loop each round
+    d, m, tau = 3, 10, 1.8
+    grid = [g / m for g in range(m + 1)]
+    fns = []
+    for a in range(d):
+        for g in range(m):
+            slab = [grid[g], grid[g + 1]]
+            fns.append({"id": f"hi_{a}_{g}", "kind": "slab_indicator", "axis": a,
+                        "slab": slab, "sense": "inequality_upper", "bound": 1.35 / m})
+            fns.append({"id": f"lo_{a}_{g}", "kind": "slab_indicator", "axis": a,
+                        "slab": slab, "sense": "inequality_lower", "bound": 0.65 / m})
+        fns.append({"id": f"mean_{a}", "kind": "slab_affine", "axis": a, "slab": [0.0, 1.0],
+                    "sense": "equality", "bound": 0.5,
+                    "v": [float(i == a) for i in range(d)], "c": 0.0})
+    raw = {"schema": 1, "breakpoints": [grid] * d,
+           "risk": {"kind": "cvar_hinge", "tau": tau}, "test_functions": fns}
+    code, report = run(["bound", write_config(tmp_path, raw)], tmp_path)
+    det = report["deterministic"]
+    assert code == EXIT_OK
+    assert det["engine"] == "dcg"
+    assert det["certified"] is True
+
+    model = ModelConfig(raw)
+    dual = assemble_dual_lp(build_box_partition(model.breakpoints, tau), model.testfns, model.riskfn)
+    assert dual.scan_entries().count > 8192
+    primal = solve_primal_discretization(dual)
+    assert primal.status is LPStatus.OPTIMAL
+    assert det["bound"] == pytest.approx(primal.value, abs=1e-7)
+    assert det["bound"] == pytest.approx(0.3695, abs=1e-4)
 
 
 def test_bound_infeasible_constraints_exit_two(tmp_path):

@@ -9,6 +9,8 @@ against sign mistakes in any one route.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskdual import (
     CapacityError,
@@ -35,6 +37,8 @@ from riskdual import (
     solve_dcg,
     solve_dense_simplex,
 )
+from riskdual.dual_builder import CONST_TOL, _signed_restrictions
+from riskdual.geometry import VERTEX_TOL, partition_vertices
 
 from conftest import random_instance, two_point_model
 
@@ -341,6 +345,14 @@ def test_assemble_validation():
             )
         ]
         assemble_dual_lp(part, off_grid, risk)
+    with pytest.raises(PartitionIncompatibleError):
+        # on the grid within GRID_TOL, but a cell straddles it at EVAL_TOL
+        near_grid = [
+            TestFunction(
+                "f", TestFunctionKind.SLAB_INDICATOR, 0, (0.0, 0.5 + 1e-10), Sense.UPPER, 1.0
+            )
+        ]
+        assemble_dual_lp(part, near_grid, risk)
 
 
 def test_vertex_mode_rejects_unbounded_cells():
@@ -367,3 +379,136 @@ def test_scan_order_prefers_cells_past_the_threshold():
     first_below = np.argmax(side[order] < 0)
     # all cells past the threshold come before the first below cell
     assert np.all(side[order[:first_below]] > 0)
+
+
+# -- the array column source against the per-cell restriction route --
+
+
+@st.composite
+def axis_breakpoints(draw, max_ticks=4):
+    # quarter-grid values make corner sums land exactly on tau; a sliver
+    # slab of width near VERTEX_TOL exercises the vertex deduplication
+    ticks = draw(st.lists(st.integers(-4, 8), min_size=2, max_size=max_ticks, unique=True))
+    bp = sorted(t / 4 for t in ticks)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(bp) - 1))
+        width = draw(st.sampled_from([0.5 * VERTEX_TOL, VERTEX_TOL, 1.5 * VERTEX_TOL, 3 * VERTEX_TOL]))
+        bp.insert(at + 1, bp[at] + width)
+    return np.array(bp)
+
+
+@st.composite
+def breakpoint_grids(draw):
+    d = draw(st.integers(1, 4))
+    return [draw(axis_breakpoints(max_ticks=4 if d <= 2 else 3)) for _ in range(d)]
+
+
+@st.composite
+def sliced_partitions(draw):
+    bps = draw(breakpoint_grids())
+    lo = sum(b[0] for b in bps)
+    hi = sum(b[-1] for b in bps)
+    if draw(st.booleans()):
+        tau = lo + draw(st.integers(0, 8)) / 8 * (hi - lo)
+    else:
+        tau = draw(st.floats(lo, hi))
+    return build_box_partition(bps, tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sliced_partitions(), st.randoms(use_true_random=False))
+def test_vertex_table_matches_cell_vertices(partition, rnd):
+    idx = list(range(partition.cell_count))
+    rnd.shuffle(idx)
+    start, points = partition_vertices(partition, idx)
+    for j, i in enumerate(idx):
+        ref = np.array(cell_vertices(partition.cell_at(i)))
+        got = points[start[j] : start[j + 1]]
+        assert got.shape == ref.shape
+        # distinct vertices lie more than VERTEX_TOL apart, so equal
+        # values position by position also means equal order
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@st.composite
+def column_models(draw):
+    """Small bounded models mixing indicator and affine records of every
+    sense on slabs that may cover only part of an axis, under either
+    risk, with the threshold sometimes at the top corner."""
+    bps = draw(breakpoint_grids())
+    d = len(bps)
+    lo = sum(b[0] for b in bps)
+    hi = sum(b[-1] for b in bps)
+    kind = draw(st.sampled_from(list(RiskKind)))
+    if kind is RiskKind.VAR_INDICATOR and draw(st.booleans()):
+        tau = hi  # only the top corner reaches tau: the dual gets a corner cell
+    else:
+        tau = lo + draw(st.integers(1, 7)) / 8 * (hi - lo)
+    fns = []
+    n_ind = draw(st.integers(0, 3))
+    n_aff = draw(st.integers(1, 3))
+    for j in range(n_ind + n_aff):
+        axis = draw(st.integers(0, d - 1))
+        i0, i1 = sorted(draw(st.lists(
+            st.integers(0, len(bps[axis]) - 1), min_size=2, max_size=2, unique=True)))
+        slab = (float(bps[axis][i0]), float(bps[axis][i1]))
+        sense = draw(st.sampled_from(list(Sense)))
+        if j < n_ind:
+            fns.append(TestFunction(f"ind{j}", TestFunctionKind.SLAB_INDICATOR, axis,
+                                    slab, sense, 0.5))
+            continue
+        v = np.array(draw(st.lists(st.floats(-2, 2), min_size=d, max_size=d)))
+        scale = draw(st.sampled_from([1.0, 1e-13, 0.0]))  # 1e-13: below CONST_TOL
+        c = draw(st.floats(-2, 2))
+        fns.append(TestFunction(f"aff{j}", TestFunctionKind.SLAB_AFFINE, axis,
+                                slab, sense, 0.5, v=scale * v, c=c))
+    partition = build_box_partition(bps, tau)
+    return assemble_dual_lp(partition, fns, RiskFunctional(kind, tau))
+
+
+def _restricted_entries(dual):
+    """Scan entries rebuilt cell by cell through restrict_to_cell:
+    (cell, point or None, column, objective)."""
+    out = []
+    corner = dual.corner_cell
+    if corner is not None:
+        vals, obj = dual._point_column(corner, corner.lows)
+        out.append((-1, corner.lows, vals, obj))
+    for i in dual.scan_order:
+        cell = dual.partition.cell_at(int(i))
+        V, cvec = _signed_restrictions(dual.records, cell)
+        assert dual.eliminable[i] == (np.max(np.abs(V), initial=0.0) <= CONST_TOL)
+        if dual.eliminable[i]:
+            g, e = restrict_to_cell(dual.riskfn, cell)
+            _lam, support = precompute_cell_lambda(cell, g)
+            out.append((int(i), None, np.append(cvec, 1.0), float(e - support)))
+            continue
+        for q in cell_vertices(cell):
+            vals, obj = dual._point_column(cell, q)
+            out.append((int(i), q, vals, obj))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_models())
+def test_column_source_matches_the_restriction_route(dual):
+    ref = _restricted_entries(dual)
+    entries = dual.scan_entries()
+    gen = dual.master_generator()
+    master = dual.master_lp(100_000)
+    M = master.dense_matrix()
+    assert entries.count == gen.count == len(ref)
+    assert entries.cell.tolist() == [cell for cell, _q, _vals, _obj in ref]
+    duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
+    rc = gen.reduced_costs(duals, use_objective=True)
+    for pos, (_cell, q, vals, obj) in enumerate(ref):
+        if q is None:
+            assert entries.vertex[pos] == -1
+        else:
+            np.testing.assert_allclose(entries.points[entries.vertex[pos]], q, rtol=0, atol=1e-12)
+        _rows, col, col_obj = gen.column_at(pos)
+        np.testing.assert_allclose(col, vals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(M[:, pos], vals, rtol=0, atol=1e-12)
+        assert col_obj == pytest.approx(obj, rel=0, abs=1e-12)
+        assert master.c[pos] == pytest.approx(obj, rel=0, abs=1e-12)
+        assert rc[pos] == pytest.approx(duals @ vals - obj, rel=0, abs=1e-10)
