@@ -11,6 +11,7 @@ column generation.
 from ._version import __version__
 from .data_io import IntegralBound, SampleSet, bootstrap_integral_bounds, load_samples_csv
 from .dual_builder import (
+    BoundResult,
     CellBlock,
     DualLP,
     ReductionMode,
@@ -18,6 +19,7 @@ from .dual_builder import (
     concave_vertex_constraints,
     farkas_constraints_linear,
     precompute_cell_lambda,
+    solve_bound,
 )
 from .errors import (
     CapacityError,
@@ -25,8 +27,8 @@ from .errors import (
     InputError,
     ModelInfeasibleOnCell,
     PartitionIncompatibleError,
-    ReductionError,
     RiskdualError,
+    SolverError,
     UnsupportedCellError,
 )
 from .geometry import (
@@ -46,10 +48,8 @@ from .lp_engine import (
     LPSolution,
     LPStatus,
     PricedColumn,
-    pricing_scan,
     solve_dcg,
     solve_dense_simplex,
-    write_mps,
 )
 from .oracle import (
     CandidateGrid,
@@ -76,6 +76,7 @@ __all__ = [
     "SampleSet",
     "bootstrap_integral_bounds",
     "load_samples_csv",
+    "BoundResult",
     "CellBlock",
     "DualLP",
     "ReductionMode",
@@ -83,13 +84,14 @@ __all__ = [
     "concave_vertex_constraints",
     "farkas_constraints_linear",
     "precompute_cell_lambda",
+    "solve_bound",
     "CapacityError",
     "FactorizationError",
     "InputError",
     "ModelInfeasibleOnCell",
     "PartitionIncompatibleError",
-    "ReductionError",
     "RiskdualError",
+    "SolverError",
     "UnsupportedCellError",
     "Cell",
     "Halfspace",
@@ -105,10 +107,8 @@ __all__ = [
     "LPSolution",
     "LPStatus",
     "PricedColumn",
-    "pricing_scan",
     "solve_dcg",
     "solve_dense_simplex",
-    "write_mps",
     "CandidateGrid",
     "DiscretePrimal",
     "build_candidate_grid",

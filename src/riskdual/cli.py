@@ -9,7 +9,7 @@ bounds from samples.
 Reports are split into a ``deterministic`` part, which is byte-stable
 across runs with the same inputs and seed, and a ``timing`` part which
 is not.  Exit codes: 0 solved, 2 infeasible constraint set, 3 bound is
-infinite, 4 budget exceeded, 5 bad input.
+infinite, 4 budget exceeded, 5 bad input, 6 solver failure.
 """
 
 from __future__ import annotations
@@ -26,10 +26,13 @@ import numpy as np
 
 from ._version import __version__
 from .data_io import bootstrap_integral_bounds, load_samples_csv
-from .dual_builder import ReductionMode, assemble_dual_lp
-from .errors import CapacityError, InputError, RiskdualError
+from .dual_builder import ReductionMode, assemble_dual_lp, solve_bound
+from .errors import CapacityError, InputError, RiskdualError, SolverError
 from .geometry import DEFAULT_CELL_BUDGET, build_box_partition
-from .lp_engine import LPStatus, solve_dcg, solve_dense_simplex
+
+# only solve_bound calls solve_dcg; the name stays bound here because the
+# perfbench tracer is checked to rebind both solvers in this module
+from .lp_engine import solve_dcg, solve_dense_simplex  # noqa: F401
 from .test_functions import (
     RiskFunctional,
     RiskKind,
@@ -47,6 +50,7 @@ EXIT_INFEASIBLE = 2
 EXIT_UNBOUNDED = 3
 EXIT_BUDGET = 4
 EXIT_INPUT = 5
+EXIT_SOLVER = 6
 
 CONFIG_SCHEMA = 1
 _ALLOWED_KEYS = {
@@ -188,23 +192,13 @@ def _emit(report, args):
 # -- bound --
 
 
-def _moment_set_feasible(partition, testfns, tau, threads):
-    """Probe whether any measure meets the integral constraints, by
-    solving the indicator-risk master for the same cells."""
-    probe = assemble_dual_lp(partition, testfns, RiskFunctional(RiskKind.VAR_INDICATOR, tau))
-    seed, gen = probe.master_seed()
-    sol = solve_dcg(seed, gen, threads=threads)
-    return sol.status is LPStatus.OPTIMAL
-
-
-def _multiplier_report(dual, y, z, z0):
-    recs = []
-    for idx, (fn, _sign, _rhs, iseq) in enumerate(dual.records):
-        if idx < dual.n_ineq:
-            val = y[idx]
-        else:
-            val = z[idx - dual.n_ineq]
-        recs.append({"id": fn.id, "sense": fn.sense.value, "value": float(val)})
+def _multiplier_report(dual, multipliers):
+    y, z, z0 = multipliers
+    values = list(y) + list(z)
+    recs = [
+        {"id": fn.id, "sense": fn.sense.value, "value": float(val)}
+        for (fn, _sign, _rhs, _iseq), val in zip(dual.records, values)
+    ]
     return {"z0": float(z0), "records": recs}
 
 
@@ -214,90 +208,30 @@ def cmd_bound(args) -> int:
         cfg.breakpoints, tau=cfg.riskfn.tau, cell_budget=args.budget_cells
     )
     mode = ReductionMode(args.mode) if args.mode else cfg.mode
-    dual = assemble_dual_lp(partition, cfg.testfns, cfg.riskfn, mode)
+    t0 = time.perf_counter()
+    res = solve_bound(partition, cfg.testfns, cfg.riskfn, mode)
+    log.debug("bound: %s over %d cells: %s", res.engine, partition.cell_count, res.status)
     det = _base_deterministic(
         "bound",
         config_sha256=cfg.sha256(),
         mode=mode.value,
         cells=partition.cell_count,
-        corner_added=dual.corner_cell is not None,
+        corner_added=res.dual.corner_cell is not None,
+        engine=res.engine,
+        status=res.status,
+        bound=res.bound,
     )
-    t0 = time.perf_counter()
-
-    if dual.unbounded_above:
-        feasible = _moment_set_feasible(partition, cfg.testfns, cfg.riskfn.tau, args.threads)
-        det["engine"] = "dcg"
-        det["status"] = "unbounded" if feasible else "infeasible"
-        det["bound"] = None
-        _emit({"deterministic": det, "timing": {"wall_s": time.perf_counter() - t0}}, args)
-        return EXIT_UNBOUNDED if feasible else EXIT_INFEASIBLE
-
-    # column generation needs vertices for every cell that does not collapse
-    use_dcg = mode is ReductionMode.LAMBDA_ELIMINATED and bool(
-        np.all(partition.bounded_mask()[~dual.eliminable])
-    )
-    if use_dcg:
-        log.debug("bound: column generation over %d cells", partition.cell_count)
-        seed, gen = dual.master_seed()
-        sol = solve_dcg(seed, gen, threads=args.threads)
-        det["engine"] = "dcg"
-        det["iterations"] = sol.iterations
-        det["columns_generated"] = sol.columns_generated
-        # a clean pricing sweep over every scan entry certifies the optimum
-        det["certified"] = bool(sol.certified)
-        det["feas_residual"] = sol.feas_residual
-        if sol.status is LPStatus.OPTIMAL:
-            det["status"] = "optimal"
-            det["bound"] = float(sol.objective)
-            y, z, z0 = (
-                sol.duals[: dual.n_ineq],
-                sol.duals[dual.n_ineq : dual.n_ineq + dual.n_eq],
-                sol.duals[-1],
-            )
-            det["multipliers"] = _multiplier_report(dual, y, z, z0)
-            rc = EXIT_OK
-        elif sol.status is LPStatus.INFEASIBLE:
-            det["status"] = "infeasible"
-            det["bound"] = None
-            rc = EXIT_INFEASIBLE
-        else:
-            raise RiskdualError(f"master solve ended with {sol.status.value}")
-    else:
-        log.debug("bound: dense rows over %d cells", partition.cell_count)
-        lp = dual.materialize()
-        sol = solve_dense_simplex(lp)
-        det["engine"] = "dense_rows"
-        det["iterations"] = sol.iterations
-        # the row dual holds every cell's constraints, so its optimum is final
-        det["certified"] = sol.status is LPStatus.OPTIMAL
-        det["feas_residual"] = sol.feas_residual
-        if sol.status is LPStatus.OPTIMAL:
-            det["status"] = "optimal"
-            det["bound"] = float(sol.objective)
-            keys = {k: i for i, k in enumerate(lp.var_keys)}
-            y = [sol.x[keys[("y", s)]] for s in range(dual.n_ineq)]
-            z = [sol.x[keys[("z", t)]] for t in range(dual.n_eq)]
-            det["multipliers"] = _multiplier_report(dual, y, z, sol.x[keys["z0"]])
-            rc = EXIT_OK
-        elif sol.status is LPStatus.UNBOUNDED:
-            # dual rows unbounded below: no measure satisfies the bounds
-            det["status"] = "infeasible"
-            det["bound"] = None
-            rc = EXIT_INFEASIBLE
-        elif sol.status is LPStatus.INFEASIBLE:
-            # no dual certificate at all: the bound is infinite if any
-            # measure is feasible
-            feasible = _moment_set_feasible(
-                partition, cfg.testfns, cfg.riskfn.tau, args.threads
-            )
-            det["status"] = "unbounded" if feasible else "infeasible"
-            det["bound"] = None
-            rc = EXIT_UNBOUNDED if feasible else EXIT_INFEASIBLE
-        else:
-            raise RiskdualError(f"dual solve ended with {sol.status.value}")
-
+    if res.iterations is not None:
+        det["iterations"] = res.iterations
+        # a clean pricing sweep, or the full row dual, certifies the optimum
+        det["certified"] = res.certified
+        det["feas_residual"] = res.feas_residual
+    if res.columns_generated is not None:
+        det["columns_generated"] = res.columns_generated
+    if res.multipliers is not None:
+        det["multipliers"] = _multiplier_report(res.dual, res.multipliers)
     _emit({"deterministic": det, "timing": {"wall_s": time.perf_counter() - t0}}, args)
-    return rc
+    return {"optimal": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "unbounded": EXIT_UNBOUNDED}[res.status]
 
 
 # -- verify --
@@ -407,13 +341,12 @@ def cmd_bench(args) -> int:
                 sol = solve_dense_simplex(lp)
                 ss_obj = float(sol.objective)
                 ss_times.append(time.perf_counter() - t0)
+            # the column-generation side runs what ``bound`` runs
             t0 = time.perf_counter()
             partition = build_box_partition(bp, tau=risk.tau, cell_budget=args.budget_cells)
-            dual = assemble_dual_lp(partition, fns, risk)
-            seed, gen = dual.master_seed()
-            sol = solve_dcg(seed, gen, threads=args.threads)
-            dcg_obj = float(sol.objective)
-            cols = sol.columns_generated
+            res = solve_bound(partition, fns, risk)
+            dcg_obj = res.bound
+            cols = res.columns_generated
             dcg_times.append(time.perf_counter() - t0)
         agree = None if rejected else bool(abs(ss_obj - dcg_obj) <= 1e-7 * max(1.0, abs(ss_obj)))
         results.append(
@@ -484,7 +417,6 @@ def _add_common(p):
     p.add_argument("--out", help="write the report to this file instead of stdout")
     p.add_argument("--format", choices=("text", "json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument(
         "--budget-cells",
         type=int,
@@ -525,6 +457,7 @@ def build_parser():
     p.add_argument("--samples", required=True)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--replicates", type=int, default=1000)
+    p.add_argument("--threads", type=int, default=1, help="bootstrap worker threads")
     _add_common(p)
     p.set_defaults(func=cmd_bootstrap)
     return parser
@@ -543,6 +476,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"riskdual: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SolverError as exc:
+        print(f"riskdual: solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except RiskdualError as exc:
         print(f"riskdual: {exc}", file=sys.stderr)
         return EXIT_INPUT

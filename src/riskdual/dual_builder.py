@@ -38,6 +38,7 @@ from .errors import (
     InputError,
     ModelInfeasibleOnCell,
     PartitionIncompatibleError,
+    SolverError,
 )
 from .geometry import (
     Cell,
@@ -47,7 +48,14 @@ from .geometry import (
     maximize_linear_over_cell,
     partition_vertices,
 )
-from .lp_engine import DENSE_BUDGET, ColumnGenerator, LinearProgram
+from .lp_engine import (
+    DENSE_BUDGET,
+    ColumnGenerator,
+    LinearProgram,
+    LPStatus,
+    solve_dcg,
+    solve_dense_simplex,
+)
 from .test_functions import (
     EVAL_TOL,
     RiskFunctional,
@@ -288,10 +296,6 @@ class DualLP:
             self._r_cells = (side > 0).astype(float)
         else:
             self._r_cells = np.where(side > 0, rmax - tau, 0.0)
-        self.unbounded_above = bool(
-            riskfn.kind is RiskKind.CVAR_HINGE
-            and np.any((side > 0) & ~np.isfinite(rmax))
-        )
 
         # restrict_to_cell checks these on every cell; here once per model
         if abs(partition.tau - tau) > EVAL_TOL:
@@ -312,6 +316,13 @@ class DualLP:
                 self._rec_c[row] = fn.c
         self._tables = self._containment_tables()
         self.eliminable = self._eliminable_mask()
+        # an eliminable cell past tau with no top: the hinge grows without
+        # bound there while every record stays constant, so no finite
+        # certificate exists; other unbounded cells go to the row dual
+        self.unbounded_above = bool(
+            riskfn.kind is RiskKind.CVAR_HINGE
+            and np.any((side > 0) & ~np.isfinite(rmax) & self.eliminable)
+        )
         # slab indices per cell; the corner takes an extra last row (its
         # table rows hold the top breakpoint), so entry cell -1 finds it
         self._grid_ext = grid
@@ -674,3 +685,112 @@ def assemble_dual_lp(
                 )
     corner = _make_corner_cell(partition, riskfn)
     return DualLP(partition, testfns, riskfn, mode, records, corner)
+
+
+@dataclass(eq=False)
+class BoundResult:
+    """Answer of :func:`solve_bound`.
+
+    ``status`` is 'optimal' (``bound`` is the worst-case value and
+    ``multipliers`` its dual certificate ``(y, z, z0)``), 'infeasible'
+    (no measure meets the integral constraints) or 'unbounded' (the
+    bound is +inf).  ``engine`` is 'dcg' or 'dense_rows'.  The solve
+    counters are None when the unbounded-cell shortcut answered without
+    solving this model; ``columns_generated`` is set by 'dcg' only.
+    """
+
+    status: str
+    bound: Optional[float]
+    engine: str
+    dual: DualLP
+    iterations: Optional[int] = None
+    columns_generated: Optional[int] = None
+    certified: bool = False
+    feas_residual: Optional[float] = None
+    multipliers: Optional[tuple] = None
+
+
+def _feasibility_probe(partition, testfns, tau) -> BoundResult:
+    """VaR bound on the same cells: it is 'optimal' exactly when some
+    measure meets the integral constraints.  The answer does not depend
+    on the reduction, so the probe takes the default one."""
+    return solve_bound(partition, testfns, RiskFunctional(RiskKind.VAR_INDICATOR, tau))
+
+
+def solve_bound(
+    partition: Partition,
+    testfns,
+    riskfn: RiskFunctional,
+    mode: ReductionMode = ReductionMode.LAMBDA_ELIMINATED,
+) -> BoundResult:
+    """Worst-case bound of ``riskfn`` over the measures that meet
+    ``testfns``, on a partition sliced at the risk threshold.
+
+    Column generation runs when every non-eliminable cell is bounded in
+    LAMBDA_ELIMINATED mode; otherwise the dense row dual is solved in
+    one shot.  A DCG optimum counts only after a clean pricing sweep.
+    On the row dual, UNBOUNDED means no measure fits and INFEASIBLE
+    means no finite certificate: the bound is +inf if a measure fits.
+    Raises SolverError on an iteration limit, an uncertified DCG stop
+    or any status without a meaning here.
+    """
+    dual = assemble_dual_lp(partition, testfns, riskfn, mode)
+    if dual.unbounded_above:
+        probe = _feasibility_probe(partition, testfns, riskfn.tau)
+        status = "unbounded" if probe.status == "optimal" else "infeasible"
+        return BoundResult(status, None, probe.engine, dual)
+
+    n_ineq, n_eq = dual.n_ineq, dual.n_eq
+    use_dcg = mode is ReductionMode.LAMBDA_ELIMINATED and bool(
+        np.all(partition.bounded_mask()[~dual.eliminable])
+    )
+    if use_dcg:
+        seed, gen = dual.master_seed()
+        sol = solve_dcg(seed, gen)
+        if sol.status not in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE):
+            raise SolverError(f"master solve ended with {sol.status.value}")
+        if not sol.certified:
+            # a restricted master's optimum bounds the worst case from
+            # below, and its infeasibility proves nothing
+            raise SolverError("column generation stopped before a clean pricing sweep")
+        result = BoundResult(
+            "infeasible", None, "dcg", dual,
+            iterations=sol.iterations,
+            columns_generated=sol.columns_generated,
+            certified=sol.status is LPStatus.OPTIMAL,
+            feas_residual=sol.feas_residual,
+        )
+        if sol.status is LPStatus.OPTIMAL:
+            result.status = "optimal"
+            result.bound = float(sol.objective)
+            d = sol.duals
+            result.multipliers = (d[:n_ineq], d[n_ineq : n_ineq + n_eq], d[-1])
+        return result
+
+    lp = dual.materialize()
+    sol = solve_dense_simplex(lp)
+    # the row dual holds every cell's constraints, so its optimum is final
+    result = BoundResult(
+        "infeasible", None, "dense_rows", dual,
+        iterations=sol.iterations,
+        certified=sol.status is LPStatus.OPTIMAL,
+        feas_residual=sol.feas_residual,
+    )
+    if sol.status is LPStatus.OPTIMAL:
+        result.status = "optimal"
+        result.bound = float(sol.objective)
+        keys = {k: i for i, k in enumerate(lp.var_keys)}
+        result.multipliers = (
+            [sol.x[keys[("y", s)]] for s in range(n_ineq)],
+            [sol.x[keys[("z", t)]] for t in range(n_eq)],
+            sol.x[keys["z0"]],
+        )
+    elif sol.status is LPStatus.INFEASIBLE and riskfn.kind is RiskKind.CVAR_HINGE:
+        # no finite certificate: the bound is +inf if any measure fits
+        # (z0 = 1 always certifies the VaR risk, so this cannot recurse)
+        if _feasibility_probe(partition, testfns, riskfn.tau).status == "optimal":
+            result.status = "unbounded"
+    elif sol.status is not LPStatus.UNBOUNDED:
+        # UNBOUNDED: the dual rows fall without limit, so no measure fits
+        raise SolverError(f"dual solve ended with {sol.status.value}")
+    return result

@@ -24,11 +24,13 @@ class PartitionIncompatibleError(RiskdualError):
     slab boundary, a hinge, or the risk hyperplane."""
 
 
-class ReductionError(RiskdualError):
-    """A copositivity reduction was requested outside its hypotheses."""
+class SolverError(RiskdualError):
+    """The LP engine failed to reach a certified answer: an iteration
+    limit, a column-generation stop before a clean pricing sweep, or a
+    status the caller cannot map.  Not an input error."""
 
 
-class FactorizationError(RiskdualError):
+class FactorizationError(SolverError):
     """Basis factorization failed inside the simplex engine."""
 
     def __init__(self, message, condition=None):

@@ -11,8 +11,6 @@ and warm-starting each re-solve from the previous basis.
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Optional
@@ -28,6 +26,9 @@ FEAS_TOL = 1e-7
 RC_TOL = 1e-9
 # smallest usable pivot element
 PIVOT_TOL = 1e-10
+# a pivot below this fraction of its column's largest entry is checked
+# against a direct solve of the basis before it is taken
+PIVOT_CHECK = 1e-7
 # a step this small counts as a degenerate pivot
 DEGEN_TOL = 1e-12
 # switch to Bland's rule after this many consecutive degenerate pivots
@@ -116,11 +117,9 @@ class LPSolution:
     x: Optional[np.ndarray]
     duals: Optional[np.ndarray]
     iterations: int
-    wall_time: float
     columns_generated: int = 0
     basis_tokens: Optional[tuple] = None
     feas_residual: Optional[float] = None
-    phase1: bool = False
     certified: bool = False
     column_positions: Optional[list] = None
 
@@ -206,10 +205,11 @@ class _Canonical:
         return basis
 
 
-def _refactor(A, basis):
+def _refactor(A, basis, rhs=None):
+    """Basis inverse, or the basis solved against ``rhs`` when given."""
     B = A[:, basis]
     try:
-        Binv = np.linalg.solve(B, np.eye(B.shape[0]))
+        return np.linalg.solve(B, np.eye(B.shape[0]) if rhs is None else rhs)
     except np.linalg.LinAlgError as exc:
         cond = None
         try:
@@ -217,26 +217,43 @@ def _refactor(A, basis):
         except Exception:
             pass
         raise FactorizationError(f"singular simplex basis: {exc}", condition=cond)
-    return Binv
 
 
-def _simplex_phase(canon, cost, basis, Binv, enterable, iter_budget, stats):
+def _leaving_row(d, xB, basis):
+    """Ratio test for an entering column with basis-space entries ``d``:
+    the row that leaves, or None when no entry can pivot."""
+    idx = np.nonzero(d > PIVOT_TOL)[0]
+    if idx.size == 0:
+        return None
+    ratios = xB[idx] / d[idx]
+    theta = max(float(np.min(ratios)), 0.0)
+    near = idx[ratios <= theta + DEGEN_TOL]
+    # deterministic leave choice: smallest basis token index
+    return int(near[np.argmin(basis[near])])
+
+
+def _simplex_phase(canon, cost, basis, Binv, enterable, iter_budget, stats, phase_one=False):
     """Run pivots until optimal/unbounded for the given costs.
 
     Returns (status, basis, Binv, xB) with status 'optimal',
-    'unbounded' or 'iteration_limit'.
+    'unbounded' or 'iteration_limit'.  A pivot that is tiny next to its
+    column is checked by a direct solve of the basis; when the two
+    disagree, the pivot was rounding left in the updated inverse, which
+    is then rebuilt.  Phase one is bounded below, so there an entering
+    column without a pivot row priced negative only by rounding; it is
+    skipped until the next pivot.
     """
     A, b = canon.A, canon.b
-    m = canon.m
     xB = Binv @ b
     degen_streak = 0
     bland = False
+    skipped = np.zeros(A.shape[1], dtype=bool)
     while True:
         if stats["iterations"] >= iter_budget:
             return "iteration_limit", basis, Binv, xB
         pi = cost[basis] @ Binv
         rc = cost - pi @ A
-        cand = enterable & (rc < -RC_TOL)
+        cand = enterable & (rc < -RC_TOL) & ~skipped
         cand[basis] = False
         if not np.any(cand):
             return "optimal", basis, Binv, xB
@@ -246,16 +263,20 @@ def _simplex_phase(canon, cost, basis, Binv, enterable, iter_budget, stats):
             masked = np.where(cand, rc, np.inf)
             j = int(np.argmin(masked))
         d = Binv @ A[:, j]
-        pos = d > PIVOT_TOL
-        if not np.any(pos):
+        r = _leaving_row(d, xB, basis)
+        if r is not None and d[r] < PIVOT_CHECK * np.max(np.abs(d)):
+            exact = _refactor(A, basis, A[:, j])
+            if abs(exact[r] - d[r]) > PIVOT_CHECK * d[r]:
+                Binv = _refactor(A, basis)
+                xB = np.maximum(Binv @ b, 0.0)
+                d = exact
+                r = _leaving_row(d, xB, basis)
+        if r is None:
+            if phase_one:
+                skipped[j] = True
+                continue
             return "unbounded", basis, Binv, xB
-        idx = np.nonzero(pos)[0]
-        ratios = xB[idx] / d[idx]
-        theta = float(np.min(ratios))
-        theta = max(theta, 0.0)
-        near = idx[ratios <= theta + DEGEN_TOL]
-        # deterministic leave choice: smallest basis token index
-        r = int(near[np.argmin(basis[near])])
+        skipped[:] = False
         step = xB[r] / d[r]
         if step <= DEGEN_TOL:
             degen_streak += 1
@@ -329,7 +350,6 @@ def solve_dense_simplex(
     still name a feasible basis, phase one is skipped.  Raises
     CapacityError when the row or column count exceeds ``budget``.
     """
-    t0 = time.perf_counter()
     if lp.n_rows > budget or lp.n_cols > budget:
         raise CapacityError(
             f"LP size {lp.n_rows}x{lp.n_cols} exceeds the dense budget {budget}"
@@ -366,22 +386,17 @@ def solve_dense_simplex(
     if np.any(canon.artificial[basis] & (xB > FEAS_TOL)):
         enter1 = ~canon.artificial
         status, basis, Binv, xB = _simplex_phase(
-            canon, canon.cost1, basis, Binv, enter1, iteration_limit, stats
+            canon, canon.cost1, basis, Binv, enter1, iteration_limit, stats, phase_one=True
         )
         if status == "iteration_limit":
-            return LPSolution(
-                LPStatus.ITERATION_LIMIT, None, None, None,
-                stats["iterations"], time.perf_counter() - t0,
-            )
+            return LPSolution(LPStatus.ITERATION_LIMIT, None, None, None, stats["iterations"])
         infeas = float(canon.cost1[basis] @ xB)
         if infeas > FEAS_TOL:
             pi1 = canon.cost1[basis] @ Binv
             duals1 = canon.row_sign * pi1
             return LPSolution(
-                LPStatus.INFEASIBLE, None, None, duals1,
-                stats["iterations"], time.perf_counter() - t0,
+                LPStatus.INFEASIBLE, None, None, duals1, stats["iterations"],
                 basis_tokens=tuple(canon.tokens[k] for k in basis),
-                phase1=True,
             )
     if np.any(canon.artificial[basis]):
         basis, Binv, xB = _drive_out_artificials(canon, basis, Binv, xB)
@@ -390,18 +405,17 @@ def solve_dense_simplex(
     status, basis, Binv, xB = _simplex_phase(
         canon, canon.cost2, basis, Binv, enter2, iteration_limit, stats
     )
-    elapsed = time.perf_counter() - t0
     tokens = tuple(canon.tokens[k] for k in basis)
     if status == "iteration_limit":
         return LPSolution(
             LPStatus.ITERATION_LIMIT, None, None, None,
-            stats["iterations"], elapsed, basis_tokens=tokens,
+            stats["iterations"], basis_tokens=tokens,
         )
     if status == "unbounded":
         obj = -math.inf if lp.sense == "min" else math.inf
         return LPSolution(
             LPStatus.UNBOUNDED, obj, None, None,
-            stats["iterations"], elapsed, basis_tokens=tokens,
+            stats["iterations"], basis_tokens=tokens,
         )
 
     x_can = np.zeros(len(canon.tokens))
@@ -423,8 +437,7 @@ def solve_dense_simplex(
     residual = _feasibility_residual(lp, x)
     return LPSolution(
         LPStatus.OPTIMAL, objective, x, duals,
-        stats["iterations"], elapsed,
-        basis_tokens=tokens, feas_residual=residual,
+        stats["iterations"], basis_tokens=tokens, feas_residual=residual,
     )
 
 
@@ -434,21 +447,16 @@ class ColumnGenerator:
     Positions index a fixed deterministic scan order (above-tau cells
     first).  ``column_at(pos)`` returns ``(row_indices, values,
     objective)`` and is a pure function: regenerating a position yields
-    bit-identical data.  ``reduced_costs`` is an optional vectorized
-    scorer used by the pricing fast path.  ``generated`` records the
-    positions already present in the restricted master.
+    bit-identical data.  ``reduced_costs(duals, use_objective)`` scores
+    every position at once; pricing reads nothing else.  ``generated``
+    records the positions already present in the restricted master.
     """
 
-    def __init__(self, count, column_at, *, reduced_costs=None):
+    def __init__(self, count, column_at, reduced_costs):
         self.count = int(count)
         self.column_at = column_at
-        self._reduced_costs = reduced_costs
+        self.reduced_costs = reduced_costs
         self.generated = set()
-
-    def reduced_costs(self, duals, use_objective=True):
-        if self._reduced_costs is None:
-            return None
-        return self._reduced_costs(duals, use_objective)
 
 
 @dataclass(eq=False)
@@ -460,80 +468,18 @@ class PricedColumn:
     reduced_cost: float
 
 
-def _scan_reduced_costs(gen: ColumnGenerator, duals, use_objective, threads):
-    rc = gen.reduced_costs(duals, use_objective)
-    if rc is not None:
-        return np.asarray(rc, dtype=float)
-
-    def chunk_rc(lo, hi):
-        out = np.empty(hi - lo)
-        for pos in range(lo, hi):
-            rows, vals, obj = gen.column_at(pos)
-            score = float(duals[rows] @ vals)
-            out[pos - lo] = score - obj if use_objective else -score
-        return out
-
-    if threads <= 1 or gen.count < 1024:
-        return chunk_rc(0, gen.count)
-    bounds = np.linspace(0, gen.count, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ab: chunk_rc(*ab), zip(bounds[:-1], bounds[1:])))
-    return np.concatenate(parts)
-
-
-def _candidate_positions(gen, duals, *, use_objective, budget, threads, rc_tol):
-    rc = _scan_reduced_costs(gen, duals, use_objective, threads)
+def _pricing_batch(gen, duals, q, *, use_objective=True, rc_tol=RC_TOL):
+    """The ``q`` steepest unseen positions with reduced cost below
+    -rc_tol, ties broken by scan position.  An empty list after a full
+    scan certifies the restricted master solution."""
+    rc = np.asarray(gen.reduced_costs(np.asarray(duals, dtype=float), use_objective), dtype=float)
     mask = rc < -rc_tol
     if gen.generated:
         mask[np.fromiter(gen.generated, dtype=int)] = False
     cand = np.nonzero(mask)[0]
-    if cand.size == 0:
-        return None, rc
-    if budget is not None and budget < cand.size:
-        cand = cand[:budget]
-    return cand, rc
-
-
-def pricing_scan(
-    gen: ColumnGenerator,
-    duals,
-    budget: Optional[int] = None,
-    *,
-    use_objective: bool = True,
-    threads: int = 1,
-    rc_tol: float = RC_TOL,
-) -> Optional[PricedColumn]:
-    """Steepest-descent pricing over the cell scan order.
-
-    Scans positions in order, keeps candidates with reduced cost below
-    -rc_tol, and returns the steepest among the first ``budget``
-    candidates (all of them when ``budget`` is None).  Returns None
-    only after a scan finds no candidate, which certifies optimality of
-    the restricted master solution."""
-    duals = np.asarray(duals, dtype=float)
-    cand, rc = _candidate_positions(
-        gen, duals, use_objective=use_objective, budget=budget,
-        threads=threads, rc_tol=rc_tol,
-    )
-    if cand is None:
-        return None
-    best = int(cand[np.argmin(rc[cand])])
-    rows, vals, obj = gen.column_at(best)
-    return PricedColumn(best, rows, vals, obj, float(rc[best]))
-
-
-def _pricing_batch(gen, duals, q, *, use_objective, threads, rc_tol):
-    duals = np.asarray(duals, dtype=float)
-    cand, rc = _candidate_positions(
-        gen, duals, use_objective=use_objective, budget=None,
-        threads=threads, rc_tol=rc_tol,
-    )
-    if cand is None:
-        return []
     order = np.lexsort((cand, rc[cand]))
-    picks = cand[order[:q]]
     out = []
-    for pos in picks:
+    for pos in cand[order[:q]]:
         rows, vals, obj = gen.column_at(int(pos))
         out.append(PricedColumn(int(pos), rows, vals, obj, float(rc[pos])))
     return out
@@ -546,7 +492,6 @@ def solve_dcg(
     batch: int = 8,
     iteration_limit: int = DEFAULT_ITER_LIMIT,
     round_limit: int = 100_000,
-    threads: int = 1,
     rc_tol: float = RC_TOL,
 ) -> LPSolution:
     """Delayed column generation over the transposed dual.
@@ -556,11 +501,11 @@ def solve_dcg(
     those columns plus the dense solver's phase-one artificials.  Each
     round re-solves the restricted master warm-started from the last
     basis, then prices unseen columns, adding up to ``batch`` of the
-    steepest.  Termination requires a clean full pricing sweep, so the
-    returned optimum is certified against every cell.  Identical inputs
+    steepest.  A clean full pricing sweep sets ``certified``: the
+    returned optimum, or infeasibility, then holds against every cell;
+    a stop at ``round_limit`` leaves it unset.  Identical inputs
     produce identical iteration counts, columns and objective.
     """
-    t0 = time.perf_counter()
     m = seed_lp.n_rows
     dense = seed_lp.dense_matrix()
     columns = [dense[:, j].copy() for j in range(seed_lp.n_cols)]
@@ -587,13 +532,11 @@ def solve_dcg(
         if sol.status is LPStatus.UNBOUNDED:
             break
         use_obj = sol.status is LPStatus.OPTIMAL
-        picks = _pricing_batch(
-            gen, sol.duals, batch, use_objective=use_obj,
-            threads=threads, rc_tol=rc_tol,
-        )
+        picks = _pricing_batch(gen, sol.duals, batch, use_objective=use_obj, rc_tol=rc_tol)
         if not picks:
-            # clean full sweep: certified
-            sol.certified = use_obj
+            # clean full sweep: the optimum, or after phase one the
+            # infeasibility, holds for every column
+            sol.certified = True
             break
         for pc in picks:
             col = np.zeros(m)
@@ -609,55 +552,5 @@ def solve_dcg(
 
     sol.iterations = total_iters
     sol.columns_generated = generated
-    sol.wall_time = time.perf_counter() - t0
     sol.column_positions = positions
     return sol
-
-
-def _mps_num(v: float) -> str:
-    return f"{v:.10g}"
-
-
-def write_mps(lp: LinearProgram, path, name: str = "RISKDUAL") -> None:
-    """Fixed-format MPS dump for cross-checking against other solvers.
-
-    Rows are named R1.., columns X1..; free variables get FR bounds.
-    An OBJSENSE section records maximization problems."""
-    dense = lp.dense_matrix()
-    lines = []
-    lines.append(f"NAME          {name}")
-    if lp.sense == "max":
-        lines.append("OBJSENSE")
-        lines.append("    MAX")
-    lines.append("ROWS")
-    lines.append(" N  OBJ")
-    sense_tag = {"<=": "L", ">=": "G", "=": "E"}
-    for i, s in enumerate(lp.row_senses):
-        lines.append(f" {sense_tag[s]}  R{i + 1}")
-    lines.append("COLUMNS")
-    for j in range(lp.n_cols):
-        entries = [("OBJ", lp.c[j])] if lp.c[j] != 0 else []
-        entries += [(f"R{i + 1}", dense[i, j]) for i in range(lp.n_rows) if dense[i, j] != 0]
-        if not entries:
-            entries = [("OBJ", 0.0)]
-        for k in range(0, len(entries), 2):
-            pair = entries[k : k + 2]
-            row = f"    X{j + 1:<9}"
-            for rname, val in pair:
-                row += f"{rname:<10}{_mps_num(val):<15}"
-            lines.append(row.rstrip())
-    lines.append("RHS")
-    for i in range(lp.n_rows):
-        if lp.rhs[i] != 0:
-            lines.append(f"    RHS       R{i + 1:<8}{_mps_num(lp.rhs[i])}")
-    lines.append("BOUNDS")
-    for j in range(lp.n_cols):
-        if lp.var_free[j]:
-            lines.append(f" FR BND       X{j + 1}")
-    lines.append("ENDATA")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)

@@ -5,12 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from riskdual import LPStatus, assemble_dual_lp, build_box_partition, solve_primal_discretization
+from riskdual import (
+    FactorizationError,
+    LPSolution,
+    LPStatus,
+    SolverError,
+    assemble_dual_lp,
+    build_box_partition,
+    dual_builder,
+    lp_engine,
+    solve_bound,
+    solve_primal_discretization,
+)
 from riskdual.cli import (
     EXIT_BUDGET,
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_UNBOUNDED,
     ModelConfig,
     main,
@@ -175,6 +187,108 @@ def test_bound_unbounded_shortfall_exit_three(tmp_path):
     assert code == EXIT_UNBOUNDED
     assert report["deterministic"]["status"] == "unbounded"
     assert report["deterministic"]["bound"] is None
+
+
+@pytest.mark.parametrize("mean", [0.5, 0.4])
+def test_bound_hinge_tail_takes_the_row_dual(tmp_path, mean):
+    # E[X 1{X >= 1}] <= mean with hinge risk at 1: the worst case is
+    # mean - P(X >= 1), approached by a vanishing mass far out, and the
+    # certificate is y = 1 on the tail moment.  The tail cell is not
+    # collapsible, so the explicit block of the row dual handles it.
+    cfg = {
+        "schema": 1,
+        "breakpoints": [[0.0, 1.0, "Infinity"]],
+        "risk": {"kind": "cvar_hinge", "tau": 1.0},
+        "test_functions": [
+            {"id": "tail_m_0", "kind": "slab_affine", "axis": 0, "slab": [1.0, "Infinity"],
+             "sense": "inequality_upper", "bound": mean, "v": [1.0], "c": 0.0}
+        ],
+    }
+    path = tmp_path / "hinge_tail.json"
+    path.write_text(json.dumps(cfg).replace('"Infinity"', "Infinity"))
+    code, report = run(["bound", str(path)], tmp_path)
+    assert code == EXIT_OK
+    det = report["deterministic"]
+    assert det["status"] == "optimal"
+    assert det["engine"] == "dense_rows"
+    assert det["certified"] is True
+    assert det["bound"] == pytest.approx(mean, abs=1e-12)
+    (rec,) = det["multipliers"]["records"]
+    assert rec["id"] == "tail_m_0"
+    assert rec["value"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _hinge_grid_config(d=2, m=4, tau=1.2, mode="lambda_eliminated"):
+    """Slab frequencies and one mean equality per axis with hinge risk:
+    column generation needs several rounds on it."""
+    grid = [g / m for g in range(m + 1)]
+    fns = []
+    for a in range(d):
+        for g in range(m):
+            slab = [grid[g], grid[g + 1]]
+            fns.append({"id": f"hi_{a}_{g}", "kind": "slab_indicator", "axis": a,
+                        "slab": slab, "sense": "inequality_upper", "bound": 1.35 / m})
+            fns.append({"id": f"lo_{a}_{g}", "kind": "slab_indicator", "axis": a,
+                        "slab": slab, "sense": "inequality_lower", "bound": 0.65 / m})
+        fns.append({"id": f"mean_{a}", "kind": "slab_affine", "axis": a, "slab": [0.0, 1.0],
+                    "sense": "equality", "bound": 0.5,
+                    "v": [float(i == a) for i in range(d)], "c": 0.0})
+    return {"schema": 1, "breakpoints": [grid] * d, "mode": mode,
+            "risk": {"kind": "cvar_hinge", "tau": tau}, "test_functions": fns}
+
+
+def _stopped_dcg(round_limit, status):
+    def solve(seed_lp, gen, **kwargs):
+        sol = lp_engine.solve_dcg(seed_lp, gen, round_limit=round_limit)
+        assert sol.status is status and not sol.certified
+        return sol
+
+    return solve
+
+
+def _fixed_status(status):
+    def solve(*_args, **_kwargs):
+        return LPSolution(status, None, None, None, 0)
+
+    return solve
+
+
+def _singular(*_args, **_kwargs):
+    raise FactorizationError("singular simplex basis", condition=1e18)
+
+
+@pytest.mark.parametrize("name,mode,solver,why", [
+    ("solve_dcg", "lambda_eliminated",
+     lambda seed_lp, gen, **kw: lp_engine.solve_dcg(seed_lp, gen, iteration_limit=3),
+     "iteration_limit"),
+    ("solve_dense_simplex", "explicit",
+     lambda lp, **kw: lp_engine.solve_dense_simplex(lp, iteration_limit=3),
+     "iteration_limit"),
+    ("solve_dcg", "lambda_eliminated", _stopped_dcg(3, LPStatus.OPTIMAL), "clean pricing sweep"),
+    ("solve_dcg", "lambda_eliminated", _stopped_dcg(1, LPStatus.INFEASIBLE), "clean pricing sweep"),
+    ("solve_dcg", "lambda_eliminated", _fixed_status(LPStatus.UNBOUNDED), "unbounded"),
+    ("solve_dense_simplex", "explicit", _singular, "singular"),
+])
+def test_solver_failure_exit_six(tmp_path, monkeypatch, capsys, name, mode, solver, why):
+    raw = _hinge_grid_config(mode=mode)
+    model = ModelConfig(raw)
+    partition = build_box_partition(model.breakpoints, model.riskfn.tau)
+    monkeypatch.setattr(dual_builder, name, solver)
+    with pytest.raises(SolverError, match=why):
+        solve_bound(partition, model.testfns, model.riskfn, model.mode)
+    capsys.readouterr()
+    code, report = run(["bound", write_config(tmp_path, raw)], tmp_path)
+    assert code == EXIT_SOLVER
+    assert report is None
+    assert "solver failure" in capsys.readouterr().err
+
+
+def test_var_rows_infeasible_is_a_solver_failure(tmp_path, monkeypatch):
+    # z0 = 1 always certifies the VaR risk, so an infeasible row dual
+    # means the solver failed, not the model
+    monkeypatch.setattr(dual_builder, "solve_dense_simplex", _fixed_status(LPStatus.INFEASIBLE))
+    cfg = write_config(tmp_path, two_point_config())
+    assert main(["bound", cfg, "--mode", "explicit"]) == EXIT_SOLVER
 
 
 def test_bound_budget_exit_four(tmp_path):

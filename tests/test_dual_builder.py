@@ -34,13 +34,14 @@ from riskdual import (
     maximize_linear_over_cell,
     precompute_cell_lambda,
     restrict_to_cell,
+    solve_bound,
     solve_dcg,
     solve_dense_simplex,
 )
 from riskdual.dual_builder import CONST_TOL, _signed_restrictions
 from riskdual.geometry import VERTEX_TOL, partition_vertices
 
-from conftest import random_instance, two_point_model
+from conftest import random_instance, scipy_reference, two_point_model
 
 ALL_MODES = (
     ReductionMode.EXPLICIT,
@@ -316,6 +317,13 @@ def test_shortfall_with_unbounded_domain_is_flagged():
     assert dual.unbounded_above
     var_dual = assemble_dual_lp(part, [], RiskFunctional(RiskKind.VAR_INDICATOR, 0.5))
     assert not var_dual.unbounded_above
+    # a moment record on the tail keeps its cell out of the collapse; the
+    # explicit block then decides, so the shortcut must not fire
+    tail = TestFunction("tail_m", TestFunctionKind.SLAB_AFFINE, 0, (1.0, np.inf),
+                        Sense.UPPER, 0.5, v=np.array([1.0]), c=0.0)
+    dual = assemble_dual_lp(part, [tail], risk)
+    assert not dual.eliminable[-1]
+    assert not dual.unbounded_above
 
 
 def test_assemble_validation():
@@ -512,3 +520,122 @@ def test_column_source_matches_the_restriction_route(dual):
         assert col_obj == pytest.approx(obj, rel=0, abs=1e-12)
         assert master.c[pos] == pytest.approx(obj, rel=0, abs=1e-12)
         assert rc[pos] == pytest.approx(duals @ vals - obj, rel=0, abs=1e-10)
+
+
+# -- solve_bound against HiGHS --
+
+
+def _highs_bound(partition, testfns, risk):
+    """Reference (status, bound) from scipy's HiGHS: the full master when
+    every cell is bounded, else the explicit row dual.  An infeasible
+    row dual means +inf if a measure fits, which the VaR row dual tells
+    (it is always feasible: z0 = 1 dominates the indicator)."""
+    if np.all(partition.bounded_mask()):
+        return scipy_reference(assemble_dual_lp(partition, testfns, risk).master_lp())
+
+    def rows(riskfn):
+        dual = assemble_dual_lp(partition, testfns, riskfn, ReductionMode.EXPLICIT)
+        return scipy_reference(dual.materialize())
+
+    status, value = rows(risk)
+    if status == "unbounded":
+        return "infeasible", None
+    if status == "infeasible":
+        probe, _ = rows(RiskFunctional(RiskKind.VAR_INDICATOR, risk.tau))
+        return ("unbounded" if probe == "optimal" else "infeasible"), None
+    return status, value
+
+
+def _agrees_with_highs(partition, testfns, risk, mode=ReductionMode.LAMBDA_ELIMINATED):
+    got = solve_bound(partition, testfns, risk, mode)
+    status, ref = _highs_bound(partition, testfns, risk)
+    assert got.status == status
+    if status == "optimal":
+        assert abs(got.bound - ref) <= 1e-7 * max(1.0, abs(ref)), (got.bound, ref)
+        assert got.multipliers is not None
+    else:
+        assert got.bound is None
+    return got
+
+
+def _tail_records(a, d, p_bound, m_bound=None, sense=Sense.UPPER):
+    """Probability bound on the slab [1, inf) of axis ``a`` and, when
+    ``m_bound`` is given, a first-moment record on it."""
+    fns = [TestFunction(f"tail_p_{a}", TestFunctionKind.SLAB_INDICATOR, a,
+                        (1.0, np.inf), Sense.UPPER, p_bound)]
+    if m_bound is not None:
+        fns.append(TestFunction(f"tail_m_{a}", TestFunctionKind.SLAB_AFFINE, a,
+                                (1.0, np.inf), sense, m_bound, v=np.eye(d)[a], c=0.0))
+    return fns
+
+
+@st.composite
+def bound_models(draw):
+    """Calibrated random models with d <= 3, affine and equality records,
+    either risk, optionally an unbounded axis with tail records."""
+    d = draw(st.integers(1, 3))
+    inst = random_instance(
+        draw(st.integers(0, 2**16)),
+        d=d,
+        m=draw(st.sampled_from([2, 3] if d == 3 else [2, 3, 4])),
+        affine=draw(st.booleans()),
+        equality=draw(st.booleans()),
+        risk_kind=draw(st.sampled_from(list(RiskKind))),
+    )
+    bps = list(inst.partition.breakpoints)
+    fns = list(inst.testfns)
+    modes = list(ALL_MODES)
+    if draw(st.booleans()):
+        # the samples live in [0, 1], so tail bounds >= 0 keep them feasible
+        a = draw(st.integers(0, d - 1))
+        bps[a] = np.append(bps[a], np.inf)
+        p_bound = draw(st.sampled_from([0.05, 0.2]))
+        m_bound = draw(st.sampled_from([None, 0.1, 0.3]))
+        fns += _tail_records(a, d, p_bound, m_bound)
+        modes.remove(ReductionMode.VERTEX)
+    partition = build_box_partition(bps, inst.risk.tau)
+    return partition, fns, inst.risk, draw(st.sampled_from(modes))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bound_models())
+def test_solve_bound_agrees_with_highs(model):
+    _agrees_with_highs(*model)
+
+
+def _halves(bound):
+    # mass ``bound`` pinned on each half of [0, 1]
+    return [
+        TestFunction(name, TestFunctionKind.SLAB_INDICATOR, 0, slab, Sense.EQUALITY, bound)
+        for name, slab in (("lo", (0.0, 0.5)), ("hi", (0.5, 1.0)))
+    ]
+
+
+HINGE = RiskKind.CVAR_HINGE
+VAR = RiskKind.VAR_INDICATOR
+TAIL_AXIS = [0.0, 0.5, 1.0, np.inf]
+
+
+@pytest.mark.parametrize("name,bps,tau,kind,fns,status,engine", [
+    # the two-atom example: the VaR corner and an affine equality
+    ("corner_equality", [[0.0, 1.0]], 1.0, VAR, two_point_model(14.0 / 9.0).testfns,
+     "optimal", "dcg"),
+    ("corner_d2", [[0.0, 0.5, 1.0]] * 2, 2.0, VAR, _halves(0.5), "optimal", "dcg"),
+    ("infeasible_equalities", [[0.0, 0.5, 1.0]], 0.75, VAR, _halves(0.9), "infeasible", "dcg"),
+    ("infeasible_tail_axis", [TAIL_AXIS], 0.75, HINGE, _halves(0.9), "infeasible", "dcg"),
+    # every tail cell collapses: the hinge grows there at no cost
+    ("unbounded_collapsed_tail", [TAIL_AXIS], 1.0, HINGE, _tail_records(0, 1, 0.1),
+     "unbounded", "dcg"),
+    # only a lower moment bound on the tail: no finite certificate
+    ("unbounded_rows_probe", [TAIL_AXIS], 1.0, HINGE,
+     _tail_records(0, 1, 0.1, 0.2, Sense.LOWER), "unbounded", "dense_rows"),
+    ("hinge_tail", [[0.0, 1.0, np.inf]], 1.0, HINGE, _tail_records(0, 1, 1.0, 0.5),
+     "optimal", "dense_rows"),
+    ("var_tail_axis", [TAIL_AXIS, [0.0, 1.0]], 1.5, VAR, _tail_records(0, 2, 0.2, 0.3),
+     "optimal", "dense_rows"),
+])
+def test_solve_bound_edge_cases_agree_with_highs(name, bps, tau, kind, fns, status, engine):
+    partition = build_box_partition([np.array(b) for b in bps], tau)
+    got = _agrees_with_highs(partition, fns, RiskFunctional(kind, tau))
+    assert (got.status, got.engine) == (status, engine)
+

@@ -11,13 +11,14 @@ from riskdual import (
     InputError,
     LPStatus,
     LinearProgram,
-    pricing_scan,
+    ReductionMode,
+    RiskKind,
     solve_dcg,
     solve_dense_simplex,
-    write_mps,
 )
+from riskdual.lp_engine import _pricing_batch
 
-from conftest import random_lp, scipy_reference
+from conftest import random_instance, random_lp, scipy_reference
 
 
 def test_tiny_known_programs():
@@ -134,11 +135,31 @@ def test_infeasible_exit_reports_pricing_duals():
     lp = LinearProgram("max", [1.0], [[1.0], [0.0]], ["=", "="], [1.0, 1.0])
     sol = solve_dense_simplex(lp)
     assert sol.status is LPStatus.INFEASIBLE
-    assert sol.phase1
+    assert sol.objective is None
     assert sol.basis_tokens is not None
     # a column that feeds the uncovered row prices positive
     assert sol.duals @ np.array([0.0, 1.0]) > 0
     assert sol.duals @ np.array([1.0, 0.0]) <= 1e-9
+
+
+@pytest.mark.parametrize("seed,kind,mode", [
+    (0, RiskKind.VAR_INDICATOR, ReductionMode.VERTEX),  # was a singular basis
+    (85, RiskKind.VAR_INDICATOR, ReductionMode.EXPLICIT),  # was a singular basis
+    (62, RiskKind.VAR_INDICATOR, ReductionMode.VERTEX),  # was unbounded
+    (85, RiskKind.VAR_INDICATOR, ReductionMode.VERTEX),  # was infeasible
+    (52, RiskKind.CVAR_HINGE, ReductionMode.VERTEX),  # was infeasible
+    (127, RiskKind.CVAR_HINGE, ReductionMode.VERTEX),  # was infeasible
+])
+def test_tiny_rounding_pivots_are_not_taken(seed, kind, mode):
+    # row duals of d=3 models with affine equalities: the updated basis
+    # inverse once offered pivots near 1e-10 whose true value is zero,
+    # which made the basis singular or ended phase one early
+    lp = random_instance(seed, d=3, m=3, affine=True, equality=True, risk_kind=kind).dual(mode).materialize()
+    ref_status, ref_value = scipy_reference(lp)
+    assert ref_status == "optimal"
+    sol = solve_dense_simplex(lp)
+    assert sol.status is LPStatus.OPTIMAL
+    assert sol.objective == pytest.approx(ref_value, rel=1e-7, abs=1e-7)
 
 
 def test_iteration_limit_is_reported():
@@ -168,36 +189,54 @@ def test_linear_program_validation():
         LinearProgram("min", [1.0], [[1.0]], ["<="], [1.0], var_free=[True, False])
 
 
+def _scored(count, column_at):
+    """Generator whose scorer prices every position through column_at,
+    the plain definition the array scorers must reproduce."""
+
+    def reduced_costs(duals, use_objective):
+        out = np.empty(count)
+        for pos in range(count):
+            rows, vals, obj = column_at(pos)
+            score = float(duals[rows] @ vals)
+            out[pos] = score - obj if use_objective else -score
+        return out
+
+    return ColumnGenerator(count, column_at, reduced_costs)
+
+
 def _toy_master(r_values):
     """Single normalization row; column j has objective r_values[j]."""
-    count = len(r_values)
 
     def column_at(pos):
         return np.array([0]), np.array([1.0]), float(r_values[pos])
 
-    return ColumnGenerator(count, column_at)
+    return _scored(len(r_values), column_at)
 
 
-def test_pricing_scan_order_and_certificate():
+def test_pricing_batch_order_and_certificate():
     gen = _toy_master([0.0, 3.0, 1.0, 5.0, 2.0])
     duals = np.array([0.0])
-    best = pricing_scan(gen, duals)
+    (best,) = _pricing_batch(gen, duals, 1)
     assert best.position == 3
     assert best.reduced_cost == pytest.approx(-5.0)
-    # a budget of one stops at the first candidate in scan order
-    first = pricing_scan(gen, duals, budget=1)
-    assert first.position == 1
+    # the batch runs steepest first; position 0 prices at zero
+    assert [pc.position for pc in _pricing_batch(gen, duals, 8)] == [3, 1, 4, 2]
     gen.generated.update({1, 3})
-    nxt = pricing_scan(gen, duals)
-    assert nxt.position == 4
+    assert [pc.position for pc in _pricing_batch(gen, duals, 8)] == [4, 2]
     gen.generated.update({0, 2, 4})
-    assert pricing_scan(gen, duals) is None
+    assert _pricing_batch(gen, duals, 8) == []
 
 
-def test_pricing_scan_respects_tolerance():
+def test_pricing_batch_breaks_ties_by_position():
+    gen = _toy_master([2.0, 4.0, 2.0, 4.0])
+    picks = _pricing_batch(gen, np.array([0.0]), 3)
+    assert [pc.position for pc in picks] == [1, 3, 0]
+
+
+def test_pricing_batch_respects_tolerance():
     gen = _toy_master([5.0, 5.0 + 1e-12])
     duals = np.array([5.0])
-    assert pricing_scan(gen, duals) is None
+    assert _pricing_batch(gen, duals, 8) == []
 
 
 def _random_master(seed, n_rows=4, n_cols=40):
@@ -226,7 +265,7 @@ def test_dcg_reaches_the_dense_optimum(seed):
     def column_at(pos):
         return np.arange(lp.n_rows), full[:, pos].copy(), float(lp.c[pos])
 
-    gen = ColumnGenerator(lp.n_cols, column_at)
+    gen = _scored(lp.n_cols, column_at)
     seed_cols = [0, 1]
     gen.generated.update(seed_cols)
     seed_lp = LinearProgram(
@@ -262,33 +301,9 @@ def test_dcg_recovers_from_infeasible_seed():
     def column_at(pos):
         return np.arange(3), A[:, pos].copy(), float(c[pos])
 
-    gen = ColumnGenerator(4, column_at)
+    gen = _scored(4, column_at)
     gen.generated.add(1)  # covers only the normalization row
     seed_lp = LinearProgram("max", c[[1]], A[:, [1]], senses, rhs)
     sol = solve_dcg(seed_lp, gen, batch=1)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.objective == pytest.approx(dense.objective, abs=1e-9)
-
-
-def test_write_mps_round_trips_the_fields(tmp_path):
-    lp = LinearProgram(
-        "max",
-        [1.5, -2.0],
-        [[1.0, 2.0], [0.0, 1.0]],
-        ["<=", "="],
-        [4.0, 1.0],
-        var_free=[False, True],
-    )
-    path = tmp_path / "toy.mps"
-    write_mps(lp, path, name="TOY")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "NAME          TOY"
-    assert lines[1] == "OBJSENSE" and lines[2].strip() == "MAX"
-    assert " L  R1" in lines and " E  R2" in lines
-    assert " FR BND       X2" in lines
-    assert lines[-1] == "ENDATA"
-    # section order is fixed
-    order = [lines.index(s) for s in ("ROWS", "COLUMNS", "RHS", "BOUNDS")]
-    assert order == sorted(order)
-    joined = "\n".join(lines)
-    assert "1.5" in joined and "-2" in joined
