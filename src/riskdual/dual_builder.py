@@ -16,13 +16,17 @@ keeping the routes separate is what lets tests cross-check one against
 another.
 
 The transposed master, used by column generation and the single-shot
-solve, has one column per scan entry: a collapsible cell, a vertex of
-any other cell, or the corner point.  Its columns and reduced costs
-come from one array source: per-axis tables of each record's signed
-slab containment, indexed by the cells' slab indices, times the
-record's affine factor at the entry's vertex.  No column goes through
-a per-cell restriction; the row-form routes above and the primal
-oracle still do, which keeps them an independent check.
+solve, has one column per scan entry: a collapsible cell, a vertex or
+an extreme ray of any other cell, or the corner point.  A cell that
+contains no line is the hull of its vertices plus the cone of its rays,
+so domination on the cell is domination at every vertex plus a gap
+that does not fall along any ray.  Columns and reduced costs come from
+one array source: per-axis tables of each record's signed slab
+containment, indexed by the cells' slab indices, times the record's
+affine factor at the entry's vertex, or its slope along the entry's
+ray.  No column goes through a per-cell restriction; the row-form
+routes above and the primal oracle still do, which keeps them an
+independent check.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .geometry import (
     SideOfTau,
     cell_vertices,
     maximize_linear_over_cell,
+    partition_rays,
     partition_vertices,
 )
 from .lp_engine import (
@@ -245,13 +250,16 @@ class ScanEntries:
     """Master columns in scan order, one entry per column.
 
     ``cell`` holds the partition cell of each entry, -1 for the corner.
-    ``vertex`` holds the entry's row in ``points`` for a vertex or the
-    corner, -1 for a collapsed cell.  ``objective`` is the risk the
-    column carries.
+    ``vertex`` holds the entry's row in ``points`` for a vertex, a ray
+    or the corner, -1 for a collapsed cell.  ``ray`` flags the entries
+    whose row is an extreme ray of an unbounded cell rather than a
+    point.  ``objective`` is the risk the column carries: its value at
+    a point, its slope <g, r> along a ray.
     """
 
     cell: np.ndarray
     vertex: np.ndarray
+    ray: np.ndarray
     points: np.ndarray
     objective: np.ndarray
 
@@ -485,45 +493,62 @@ class DualLP:
         """The master's columns in scan order, built on first use.
 
         A collapsible cell is one entry; any other cell is one entry per
-        vertex, in :func:`cell_vertices` order; the corner is a point
-        entry.  Raises UnsupportedCellError when a cell that needs
-        vertices is unbounded.
+        vertex, in :func:`cell_vertices` order, then one per extreme ray
+        when it is unbounded (Minkowski-Weyl: an affine function is
+        nonnegative on a cell without a line exactly when it is at every
+        vertex and does not fall along any extreme ray); the corner is a
+        point entry.  Raises UnsupportedCellError when a cell that needs
+        vertices contains a line.
         """
         if self._entries is not None:
             return self._entries
         order = self.scan_order
-        by_vertex = ~self.eliminable[order]
-        start, points = partition_vertices(self.partition, order[by_vertex])
+        by_point = ~self.eliminable[order]
+        vstart, vpoints = partition_vertices(self.partition, order[by_point])
+        rstart, rays = partition_rays(self.partition, order[by_point])
+        nv, nr = np.diff(vstart), np.diff(rstart)
         counts = np.ones(order.size, dtype=np.intp)
-        counts[by_vertex] = np.diff(start)
+        counts[by_point] = nv + nr
         cell = np.repeat(order, counts)
+        # a cell's entries are its vertices, then its rays; the point
+        # table holds every vertex, then every ray
+        first = (np.cumsum(counts) - counts)[by_point]
+        vpos = np.repeat(first - vstart[:-1], nv) + np.arange(len(vpoints))
+        rpos = np.repeat(first + nv - rstart[:-1], nr) + np.arange(len(rays))
         vertex = np.full(cell.size, -1, dtype=np.intp)
-        vertex[np.repeat(by_vertex, counts)] = np.arange(len(points))
+        vertex[vpos] = np.arange(len(vpoints))
+        vertex[rpos] = len(vpoints) + np.arange(len(rays))
+        ray = np.zeros(cell.size, dtype=bool)
+        ray[rpos] = True
+        points = np.vstack([vpoints, rays])
         r_cells = self._r_cells
         if self.corner_cell is not None:
             cell = np.concatenate([[-1], cell])
             vertex = np.concatenate([[len(points)], vertex])
+            ray = np.concatenate([[False], ray])
             points = np.vstack([points, self.corner_cell.lows])
             # the indicator risk charges the corner: it lies on the threshold
             r_cells = np.append(r_cells, 1.0)
         objective = r_cells[cell]
+        objective[ray] = 0.0
         if self.riskfn.kind is RiskKind.CVAR_HINGE:
-            # the hinge is sum(q) - tau at a vertex past the threshold;
-            # there is no corner under this risk
+            # the hinge is sum(x) - tau past the threshold: sum(q) - tau at
+            # a vertex, sum(r) along a ray; there is no corner under this risk
             at = np.nonzero(vertex >= 0)[0]
             objective[at] = np.where(
                 self._side[cell[at]] > 0,
-                np.sum(points[vertex[at]], axis=1) - self.riskfn.tau,
+                np.sum(points[vertex[at]], axis=1) - np.where(ray[at], 0.0, self.riskfn.tau),
                 0.0,
             )
-        self._entries = ScanEntries(cell, vertex, points, objective)
+        self._entries = ScanEntries(cell, vertex, ray, points, objective)
         return self._entries
 
     def _columns(self, pos):
         """Master columns at scan positions ``pos``, as a (rows, len(pos))
         matrix, and their objectives.  Record r's value is its signed
         slab containment times its affine factor: <v, q> + c at a point
-        entry, c on a collapsed cell."""
+        entry, c on a collapsed cell, <v, r> along a ray, whose
+        normalization entry is 0."""
         entries = self.scan_entries()
         cells = entries.cell[pos]
         M = np.zeros((len(self.records) + 1, cells.size))
@@ -534,6 +559,9 @@ class DualLP:
         vx = entries.vertex[pos]
         at = vx >= 0
         if np.any(at):
+            ray = entries.ray[pos]
+            M[-1, ray] = 0.0
+            factor[:, ray] = 0.0
             factor[:, at] += self._rec_v @ entries.points[vx[at]].T
         M[:-1] *= factor
         return M, entries.objective[pos]
@@ -542,7 +570,8 @@ class DualLP:
         """Reduced cost of every scan entry: per axis, the slab tables
         weighted by the duals give each cell's constant part; point
         entries add <G, q>, with G the dual-weighted sum of the linear
-        parts of the records whose slab holds the cell."""
+        parts of the records whose slab holds the cell.  A ray entry
+        scores <G, r> alone: no constant part and no z0 term."""
         entries = self.scan_entries()
         duals = np.asarray(duals, dtype=float)
         grid = self._grid_ext
@@ -556,7 +585,8 @@ class DualLP:
             G = np.zeros((at.size, self.partition.dimension))
             for a, (rows_a, mat) in self._tables.items():
                 G += (mat @ (duals[rows_a, None] * self._rec_v[rows_a]))[grid[cells, a]]
-            score[at] += np.einsum("ij,ij->i", G, entries.points[entries.vertex[at]])
+            const = np.where(entries.ray[at], 0.0, score[at])
+            score[at] = const + np.einsum("ij,ij->i", G, entries.points[entries.vertex[at]])
         return score - entries.objective if use_objective else -score
 
     def master_generator(self) -> ColumnGenerator:
@@ -726,13 +756,16 @@ def solve_bound(
     """Worst-case bound of ``riskfn`` over the measures that meet
     ``testfns``, on a partition sliced at the risk threshold.
 
-    Column generation runs when every non-eliminable cell is bounded in
-    LAMBDA_ELIMINATED mode; otherwise the dense row dual is solved in
-    one shot.  A DCG optimum counts only after a clean pricing sweep.
-    On the row dual, UNBOUNDED means no measure fits and INFEASIBLE
-    means no finite certificate: the bound is +inf if a measure fits.
-    Raises SolverError on an iteration limit, an uncertified DCG stop
-    or any status without a meaning here.
+    Column generation runs in LAMBDA_ELIMINATED mode when no
+    non-eliminable cell contains a line, that is, has an axis interval
+    (-inf, inf): such a cell has no vertex-and-ray columns.  Otherwise
+    the dense row dual is solved in one shot.  A DCG optimum counts only
+    after a clean pricing sweep.  An unbounded DCG master means +inf
+    when it has ray columns: the restricted master was feasible and its
+    ray is one of the full master.  On the row dual, UNBOUNDED means no
+    measure fits and INFEASIBLE means no finite certificate: the bound
+    is +inf if a measure fits.  Raises SolverError on an iteration
+    limit, an uncertified DCG stop or any status without a meaning here.
     """
     dual = assemble_dual_lp(partition, testfns, riskfn, mode)
     if dual.unbounded_above:
@@ -741,12 +774,23 @@ def solve_bound(
         return BoundResult(status, None, probe.engine, dual)
 
     n_ineq, n_eq = dual.n_ineq, dual.n_eq
-    use_dcg = mode is ReductionMode.LAMBDA_ELIMINATED and bool(
-        np.all(partition.bounded_mask()[~dual.eliminable])
+    # interior breakpoints are finite, so an axis interval (-inf, inf) is
+    # a whole axis, and every cell has it
+    lines = any(np.all(np.isinf(b)) for b in partition.breakpoints)
+    use_dcg = mode is ReductionMode.LAMBDA_ELIMINATED and (
+        not lines or bool(np.all(dual.eliminable))
     )
     if use_dcg:
         seed, gen = dual.master_seed()
         sol = solve_dcg(seed, gen)
+        if sol.status is LPStatus.UNBOUNDED and np.any(dual.scan_entries().ray):
+            # only phase two reports UNBOUNDED: the restricted master is
+            # feasible, and its ray is a ray of the full master
+            return BoundResult(
+                "unbounded", None, "dcg", dual,
+                iterations=sol.iterations,
+                columns_generated=sol.columns_generated,
+            )
         if sol.status not in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE):
             raise SolverError(f"master solve ended with {sol.status.value}")
         if not sol.certified:

@@ -228,7 +228,9 @@ def cell_vertices(cell: Cell):
         for combo in itertools.product(*[(cell.lows[i], cell.highs[i]) for i in others]):
             fixed = dict(zip(others, combo))
             t = tau - sum(fixed.values())
-            if cell.lows[axis] + VERTEX_TOL < t < cell.highs[axis] - VERTEX_TOL:
+            # a cut within VERTEX_TOL of a kept corner is dropped by the
+            # deduplication; one next to a dropped corner is the vertex
+            if cell.lows[axis] < t < cell.highs[axis]:
                 p = np.empty(n)
                 p[axis] = t
                 for i, val in fixed.items():
@@ -255,16 +257,21 @@ def _product_bits(n):
 def _vertex_candidates(lows, highs, sign, tau):
     """The candidate list of cell_vertices for each cell, before
     deduplication: corners in product order, then the hyperplane cuts
-    axis by axis.  Returns points (K, C, n) and a validity mask (K, C)."""
+    axis by axis.  Returns points (K, C, n) and a validity mask (K, C).
+    A candidate built on an infinite bound is no point and is invalid."""
     n = lows.shape[1]
-    corners = np.where(_product_bits(n), highs[:, None, :], lows[:, None, :])
+    # NaN in place of an infinite bound spreads to every candidate built
+    # on it, where inf - inf would warn
+    lo_pts = np.where(np.isfinite(lows), lows, np.nan)
+    hi_pts = np.where(np.isfinite(highs), highs, np.nan)
+    corners = np.where(_product_bits(n), hi_pts[:, None, :], lo_pts[:, None, :])
     sums = np.sum(corners, axis=-1)
     kept = (sign[:, None] == 0) | (sign[:, None] * (sums - tau) >= -VERTEX_TOL)
     points, valid = [corners], [kept]
     other_bits = _product_bits(n - 1)
     for axis in range(n):
         others = [i for i in range(n) if i != axis]
-        fixed = np.where(other_bits, highs[:, None, others], lows[:, None, others])
+        fixed = np.where(other_bits, hi_pts[:, None, others], lo_pts[:, None, others])
         # summed left to right, as the builtin sum in cell_vertices does
         total = np.zeros(fixed.shape[:2])
         for j in range(n - 1):
@@ -274,12 +281,10 @@ def _vertex_candidates(lows, highs, sign, tau):
         cut[:, :, others] = fixed
         cut[:, :, axis] = t
         points.append(cut)
-        valid.append(
-            (sign[:, None] != 0)
-            & (lows[:, axis, None] + VERTEX_TOL < t)
-            & (t < highs[:, axis, None] - VERTEX_TOL)
-        )
-    return np.concatenate(points, axis=1), np.concatenate(valid, axis=1)
+        valid.append((sign[:, None] != 0) & (lows[:, axis, None] < t) & (t < highs[:, axis, None]))
+    points = np.concatenate(points, axis=1)
+    valid = np.concatenate(valid, axis=1) & ~np.any(np.isnan(points), axis=-1)
+    return points, valid
 
 
 def _dedup_candidates(points, valid):
@@ -296,10 +301,13 @@ def partition_vertices(partition, idx):
     """Vertices of the partition cells ``idx``, stacked in that order.
 
     Returns ``(start, points)``: the vertices of cell ``idx[j]`` are
-    ``points[start[j]:start[j + 1]]``, with the values, the order and
-    the VERTEX_TOL deduplication that :func:`cell_vertices` gives on
-    ``partition.cell_at(idx[j])``.  Raises UnsupportedCellError for
-    the first cell of ``idx`` that cell_vertices rejects.
+    ``points[start[j]:start[j + 1]]``.  On a bounded cell they have the
+    values, the order and the VERTEX_TOL deduplication that
+    :func:`cell_vertices` gives on ``partition.cell_at(idx[j])``; an
+    unbounded cell keeps the finite ones of the same candidates, and
+    :func:`partition_rays` gives its recession directions.  Raises
+    UnsupportedCellError for the first cell of ``idx`` that contains a
+    line (an axis interval of (-inf, inf)) or has no vertex.
     """
     idx = np.asarray(idx, dtype=np.intp)
     n = partition.dimension
@@ -310,12 +318,13 @@ def partition_vertices(partition, idx):
     sign = flag[idx]
     tau = 0.0 if partition.tau is None else partition.tau
     bounded = np.all(np.isfinite(lows) & np.isfinite(highs), axis=1)
+    line = np.any(~np.isfinite(lows) & ~np.isfinite(highs), axis=1)
     counts = np.zeros(idx.size, dtype=np.intp)
     # a whole box wider than VERTEX_TOL on every axis keeps all its
     # corners, and product order is already sorted
     plain = bounded & (sign == 0) & np.all(highs - lows > VERTEX_TOL, axis=1)
     counts[plain] = 1 << n
-    rest = np.nonzero(bounded & ~plain)[0]
+    rest = np.nonzero(~line & ~plain)[0]
     rest_points = []
     for lo in range(0, rest.size, VERTEX_BLOCK):
         blk = rest[lo : lo + VERTEX_BLOCK]
@@ -326,12 +335,12 @@ def partition_vertices(partition, idx):
         pts = cand[k, c]
         order = np.lexsort([pts[:, i] for i in range(n - 1, -1, -1)] + [k])
         rest_points.append(pts[order])
-    bad = ~bounded | (counts == 0)
+    bad = line | (counts == 0)
     if np.any(bad):
         j = int(np.argmax(bad))
-        if not bounded[j]:
+        if line[j]:
             raise UnsupportedCellError(
-                f"cell {idx[j]} is unbounded and has no vertex representation"
+                f"cell {idx[j]} contains a line and has no vertex representation"
             )
         raise UnsupportedCellError(f"sliced cell {idx[j]} has an empty vertex set")
     start = np.zeros(idx.size + 1, dtype=np.intp)
@@ -345,6 +354,40 @@ def partition_vertices(partition, idx):
         rank = np.arange(int(n_rest.sum())) - np.repeat(np.cumsum(n_rest) - n_rest, n_rest)
         points[np.repeat(start[rest], n_rest) + rank] = np.concatenate(rest_points)
     return start, points
+
+
+def partition_rays(partition, idx):
+    """Extreme rays of the partition cells ``idx``, stacked in that order.
+
+    Returns ``(start, rays)`` laid out as in :func:`partition_vertices`.
+    With U the axes of a cell that have a finite low and an infinite
+    high, and L those with an infinite low and a finite high, the rays
+    are e_u for u in U unless the cell keeps sum(x) <= tau, then -e_l
+    for l in L unless it keeps sum(x) >= tau, then e_u - e_l for every
+    pair (u, l) on a sliced cell.  A bounded cell has none.  Together
+    with its vertices they span a cell that contains no line.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    n = partition.dimension
+    grid, flag, _side, _min, _max = partition.ref_arrays()
+    up = np.zeros((idx.size, n), dtype=bool)
+    down = np.zeros((idx.size, n), dtype=bool)
+    for a, b in enumerate(partition.breakpoints):
+        lo_fin, hi_fin = np.isfinite(b[:-1]), np.isfinite(b[1:])
+        slab = grid[idx, a]
+        up[:, a] = (lo_fin & ~hi_fin)[slab]
+        down[:, a] = (~lo_fin & hi_fin)[slab]
+    start = np.zeros(idx.size + 1, dtype=np.intp)
+    if not (np.any(up) or np.any(down)):
+        return start, np.zeros((0, n))
+    sign = flag[idx, None]
+    eye = np.eye(n)
+    pu, pl = np.divmod(np.arange(n * n), n)
+    dirs = np.vstack([eye, -eye, eye[pu] - eye[pl]])
+    valid = np.hstack([up & (sign >= 0), down & (sign <= 0), up[:, pu] & down[:, pl] & (sign != 0)])
+    k, c = np.nonzero(valid)
+    np.cumsum(np.bincount(k, minlength=idx.size), out=start[1:])
+    return start, dirs[c]
 
 
 def cell_interior_point(cell: Cell) -> np.ndarray:
@@ -473,7 +516,6 @@ def maximize_linear_over_cell(cell: Cell, g):
         pass
     else:
         free_idx = [int(i) for i in np.nonzero(g == 0)[0]]
-        base = float(np.sum(np.where(g > 0, g * highs, np.where(g < 0, g * lows, 0.0))))
         pinned_sum = float(
             np.sum(np.where(g > 0, highs, np.where(g < 0, lows, 0.0)))
         )
@@ -573,14 +615,6 @@ class Partition:
         per cell slot.  Flags: 0 whole cell, -1 below half, +1 above half.
         Sides: -1 below, +1 above, 0 no tau."""
         return self._ref_grid, self._ref_flag, self._ref_side, self._ref_min, self._ref_max
-
-    def bounded_mask(self) -> np.ndarray:
-        """Per-cell flag: every axis interval of the cell is finite."""
-        mask = np.ones(self.cell_count, dtype=bool)
-        for a, b in enumerate(self.breakpoints):
-            finite = np.isfinite(b)
-            mask &= (finite[:-1] & finite[1:])[self._ref_grid[:, a]]
-        return mask
 
     def cell_at(self, i: int) -> Cell:
         cell = self._cache.get(i)

@@ -190,11 +190,12 @@ def test_bound_unbounded_shortfall_exit_three(tmp_path):
 
 
 @pytest.mark.parametrize("mean", [0.5, 0.4])
-def test_bound_hinge_tail_takes_the_row_dual(tmp_path, mean):
+def test_bound_hinge_tail_takes_column_generation(tmp_path, mean):
     # E[X 1{X >= 1}] <= mean with hinge risk at 1: the worst case is
     # mean - P(X >= 1), approached by a vanishing mass far out, and the
-    # certificate is y = 1 on the tail moment.  The tail cell is not
-    # collapsible, so the explicit block of the row dual handles it.
+    # certificate is y = 1 on the tail moment.  The tail cell [1, inf) is
+    # not collapsible; its vertex 1 and its ray e_0 are master columns,
+    # and the ray column carries the vanishing mass.
     cfg = {
         "schema": 1,
         "breakpoints": [[0.0, 1.0, "Infinity"]],
@@ -210,7 +211,7 @@ def test_bound_hinge_tail_takes_the_row_dual(tmp_path, mean):
     assert code == EXIT_OK
     det = report["deterministic"]
     assert det["status"] == "optimal"
-    assert det["engine"] == "dense_rows"
+    assert det["engine"] == "dcg"
     assert det["certified"] is True
     assert det["bound"] == pytest.approx(mean, abs=1e-12)
     (rec,) = det["multipliers"]["records"]

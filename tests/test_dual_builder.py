@@ -7,9 +7,12 @@ equivalence, checked on randomized instances, is the main guard
 against sign mistakes in any one route.
 """
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riskdual import (
@@ -26,6 +29,7 @@ from riskdual import (
     Sense,
     TestFunction,
     TestFunctionKind,
+    UnsupportedCellError,
     assemble_dual_lp,
     build_box_partition,
     cell_vertices,
@@ -39,7 +43,7 @@ from riskdual import (
     solve_dense_simplex,
 )
 from riskdual.dual_builder import CONST_TOL, _signed_restrictions
-from riskdual.geometry import VERTEX_TOL, partition_vertices
+from riskdual.geometry import VERTEX_TOL, partition_rays, partition_vertices
 
 from conftest import random_instance, scipy_reference, two_point_model
 
@@ -406,9 +410,23 @@ def axis_breakpoints(draw, max_ticks=4):
 
 
 @st.composite
-def breakpoint_grids(draw):
-    d = draw(st.integers(1, 4))
+def breakpoint_grids(draw, max_d=4):
+    d = draw(st.integers(1, max_d))
     return [draw(axis_breakpoints(max_ticks=4 if d <= 2 else 3)) for _ in range(d)]
+
+
+def open_ends(draw, bps):
+    """Give each axis an infinite first breakpoint, last breakpoint,
+    both or neither."""
+    out = []
+    for b in bps:
+        ends = draw(st.sampled_from(["none", "low", "high", "both"]))
+        if ends in ("low", "both"):
+            b = np.insert(b, 0, -np.inf)
+        if ends in ("high", "both"):
+            b = np.append(b, np.inf)
+        out.append(b)
+    return out
 
 
 @st.composite
@@ -438,11 +456,87 @@ def test_vertex_table_matches_cell_vertices(partition, rnd):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
+def brute_force_vertices_and_rays(cell):
+    """Vertices and extreme rays of a cell from its halfspaces alone:
+    every n tight halfspaces with a unique solution that meets the rest,
+    every n - 1 with a one-dimensional solution set whose direction
+    meets the recession cone.  Rays are scaled to a largest entry of 1."""
+    F = np.array([h.normal for h in cell.halfspaces]).reshape(-1, cell.dimension)
+    ell = np.array([h.bound for h in cell.halfspaces])
+    n = cell.dimension
+    verts, rays = [], []
+    for rows in itertools.combinations(range(len(F)), n):
+        A = F[list(rows)]
+        if abs(np.linalg.det(A)) < 0.5:  # integer normals: 0 or at least 1
+            continue
+        x = np.linalg.solve(A, ell[list(rows)])
+        # a little looser than the table's own corner test, so rounding
+        # at its edge cannot drop a candidate here that the table keeps
+        if np.all(F @ x >= ell - 1.5 * VERTEX_TOL):
+            verts.append(x)
+    for rows in itertools.combinations(range(len(F)), n - 1):
+        A = F[list(rows)].reshape(-1, n)
+        null = scipy.linalg.null_space(A)
+        if null.shape[1] != 1:
+            continue
+        for r in (null[:, 0], -null[:, 0]):
+            r = r / np.max(np.abs(r))
+            if np.all(F @ r >= -1e-12) and not any(np.allclose(r, o) for o in rays):
+                rays.append(r)
+    return verts, rays
+
+
+@st.composite
+def open_partitions(draw):
+    """Sliced partitions (d <= 3) whose axes may start at -inf, end at
+    +inf or both, with sliver slabs; ``line`` is set when an axis is the
+    single slab (-inf, inf)."""
+    bps = draw(breakpoint_grids(max_d=3))
+    lo = sum(b[0] for b in bps)
+    hi = sum(b[-1] for b in bps)
+    tau = lo + draw(st.integers(0, 8)) / 8 * (hi - lo)
+    bps = open_ends(draw, bps)
+    line = draw(st.integers(0, 5)) == 0
+    if line:
+        bps[draw(st.integers(0, len(bps) - 1))] = np.array([-np.inf, np.inf])
+    return build_box_partition(bps, tau), line
+
+
+@settings(max_examples=80, deadline=None)
+@given(open_partitions())
+def test_vertex_and_ray_table_matches_brute_force(case):
+    partition, line = case
+    idx = np.arange(partition.cell_count)
+    if line:
+        # every cell holds the line; it has no vertex-and-ray form
+        with pytest.raises(UnsupportedCellError, match="contains a line"):
+            partition_vertices(partition, idx)
+        return
+    vstart, points = partition_vertices(partition, idx)
+    rstart, rays = partition_rays(partition, idx)
+    for i in idx:
+        cell = partition.cell_at(int(i))
+        verts, ref_rays = brute_force_vertices_and_rays(cell)
+        got = points[vstart[i] : vstart[i + 1]]
+        if cell.bounded:
+            np.testing.assert_allclose(got, cell_vertices(cell), rtol=0, atol=1e-12)
+        # each table vertex is a vertex; each vertex lies within the
+        # deduplication tolerance of one in the table
+        assert len(got) and np.all(np.isfinite(got))
+        assert all(min(np.max(np.abs(q - v)) for v in verts) <= 1e-12 for q in got)
+        assert all(min(np.max(np.abs(q - v)) for q in got) <= 3 * VERTEX_TOL for v in verts)
+        assert [tuple(q) for q in got] == sorted(tuple(q) for q in got)
+        table = rays[rstart[i] : rstart[i + 1]]
+        assert len(table) == len(ref_rays)
+        assert all(any(np.allclose(r, o, rtol=0, atol=1e-12) for o in ref_rays) for r in table)
+
+
 @st.composite
 def column_models(draw):
-    """Small bounded models mixing indicator and affine records of every
-    sense on slabs that may cover only part of an axis, under either
-    risk, with the threshold sometimes at the top corner."""
+    """Small models mixing indicator and affine records of every sense
+    on slabs that may cover only part of an axis, under either risk,
+    with the threshold sometimes at the top corner and axes sometimes
+    open at either end."""
     bps = draw(breakpoint_grids())
     d = len(bps)
     lo = sum(b[0] for b in bps)
@@ -452,6 +546,8 @@ def column_models(draw):
         tau = hi  # only the top corner reaches tau: the dual gets a corner cell
     else:
         tau = lo + draw(st.integers(1, 7)) / 8 * (hi - lo)
+    if draw(st.booleans()):
+        bps = open_ends(draw, bps)
     fns = []
     n_ind = draw(st.integers(0, 3))
     n_aff = draw(st.integers(1, 3))
@@ -476,12 +572,15 @@ def column_models(draw):
 
 def _restricted_entries(dual):
     """Scan entries rebuilt cell by cell through restrict_to_cell:
-    (cell, point or None, column, objective)."""
+    (cell, point or ray or None, is a ray, column, objective).  An
+    unbounded cell reads its vertices and rays off the entry table,
+    which test_vertex_and_ray_table_matches_brute_force checks."""
+    entries = dual.scan_entries()
     out = []
     corner = dual.corner_cell
     if corner is not None:
         vals, obj = dual._point_column(corner, corner.lows)
-        out.append((-1, corner.lows, vals, obj))
+        out.append((-1, corner.lows, False, vals, obj))
     for i in dual.scan_order:
         cell = dual.partition.cell_at(int(i))
         V, cvec = _signed_restrictions(dual.records, cell)
@@ -489,27 +588,40 @@ def _restricted_entries(dual):
         if dual.eliminable[i]:
             g, e = restrict_to_cell(dual.riskfn, cell)
             _lam, support = precompute_cell_lambda(cell, g)
-            out.append((int(i), None, np.append(cvec, 1.0), float(e - support)))
+            out.append((int(i), None, False, np.append(cvec, 1.0), float(e - support)))
             continue
-        for q in cell_vertices(cell):
+        if cell.bounded:
+            verts, rays = cell_vertices(cell), []
+        else:
+            rows = entries.vertex[entries.cell == i]
+            is_ray = entries.ray[entries.cell == i]
+            verts, rays = entries.points[rows[~is_ray]], entries.points[rows[is_ray]]
+        for q in verts:
             vals, obj = dual._point_column(cell, q)
-            out.append((int(i), q, vals, obj))
+            out.append((int(i), q, False, vals, obj))
+        g, _e = restrict_to_cell(dual.riskfn, cell)
+        for r in rays:
+            out.append((int(i), r, True, np.append(V @ r, 0.0), float(g @ r)))
     return out
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(column_models())
 def test_column_source_matches_the_restriction_route(dual):
+    # an eliminable cell past tau with no top has no finite column;
+    # solve_bound answers it by the unbounded_above shortcut
+    assume(not dual.unbounded_above)
     ref = _restricted_entries(dual)
     entries = dual.scan_entries()
     gen = dual.master_generator()
     master = dual.master_lp(100_000)
     M = master.dense_matrix()
     assert entries.count == gen.count == len(ref)
-    assert entries.cell.tolist() == [cell for cell, _q, _vals, _obj in ref]
+    assert entries.cell.tolist() == [cell for cell, _q, _ray, _vals, _obj in ref]
+    assert entries.ray.tolist() == [ray for _cell, _q, ray, _vals, _obj in ref]
     duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
     rc = gen.reduced_costs(duals, use_objective=True)
-    for pos, (_cell, q, vals, obj) in enumerate(ref):
+    for pos, (_cell, q, _ray, vals, obj) in enumerate(ref):
         if q is None:
             assert entries.vertex[pos] == -1
         else:
@@ -530,7 +642,7 @@ def _highs_bound(partition, testfns, risk):
     every cell is bounded, else the explicit row dual.  An infeasible
     row dual means +inf if a measure fits, which the VaR row dual tells
     (it is always feasible: z0 = 1 dominates the indicator)."""
-    if np.all(partition.bounded_mask()):
+    if all(np.all(np.isfinite(b)) for b in partition.breakpoints):
         return scipy_reference(assemble_dual_lp(partition, testfns, risk).master_lp())
 
     def rows(riskfn):
@@ -558,21 +670,35 @@ def _agrees_with_highs(partition, testfns, risk, mode=ReductionMode.LAMBDA_ELIMI
     return got
 
 
-def _tail_records(a, d, p_bound, m_bound=None, sense=Sense.UPPER):
+def _tail_records(a, d, p_bound, m_bound=None, sense=Sense.UPPER, v=None):
     """Probability bound on the slab [1, inf) of axis ``a`` and, when
-    ``m_bound`` is given, a first-moment record on it."""
+    ``m_bound`` is given, a moment record on it (first moment of axis
+    ``a`` unless ``v`` says otherwise)."""
     fns = [TestFunction(f"tail_p_{a}", TestFunctionKind.SLAB_INDICATOR, a,
                         (1.0, np.inf), Sense.UPPER, p_bound)]
     if m_bound is not None:
+        v = np.eye(d)[a] if v is None else np.asarray(v, dtype=float)
         fns.append(TestFunction(f"tail_m_{a}", TestFunctionKind.SLAB_AFFINE, a,
-                                (1.0, np.inf), sense, m_bound, v=np.eye(d)[a], c=0.0))
+                                (1.0, np.inf), sense, m_bound, v=v, c=0.0))
+    return fns
+
+
+def _low_tail_records(a, d, p_bound, m_bound=None):
+    """P(X_a <= 0) <= p_bound and, when ``m_bound`` is given,
+    E[X_a 1{X_a <= 0}] >= -m_bound, on the slab (-inf, 0] of axis ``a``."""
+    fns = [TestFunction(f"low_p_{a}", TestFunctionKind.SLAB_INDICATOR, a,
+                        (-np.inf, 0.0), Sense.UPPER, p_bound)]
+    if m_bound is not None:
+        fns.append(TestFunction(f"low_m_{a}", TestFunctionKind.SLAB_AFFINE, a,
+                                (-np.inf, 0.0), Sense.LOWER, -m_bound, v=np.eye(d)[a], c=0.0))
     return fns
 
 
 @st.composite
 def bound_models(draw):
     """Calibrated random models with d <= 3, affine and equality records,
-    either risk, optionally an unbounded axis with tail records."""
+    either risk, optionally an axis open above and one open below, each
+    with tail records: their cells carry e_u, -e_l and e_u - e_l rays."""
     d = draw(st.integers(1, 3))
     inst = random_instance(
         draw(st.integers(0, 2**16)),
@@ -585,13 +711,21 @@ def bound_models(draw):
     bps = list(inst.partition.breakpoints)
     fns = list(inst.testfns)
     modes = list(ALL_MODES)
-    if draw(st.booleans()):
-        # the samples live in [0, 1], so tail bounds >= 0 keep them feasible
+    # the samples live in [0, 1], so tail bounds >= 0 keep them feasible
+    tails = draw(st.sampled_from(["none", "upper", "lower", "both"]))
+    if tails in ("upper", "both"):
         a = draw(st.integers(0, d - 1))
         bps[a] = np.append(bps[a], np.inf)
         p_bound = draw(st.sampled_from([0.05, 0.2]))
         m_bound = draw(st.sampled_from([None, 0.1, 0.3]))
         fns += _tail_records(a, d, p_bound, m_bound)
+    if tails in ("lower", "both"):
+        a = draw(st.integers(0, d - 1))
+        bps[a] = np.insert(bps[a], 0, -np.inf)
+        p_bound = draw(st.sampled_from([0.05, 0.2]))
+        m_bound = draw(st.sampled_from([None, 0.1, 0.3]))
+        fns += _low_tail_records(a, d, p_bound, m_bound)
+    if tails != "none":
         modes.remove(ReductionMode.VERTEX)
     partition = build_box_partition(bps, inst.risk.tau)
     return partition, fns, inst.risk, draw(st.sampled_from(modes))
@@ -626,13 +760,28 @@ TAIL_AXIS = [0.0, 0.5, 1.0, np.inf]
     # every tail cell collapses: the hinge grows there at no cost
     ("unbounded_collapsed_tail", [TAIL_AXIS], 1.0, HINGE, _tail_records(0, 1, 0.1),
      "unbounded", "dcg"),
-    # only a lower moment bound on the tail: no finite certificate
+    # only a lower moment bound on the tail: the ray e_0 of the tail cell
+    # raises the hinge at no cost, so the master is unbounded
     ("unbounded_rows_probe", [TAIL_AXIS], 1.0, HINGE,
-     _tail_records(0, 1, 0.1, 0.2, Sense.LOWER), "unbounded", "dense_rows"),
+     _tail_records(0, 1, 0.1, 0.2, Sense.LOWER), "unbounded", "dcg"),
     ("hinge_tail", [[0.0, 1.0, np.inf]], 1.0, HINGE, _tail_records(0, 1, 1.0, 0.5),
-     "optimal", "dense_rows"),
+     "optimal", "dcg"),
     ("var_tail_axis", [TAIL_AXIS, [0.0, 1.0]], 1.5, VAR, _tail_records(0, 2, 0.2, 0.3),
-     "optimal", "dense_rows"),
+     "optimal", "dcg"),
+    # the tail record weighs x_1 only; the ray e_0 of the sliced tail cell
+    # raises the hinge while no record sees it
+    ("unbounded_ray_d2", [TAIL_AXIS, [0.0, 0.5, 1.0]], 1.5, HINGE,
+     _tail_records(0, 2, 0.2, 0.3, v=[0.0, 1.0]), "unbounded", "dcg"),
+    # an axis open below and one open above: sliced corner cells carry
+    # -e_0, e_1 and e_1 - e_0
+    ("var_lower_tail_axis", [[-np.inf, 0.0, 0.5, 1.0], TAIL_AXIS], 1.5, VAR,
+     _low_tail_records(0, 2, 0.2, 0.3) + _tail_records(1, 2, 0.2, 0.3), "optimal", "dcg"),
+    # a one-slab axis (-inf, inf): each cell holds a line and has no
+    # vertex-and-ray columns, so a record that keeps it from collapsing
+    # sends the model to the row dual
+    ("line_axis_rows", [[-np.inf, np.inf]], 1.0, VAR,
+     [TestFunction("mean", TestFunctionKind.SLAB_AFFINE, 0, (-np.inf, np.inf),
+                   Sense.EQUALITY, 0.5, v=np.array([1.0]), c=0.0)], "optimal", "dense_rows"),
 ])
 def test_solve_bound_edge_cases_agree_with_highs(name, bps, tau, kind, fns, status, engine):
     partition = build_box_partition([np.array(b) for b in bps], tau)

@@ -1,5 +1,7 @@
 """Cells, slicing, vertex enumeration and the linear support routine."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,3 +237,30 @@ def test_linear_support_on_sliced_unbounded_cell():
     assert x.sum() == pytest.approx(2.0, abs=1e-12)
     val, _, _ = maximize_linear_over_cell(cell, np.array([1.0, -1.0]))
     assert val == np.inf
+
+
+INF = np.inf
+
+
+@pytest.mark.parametrize("lows,highs,sign,tau,g,value", [
+    # a zero slope on an axis with an infinite end, slice kept below
+    ([0.0, 0.0], [INF, 1.0], -1, 2.0, [0.0, 1.0], 1.0),
+    # ... and on an axis that runs down to -inf, slice kept above
+    ([-INF, 0.0], [0.0, 1.0], 1, -1.0, [0.0, -1.0], 0.0),
+    # the zero-slope axis chases the slice out along its open end
+    ([0.0, 0.0], [INF, INF], 1, 2.0, [-1.0, 0.0], 0.0),
+    ([0.0, -INF], [1.0, 0.0], 0, None, [1.0, 0.0], 1.0),
+])
+def test_linear_support_with_zero_slopes_on_unbounded_cells(lows, highs, sign, tau, g, value):
+    cell = Cell(lows, highs, slice_sign=sign, tau=tau)
+    g = np.array(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, x, lam = maximize_linear_over_cell(cell, g)
+    assert val == pytest.approx(value, abs=1e-12)
+    assert np.all(np.isfinite(x)) and cell_contains(cell, x)
+    F = np.array([h.normal for h in cell.halfspaces])
+    ell = np.array([h.bound for h in cell.halfspaces])
+    assert np.all(lam >= 0.0)
+    assert np.allclose(F.T @ lam, -g, atol=1e-12)
+    assert lam @ ell == pytest.approx(-val, abs=1e-12)
