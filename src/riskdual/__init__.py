@@ -47,7 +47,6 @@ from .lp_engine import (
     LinearProgram,
     LPSolution,
     LPStatus,
-    PricedColumn,
     solve_dcg,
     solve_dense_simplex,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "LinearProgram",
     "LPSolution",
     "LPStatus",
-    "PricedColumn",
     "solve_dcg",
     "solve_dense_simplex",
     "CandidateGrid",

@@ -591,22 +591,17 @@ class DualLP:
 
     def master_generator(self) -> ColumnGenerator:
         """Column producer over the scan entries: one column per
-        collapsible cell, one per vertex of every other cell, and the
-        corner.
+        collapsible cell, one per vertex and extreme ray of every other
+        cell, and the corner.
 
-        ``column_at`` and the vectorized pricing scorer read the same
-        source, the per-axis slab tables and the vertex table, for
-        indicator and affine records alike; neither restricts a record
-        to a cell.
+        ``column_at`` is :meth:`_columns`, which builds a whole batch of
+        positions as one block; it and the vectorized pricing scorer
+        read the same source, the per-axis slab tables and the vertex
+        table, for indicator and affine records alike; neither restricts
+        a record to a cell.
         """
-        all_rows = np.arange(len(self.records) + 1)
-
-        def column_at(pos):
-            M, obj = self._columns(np.array([pos]))
-            return all_rows, M[:, 0], float(obj[0])
-
         return ColumnGenerator(
-            self.scan_entries().count, column_at, reduced_costs=self._reduced_costs
+            self.scan_entries().count, self._columns, reduced_costs=self._reduced_costs
         )
 
     def master_lp(self, budget: int = DENSE_BUDGET) -> LinearProgram:
@@ -766,6 +761,10 @@ def solve_bound(
     measure fits and INFEASIBLE means no finite certificate: the bound
     is +inf if a measure fits.  Raises SolverError on an iteration
     limit, an uncertified DCG stop or any status without a meaning here.
+
+    'unbounded' is the dual's value.  It can exceed the primal supremum
+    when a zero upper bound pins the mass of an unbounded cell past tau:
+    there is then no Slater point.
     """
     dual = assemble_dual_lp(partition, testfns, riskfn, mode)
     if dual.unbounded_above:

@@ -297,6 +297,22 @@ def _dedup_candidates(points, valid):
     return keep
 
 
+def _cut_near_an_end(points, valid, lows, highs):
+    """Cells with a valid candidate whose coordinate lies off an end of
+    its axis by at most twice VERTEX_TOL (VERTEX_TOL would do; the
+    factor is a margin).  Only a cut coordinate can: the others sit on
+    an end.  On a cell wider than VERTEX_TOL on every axis, two
+    candidates lie within VERTEX_TOL of each other only through such a
+    cut: distinct corners, and cuts along one axis, differ by a whole
+    width on some axis, and any other candidate holds the cut's axis at
+    an end.  So every other cell keeps all its valid candidates."""
+    near = np.zeros(valid.shape, dtype=bool)
+    for ends in (lows, highs):
+        gap = np.abs(points - ends[:, None, :])
+        near |= np.any((gap > 0) & (gap <= 2 * VERTEX_TOL), axis=-1)
+    return np.any(near & valid, axis=1)
+
+
 def partition_vertices(partition, idx):
     """Vertices of the partition cells ``idx``, stacked in that order.
 
@@ -322,14 +338,19 @@ def partition_vertices(partition, idx):
     counts = np.zeros(idx.size, dtype=np.intp)
     # a whole box wider than VERTEX_TOL on every axis keeps all its
     # corners, and product order is already sorted
-    plain = bounded & (sign == 0) & np.all(highs - lows > VERTEX_TOL, axis=1)
+    wide = np.all(highs - lows > VERTEX_TOL, axis=1)
+    plain = bounded & wide & (sign == 0)
     counts[plain] = 1 << n
     rest = np.nonzero(~line & ~plain)[0]
     rest_points = []
     for lo in range(0, rest.size, VERTEX_BLOCK):
         blk = rest[lo : lo + VERTEX_BLOCK]
         cand, valid = _vertex_candidates(lows[blk], highs[blk], sign[blk], tau)
-        keep = _dedup_candidates(cand, valid)
+        # only sliver cells and cells with a cut next to an end of its
+        # axis need the pairwise deduplication
+        keep = valid.copy()
+        dedup = ~wide[blk] | _cut_near_an_end(cand, valid, lows[blk], highs[blk])
+        keep[dedup] = _dedup_candidates(cand[dedup], valid[dedup])
         counts[blk] = keep.sum(axis=1)
         k, c = np.nonzero(keep)
         pts = cand[k, c]

@@ -16,7 +16,6 @@ from enum import Enum, unique
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, FactorizationError, InputError
 
@@ -58,8 +57,7 @@ class LinearProgram:
     subject to  A[i] @ x  (<=, >=, =)  rhs[i]   for each row i
                 x[j] >= 0 unless var_free[j]
 
-    ``A`` may be a scipy sparse matrix or a dense ndarray; columns are
-    kept in sorted sparse-column form internally.
+    ``A`` is a dense 2-dimensional array.
     """
 
     def __init__(self, sense, c, A, row_senses, rhs, var_free=None, name="lp"):
@@ -67,13 +65,9 @@ class LinearProgram:
             raise InputError("LP sense must be 'min' or 'max'")
         self.sense = sense
         self.c = np.asarray(c, dtype=float).reshape(-1)
-        if sp.issparse(A):
-            A = A.tocsc()
-            A.sort_indices()
-        else:
-            A = np.asarray(A, dtype=float)
-            if A.ndim != 2:
-                raise InputError("LP matrix must be 2-dimensional")
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2:
+            raise InputError("LP matrix must be 2-dimensional")
         self.A = A
         self.rhs = np.asarray(rhs, dtype=float).reshape(-1)
         senses = list(row_senses)
@@ -100,8 +94,6 @@ class LinearProgram:
         return int(self.A.shape[1])
 
     def dense_matrix(self) -> np.ndarray:
-        if sp.issparse(self.A):
-            return np.asarray(self.A.todense(), dtype=float)
         return np.array(self.A, dtype=float)
 
 
@@ -136,7 +128,7 @@ class _Canonical:
 
     def __init__(self, lp: LinearProgram):
         m, n = lp.n_rows, lp.n_cols
-        dense = lp.dense_matrix()
+        dense = lp.A
         cmin = lp.c if lp.sense == "min" else -lp.c
 
         if not np.any(lp.var_free):
@@ -324,7 +316,7 @@ def _drive_out_artificials(canon, basis, Binv, xB):
 
 
 def _feasibility_residual(lp: LinearProgram, x: np.ndarray) -> float:
-    ax = lp.A @ x if not sp.issparse(lp.A) else np.asarray(lp.A @ x).reshape(-1)
+    ax = lp.A @ x
     worst = 0.0
     for i, s in enumerate(lp.row_senses):
         if s == "<=":
@@ -444,12 +436,15 @@ def solve_dense_simplex(
 class ColumnGenerator:
     """On-demand producer of master columns for cell constraints.
 
-    Positions index a fixed deterministic scan order (above-tau cells
-    first).  ``column_at(pos)`` returns ``(row_indices, values,
-    objective)`` and is a pure function: regenerating a position yields
-    bit-identical data.  ``reduced_costs(duals, use_objective)`` scores
-    every position at once; pricing reads nothing else.  ``generated``
-    records the positions already present in the restricted master.
+    Positions index a fixed deterministic scan order: the corner first
+    when there is one, then the cells above tau, then the rest.
+    ``column_at(positions)`` takes an integer array of positions and
+    returns the dense ``(rows, len(positions))`` column block and the
+    objectives; it is a pure function, so fetching a position again, in
+    any batch, yields bit-identical data.  ``reduced_costs(duals,
+    use_objective)`` scores every position at once; pricing reads
+    nothing else.  ``generated`` records the positions already present
+    in the restricted master.
     """
 
     def __init__(self, count, column_at, reduced_costs):
@@ -459,30 +454,16 @@ class ColumnGenerator:
         self.generated = set()
 
 
-@dataclass(eq=False)
-class PricedColumn:
-    position: int
-    rows: np.ndarray
-    values: np.ndarray
-    objective: float
-    reduced_cost: float
-
-
 def _pricing_batch(gen, duals, q, *, use_objective=True, rc_tol=RC_TOL):
-    """The ``q`` steepest unseen positions with reduced cost below
-    -rc_tol, ties broken by scan position.  An empty list after a full
-    scan certifies the restricted master solution."""
+    """Positions of the ``q`` steepest unseen columns with reduced cost
+    below -rc_tol, steepest first, ties broken by position.  An empty
+    array after a full scan certifies the restricted master solution."""
     rc = np.asarray(gen.reduced_costs(np.asarray(duals, dtype=float), use_objective), dtype=float)
     mask = rc < -rc_tol
     if gen.generated:
         mask[np.fromiter(gen.generated, dtype=int)] = False
     cand = np.nonzero(mask)[0]
-    order = np.lexsort((cand, rc[cand]))
-    out = []
-    for pos in cand[order[:q]]:
-        rows, vals, obj = gen.column_at(int(pos))
-        out.append(PricedColumn(int(pos), rows, vals, obj, float(rc[pos])))
-    return out
+    return cand[np.lexsort((cand, rc[cand]))[:q]]
 
 
 def solve_dcg(
@@ -506,10 +487,8 @@ def solve_dcg(
     a stop at ``round_limit`` leaves it unset.  Identical inputs
     produce identical iteration counts, columns and objective.
     """
-    m = seed_lp.n_rows
-    dense = seed_lp.dense_matrix()
-    columns = [dense[:, j].copy() for j in range(seed_lp.n_cols)]
-    objs = [float(v) for v in seed_lp.c]
+    A = seed_lp.A
+    objs = seed_lp.c
     positions = [None] * seed_lp.n_cols
     tokens = None
     total_iters = 0
@@ -519,8 +498,8 @@ def solve_dcg(
     for _ in range(round_limit):
         lp = LinearProgram(
             seed_lp.sense,
-            np.array(objs),
-            np.column_stack(columns) if columns else np.zeros((m, 0)),
+            objs,
+            A,
             seed_lp.row_senses,
             seed_lp.rhs,
             name=seed_lp.name,
@@ -533,19 +512,17 @@ def solve_dcg(
             break
         use_obj = sol.status is LPStatus.OPTIMAL
         picks = _pricing_batch(gen, sol.duals, batch, use_objective=use_obj, rc_tol=rc_tol)
-        if not picks:
+        if not picks.size:
             # clean full sweep: the optimum, or after phase one the
             # infeasibility, holds for every column
             sol.certified = True
             break
-        for pc in picks:
-            col = np.zeros(m)
-            col[pc.rows] = pc.values
-            columns.append(col)
-            objs.append(pc.objective)
-            positions.append(pc.position)
-            gen.generated.add(pc.position)
-            generated += 1
+        cols, col_objs = gen.column_at(picks)
+        A = np.concatenate([A, cols], axis=1)
+        objs = np.concatenate([objs, col_objs])
+        positions.extend(picks.tolist())
+        gen.generated.update(picks.tolist())
+        generated += picks.size
         # resume from the last basis even after an infeasible round:
         # phase one continues where it stopped
         tokens = sol.basis_tokens

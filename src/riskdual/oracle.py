@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, UnsupportedCellError
 from .geometry import Cell, cell_contains, cell_interior_point, cell_vertices
 from .lp_engine import DENSE_BUDGET, LinearProgram, LPSolution, LPStatus, solve_dense_simplex
 from .test_functions import RiskKind
@@ -81,7 +81,8 @@ def _surrogate_points(cell, radius):
     )
     try:
         pts = cell_vertices(boxed)
-    except Exception:
+    except UnsupportedCellError:
+        # the box misses the kept side of the hyperplane
         pts = []
     return [p for p in pts if cell_contains(cell, p)]
 

@@ -1,10 +1,14 @@
 """Command line flows: configs in, reports and exit codes out."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import riskdual
 from riskdual import (
     FactorizationError,
     LPSolution,
@@ -402,3 +406,19 @@ def test_bench_smoke(tmp_path):
     assert entry["agree"] is True
     per_size = report["timing"]["per_size"]
     assert len(per_size) == 1
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy alone would cost a
+    # few hundred milliseconds of every command's start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riskdual.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, riskdual, riskdual.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,6 @@ solver and against hand-checkable programs."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from riskdual import (
     CapacityError,
@@ -74,23 +73,6 @@ def test_beale_cycling_example_terminates():
     sol = solve_dense_simplex(lp)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.objective == pytest.approx(-0.05)
-
-
-def test_sparse_and_dense_matrices_agree():
-    lp_dense = random_lp(7, m=5, n=8)
-    lp_sparse = LinearProgram(
-        lp_dense.sense,
-        lp_dense.c,
-        sp.csc_matrix(lp_dense.dense_matrix()),
-        lp_dense.row_senses,
-        lp_dense.rhs,
-        var_free=lp_dense.var_free,
-    )
-    a = solve_dense_simplex(lp_dense)
-    b = solve_dense_simplex(lp_sparse)
-    assert a.status is b.status
-    if a.status is LPStatus.OPTIMAL:
-        assert a.objective == pytest.approx(b.objective, abs=1e-10)
 
 
 def test_warm_start_skips_the_work():
@@ -194,21 +176,19 @@ def _scored(count, column_at):
     the plain definition the array scorers must reproduce."""
 
     def reduced_costs(duals, use_objective):
-        out = np.empty(count)
-        for pos in range(count):
-            rows, vals, obj = column_at(pos)
-            score = float(duals[rows] @ vals)
-            out[pos] = score - obj if use_objective else -score
-        return out
+        cols, objs = column_at(np.arange(count))
+        score = duals @ cols
+        return score - objs if use_objective else -score
 
     return ColumnGenerator(count, column_at, reduced_costs)
 
 
 def _toy_master(r_values):
     """Single normalization row; column j has objective r_values[j]."""
+    r_values = np.asarray(r_values, dtype=float)
 
-    def column_at(pos):
-        return np.array([0]), np.array([1.0]), float(r_values[pos])
+    def column_at(positions):
+        return np.ones((1, len(positions))), r_values[positions]
 
     return _scored(len(r_values), column_at)
 
@@ -216,27 +196,26 @@ def _toy_master(r_values):
 def test_pricing_batch_order_and_certificate():
     gen = _toy_master([0.0, 3.0, 1.0, 5.0, 2.0])
     duals = np.array([0.0])
-    (best,) = _pricing_batch(gen, duals, 1)
-    assert best.position == 3
-    assert best.reduced_cost == pytest.approx(-5.0)
+    assert _pricing_batch(gen, duals, 1).tolist() == [3]
+    assert gen.reduced_costs(duals, True)[3] == pytest.approx(-5.0)
     # the batch runs steepest first; position 0 prices at zero
-    assert [pc.position for pc in _pricing_batch(gen, duals, 8)] == [3, 1, 4, 2]
+    assert _pricing_batch(gen, duals, 8).tolist() == [3, 1, 4, 2]
     gen.generated.update({1, 3})
-    assert [pc.position for pc in _pricing_batch(gen, duals, 8)] == [4, 2]
+    assert _pricing_batch(gen, duals, 8).tolist() == [4, 2]
     gen.generated.update({0, 2, 4})
-    assert _pricing_batch(gen, duals, 8) == []
+    assert _pricing_batch(gen, duals, 8).size == 0
 
 
 def test_pricing_batch_breaks_ties_by_position():
     gen = _toy_master([2.0, 4.0, 2.0, 4.0])
     picks = _pricing_batch(gen, np.array([0.0]), 3)
-    assert [pc.position for pc in picks] == [1, 3, 0]
+    assert picks.tolist() == [1, 3, 0]
 
 
 def test_pricing_batch_respects_tolerance():
     gen = _toy_master([5.0, 5.0 + 1e-12])
     duals = np.array([5.0])
-    assert _pricing_batch(gen, duals, 8) == []
+    assert _pricing_batch(gen, duals, 8).size == 0
 
 
 def _random_master(seed, n_rows=4, n_cols=40):
@@ -262,8 +241,8 @@ def test_dcg_reaches_the_dense_optimum(seed):
 
     full = lp.dense_matrix()
 
-    def column_at(pos):
-        return np.arange(lp.n_rows), full[:, pos].copy(), float(lp.c[pos])
+    def column_at(positions):
+        return full[:, positions], lp.c[positions]
 
     gen = _scored(lp.n_cols, column_at)
     seed_cols = [0, 1]
@@ -298,8 +277,8 @@ def test_dcg_recovers_from_infeasible_seed():
     dense = solve_dense_simplex(lp)
     assert dense.status is LPStatus.OPTIMAL
 
-    def column_at(pos):
-        return np.arange(3), A[:, pos].copy(), float(c[pos])
+    def column_at(positions):
+        return A[:, positions], c[positions]
 
     gen = _scored(4, column_at)
     gen.generated.add(1)  # covers only the normalization row

@@ -17,6 +17,7 @@ from riskdual import (
     build_candidate_grid,
     cell_contains,
     duality_gap,
+    oracle,
     solve_dense_simplex,
     solve_primal_discretization,
 )
@@ -101,6 +102,40 @@ def test_surrogate_grid_drops_exactness():
     # the affine record varies on the unbounded cell, so its points
     # come from a clipped surrogate box
     assert not grid.exact
+
+
+def _far_threshold_tail():
+    """VaR at 5 on [0, 1, inf) with a tail moment: the part of [1, inf)
+    past 5 is a sliced unbounded cell that does not collapse."""
+    part = build_box_partition([np.array([0.0, 1.0, np.inf])], 5.0)
+    fns = [
+        TestFunction(
+            "mean", TestFunctionKind.SLAB_AFFINE, 0, (1.0, np.inf),
+            Sense.UPPER, 2.0, v=np.array([1.0]), c=0.0,
+        )
+    ]
+    dual = assemble_dual_lp(part, fns, RiskFunctional(RiskKind.VAR_INDICATOR, 5.0))
+    (cell,) = [c for c in dual.iter_cells() if not c.bounded and c.slice_sign > 0]
+    assert not dual.eliminable[cell.id]
+    return dual, cell
+
+
+def test_surrogate_box_short_of_the_threshold_gives_no_points():
+    dual, cell = _far_threshold_tail()
+    # the radius-1 box [1, 3] lies wholly below 5, on the dropped side
+    assert oracle._surrogate_points(cell, 1.0) == []
+    assert not build_candidate_grid(dual, ray_radius=1.0).exact
+
+
+def test_surrogate_points_pass_other_faults_on(monkeypatch):
+    _dual, cell = _far_threshold_tail()
+
+    def broken(_cell):
+        raise ValueError("not an empty vertex set")
+
+    monkeypatch.setattr(oracle, "cell_vertices", broken)
+    with pytest.raises(ValueError):
+        oracle._surrogate_points(cell, 10.0)
 
 
 def test_extra_points_attach_to_their_cells():
