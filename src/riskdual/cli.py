@@ -7,9 +7,10 @@ dense route on a scaling family, and ``bootstrap`` builds integral
 bounds from samples.
 
 Reports are split into a ``deterministic`` part, which is byte-stable
-across runs with the same inputs and seed, and a ``timing`` part which
-is not.  Exit codes: 0 solved, 2 infeasible constraint set, 3 bound is
-infinite, 4 budget exceeded, 5 bad input, 6 solver failure.
+across runs with the same inputs, seed and BLAS thread count, and a
+``timing`` part which is not.  Exit codes: 0 solved, 2 infeasible
+constraint set, 3 bound is infinite, 4 budget exceeded, 5 bad input,
+6 solver failure.
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ class ModelConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read model file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from None
         return cls(raw)
@@ -183,8 +186,11 @@ def _render(report, fmt):
 def _emit(report, args):
     text = _render(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write the report: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -220,12 +226,11 @@ def cmd_bound(args) -> int:
         engine=res.engine,
         status=res.status,
         bound=res.bound,
-    )
-    if res.iterations is not None:
-        det["iterations"] = res.iterations
+        iterations=res.iterations,
         # a clean pricing sweep, or the full row dual, certifies the optimum
-        det["certified"] = res.certified
-        det["feas_residual"] = res.feas_residual
+        certified=res.certified,
+        feas_residual=res.feas_residual,
+    )
     if res.columns_generated is not None:
         det["columns_generated"] = res.columns_generated
     if res.multipliers is not None:
@@ -416,7 +421,13 @@ def cmd_bootstrap(args) -> int:
 def _add_common(p):
     p.add_argument("--out", help="write the report to this file instead of stdout")
     p.add_argument("--format", choices=("text", "json", "csv"), default="json")
+
+
+def _add_seed(p):
     p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+
+
+def _add_budget(p):
     p.add_argument(
         "--budget-cells",
         type=int,
@@ -437,6 +448,8 @@ def build_parser():
     p.add_argument("config", help="model JSON file")
     p.add_argument("--mode", choices=[m.value for m in ReductionMode], default=None)
     _add_common(p)
+    _add_seed(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify", help="check declared bounds against samples")
@@ -450,6 +463,7 @@ def build_parser():
     p.add_argument("--sizes", default="3:16,4:8,4:16", help="comma list of D:M sizes")
     p.add_argument("--repeats", type=int, default=5)
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bootstrap", help="bootstrap integral bounds from samples")
@@ -459,6 +473,7 @@ def build_parser():
     p.add_argument("--replicates", type=int, default=1000)
     p.add_argument("--threads", type=int, default=1, help="bootstrap worker threads")
     _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_bootstrap)
     return parser
 

@@ -52,32 +52,41 @@ def load_samples_csv(path) -> SampleSet:
     """Read samples from a CSV file with one header row.
 
     Every later row must hold one float per header column; errors name
-    the offending line.
+    the offending line, or the file when it cannot be read as UTF-8 text.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: file is empty") from None
-        columns = tuple(name.strip() for name in header)
-        if not columns or any(not c for c in columns):
-            raise InputError(f"{path}: header row has empty column names")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise InputError(
-                    f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            columns, rows = _read_rows(csv.reader(fh), path)
+    except OSError as exc:
+        raise InputError(f"cannot read samples file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     return SampleSet(np.array(rows, dtype=float), columns)
+
+
+def _read_rows(reader, path):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: file is empty") from None
+    columns = tuple(name.strip() for name in header)
+    if not columns or any(not c for c in columns):
+        raise InputError(f"{path}: header row has empty column names")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise InputError(
+                f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}"
+            )
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+    return columns, rows
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,16 @@ another.
 
 The transposed master, used by column generation and the single-shot
 solve, has one column per scan entry: a collapsible cell, a vertex or
-an extreme ray of any other cell, or the corner point.  A cell that
-contains no line is the hull of its vertices plus the cone of its rays,
-so domination on the cell is domination at every vertex plus a gap
-that does not fall along any ray.  Columns and reduced costs come from
-one array source: per-axis tables of each record's signed slab
-containment, indexed by the cells' slab indices, times the record's
-affine factor at the entry's vertex, or its slope along the entry's
-ray.  No column goes through a per-cell restriction; the row-form
-routes above and the primal oracle still do, which keeps them an
-independent check.
+a ray of any other cell, or the corner point.  A cell is the hull of
+its vertices plus the cone of its rays plus its lineality space, whose
+generators enter as rays in both directions, so domination on the cell
+is domination at every vertex plus a gap that does not fall along any
+ray.  Columns and reduced costs come from one array source: per-axis
+tables of each record's signed slab containment, indexed by the cells'
+slab indices, times the record's affine factor at the entry's vertex,
+or its slope along the entry's ray.  No column goes through a
+per-cell restriction; the row-form routes above and the primal oracle
+still do, which keeps them an independent check.
 """
 
 from __future__ import annotations
@@ -86,9 +86,10 @@ class ReductionMode(Enum):
     """How per-cell dual constraints are reduced to rows.
 
     LAMBDA_ELIMINATED collapses a cell to one row whenever every test
-    function is constant on it and falls back to the explicit block
-    otherwise, so it is always applicable.  EXPLICIT always emits the
-    multiplier block.  VERTEX needs bounded cells.
+    function is constant on it and the risk has a finite maximum there,
+    and falls back to the explicit block otherwise, so it is always
+    applicable.  EXPLICIT always emits the multiplier block.  VERTEX
+    needs bounded cells.
     """
 
     EXPLICIT = "explicit"
@@ -103,17 +104,15 @@ class CellBlock:
     ``rows`` holds (coefficients, sense, rhs) triples keyed by dual
     variable: ('y', s) and ('z', t) index the inequality and equality
     records, 'z0' the normalization, ('lam', j) the cell-local
-    multipliers.  For a collapsed block ``lam_star`` and
-    ``support_value`` record the eliminated multipliers and their
-    objective, and ``r_value`` the row's right-hand side, which equals
-    the maximum of the restricted risk function over the cell.
+    multipliers.  For a collapsed block ``support_value`` records the
+    objective of the eliminated multipliers, and ``r_value`` the row's
+    right-hand side, which equals the maximum of the restricted risk
+    function over the cell.
     """
 
     cell_id: int
     mode: str
     rows: list
-    lam_count: int = 0
-    lam_star: Optional[np.ndarray] = None
     support_value: Optional[float] = None
     r_value: Optional[float] = None
 
@@ -218,16 +217,10 @@ def concave_vertex_constraints(cell, testfns, riskfn):
     return _vertex_rows(cell, normalized_records(testfns), riskfn)
 
 
-def _collapsed_block(cell, records, riskfn, lam_cache):
-    V, cvec = _signed_restrictions(records, cell)
-    if np.max(np.abs(V), initial=0.0) > CONST_TOL:
-        return None
+def _collapsed_block(cell, records, riskfn):
+    _V, cvec = _signed_restrictions(records, cell)
     g, e = restrict_to_cell(riskfn, cell)
-    cached = lam_cache.get(cell.id)
-    if cached is None:
-        cached = precompute_cell_lambda(cell, g)
-        lam_cache[cell.id] = cached
-    lam, support = cached
+    _lam, support = precompute_cell_lambda(cell, g)
     n_ineq = sum(1 for _, _, _, iseq in records if not iseq)
     coefs = {}
     for r in range(len(records)):
@@ -239,7 +232,6 @@ def _collapsed_block(cell, records, riskfn, lam_cache):
         cell_id=cell.id,
         mode="lambda",
         rows=[(coefs, ">=", r_value)],
-        lam_star=lam,
         support_value=support,
         r_value=r_value,
     )
@@ -277,8 +269,11 @@ class DualLP:
     with the synthetic corner first (when present), then cells on the
     high side of tau, then the rest, each group in partition order.
     ``eliminable`` flags the cells on which every record restricts to
-    a constant; those collapse to one master column, the others get
-    one column per vertex.
+    a constant and the risk has a finite maximum; in LAMBDA_ELIMINATED
+    mode those collapse to one row of the row dual and one master
+    column, and the others get the explicit block and one master
+    column per vertex and per extreme ray.  The corner, when present,
+    is the extra last entry.
     """
 
     def __init__(self, partition, testfns, riskfn, mode, records, corner_cell):
@@ -290,7 +285,6 @@ class DualLP:
         self.corner_cell = corner_cell
         self.n_ineq = sum(1 for _, _, _, iseq in records if not iseq)
         self.n_eq = len(records) - self.n_ineq
-        self._lam_cache = {}
 
         grid, flag, side, rmin, rmax = partition.ref_arrays()
         self._grid = grid
@@ -323,20 +317,15 @@ class DualLP:
                 self._rec_v[row] = fn.v
                 self._rec_c[row] = fn.c
         self._tables = self._containment_tables()
-        self.eliminable = self._eliminable_mask()
-        # an eliminable cell past tau with no top: the hinge grows without
-        # bound there while every record stays constant, so no finite
-        # certificate exists; other unbounded cells go to the row dual
-        self.unbounded_above = bool(
-            riskfn.kind is RiskKind.CVAR_HINGE
-            and np.any((side > 0) & ~np.isfinite(rmax) & self.eliminable)
-        )
         # slab indices per cell; the corner takes an extra last row (its
         # table rows hold the top breakpoint), so entry cell -1 finds it
         self._grid_ext = grid
         if corner_cell is not None:
             top = [len(b) - 1 for b in partition.breakpoints]
             self._grid_ext = np.vstack([grid, np.array([top], dtype=grid.dtype)])
+            # the indicator risk charges the corner: it lies on the threshold
+            self._r_cells = np.append(self._r_cells, 1.0)
+        self.eliminable = self._eliminable_mask()
         self._entries = None
 
     # -- per-record slab containment, tabulated over slab indices --
@@ -365,12 +354,12 @@ class DualLP:
 
     def _eliminable_mask(self):
         # a cell collapses unless the slab of a record with a non-constant
-        # linear part holds it
+        # linear part holds it, or the hinge has no maximum on it
         linear = np.max(np.abs(self._rec_v), axis=1, initial=0.0) > CONST_TOL
-        mask = np.ones(self.partition.cell_count, dtype=bool)
+        mask = np.isfinite(self._r_cells)
         for a, (rows_a, mat) in self._tables.items():
             held = np.any(mat[:, linear[rows_a]] != 0.0, axis=1)
-            mask &= ~held[self._grid[:, a]]
+            mask &= ~held[self._grid_ext[:, a]]
         return mask
 
     # -- cell enumeration --
@@ -389,17 +378,10 @@ class DualLP:
         if mode is ReductionMode.VERTEX:
             rows = _vertex_rows(cell, self.records, self.riskfn)
             return CellBlock(cell_id=cell.id, mode="vertex", rows=rows)
-        if mode is ReductionMode.LAMBDA_ELIMINATED:
-            block = _collapsed_block(cell, self.records, self.riskfn, self._lam_cache)
-            if block is not None:
-                return block
+        if mode is ReductionMode.LAMBDA_ELIMINATED and self.eliminable[cell.id]:
+            return _collapsed_block(cell, self.records, self.riskfn)
         rows = _farkas_rows(cell, self.records, self.riskfn)
-        return CellBlock(
-            cell_id=cell.id,
-            mode="explicit",
-            rows=rows,
-            lam_count=len(cell.halfspaces),
-        )
+        return CellBlock(cell_id=cell.id, mode="explicit", rows=rows)
 
     # -- materialized dual (row form) --
 
@@ -493,12 +475,15 @@ class DualLP:
         """The master's columns in scan order, built on first use.
 
         A collapsible cell is one entry; any other cell is one entry per
-        vertex, in :func:`cell_vertices` order, then one per extreme ray
-        when it is unbounded (Minkowski-Weyl: an affine function is
-        nonnegative on a cell without a line exactly when it is at every
-        vertex and does not fall along any extreme ray); the corner is a
-        point entry.  Raises UnsupportedCellError when a cell that needs
-        vertices contains a line.
+        vertex, in :func:`cell_vertices` order, then one per ray when it
+        is unbounded; the corner is a point entry.  By Minkowski-Weyl a
+        cell is the hull of its vertices plus the cone of its rays plus
+        its lineality space, whose generators appear as rays in both
+        directions; so an affine function is nonnegative on the cell
+        exactly when it is at every vertex and does not fall along any
+        ray.  A cell with a whole-line axis is always sliced, because
+        tau is finite, and :func:`partition_vertices` takes its vertices
+        from a pointed section.
         """
         if self._entries is not None:
             return self._entries
@@ -521,15 +506,12 @@ class DualLP:
         ray = np.zeros(cell.size, dtype=bool)
         ray[rpos] = True
         points = np.vstack([vpoints, rays])
-        r_cells = self._r_cells
         if self.corner_cell is not None:
             cell = np.concatenate([[-1], cell])
             vertex = np.concatenate([[len(points)], vertex])
             ray = np.concatenate([[False], ray])
             points = np.vstack([points, self.corner_cell.lows])
-            # the indicator risk charges the corner: it lies on the threshold
-            r_cells = np.append(r_cells, 1.0)
-        objective = r_cells[cell]
+        objective = self._r_cells[cell]
         objective[ray] = 0.0
         if self.riskfn.kind is RiskKind.CVAR_HINGE:
             # the hinge is sum(x) - tau past the threshold: sum(q) - tau at
@@ -719,16 +701,15 @@ class BoundResult:
     ``status`` is 'optimal' (``bound`` is the worst-case value and
     ``multipliers`` its dual certificate ``(y, z, z0)``), 'infeasible'
     (no measure meets the integral constraints) or 'unbounded' (the
-    bound is +inf).  ``engine`` is 'dcg' or 'dense_rows'.  The solve
-    counters are None when the unbounded-cell shortcut answered without
-    solving this model; ``columns_generated`` is set by 'dcg' only.
+    bound is +inf).  ``engine`` is 'dcg' or 'dense_rows';
+    ``columns_generated`` is set by 'dcg' only.
     """
 
     status: str
     bound: Optional[float]
     engine: str
     dual: DualLP
-    iterations: Optional[int] = None
+    iterations: int
     columns_generated: Optional[int] = None
     certified: bool = False
     feas_residual: Optional[float] = None
@@ -751,35 +732,23 @@ def solve_bound(
     """Worst-case bound of ``riskfn`` over the measures that meet
     ``testfns``, on a partition sliced at the risk threshold.
 
-    Column generation runs in LAMBDA_ELIMINATED mode when no
-    non-eliminable cell contains a line, that is, has an axis interval
-    (-inf, inf): such a cell has no vertex-and-ray columns.  Otherwise
-    the dense row dual is solved in one shot.  A DCG optimum counts only
-    after a clean pricing sweep.  An unbounded DCG master means +inf
-    when it has ray columns: the restricted master was feasible and its
-    ray is one of the full master.  On the row dual, UNBOUNDED means no
-    measure fits and INFEASIBLE means no finite certificate: the bound
-    is +inf if a measure fits.  Raises SolverError on an iteration
-    limit, an uncertified DCG stop or any status without a meaning here.
+    LAMBDA_ELIMINATED mode runs column generation over the scan
+    entries, which cover every cell; EXPLICIT and VERTEX solve the dense
+    row dual in one shot.  A DCG optimum counts only after a clean
+    pricing sweep.  An unbounded DCG master means +inf when it has ray
+    columns: the restricted master was feasible and its ray is one of
+    the full master.  On the row dual, UNBOUNDED means no measure fits
+    and INFEASIBLE means no finite certificate: the bound is +inf if a
+    measure fits.  Raises SolverError on an iteration limit, an
+    uncertified DCG stop or any status without a meaning here.
 
     'unbounded' is the dual's value.  It can exceed the primal supremum
     when a zero upper bound pins the mass of an unbounded cell past tau:
     there is then no Slater point.
     """
     dual = assemble_dual_lp(partition, testfns, riskfn, mode)
-    if dual.unbounded_above:
-        probe = _feasibility_probe(partition, testfns, riskfn.tau)
-        status = "unbounded" if probe.status == "optimal" else "infeasible"
-        return BoundResult(status, None, probe.engine, dual)
-
     n_ineq, n_eq = dual.n_ineq, dual.n_eq
-    # interior breakpoints are finite, so an axis interval (-inf, inf) is
-    # a whole axis, and every cell has it
-    lines = any(np.all(np.isinf(b)) for b in partition.breakpoints)
-    use_dcg = mode is ReductionMode.LAMBDA_ELIMINATED and (
-        not lines or bool(np.all(dual.eliminable))
-    )
-    if use_dcg:
+    if mode is ReductionMode.LAMBDA_ELIMINATED:
         seed, gen = dual.master_seed()
         sol = solve_dcg(seed, gen)
         if sol.status is LPStatus.UNBOUNDED and np.any(dual.scan_entries().ray):

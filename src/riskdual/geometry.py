@@ -37,9 +37,6 @@ class SideOfTau(Enum):
 
     BELOW = "below"
     ABOVE = "above"
-    # transient marker for a straddling cell before it is replaced by
-    # its two halves; never present in a finished partition
-    CROSSING_RESOLVED = "crossing_resolved"
 
 
 @dataclass(eq=False, frozen=True)
@@ -94,7 +91,6 @@ class Cell:
         multi_index=None,
         cell_id=0,
         degenerate=False,
-        vertices=None,
     ):
         lows = np.asarray(lows, dtype=float)
         highs = np.asarray(highs, dtype=float)
@@ -118,7 +114,7 @@ class Cell:
         self.degenerate = bool(degenerate)
         self._halfspaces = None
         self._roles = None
-        self.vertices = None if vertices is None else [np.asarray(v, float) for v in vertices]
+        self.vertices = None
 
     @property
     def dimension(self) -> int:
@@ -321,9 +317,12 @@ def partition_vertices(partition, idx):
     values, the order and the VERTEX_TOL deduplication that
     :func:`cell_vertices` gives on ``partition.cell_at(idx[j])``; an
     unbounded cell keeps the finite ones of the same candidates, and
-    :func:`partition_rays` gives its recession directions.  Raises
-    UnsupportedCellError for the first cell of ``idx`` that contains a
-    line (an axis interval of (-inf, inf)) or has no vertex.
+    :func:`partition_rays` gives its recession directions.  A sliced
+    cell with k whole-line axes (axis interval (-inf, inf)) is its
+    section at x_b = 0 on every line axis b but the first, plus the
+    k - 1 dimensional lineality space; its vertices are the section's.
+    Raises UnsupportedCellError for the first cell of ``idx`` that is
+    unsliced and contains a line, or has no vertex.
     """
     idx = np.asarray(idx, dtype=np.intp)
     n = partition.dimension
@@ -334,14 +333,20 @@ def partition_vertices(partition, idx):
     sign = flag[idx]
     tau = 0.0 if partition.tau is None else partition.tau
     bounded = np.all(np.isfinite(lows) & np.isfinite(highs), axis=1)
-    line = np.any(~np.isfinite(lows) & ~np.isfinite(highs), axis=1)
+    lines = ~np.isfinite(lows) & ~np.isfinite(highs)
+    unsliced_line = np.any(lines, axis=1) & (sign == 0)
+    # pin every line axis but the first at 0; the zero-width axes send
+    # the cell through the deduplication
+    section = lines & (np.cumsum(lines, axis=1) > 1)
+    lows[section] = 0.0
+    highs[section] = 0.0
     counts = np.zeros(idx.size, dtype=np.intp)
     # a whole box wider than VERTEX_TOL on every axis keeps all its
     # corners, and product order is already sorted
     wide = np.all(highs - lows > VERTEX_TOL, axis=1)
     plain = bounded & wide & (sign == 0)
     counts[plain] = 1 << n
-    rest = np.nonzero(~line & ~plain)[0]
+    rest = np.nonzero(~unsliced_line & ~plain)[0]
     rest_points = []
     for lo in range(0, rest.size, VERTEX_BLOCK):
         blk = rest[lo : lo + VERTEX_BLOCK]
@@ -356,12 +361,12 @@ def partition_vertices(partition, idx):
         pts = cand[k, c]
         order = np.lexsort([pts[:, i] for i in range(n - 1, -1, -1)] + [k])
         rest_points.append(pts[order])
-    bad = line | (counts == 0)
+    bad = unsliced_line | (counts == 0)
     if np.any(bad):
         j = int(np.argmax(bad))
-        if line[j]:
+        if unsliced_line[j]:
             raise UnsupportedCellError(
-                f"cell {idx[j]} contains a line and has no vertex representation"
+                f"unsliced cell {idx[j]} contains a line and has no vertex representation"
             )
         raise UnsupportedCellError(f"sliced cell {idx[j]} has an empty vertex set")
     start = np.zeros(idx.size + 1, dtype=np.intp)
@@ -381,12 +386,14 @@ def partition_rays(partition, idx):
     """Extreme rays of the partition cells ``idx``, stacked in that order.
 
     Returns ``(start, rays)`` laid out as in :func:`partition_vertices`.
-    With U the axes of a cell that have a finite low and an infinite
-    high, and L those with an infinite low and a finite high, the rays
-    are e_u for u in U unless the cell keeps sum(x) <= tau, then -e_l
-    for l in L unless it keeps sum(x) >= tau, then e_u - e_l for every
-    pair (u, l) on a sliced cell.  A bounded cell has none.  Together
-    with its vertices they span a cell that contains no line.
+    With U the axes of a cell that have an infinite high, and L those
+    with an infinite low (a whole-line axis is in both), the rays are
+    e_u for u in U unless the cell keeps sum(x) <= tau, then -e_l for l
+    in L unless it keeps sum(x) >= tau, then e_u - e_l for every pair
+    (u, l) with u != l on a sliced cell.  A bounded cell has none.  Two
+    line axes a and b give both e_a - e_b and e_b - e_a, which span the
+    lineality space.  Together with the vertices of
+    :func:`partition_vertices` they span the cell.
     """
     idx = np.asarray(idx, dtype=np.intp)
     n = partition.dimension
@@ -394,16 +401,16 @@ def partition_rays(partition, idx):
     up = np.zeros((idx.size, n), dtype=bool)
     down = np.zeros((idx.size, n), dtype=bool)
     for a, b in enumerate(partition.breakpoints):
-        lo_fin, hi_fin = np.isfinite(b[:-1]), np.isfinite(b[1:])
         slab = grid[idx, a]
-        up[:, a] = (lo_fin & ~hi_fin)[slab]
-        down[:, a] = (~lo_fin & hi_fin)[slab]
+        up[:, a] = ~np.isfinite(b[1:])[slab]
+        down[:, a] = ~np.isfinite(b[:-1])[slab]
     start = np.zeros(idx.size + 1, dtype=np.intp)
     if not (np.any(up) or np.any(down)):
         return start, np.zeros((0, n))
     sign = flag[idx, None]
     eye = np.eye(n)
     pu, pl = np.divmod(np.arange(n * n), n)
+    pu, pl = pu[pu != pl], pl[pu != pl]
     dirs = np.vstack([eye, -eye, eye[pu] - eye[pl]])
     valid = np.hstack([up & (sign >= 0), down & (sign <= 0), up[:, pu] & down[:, pl] & (sign != 0)])
     k, c = np.nonzero(valid)
@@ -623,10 +630,6 @@ class Partition:
     @property
     def max_total_sum(self) -> float:
         return float(np.sum([b[-1] for b in self.breakpoints]))
-
-    @property
-    def min_total_sum(self) -> float:
-        return float(np.sum([b[0] for b in self.breakpoints]))
 
     def has_above_cells(self) -> bool:
         return bool(np.any(self._ref_side > 0))

@@ -90,12 +90,7 @@ def _surrogate_points(cell, radius):
 def _cell_is_constant(dual, cell):
     """True when every record and the risk restrict to constants on the
     cell, so one interior point carries the cell's whole column."""
-    k = dual.partition.cell_count
-    if cell.id < k:
-        eliminable = bool(dual.eliminable[cell.id])
-    else:
-        eliminable = False
-    if not eliminable:
+    if not dual.eliminable[cell.id]:
         return False
     if dual.riskfn.kind is RiskKind.CVAR_HINGE and cell.side_of_tau is not None:
         return cell.side_of_tau.value != "above"
@@ -119,7 +114,7 @@ def build_candidate_grid(
     are attached to every cell containing them.
     """
     entries = []
-    exact = not dual.unbounded_above
+    exact = True
     for cell in dual.iter_cells():
         if cell.bounded:
             points = cell_vertices(cell)

@@ -223,9 +223,9 @@ def test_bound_hinge_tail_takes_column_generation(tmp_path, mean):
     assert rec["value"] == pytest.approx(1.0, abs=1e-12)
 
 
-def _hinge_grid_config(d=2, m=4, tau=1.2, mode="lambda_eliminated"):
-    """Slab frequencies and one mean equality per axis with hinge risk:
-    column generation needs several rounds on it."""
+def _frequency_grid_config(d, m, risk):
+    """Two-sided frequency bounds on every slab of an m-slab grid on
+    [0, 1]^d."""
     grid = [g / m for g in range(m + 1)]
     fns = []
     for a in range(d):
@@ -235,11 +235,20 @@ def _hinge_grid_config(d=2, m=4, tau=1.2, mode="lambda_eliminated"):
                         "slab": slab, "sense": "inequality_upper", "bound": 1.35 / m})
             fns.append({"id": f"lo_{a}_{g}", "kind": "slab_indicator", "axis": a,
                         "slab": slab, "sense": "inequality_lower", "bound": 0.65 / m})
-        fns.append({"id": f"mean_{a}", "kind": "slab_affine", "axis": a, "slab": [0.0, 1.0],
-                    "sense": "equality", "bound": 0.5,
-                    "v": [float(i == a) for i in range(d)], "c": 0.0})
-    return {"schema": 1, "breakpoints": [grid] * d, "mode": mode,
-            "risk": {"kind": "cvar_hinge", "tau": tau}, "test_functions": fns}
+    return {"schema": 1, "breakpoints": [grid] * d, "risk": risk, "test_functions": fns}
+
+
+def _hinge_grid_config(d=2, m=4, tau=1.2, mode="lambda_eliminated"):
+    """Slab frequencies and one mean equality per axis with hinge risk:
+    column generation needs several rounds on it."""
+    cfg = _frequency_grid_config(d, m, {"kind": "cvar_hinge", "tau": tau})
+    for a in range(d):
+        cfg["test_functions"].append(
+            {"id": f"mean_{a}", "kind": "slab_affine", "axis": a, "slab": [0.0, 1.0],
+             "sense": "equality", "bound": 0.5,
+             "v": [float(i == a) for i in range(d)], "c": 0.0})
+    cfg["mode"] = mode
+    return cfg
 
 
 def _stopped_dcg(round_limit, status):
@@ -393,6 +402,73 @@ def test_bootstrap_command(tmp_path):
               "--replicates", "5"])
         == EXIT_INPUT
     )
+
+
+@pytest.mark.parametrize("command", ["verify", "bootstrap"])
+def test_unreadable_samples_exit_five(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, two_point_config())
+    for samples in (tmp_path / "missing.csv", tmp_path):
+        assert main([command, cfg, "--samples", str(samples)]) == EXIT_INPUT
+        assert str(samples) in capsys.readouterr().err
+
+
+def test_non_utf8_files_exit_five(tmp_path, capsys):
+    model = tmp_path / "latin1.json"
+    model.write_bytes(json.dumps(two_point_config(name="café"), ensure_ascii=False)
+                      .encode("latin-1"))
+    assert main(["bound", str(model)]) == EXIT_INPUT
+    assert str(model) in capsys.readouterr().err
+    samples = tmp_path / "latin1.csv"
+    samples.write_bytes("xé\n0.5\n".encode("latin-1"))
+    cfg = write_config(tmp_path, two_point_config())
+    for command in ("verify", "bootstrap"):
+        assert main([command, cfg, "--samples", str(samples)]) == EXIT_INPUT
+        assert str(samples) in capsys.readouterr().err
+
+
+def test_unwritable_report_exits_five(tmp_path, capsys):
+    cfg = write_config(tmp_path, two_point_config())
+    for out in (tmp_path / "no_such_dir" / "report.json", tmp_path):
+        assert main(["bound", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert str(out) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "m.json", "--samples", "s.csv", "--seed", "1"],
+    ["bench", "--seed", "1"],
+    ["verify", "m.json", "--samples", "s.csv", "--budget-cells", "9"],
+    ["bootstrap", "m.json", "--samples", "s.csv", "--budget-cells", "9"],
+])
+def test_flags_a_command_does_not_read_are_rejected(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+@pytest.mark.xfail(
+    strict=True,
+    reason="the simplex refactors its basis with np.linalg.solve, whose threaded"
+    " LAPACK sums in an order that depends on the BLAS thread count; pricing"
+    " near-ties then pick other columns (ROADMAP item 2)",
+)
+def test_bound_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 5 axes of 12 slabs, VaR at 0.55 * 5
+    d = 5
+    cfg = write_config(tmp_path, _frequency_grid_config(
+        d, 12, {"kind": "var_indicator", "tau": 0.55 * d}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riskdual.__file__)))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"report_{threads}.json"
+        subprocess.run([sys.executable, "-m", "riskdual", "bound", cfg, "--out", str(out)],
+                       env=env, check=True)
+        reports.append(json.loads(out.read_text())["deterministic"])
+    assert reports[0] == reports[1]
 
 
 def test_bench_smoke(tmp_path):

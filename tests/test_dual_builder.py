@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskdual import (
@@ -313,19 +313,29 @@ def test_no_corner_when_threshold_is_unreachable():
 
 
 def test_shortfall_with_unbounded_domain_is_flagged():
+    # cells: [0, 0.5] and [0.5, 1] (the halves of [0, 1]), then [1, inf)
     part = build_box_partition([np.array([0.0, 1.0, np.inf])], 0.5)
     risk = RiskFunctional(RiskKind.CVAR_HINGE, 0.5)
     dual = assemble_dual_lp(part, [], risk)
-    assert dual.unbounded_above
+    # the hinge has no maximum on the tail cell, so it does not collapse:
+    # its vertex 1 and its ray e_0 are master columns; the ray's objective
+    # is the hinge's slope along it
+    assert dual.eliminable.tolist() == [True, True, False]
+    entries = dual.scan_entries()
+    assert entries.cell.tolist() == [1, 2, 2, 0]
+    assert entries.ray.tolist() == [False, False, True, False]
+    assert entries.points[entries.vertex[1:3]].tolist() == [[1.0], [1.0]]
+    assert entries.objective[1:3].tolist() == [0.5, 1.0]
+    res = solve_bound(part, [], risk)
+    assert (res.status, res.engine) == ("unbounded", "dcg")
+    # under VaR every cell collapses
     var_dual = assemble_dual_lp(part, [], RiskFunctional(RiskKind.VAR_INDICATOR, 0.5))
-    assert not var_dual.unbounded_above
-    # a moment record on the tail keeps its cell out of the collapse; the
-    # explicit block then decides, so the shortcut must not fire
+    assert np.all(var_dual.eliminable)
+    # a moment record on the tail keeps its cell out of the collapse too
     tail = TestFunction("tail_m", TestFunctionKind.SLAB_AFFINE, 0, (1.0, np.inf),
                         Sense.UPPER, 0.5, v=np.array([1.0]), c=0.0)
-    dual = assemble_dual_lp(part, [tail], risk)
-    assert not dual.eliminable[-1]
-    assert not dual.unbounded_above
+    dual = assemble_dual_lp(part, [tail], RiskFunctional(RiskKind.VAR_INDICATOR, 0.5))
+    assert dual.eliminable.tolist() == [True, True, False]
 
 
 @pytest.mark.xfail(
@@ -502,34 +512,38 @@ def brute_force_vertices_and_rays(cell):
 @st.composite
 def open_partitions(draw):
     """Sliced partitions (d <= 3) whose axes may start at -inf, end at
-    +inf or both, with sliver slabs; ``line`` is set when an axis is the
-    single slab (-inf, inf)."""
+    +inf or both, with sliver slabs, and sometimes one or two axes that
+    are the single slab (-inf, inf)."""
     bps = draw(breakpoint_grids(max_d=3))
     lo = sum(b[0] for b in bps)
     hi = sum(b[-1] for b in bps)
     tau = lo + draw(st.integers(0, 8)) / 8 * (hi - lo)
     bps = open_ends(draw, bps)
-    line = draw(st.integers(0, 5)) == 0
-    if line:
-        bps[draw(st.integers(0, len(bps) - 1))] = np.array([-np.inf, np.inf])
-    return build_box_partition(bps, tau), line
+    lines = min(draw(st.sampled_from([0, 0, 0, 0, 1, 2])), len(bps))
+    for a in draw(st.permutations(range(len(bps))))[:lines]:
+        bps[a] = np.array([-np.inf, np.inf])
+    return build_box_partition(bps, tau)
 
 
-@settings(max_examples=80, deadline=None)
+def line_section(cell):
+    """The cell cut at x_b = 0 on every whole-line axis b but the first:
+    a cell with no line whose vertices are the cell's."""
+    lines = np.nonzero(np.isinf(cell.lows) & np.isinf(cell.highs))[0]
+    lows, highs = cell.lows.copy(), cell.highs.copy()
+    lows[lines[1:]] = highs[lines[1:]] = 0.0
+    return Cell(lows, highs, slice_sign=cell.slice_sign, tau=cell.tau, degenerate=True), lines
+
+
+@settings(max_examples=100, deadline=None)
 @given(open_partitions())
-def test_vertex_and_ray_table_matches_brute_force(case):
-    partition, line = case
+def test_vertex_and_ray_table_matches_brute_force(partition):
     idx = np.arange(partition.cell_count)
-    if line:
-        # every cell holds the line; it has no vertex-and-ray form
-        with pytest.raises(UnsupportedCellError, match="contains a line"):
-            partition_vertices(partition, idx)
-        return
     vstart, points = partition_vertices(partition, idx)
     rstart, rays = partition_rays(partition, idx)
     for i in idx:
         cell = partition.cell_at(int(i))
-        verts, ref_rays = brute_force_vertices_and_rays(cell)
+        section, lines = line_section(cell)
+        verts, ref_rays = brute_force_vertices_and_rays(section)
         got = points[vstart[i] : vstart[i + 1]]
         if cell.bounded:
             np.testing.assert_allclose(got, cell_vertices(cell), rtol=0, atol=1e-12)
@@ -540,16 +554,36 @@ def test_vertex_and_ray_table_matches_brute_force(case):
         assert all(min(np.max(np.abs(q - v)) for q in got) <= 3 * VERTEX_TOL for v in verts)
         assert [tuple(q) for q in got] == sorted(tuple(q) for q in got)
         table = rays[rstart[i] : rstart[i + 1]]
-        assert len(table) == len(ref_rays)
-        assert all(any(np.allclose(r, o, rtol=0, atol=1e-12) for o in ref_rays) for r in table)
+
+        def listed(r):
+            return any(np.allclose(r, o, rtol=0, atol=1e-12) for o in table)
+
+        # every extreme ray of the section, and both directions of every
+        # lineality generator e_a - e_b, are in the table
+        assert all(listed(r) for r in ref_rays)
+        eye = np.eye(cell.dimension)
+        assert all(listed(eye[a] - eye[b]) for a in lines for b in lines if a != b)
+        if lines.size:
+            # every table ray is a recession direction of the cell
+            F = np.array([h.normal for h in cell.halfspaces])
+            assert np.all(F @ table.T >= -1e-12)
+        else:
+            # a cell with no line: the table holds its extreme rays only
+            assert len(table) == len(ref_rays)
+
+
+def test_unsliced_line_cell_has_no_vertex_table():
+    partition = build_box_partition([np.array([-np.inf, np.inf]), np.array([0.0, 1.0])])
+    with pytest.raises(UnsupportedCellError, match="contains a line"):
+        partition_vertices(partition, [0])
 
 
 @st.composite
 def column_models(draw):
     """Small models mixing indicator and affine records of every sense
     on slabs that may cover only part of an axis, under either risk,
-    with the threshold sometimes at the top corner and axes sometimes
-    open at either end."""
+    with the threshold sometimes at the top corner, axes sometimes open
+    at either end and sometimes one axis the single slab (-inf, inf)."""
     bps = draw(breakpoint_grids())
     d = len(bps)
     lo = sum(b[0] for b in bps)
@@ -561,6 +595,8 @@ def column_models(draw):
         tau = lo + draw(st.integers(1, 7)) / 8 * (hi - lo)
     if draw(st.booleans()):
         bps = open_ends(draw, bps)
+        if draw(st.integers(0, 3)) == 0:
+            bps[draw(st.integers(0, d - 1))] = np.array([-np.inf, np.inf])
     fns = []
     n_ind = draw(st.integers(0, 3))
     n_aff = draw(st.integers(1, 3))
@@ -597,9 +633,13 @@ def _restricted_entries(dual):
     for i in dual.scan_order:
         cell = dual.partition.cell_at(int(i))
         V, cvec = _signed_restrictions(dual.records, cell)
-        assert dual.eliminable[i] == (np.max(np.abs(V), initial=0.0) <= CONST_TOL)
+        g, e = restrict_to_cell(dual.riskfn, cell)
+        # a cell collapses when every record is constant on it and the
+        # risk has a finite maximum there
+        top, _x, _lam = maximize_linear_over_cell(cell, g)
+        constant = np.max(np.abs(V), initial=0.0) <= CONST_TOL
+        assert dual.eliminable[i] == (constant and np.isfinite(top))
         if dual.eliminable[i]:
-            g, e = restrict_to_cell(dual.riskfn, cell)
             _lam, support = precompute_cell_lambda(cell, g)
             out.append((int(i), None, False, np.append(cvec, 1.0), float(e - support)))
             continue
@@ -612,7 +652,6 @@ def _restricted_entries(dual):
         for q in verts:
             vals, obj = dual._point_column(cell, q)
             out.append((int(i), q, False, vals, obj))
-        g, _e = restrict_to_cell(dual.riskfn, cell)
         for r in rays:
             out.append((int(i), r, True, np.append(V @ r, 0.0), float(g @ r)))
     return out
@@ -621,9 +660,6 @@ def _restricted_entries(dual):
 @settings(max_examples=80, deadline=None)
 @given(column_models())
 def test_column_source_matches_the_restriction_route(dual):
-    # an eliminable cell past tau with no top has no finite column;
-    # solve_bound answers it by the unbounded_above shortcut
-    assume(not dual.unbounded_above)
     ref = _restricted_entries(dual)
     entries = dual.scan_entries()
     gen = dual.master_generator()
@@ -712,7 +748,10 @@ def _low_tail_records(a, d, p_bound, m_bound=None):
 def bound_models(draw):
     """Calibrated random models with d <= 3, affine and equality records,
     either risk, optionally an axis open above and one open below, each
-    with tail records: their cells carry e_u, -e_l and e_u - e_l rays."""
+    with tail records: their cells carry e_u, -e_l and e_u - e_l rays.
+    One or two axes may instead be whole lines (-inf, inf), each with a
+    mean record in place of its slab records; their cells carry pair
+    rays in both directions."""
     d = draw(st.integers(1, 3))
     inst = random_instance(
         draw(st.integers(0, 2**16)),
@@ -725,21 +764,32 @@ def bound_models(draw):
     bps = list(inst.partition.breakpoints)
     fns = list(inst.testfns)
     modes = list(ALL_MODES)
+    lines = draw(st.permutations(range(d)))[: draw(st.sampled_from([0, 0, 0, 1, 2]))]
+    for a in lines:
+        bps[a] = np.array([-np.inf, np.inf])
+        fns = [fn for fn in fns if fn.axis != a]
+        # calibrated on the samples, like every other record
+        sense = draw(st.sampled_from(list(Sense)))
+        bound = float(np.mean(inst.samples[:, a]))
+        bound += {Sense.UPPER: 0.05, Sense.LOWER: -0.05, Sense.EQUALITY: 0.0}[sense]
+        fns.append(TestFunction(f"mean_{a}", TestFunctionKind.SLAB_AFFINE, a,
+                                (-np.inf, np.inf), sense, bound, v=np.eye(d)[a], c=0.0))
+    free = [a for a in range(d) if a not in lines]
     # the samples live in [0, 1], so tail bounds >= 0 keep them feasible
-    tails = draw(st.sampled_from(["none", "upper", "lower", "both"]))
+    tails = draw(st.sampled_from(["none", "upper", "lower", "both"])) if free else "none"
     if tails in ("upper", "both"):
-        a = draw(st.integers(0, d - 1))
+        a = draw(st.sampled_from(free))
         bps[a] = np.append(bps[a], np.inf)
         p_bound = draw(st.sampled_from([0.05, 0.2]))
         m_bound = draw(st.sampled_from([None, 0.1, 0.3]))
         fns += _tail_records(a, d, p_bound, m_bound)
     if tails in ("lower", "both"):
-        a = draw(st.integers(0, d - 1))
+        a = draw(st.sampled_from(free))
         bps[a] = np.insert(bps[a], 0, -np.inf)
         p_bound = draw(st.sampled_from([0.05, 0.2]))
         m_bound = draw(st.sampled_from([None, 0.1, 0.3]))
         fns += _low_tail_records(a, d, p_bound, m_bound)
-    if tails != "none":
+    if tails != "none" or lines:
         modes.remove(ReductionMode.VERTEX)
     partition = build_box_partition(bps, inst.risk.tau)
     return partition, fns, inst.risk, draw(st.sampled_from(modes))
@@ -751,10 +801,10 @@ def test_solve_bound_agrees_with_highs(model):
     _agrees_with_highs(*model)
 
 
-def _halves(bound):
+def _halves(bound, axis=0):
     # mass ``bound`` pinned on each half of [0, 1]
     return [
-        TestFunction(name, TestFunctionKind.SLAB_INDICATOR, 0, slab, Sense.EQUALITY, bound)
+        TestFunction(name, TestFunctionKind.SLAB_INDICATOR, axis, slab, Sense.EQUALITY, bound)
         for name, slab in (("lo", (0.0, 0.5)), ("hi", (0.5, 1.0)))
     ]
 
@@ -771,7 +821,7 @@ TAIL_AXIS = [0.0, 0.5, 1.0, np.inf]
     ("corner_d2", [[0.0, 0.5, 1.0]] * 2, 2.0, VAR, _halves(0.5), "optimal", "dcg"),
     ("infeasible_equalities", [[0.0, 0.5, 1.0]], 0.75, VAR, _halves(0.9), "infeasible", "dcg"),
     ("infeasible_tail_axis", [TAIL_AXIS], 0.75, HINGE, _halves(0.9), "infeasible", "dcg"),
-    # every tail cell collapses: the hinge grows there at no cost
+    # no record holds the tail cells: their rays raise the hinge at no cost
     ("unbounded_collapsed_tail", [TAIL_AXIS], 1.0, HINGE, _tail_records(0, 1, 0.1),
      "unbounded", "dcg"),
     # only a lower moment bound on the tail: the ray e_0 of the tail cell
@@ -790,15 +840,42 @@ TAIL_AXIS = [0.0, 0.5, 1.0, np.inf]
     # -e_0, e_1 and e_1 - e_0
     ("var_lower_tail_axis", [[-np.inf, 0.0, 0.5, 1.0], TAIL_AXIS], 1.5, VAR,
      _low_tail_records(0, 2, 0.2, 0.3) + _tail_records(1, 2, 0.2, 0.3), "optimal", "dcg"),
-    # a one-slab axis (-inf, inf): each cell holds a line and has no
-    # vertex-and-ray columns, so a record that keeps it from collapsing
-    # sends the model to the row dual
+    # a one-slab axis (-inf, inf): its cells are the halves at tau, with
+    # the vertex tau and the rays -e_0 below and e_0 above
     ("line_axis_rows", [[-np.inf, np.inf]], 1.0, VAR,
      [TestFunction("mean", TestFunctionKind.SLAB_AFFINE, 0, (-np.inf, np.inf),
-                   Sense.EQUALITY, 0.5, v=np.array([1.0]), c=0.0)], "optimal", "dense_rows"),
+                   Sense.EQUALITY, 0.5, v=np.array([1.0]), c=0.0)], "optimal", "dcg"),
+    ("infeasible_line_axis", [[-np.inf, np.inf], [0.0, 0.5, 1.0]], 0.75, HINGE,
+     _halves(0.9, axis=1), "infeasible", "dcg"),
+    # two line axes: the pair rays +-(e_0 - e_1) span the lineality space
+    ("two_line_axes", [[-np.inf, np.inf], [-np.inf, np.inf], [0.0, 0.5, 1.0]], 0.75, VAR,
+     [TestFunction(f"mean_{a}", TestFunctionKind.SLAB_AFFINE, a, (-np.inf, np.inf),
+                   Sense.EQUALITY, 0.5, v=np.eye(3)[a], c=0.0) for a in (0, 1)]
+     + _halves(0.5, axis=2), "optimal", "dcg"),
 ])
 def test_solve_bound_edge_cases_agree_with_highs(name, bps, tau, kind, fns, status, engine):
     partition = build_box_partition([np.array(b) for b in bps], tau)
     got = _agrees_with_highs(partition, fns, RiskFunctional(kind, tau))
     assert (got.status, got.engine) == (status, engine)
 
+
+
+def test_line_axis_model_solves_on_column_generation():
+    # d = 3: a whole-line axis with a mean equality and two 16-slab
+    # indicator grids, VaR at 1.6; 512 cells, each sliced, each holding
+    # the line
+    m = 16
+    grid = np.linspace(0.0, 1.0, m + 1)
+    fns = [TestFunction("mean_0", TestFunctionKind.SLAB_AFFINE, 0, (-np.inf, np.inf),
+                        Sense.EQUALITY, 0.5, v=np.array([1.0, 0.0, 0.0]), c=0.0)]
+    for a in (1, 2):
+        for g in range(m):
+            slab = (float(grid[g]), float(grid[g + 1]))
+            fns.append(TestFunction(f"hi_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, a, slab,
+                                    Sense.UPPER, 1.35 / m))
+            fns.append(TestFunction(f"lo_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, a, slab,
+                                    Sense.LOWER, 0.65 / m))
+    partition = build_box_partition([np.array([-np.inf, np.inf]), grid, grid], 1.6)
+    assert partition.cell_count == 2 * m * m
+    got = _agrees_with_highs(partition, fns, RiskFunctional(VAR, 1.6))
+    assert (got.status, got.engine, got.certified) == ("optimal", "dcg", True)
