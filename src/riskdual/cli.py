@@ -86,7 +86,7 @@ class ModelConfig:
         bps = raw.get("breakpoints")
         if not isinstance(bps, list) or not bps or not all(isinstance(b, list) for b in bps):
             raise InputError("breakpoints must be a list of per-axis lists")
-        self.breakpoints = [np.asarray(b, dtype=float) for b in bps]
+        self.breakpoints = [_numbers(b, f"breakpoints[{a}]") for a, b in enumerate(bps)]
 
         risk = raw.get("risk")
         if not isinstance(risk, dict) or "kind" not in risk or "tau" not in risk:
@@ -95,7 +95,7 @@ class ModelConfig:
             kind = RiskKind(risk["kind"])
         except ValueError:
             raise InputError(f"unknown risk kind: {risk['kind']!r}") from None
-        self.riskfn = RiskFunctional(kind, float(risk["tau"]))
+        self.riskfn = RiskFunctional(kind, _number(risk["tau"], "risk.tau"))
 
         fns = raw.get("test_functions", [])
         if not isinstance(fns, list):
@@ -109,23 +109,24 @@ class ModelConfig:
             raise InputError(f"unknown reduction mode: {mode!r}") from None
 
     def _parse_fn(self, i, d):
+        where = f"test_functions[{i}]"
         if not isinstance(d, dict):
-            raise InputError(f"test_functions[{i}] must be an object")
+            raise InputError(f"{where} must be an object")
         try:
             kind = TestFunctionKind(d["kind"])
             sense = Sense(d["sense"])
-            slab = tuple(float(v) for v in d["slab"])
-            fn_id = d["id"]
-            axis = int(d["axis"])
-            bound = float(d["bound"])
+            slab, fn_id, axis, bound = d["slab"], d["id"], d["axis"], d["bound"]
         except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(f"test_functions[{i}]: {exc}") from None
+            raise InputError(f"{where}: {exc}") from None
+        if not isinstance(slab, list) or len(slab) != 2:
+            raise InputError(f"{where}.slab must be a list [lo, hi], got {slab!r}")
         v = d.get("v")
-        if v is not None:
-            v = np.asarray(v, dtype=float)
         return TestFunction(
-            fn_id, kind, axis=axis, slab=slab, sense=sense, bound=bound,
-            v=v, c=float(d.get("c", 0.0)),
+            fn_id, kind, axis=axis,
+            slab=tuple(_number(x, f"{where}.slab") for x in slab),
+            sense=sense, bound=_number(bound, f"{where}.bound"),
+            v=None if v is None else _numbers(v, f"{where}.v"),
+            c=_number(d.get("c", 0.0), f"{where}.c"),
         )
 
     @classmethod
@@ -144,6 +145,20 @@ class ModelConfig:
     def sha256(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def _number(value, field):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{field} must be a number, got {value!r}") from None
+
+
+def _numbers(values, field):
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{field} must be a list of numbers, got {values!r}") from None
 
 
 # -- report plumbing --
@@ -321,6 +336,8 @@ def _parse_sizes(text):
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise InputError(f"--repeats must be at least 1, got {args.repeats}")
     sizes = _parse_sizes(args.sizes)
     results = []
     timing = []
@@ -328,11 +345,7 @@ def cmd_bench(args) -> int:
         bp, fns, risk = _bench_model(d, m)
         ss_times = []
         dcg_times = []
-        ss_obj = None
-        dcg_obj = None
-        cols = None
         rejected = False
-        cells = None
         for _ in range(args.repeats):
             t0 = time.perf_counter()
             partition = build_box_partition(bp, tau=risk.tau, cell_budget=args.budget_cells)
@@ -398,7 +411,6 @@ def cmd_bootstrap(args) -> int:
         level=args.level,
         replicates=args.replicates,
         seed=args.seed,
-        threads=args.threads,
     )
     det = _base_deterministic(
         "bootstrap",
@@ -471,7 +483,6 @@ def build_parser():
     p.add_argument("--samples", required=True)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=1, help="bootstrap worker threads")
     _add_common(p)
     _add_seed(p)
     p.set_defaults(func=cmd_bootstrap)

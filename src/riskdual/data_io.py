@@ -2,14 +2,14 @@
 
 Bounds come from percentile bootstrap intervals of empirical test
 function means.  Replicates are indexed draws: replicate r uses the
-generator seeded with (seed, r), so results are reproducible and
-independent of thread count.
+generator seeded with (seed, r), so results are reproducible.  A
+replicate mean is the count-weighted sum sum_i (N_i / k) * values_i,
+where N_i counts the draws of row i, so no resampled rows are copied.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,14 +108,13 @@ def bootstrap_integral_bounds(
     level: float = 0.95,
     replicates: int = 1000,
     seed: int = 0,
-    threads: int = 1,
 ):
     """Percentile bootstrap intervals for each test function mean.
 
     Each replicate resamples the rows with replacement using a
-    generator seeded by (seed, replicate), evaluates every test
-    function mean on the resample, and the interval takes the
-    symmetric percentiles at the requested level.  Returns one
+    generator seeded by (seed, replicate) and weights each row by its
+    draw count to take every test function mean; the interval takes
+    the symmetric percentiles at the requested level.  Returns one
     IntegralBound per function, in input order.
     """
     if not 0.0 < level < 1.0:
@@ -127,34 +126,17 @@ def bootstrap_integral_bounds(
         raise InputError("bootstrap needs a nonempty two-dimensional sample set")
     testfns = list(testfns)
     k = data.shape[0]
-    # evaluate each function once; replicates only reindex the values
     values = np.column_stack([evaluate(fn, data) for fn in testfns])
     means = np.empty((replicates, len(testfns)))
-
-    def run(r):
-        rng = np.random.default_rng((seed, r))
-        idx = rng.integers(0, k, size=k)
-        means[r] = values[idx].mean(axis=0)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(replicates)))
-    else:
-        for r in range(replicates):
-            run(r)
-
-    lo_q = 100.0 * (1.0 - level) / 2.0
-    hi_q = 100.0 * (1.0 + level) / 2.0
-    bounds = []
-    for j, fn in enumerate(testfns):
-        lo, hi = np.percentile(means[:, j], [lo_q, hi_q])
-        bounds.append(
-            IntegralBound(
-                function_id=fn.id,
-                lower=float(lo),
-                upper=float(hi),
-                level=level,
-                replicates=replicates,
-            )
-        )
-    return bounds
+    for r in range(replicates):
+        idx = np.random.default_rng((seed, r)).integers(0, k, size=k)
+        # einsum, not @: BLAS gemv sums in an order set by its thread count;
+        # float counts, since einsum casts an int64 operand chunk by chunk
+        counts = np.bincount(idx, minlength=k).astype(float)
+        means[r] = np.einsum("i,ij->j", counts, values) / k
+    q = [100.0 * (1.0 - level) / 2.0, 100.0 * (1.0 + level) / 2.0]
+    lower, upper = np.percentile(means, q, axis=0)
+    return [
+        IntegralBound(fn.id, float(lo), float(hi), level, replicates)
+        for fn, lo, hi in zip(testfns, lower, upper)
+    ]

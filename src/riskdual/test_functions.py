@@ -61,6 +61,9 @@ class TestFunction:
     def __init__(self, fn_id, kind, axis, slab, sense, bound, v=None, c=0.0):
         self.id = str(fn_id)
         self.kind = TestFunctionKind(kind)
+        # bool is an int subclass, and int() would truncate 0.7 to axis 0
+        if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis < 0:
+            raise InputError(f"test function {self.id}: axis must be a non-negative integer, got {axis!r}")
         self.axis = int(axis)
         lo, hi = float(slab[0]), float(slab[1])
         if not lo < hi:
@@ -70,6 +73,8 @@ class TestFunction:
         self.slab = (lo, hi)
         self.sense = Sense(sense)
         self.bound = float(bound)
+        if not math.isfinite(self.bound):
+            raise InputError(f"test function {self.id}: bound must be finite, got {self.bound}")
         if self.kind is TestFunctionKind.SLAB_AFFINE:
             if v is None:
                 raise InputError(f"test function {self.id}: affine kind needs v")
@@ -77,6 +82,8 @@ class TestFunction:
             if self.v.ndim != 1:
                 raise InputError(f"test function {self.id}: v must be a vector")
             self.c = float(c)
+            if not (np.all(np.isfinite(self.v)) and math.isfinite(self.c)):
+                raise InputError(f"test function {self.id}: v and c must be finite")
         else:
             self.v = None
             self.c = 1.0

@@ -314,7 +314,7 @@ def test_bound_budget_exit_four(tmp_path):
     assert main(["bound", path, "--budget-cells", "3"]) == EXIT_BUDGET
 
 
-def test_input_errors_exit_five(tmp_path):
+def test_input_errors_exit_five(tmp_path, capsys):
     assert main(["bound", str(tmp_path / "missing.json")]) == EXIT_INPUT
 
     bad = tmp_path / "bad.json"
@@ -330,6 +330,56 @@ def test_input_errors_exit_five(tmp_path):
     cfg = two_point_config()
     cfg["test_functions"][0]["slab"] = [0.0, 0.7]
     assert main(["bound", write_config(tmp_path, cfg)]) == EXIT_INPUT
+
+    # malformed numbers: the field the message must name, and the edit
+    malformed = [
+        ("breakpoints[0]", lambda c: c.update(breakpoints=[[0.0, "x"]])),
+        ("risk.tau", lambda c: c["risk"].update(tau="high")),
+        ("risk.tau", lambda c: c["risk"].update(tau=None)),
+        ("test_functions[0].v", lambda c: c["test_functions"][0].update(v=["a"])),
+        ("test_functions[0].c", lambda c: c["test_functions"][0].update(c="one")),
+        ("test_functions[0].slab", lambda c: c["test_functions"][0].update(slab=[0.0])),
+    ]
+    for field, edit in malformed:
+        cfg = two_point_config()
+        edit(cfg)
+        capsys.readouterr()
+        assert main(["bound", write_config(tmp_path, cfg)]) == EXIT_INPUT, field
+        assert field in capsys.readouterr().err, field
+
+
+def _two_axis_config():
+    """A mean equality on axis 0 and a frequency bound on axis 1."""
+    cfg = two_point_config()
+    cfg["breakpoints"] = [[0.0, 0.5, 1.0], [0.0, 1.0]]
+    cfg["test_functions"][0]["v"] = [1.0, 0.0]
+    cfg["test_functions"].append(
+        {"id": "upper", "kind": "slab_indicator", "axis": 1, "slab": [0.0, 1.0],
+         "sense": "inequality_upper", "bound": 1.0})
+    return cfg
+
+
+@pytest.mark.parametrize("fn, key, value, field", [
+    (1, "bound", float("nan"), "bound"),
+    (1, "bound", float("inf"), "bound"),
+    (0, "bound", float("inf"), "bound"),
+    (0, "c", float("nan"), "c must be finite"),
+    (0, "v", [float("inf"), 0.0], "v and c"),
+    (1, "axis", -1, "axis"),
+    (1, "axis", -3, "axis"),
+    (1, "axis", 0.7, "axis"),
+    (1, "axis", True, "axis"),
+], ids=["nan_bound", "inf_upper_bound", "inf_equality_bound", "nan_c", "inf_in_v",
+        "axis_minus_1", "axis_minus_3", "fractional_axis", "boolean_axis"])
+def test_invalid_constraint_data_exits_five(tmp_path, capsys, fn, key, value, field):
+    cfg = _two_axis_config()
+    cfg["test_functions"][fn][key] = value
+    path = write_config(tmp_path, cfg)  # json writes NaN and Infinity bare
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x,y\n0.2,0.3\n0.7,0.9\n")
+    for args in (["bound", path], ["verify", path, "--samples", str(samples)]):
+        assert main(args) == EXIT_INPUT
+        assert field in capsys.readouterr().err
 
 
 def _write_samples(tmp_path, k=500, seed=0):
@@ -438,12 +488,26 @@ def test_unwritable_report_exits_five(tmp_path, capsys):
     ["bench", "--seed", "1"],
     ["verify", "m.json", "--samples", "s.csv", "--budget-cells", "9"],
     ["bootstrap", "m.json", "--samples", "s.csv", "--budget-cells", "9"],
+    ["bootstrap", "m.json", "--samples", "s.csv", "--threads", "2"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(capsys, args):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _deterministic_at_blas_threads(tmp_path, args, threads):
+    """The ``deterministic`` section of ``riskdual <args>`` run in a
+    subprocess with every BLAS library pinned to ``threads`` threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riskdual.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / f"report_{threads}.json"
+    subprocess.run([sys.executable, "-m", "riskdual", *args, "--out", str(out)],
+                   env=env, check=True)
+    return json.dumps(json.loads(out.read_text())["deterministic"], sort_keys=True)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
@@ -458,17 +522,28 @@ def test_bound_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     d = 5
     cfg = write_config(tmp_path, _frequency_grid_config(
         d, 12, {"kind": "var_indicator", "tau": 0.55 * d}))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(riskdual.__file__)))
-    reports = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        out = tmp_path / f"report_{threads}.json"
-        subprocess.run([sys.executable, "-m", "riskdual", "bound", cfg, "--out", str(out)],
-                       env=env, check=True)
-        reports.append(json.loads(out.read_text())["deterministic"])
+    reports = [_deterministic_at_blas_threads(tmp_path, ["bound", cfg], t) for t in ("1", "2")]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_bootstrap_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 51 test functions on 20k rows, the size where a BLAS matrix-vector
+    # product for the replicate means sums in a thread-dependent order
+    rng = np.random.default_rng(5)
+    data = 0.4 * rng.beta(2.0, 3.0, (20_000, 1)) + 0.6 * rng.beta(2.0, 2.0, (20_000, 3))
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x0,x1,x2\n" + "".join(",".join(map(repr, row)) + "\n"
+                                              for row in data.tolist()))
+    cfg = write_config(tmp_path, _hinge_grid_config(d=3, m=8, tau=1.8))
+    args = ["bootstrap", cfg, "--samples", str(samples), "--replicates", "200"]
+    reports = [_deterministic_at_blas_threads(tmp_path, args, t) for t in ("1", "2")]
+    assert reports[0] == reports[1]
+
+
+def test_bench_rejects_zero_repeats(capsys):
+    assert main(["bench", "--sizes", "2:4", "--repeats", "0"]) == EXIT_INPUT
+    assert "--repeats" in capsys.readouterr().err
 
 
 def test_bench_smoke(tmp_path):

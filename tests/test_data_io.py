@@ -11,6 +11,7 @@ from riskdual import (
     TestFunctionKind,
     bootstrap_integral_bounds,
     empirical_integral,
+    evaluate,
     load_samples_csv,
 )
 
@@ -61,16 +62,41 @@ def test_sample_set_validation():
         SampleSet(np.ones((2, 2)), ("x",))
 
 
-def test_bootstrap_is_deterministic_and_thread_invariant():
+def test_bootstrap_is_deterministic_given_the_seed():
     rng = np.random.default_rng(0)
     data = rng.uniform(0.0, 1.0, (400, 1))
     fns = [ind((0.0, 0.5), "half"), ind((0.25, 0.75), "mid")]
     a = bootstrap_integral_bounds(fns, data, replicates=200, seed=7)
-    b = bootstrap_integral_bounds(fns, data, replicates=200, seed=7, threads=4)
+    b = bootstrap_integral_bounds(fns, data, replicates=200, seed=7)
     for x, y in zip(a, b):
         assert x == y
     c = bootstrap_integral_bounds(fns, data, replicates=200, seed=8)
     assert any(x != y for x, y in zip(a, c))
+
+
+def test_bootstrap_matches_the_gather_mean_reference():
+    # the reference copies each resample and averages it; the kernel
+    # weights the original rows by their draw counts instead
+    rng = np.random.default_rng(3)
+    data = rng.beta(2.0, 3.0, (2000, 3))
+    fns = [ind((g / 4, (g + 1) / 4), f"ind_{a}_{g}", axis=a) for a in range(3) for g in range(4)]
+    fns += [
+        TestFunction(f"aff_{a}", TestFunctionKind.SLAB_AFFINE, a, (0.0, 1.0), Sense.EQUALITY,
+                     0.4, v=[1.0 + a, -2.0, 0.5], c=3.0)
+        for a in range(3)
+    ]
+    level, replicates, seed = 0.9, 300, 11
+    values = np.column_stack([evaluate(fn, data) for fn in fns])
+    k = data.shape[0]
+    means = np.array([
+        values[np.random.default_rng((seed, r)).integers(0, k, size=k)].mean(axis=0)
+        for r in range(replicates)
+    ])
+    lower, upper = np.percentile(means, [50.0 * (1.0 - level), 50.0 * (1.0 + level)], axis=0)
+    got = bootstrap_integral_bounds(fns, data, level=level, replicates=replicates, seed=seed)
+    assert [b.function_id for b in got] == [fn.id for fn in fns]
+    np.testing.assert_allclose([b.lower for b in got], lower, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose([b.upper for b in got], upper, rtol=0.0, atol=1e-12)
 
 
 def test_bootstrap_brackets_the_empirical_mean():

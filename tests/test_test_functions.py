@@ -177,6 +177,16 @@ def test_constructor_validation():
         RiskFunctional(RiskKind.VAR_INDICATOR, np.nan)
     with pytest.raises(ValueError):
         TestFunction("a", "no_such_kind", 0, (0.0, 1.0), Sense.UPPER, 1.0)
+    for axis in (-1, 0.7, True, "0"):
+        with pytest.raises(InputError, match="axis"):
+            ind(axis, (0.0, 1.0))
+    assert ind(np.int64(2), (0.0, 1.0)).axis == 2
+    for bound in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="bound"):
+            ind(0, (0.0, 1.0), bound=bound)
+    for v, c in (([np.inf], 0.0), ([np.nan], 0.0), ([1.0], np.nan), ([1.0], -np.inf)):
+        with pytest.raises(InputError, match="v and c"):
+            aff(0, (0.0, 1.0), v, c)
 
 
 def test_enum_values_accept_their_wire_names():
