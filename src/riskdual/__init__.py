@@ -12,12 +12,9 @@ from ._version import __version__
 from .data_io import IntegralBound, SampleSet, bootstrap_integral_bounds, load_samples_csv
 from .dual_builder import (
     BoundResult,
-    CellBlock,
     DualLP,
     ReductionMode,
     assemble_dual_lp,
-    concave_vertex_constraints,
-    farkas_constraints_linear,
     precompute_cell_lambda,
     solve_bound,
 )
@@ -76,12 +73,9 @@ __all__ = [
     "bootstrap_integral_bounds",
     "load_samples_csv",
     "BoundResult",
-    "CellBlock",
     "DualLP",
     "ReductionMode",
     "assemble_dual_lp",
-    "concave_vertex_constraints",
-    "farkas_constraints_linear",
     "precompute_cell_lambda",
     "solve_bound",
     "CapacityError",

@@ -13,7 +13,11 @@ Three reduction routes produce the rows:
 
 All three describe the same feasible set on their common domain;
 keeping the routes separate is what lets tests cross-check one against
-another.
+another.  They differ only in which rows they emit: every route gives
+a cell's rows as arrays from :meth:`DualLP.cell_rows`.  The row dual's
+columns are y (one per inequality record), z (one per equality
+record), z0, then the multipliers of each explicit block, block by
+block in scan order.
 
 The transposed master, used by column generation and the single-shot
 solve, has one column per scan entry: a collapsible cell, a vertex or
@@ -97,26 +101,6 @@ class ReductionMode(Enum):
     VERTEX = "vertex"
 
 
-@dataclass(eq=False)
-class CellBlock:
-    """Dual rows contributed by one cell.
-
-    ``rows`` holds (coefficients, sense, rhs) triples keyed by dual
-    variable: ('y', s) and ('z', t) index the inequality and equality
-    records, 'z0' the normalization, ('lam', j) the cell-local
-    multipliers.  For a collapsed block ``support_value`` records the
-    objective of the eliminated multipliers, and ``r_value`` the row's
-    right-hand side, which equals the maximum of the restricted risk
-    function over the cell.
-    """
-
-    cell_id: int
-    mode: str
-    rows: list
-    support_value: Optional[float] = None
-    r_value: Optional[float] = None
-
-
 def _signed_restrictions(records, cell):
     n = cell.dimension
     V = np.zeros((len(records), n))
@@ -128,8 +112,14 @@ def _signed_restrictions(records, cell):
     return V, c
 
 
-def _var_key(r, n_ineq):
-    return ("y", r) if r < n_ineq else ("z", r - n_ineq)
+def _point_rows(records, riskfn, cell, points):
+    """Record values at each of the cell's ``points``, with a trailing
+    1 for z0, as a (len(points), len(records) + 1) array, and the risk
+    value at each point."""
+    V, cvec = _signed_restrictions(records, cell)
+    g, e = restrict_to_cell(riskfn, cell)
+    vals = np.array([np.append(V @ q + cvec, 1.0) for q in points])
+    return vals, np.array([g @ q + e for q in points])
 
 
 def precompute_cell_lambda(cell, g):
@@ -150,91 +140,6 @@ def precompute_cell_lambda(cell, g):
             cell_id=cell.id,
         )
     return lam, -val
-
-
-def _farkas_rows(cell, records, riskfn):
-    V, cvec = _signed_restrictions(records, cell)
-    g, e = restrict_to_cell(riskfn, cell)
-    halfspaces = cell.halfspaces
-    n_ineq = sum(1 for _, _, _, iseq in records if not iseq)
-    rows = []
-    for a in range(cell.dimension):
-        coefs = {}
-        for r in range(len(records)):
-            if V[r, a] != 0.0:
-                coefs[_var_key(r, n_ineq)] = V[r, a]
-        for j, h in enumerate(halfspaces):
-            if h.normal[a] != 0.0:
-                coefs[("lam", j)] = -h.normal[a]
-        rows.append((coefs, "=", float(g[a])))
-    coefs = {}
-    for r in range(len(records)):
-        if cvec[r] != 0.0:
-            coefs[_var_key(r, n_ineq)] = cvec[r]
-    coefs["z0"] = 1.0
-    for j, h in enumerate(halfspaces):
-        if h.bound != 0.0:
-            coefs[("lam", j)] = h.bound
-    rows.append((coefs, ">=", float(e)))
-    return rows
-
-
-def farkas_constraints_linear(cell, testfns, riskfn):
-    """Explicit multiplier block for one cell.
-
-    Emits one equality row per coordinate tying the weighted linear
-    parts to the cell's halfspace normals through nonnegative
-    multipliers, plus the constant-part inequality.  Valid on any
-    nonempty cell, bounded or not.
-    """
-    return _farkas_rows(cell, normalized_records(testfns), riskfn)
-
-
-def _vertex_rows(cell, records, riskfn):
-    V, cvec = _signed_restrictions(records, cell)
-    g, e = restrict_to_cell(riskfn, cell)
-    n_ineq = sum(1 for _, _, _, iseq in records if not iseq)
-    rows = []
-    for q in cell_vertices(cell):
-        vals = V @ q + cvec
-        coefs = {}
-        for r in range(len(records)):
-            if vals[r] != 0.0:
-                coefs[_var_key(r, n_ineq)] = float(vals[r])
-        coefs["z0"] = 1.0
-        rows.append((coefs, ">=", float(g @ q + e)))
-    return rows
-
-
-def concave_vertex_constraints(cell, testfns, riskfn):
-    """Vertex form of a cell's dual constraints: one row per vertex.
-
-    Equivalent to the explicit block whenever the cell is bounded,
-    since an affine function dominates another on a polytope exactly
-    when it does so at every vertex.  Unbounded cells are rejected by
-    the vertex enumeration.
-    """
-    return _vertex_rows(cell, normalized_records(testfns), riskfn)
-
-
-def _collapsed_block(cell, records, riskfn):
-    _V, cvec = _signed_restrictions(records, cell)
-    g, e = restrict_to_cell(riskfn, cell)
-    _lam, support = precompute_cell_lambda(cell, g)
-    n_ineq = sum(1 for _, _, _, iseq in records if not iseq)
-    coefs = {}
-    for r in range(len(records)):
-        if cvec[r] != 0.0:
-            coefs[_var_key(r, n_ineq)] = cvec[r]
-    coefs["z0"] = 1.0
-    r_value = float(e - support)
-    return CellBlock(
-        cell_id=cell.id,
-        mode="lambda",
-        rows=[(coefs, ">=", r_value)],
-        support_value=support,
-        r_value=r_value,
-    )
 
 
 @dataclass(eq=False)
@@ -276,9 +181,8 @@ class DualLP:
     is the extra last entry.
     """
 
-    def __init__(self, partition, testfns, riskfn, mode, records, corner_cell):
+    def __init__(self, partition, riskfn, mode, records, corner_cell):
         self.partition = partition
-        self.testfns = tuple(testfns)
         self.riskfn = riskfn
         self.mode = mode
         self.records = records
@@ -372,91 +276,104 @@ class DualLP:
         for ridx in self.scan_order:
             yield self.partition.cell_at(int(ridx))
 
-    def cell_block(self, cell) -> CellBlock:
-        """Reduce one cell under this assembly's mode."""
-        mode = self.mode
-        if mode is ReductionMode.VERTEX:
-            rows = _vertex_rows(cell, self.records, self.riskfn)
-            return CellBlock(cell_id=cell.id, mode="vertex", rows=rows)
-        if mode is ReductionMode.LAMBDA_ELIMINATED and self.eliminable[cell.id]:
-            return _collapsed_block(cell, self.records, self.riskfn)
-        rows = _farkas_rows(cell, self.records, self.riskfn)
-        return CellBlock(cell_id=cell.id, mode="explicit", rows=rows)
+    def cell_rows(self, cell):
+        """Row-dual rows of one cell under this assembly's mode, as
+        ``(base, lam, senses, rhs)``.
+
+        ``base`` holds each row's coefficients on y and z (in record
+        order), then z0; ``lam`` holds those on the cell's halfspace
+        multipliers, numbered in the order the rows first use them, or
+        is None when the rows have none.  VERTEX mode gives one '>=' row
+        per vertex, since an affine function dominates another on a
+        polytope exactly when it does so at every vertex.  A collapsible
+        cell in LAMBDA_ELIMINATED mode gives one '>=' row on the
+        constant parts whose right-hand side is the risk's maximum over
+        the cell.  Any other cell gets the explicit block, valid on any
+        nonempty cell: one '=' row per coordinate tying the weighted
+        linear parts to the halfspace normals through nonnegative
+        multipliers, then the '>=' row on the constant parts.
+        """
+        if self.mode is ReductionMode.VERTEX:
+            base, rhs = _point_rows(self.records, self.riskfn, cell, cell_vertices(cell))
+            return base, None, [">="] * len(rhs), rhs
+        V, cvec = _signed_restrictions(self.records, cell)
+        g, e = restrict_to_cell(self.riskfn, cell)
+        const = np.append(cvec, 1.0)
+        if self.mode is ReductionMode.LAMBDA_ELIMINATED and self.eliminable[cell.id]:
+            _lam, support = precompute_cell_lambda(cell, g)
+            return const[None, :], None, [">="], np.array([e - support])
+        n = cell.dimension
+        F = np.array([h.normal for h in cell.halfspaces]).reshape(-1, n)
+        ell = np.array([h.bound for h in cell.halfspaces])
+        first_use = np.argsort(np.argmax(F != 0.0, axis=1), kind="stable")
+        base = np.vstack([np.hstack([V.T, np.zeros((n, 1))]), const])
+        lam = np.vstack([-F[first_use].T, ell[first_use]])
+        return base, lam, ["="] * n + [">="], np.append(g, e)
 
     # -- materialized dual (row form) --
 
     def materialize(self, budget: int = DENSE_BUDGET) -> LinearProgram:
-        """Build the dual LP with every cell's rows, deduplicated.
+        """Build the row dual from every cell's :meth:`cell_rows`.
 
-        The returned LinearProgram carries ``var_keys`` naming its
-        columns.  Raises CapacityError when the row or column count
-        would exceed ``budget``.
+        Columns are y, z, z0, then each explicit block's multipliers,
+        block by block in scan order.  A row with no multipliers is
+        dropped when an earlier one has the same sense, right-hand side
+        and nonzero coefficients, each rounded to 12 digits.  Raises
+        CapacityError when the row or column count would exceed
+        ``budget``.
         """
         n_cells = self.partition.cell_count + (1 if self.corner_cell is not None else 0)
         if n_cells > budget:
             raise CapacityError(
                 f"{n_cells} cells exceed the materialization budget {budget}"
             )
-        var_keys = [("y", s) for s in range(self.n_ineq)]
-        var_keys += [("z", t) for t in range(self.n_eq)]
-        var_keys.append("z0")
-        var_index = {k: i for i, k in enumerate(var_keys)}
-
-        rows = []
+        blocks = []
         seen = set()
+        n_rows = n_lam = 0
         for cell in self.iter_cells():
-            block = self.cell_block(cell)
-            for coefs, sense, rhs in block.rows:
-                named = {}
-                for key, val in coefs.items():
-                    if isinstance(key, tuple) and key[0] == "lam":
-                        named[("lam", cell.id, key[1])] = val
-                    else:
-                        named[key] = val
-                sig = (
-                    sense,
-                    round(rhs, 12),
-                    tuple(sorted((repr(k), round(v, 12)) for k, v in named.items())),
-                )
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                for key in named:
-                    if key not in var_index:
-                        var_index[key] = len(var_keys)
-                        var_keys.append(key)
-                rows.append((named, sense, rhs))
-                if len(rows) > budget:
-                    raise CapacityError(
-                        f"dual row count exceeds the budget {budget}"
+            base, lam, senses, rhs = self.cell_rows(cell)
+            if lam is None:
+                keep = []
+                for i, row in enumerate(base):
+                    nz = np.flatnonzero(row)
+                    sig = (
+                        senses[i],
+                        round(float(rhs[i]), 12),
+                        tuple(nz),
+                        tuple(np.round(row[nz], 12)),
                     )
-        if len(var_keys) > budget:
+                    if sig not in seen:
+                        seen.add(sig)
+                        keep.append(i)
+                base, rhs, senses = base[keep], rhs[keep], [senses[i] for i in keep]
+            blocks.append((base, lam, n_lam, senses, rhs))
+            n_rows += len(rhs)
+            if n_rows > budget:
+                raise CapacityError(f"dual row count exceeds the budget {budget}")
+            if lam is not None:
+                n_lam += lam.shape[1]
+        n_base = len(self.records) + 1
+        if n_base + n_lam > budget:
             raise CapacityError(
-                f"dual column count {len(var_keys)} exceeds the budget {budget}"
+                f"dual column count {n_base + n_lam} exceeds the budget {budget}"
             )
 
-        A = np.zeros((len(rows), len(var_keys)))
-        senses = []
-        rhs = np.zeros(len(rows))
-        for i, (named, sense, r) in enumerate(rows):
-            for key, val in named.items():
-                A[i, var_index[key]] = val
-            senses.append(sense)
-            rhs[i] = r
-        cost = np.zeros(len(var_keys))
-        free = np.zeros(len(var_keys), dtype=bool)
-        for i, key in enumerate(var_keys):
-            if key == "z0":
-                cost[i] = 1.0
-                free[i] = True
-            elif key[0] == "y":
-                cost[i] = self.records[key[1]][2]
-            elif key[0] == "z":
-                cost[i] = self.records[self.n_ineq + key[1]][2]
-                free[i] = True
-        lp = LinearProgram("min", cost, A, senses, rhs, var_free=free, name="dual")
-        lp.var_keys = tuple(var_keys)
-        return lp
+        A = np.zeros((n_rows, n_base + n_lam))
+        A[:, :n_base] = np.vstack([base for base, *_ in blocks])
+        at = 0
+        for base, lam, offset, _senses, _rhs in blocks:
+            if lam is not None:
+                start = n_base + offset
+                A[at : at + len(base), start : start + lam.shape[1]] = lam
+            at += len(base)
+        senses = [s for *_, block_senses, _rhs in blocks for s in block_senses]
+        rhs = np.concatenate([block_rhs for *_, block_rhs in blocks])
+        cost = np.zeros(n_base + n_lam)
+        cost[: n_base - 1] = [rec[2] for rec in self.records]
+        cost[n_base - 1] = 1.0
+        free = np.zeros(n_base + n_lam, dtype=bool)
+        free[self.n_ineq : n_base] = True
+        return LinearProgram("min", cost, A, senses, rhs, var_free=free, name="dual")
 
     # -- transposed master (column form) --
 
@@ -464,12 +381,6 @@ class DualLP:
         senses = ["<="] * self.n_ineq + ["="] * self.n_eq + ["="]
         rhs = np.array([rec[2] for rec in self.records] + [1.0])
         return senses, rhs
-
-    def _point_column(self, cell, q):
-        V, cvec = _signed_restrictions(self.records, cell)
-        g, e = restrict_to_cell(self.riskfn, cell)
-        vals = np.concatenate([V @ q + cvec, [1.0]])
-        return vals, float(g @ q + e)
 
     def scan_entries(self) -> ScanEntries:
         """The master's columns in scan order, built on first use.
@@ -691,7 +602,7 @@ def assemble_dual_lp(
                     f"of axis {fn.axis}"
                 )
     corner = _make_corner_cell(partition, riskfn)
-    return DualLP(partition, testfns, riskfn, mode, records, corner)
+    return DualLP(partition, riskfn, mode, records, corner)
 
 
 @dataclass(eq=False)
@@ -791,12 +702,8 @@ def solve_bound(
     if sol.status is LPStatus.OPTIMAL:
         result.status = "optimal"
         result.bound = float(sol.objective)
-        keys = {k: i for i, k in enumerate(lp.var_keys)}
-        result.multipliers = (
-            [sol.x[keys[("y", s)]] for s in range(n_ineq)],
-            [sol.x[keys[("z", t)]] for t in range(n_eq)],
-            sol.x[keys["z0"]],
-        )
+        x = sol.x
+        result.multipliers = (x[:n_ineq], x[n_ineq : n_ineq + n_eq], x[n_ineq + n_eq])
     elif sol.status is LPStatus.INFEASIBLE and riskfn.kind is RiskKind.CVAR_HINGE:
         # no finite certificate: the bound is +inf if any measure fits
         # (z0 = 1 always certifies the VaR risk, so this cannot recurse)

@@ -536,13 +536,10 @@ def maximize_linear_over_cell(cell: Cell, g):
     if unbounded:
         return math.inf, None, None
 
-    # box optimum, with g == 0 coordinates free to chase the slice
-    pinned = np.nonzero(g != 0)[0]
-    if np.any((g[pinned] > 0) & up_open[pinned]) or np.any((g[pinned] < 0) & down_open[pinned]):
-        # box value infinite but the slice blocks it; fall through to
-        # the active-face solve below
-        pass
-    else:
+    # box optimum, with g == 0 coordinates free to chase the slice; when
+    # the box value is infinite but the slice blocks it, fall through to
+    # the active-face solve below
+    if not (np.any((g > 0) & up_open) or np.any((g < 0) & down_open)):
         free_idx = [int(i) for i in np.nonzero(g == 0)[0]]
         pinned_sum = float(
             np.sum(np.where(g > 0, highs, np.where(g < 0, lows, 0.0)))
@@ -694,6 +691,8 @@ def build_box_partition(breakpoints, tau=None, *, cell_budget=DEFAULT_CELL_BUDGE
     hyperplane only on their boundary are left whole.  The slot count
     is checked against ``cell_budget`` before any large array is built.
     """
+    if cell_budget < 1:
+        raise InputError(f"cell budget must be at least 1, got {cell_budget}")
     if not breakpoints:
         raise InputError("need at least one axis of breakpoints")
     axes = []

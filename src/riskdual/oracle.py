@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dual_builder import _point_rows
 from .errors import CapacityError, UnsupportedCellError
 from .geometry import Cell, cell_contains, cell_interior_point, cell_vertices
 from .lp_engine import DENSE_BUDGET, LinearProgram, LPSolution, LPStatus, solve_dense_simplex
@@ -175,8 +176,8 @@ def solve_primal_discretization(
     reps = []
     seen = {}
     for cell, q in grid.entries:
-        vals, obj = dual._point_column(cell, q)
-        sig = (round(obj, 12), tuple(np.round(vals, 12)))
+        (vals,), (obj,) = _point_rows(dual.records, dual.riskfn, cell, [q])
+        sig = (round(float(obj), 12), tuple(np.round(vals, 12)))
         if sig in seen:
             continue
         seen[sig] = len(cols)

@@ -314,6 +314,17 @@ def test_bound_budget_exit_four(tmp_path):
     assert main(["bound", path, "--budget-cells", "3"]) == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("command,budget", [("bound", "-1"), ("bound", "0"), ("bench", "0")])
+def test_cell_budget_below_one_exits_five(tmp_path, capsys, command, budget):
+    # a budget no partition can meet is a bad argument, not an exceeded budget
+    if command == "bound":
+        args = ["bound", write_config(tmp_path, two_point_config())]
+    else:
+        args = ["bench", "--sizes", "2:4", "--repeats", "1"]
+    assert main(args + ["--budget-cells", budget]) == EXIT_INPUT
+    assert f"cell budget must be at least 1, got {budget}" in capsys.readouterr().err
+
+
 def test_input_errors_exit_five(tmp_path, capsys):
     assert main(["bound", str(tmp_path / "missing.json")]) == EXIT_INPUT
 

@@ -33,8 +33,6 @@ from riskdual import (
     assemble_dual_lp,
     build_box_partition,
     cell_vertices,
-    concave_vertex_constraints,
-    farkas_constraints_linear,
     maximize_linear_over_cell,
     precompute_cell_lambda,
     restrict_to_cell,
@@ -42,7 +40,7 @@ from riskdual import (
     solve_dcg,
     solve_dense_simplex,
 )
-from riskdual.dual_builder import CONST_TOL, _signed_restrictions
+from riskdual.dual_builder import CONST_TOL, _point_rows, _signed_restrictions
 from riskdual.geometry import VERTEX_TOL, partition_rays, partition_vertices
 
 from conftest import random_instance, scipy_reference, two_point_model
@@ -166,42 +164,82 @@ def _simple_setup():
 
 def test_explicit_block_shape():
     part, fns, risk = _simple_setup()
+    dual = assemble_dual_lp(part, fns, risk, ReductionMode.EXPLICIT)
     cell = part.cell_at(0)
-    rows = farkas_constraints_linear(cell, fns, risk)
+    base, lam, senses, rhs = dual.cell_rows(cell)
     # one equality per coordinate plus the constant row
-    assert len(rows) == cell.dimension + 1
-    senses = [s for _, s, _ in rows]
     assert senses == ["="] * cell.dimension + [">="]
-    coefs, _, rhs = rows[-1]
-    assert coefs["z0"] == 1.0
+    assert base.shape == (cell.dimension + 1, len(dual.records) + 1)
+    assert lam.shape == (cell.dimension + 1, len(cell.halfspaces))
+    assert base[-1, -1] == 1.0
+    assert sorted(lam[-1]) == sorted(h.bound for h in cell.halfspaces)
     g, e = restrict_to_cell(risk, cell)
-    assert rhs == e
-    assert rows[0][2] == g[0]
+    assert rhs[-1] == e
+    assert rhs[0] == g[0]
 
 
 def test_vertex_block_matches_vertices():
     part, fns, risk = _simple_setup()
+    dual = assemble_dual_lp(part, fns, risk, ReductionMode.VERTEX)
     cell = part.cell_at(0)
-    rows = concave_vertex_constraints(cell, fns, risk)
-    assert len(rows) == len(cell_vertices(cell))
-    for coefs, sense, _rhs in rows:
-        assert sense == ">="
-        assert coefs["z0"] == 1.0
+    base, lam, senses, rhs = dual.cell_rows(cell)
+    verts = cell_vertices(cell)
+    assert lam is None
+    assert senses == [">="] * len(verts)
+    assert np.all(base[:, -1] == 1.0)
+    g, e = restrict_to_cell(risk, cell)
+    assert rhs.tolist() == [g @ q + e for q in verts]
 
 
 def test_collapsed_row_support_equals_cell_maximum():
     inst = random_instance(5, d=2, m=2)
     dual = inst.dual()
+    checked = 0
     for cell in dual.iter_cells():
-        if cell.degenerate:
+        if cell.degenerate or not dual.eliminable[cell.id]:
             continue
-        block = dual.cell_block(cell)
-        if block.mode != "lambda":
-            continue
+        base, lam, senses, rhs = dual.cell_rows(cell)
         g, e = restrict_to_cell(inst.risk, cell)
         val, _, _ = maximize_linear_over_cell(cell, g)
-        assert block.r_value == pytest.approx(val + e, abs=1e-9)
-        assert block.support_value == pytest.approx(-val, abs=1e-9)
+        assert lam is None and senses == [">="] and base.shape == (1, len(dual.records) + 1)
+        assert rhs[0] == pytest.approx(val + e, abs=1e-9)
+        checked += 1
+    assert checked
+
+
+def test_row_dual_layout_and_deduplication():
+    # three cells: [0.5, 1] above tau, then [0, 0.5] and [0.5, 1] below it
+    part = build_box_partition([np.array([0.0, 0.5, 1.0])], 0.75)
+    fns = [TestFunction("mass", TestFunctionKind.SLAB_INDICATOR, 0, (0.0, 1.0), Sense.UPPER, 1.0)]
+    risk = RiskFunctional(RiskKind.VAR_INDICATOR, 0.75)
+    cells = list(assemble_dual_lp(part, fns, risk).iter_cells())
+    assert [len(cell.halfspaces) for cell in cells] == [3, 2, 3]
+
+    lp = assemble_dual_lp(part, fns, risk, ReductionMode.EXPLICIT).materialize()
+    A = lp.dense_matrix()
+    # columns y, z0, then each cell's multipliers, block by block in scan order
+    assert A.shape == (6, 10)
+    assert list(lp.row_senses) == ["=", ">="] * 3
+    assert lp.c.tolist() == [1.0, 1.0] + [0.0] * 8
+    assert lp.var_free.tolist() == [False, True] + [False] * 8
+    # each block's rows touch its own multipliers only; the constant
+    # rows carry y = z0 = 1 and the cell's halfspace bounds
+    assert A.tolist() == [
+        [0.0, 0.0, -1.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 1.0, 0.5, -1.0, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0],
+        [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0, 1.0],
+        [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, -1.0, -0.75],
+    ]
+    assert lp.rhs.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+    # one row per cell, but the two cells below tau give the same row
+    for mode in (ReductionMode.LAMBDA_ELIMINATED, ReductionMode.VERTEX):
+        lp = assemble_dual_lp(part, fns, risk, mode).materialize()
+        assert lp.dense_matrix().tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert list(lp.row_senses) == [">=", ">="]
+        assert lp.rhs.tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -628,7 +666,7 @@ def _restricted_entries(dual):
     out = []
     corner = dual.corner_cell
     if corner is not None:
-        vals, obj = dual._point_column(corner, corner.lows)
+        (vals,), (obj,) = _point_rows(dual.records, dual.riskfn, corner, [corner.lows])
         out.append((-1, corner.lows, False, vals, obj))
     for i in dual.scan_order:
         cell = dual.partition.cell_at(int(i))
@@ -649,9 +687,9 @@ def _restricted_entries(dual):
             rows = entries.vertex[entries.cell == i]
             is_ray = entries.ray[entries.cell == i]
             verts, rays = entries.points[rows[~is_ray]], entries.points[rows[is_ray]]
-        for q in verts:
-            vals, obj = dual._point_column(cell, q)
-            out.append((int(i), q, False, vals, obj))
+        vals, objs = _point_rows(dual.records, dual.riskfn, cell, verts)
+        for q, row, obj in zip(verts, vals, objs):
+            out.append((int(i), q, False, row, obj))
         for r in rays:
             out.append((int(i), r, True, np.append(V @ r, 0.0), float(g @ r)))
     return out
@@ -714,7 +752,11 @@ def _agrees_with_highs(partition, testfns, risk, mode=ReductionMode.LAMBDA_ELIMI
     assert got.status == status
     if status == "optimal":
         assert abs(got.bound - ref) <= 1e-7 * max(1.0, abs(ref)), (got.bound, ref)
-        assert got.multipliers is not None
+        # the multipliers certify the bound: sum_r mult_r rhs_r + z0
+        y, z, z0 = got.multipliers
+        rhs = np.array([rec[2] for rec in got.dual.records])
+        value = np.concatenate([y, z]) @ rhs + z0
+        assert abs(value - got.bound) <= 1e-9 * max(1.0, abs(got.bound)), (value, got.bound)
     else:
         assert got.bound is None
     return got
