@@ -422,6 +422,7 @@ class DualLP:
             vertex = np.concatenate([[len(points)], vertex])
             ray = np.concatenate([[False], ray])
             points = np.vstack([points, self.corner_cell.lows])
+        self._box = self._box_index(cell)
         objective = self._r_cells[cell]
         objective[ray] = 0.0
         if self.riskfn.kind is RiskKind.CVAR_HINGE:
@@ -435,6 +436,17 @@ class DualLP:
             )
         self._entries = ScanEntries(cell, vertex, ray, points, objective)
         return self._entries
+
+    def _box_index(self, cell):
+        """Flat index of each entry's slab box in the grid of the axes
+        that carry records, row-major in table order; the corner (cell
+        -1) takes the index past the last box."""
+        counts = self.partition.slab_counts
+        box = np.zeros(cell.size, dtype=np.intp)
+        for a in self._tables:
+            box = box * counts[a] + self._grid[cell, a]
+        box[cell < 0] = np.prod([counts[a] for a in self._tables], dtype=np.intp)
+        return box
 
     def _columns(self, pos):
         """Master columns at scan positions ``pos``, as a (rows, len(pos))
@@ -460,27 +472,46 @@ class DualLP:
         return M, entries.objective[pos]
 
     def _reduced_costs(self, duals, use_objective):
-        """Reduced cost of every scan entry: per axis, the slab tables
-        weighted by the duals give each cell's constant part; point
-        entries add <G, q>, with G the dual-weighted sum of the linear
-        parts of the records whose slab holds the cell.  A ray entry
-        scores <G, r> alone: no constant part and no z0 term."""
+        """Reduced cost of every scan entry.
+
+        Each axis's slab table weighted by the duals gives a record
+        part per slab; numpy broadcasting adds them onto z0 once per
+        slab box, in table order, which is the order a running sum over
+        the axes would take, so every box value is bitwise that sum.
+        The corner, whose table rows sit past the boxes, is summed on
+        its own, so the broadcast never grows past the box count.  One
+        gather then gives each entry its box's value.  Point entries
+        add <G, q>, with G the dual-weighted sum of the linear parts of
+        the records whose slab holds the cell.  A ray entry scores
+        <G, r> alone: no constant part and no z0 term.
+        """
         entries = self.scan_entries()
         duals = np.asarray(duals, dtype=float)
-        grid = self._grid_ext
-        acc = np.full(grid.shape[0], duals[-1])
-        for a, (rows_a, mat) in self._tables.items():
-            acc += (mat @ (duals[rows_a] * self._rec_c[rows_a]))[grid[:, a]]
-        score = acc[entries.cell]
+        counts = self.partition.slab_counts
+        boxes = corner = duals[-1]
+        k = len(self._tables)
+        for i, (a, (rows_a, mat)) in enumerate(self._tables.items()):
+            t = mat @ (duals[rows_a] * self._rec_c[rows_a])
+            boxes = boxes + t[: counts[a]].reshape((-1,) + (1,) * (k - 1 - i))
+            corner = corner + t[-1]
+        boxes = np.ravel(boxes)
+        if self.corner_cell is not None:
+            boxes = np.append(boxes, corner)
+        score = boxes[self._box]
         at = np.nonzero(entries.vertex >= 0)[0]
         if at.size:
+            grid = self._grid_ext
             cells = entries.cell[at]
             G = np.zeros((at.size, self.partition.dimension))
             for a, (rows_a, mat) in self._tables.items():
                 G += (mat @ (duals[rows_a, None] * self._rec_v[rows_a]))[grid[cells, a]]
             const = np.where(entries.ray[at], 0.0, score[at])
             score[at] = const + np.einsum("ij,ij->i", G, entries.points[entries.vertex[at]])
-        return score - entries.objective if use_objective else -score
+        if use_objective:
+            score -= entries.objective
+        else:
+            np.negative(score, out=score)
+        return score
 
     def master_generator(self) -> ColumnGenerator:
         """Column producer over the scan entries: one column per

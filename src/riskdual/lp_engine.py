@@ -442,9 +442,11 @@ class ColumnGenerator:
     returns the dense ``(rows, len(positions))`` column block and the
     objectives; it is a pure function, so fetching a position again, in
     any batch, yields bit-identical data.  ``reduced_costs(duals,
-    use_objective)`` scores every position at once; pricing reads
-    nothing else.  ``generated`` records the positions already present
-    in the restricted master.
+    use_objective)`` scores every position at once, once per round;
+    pricing reads nothing else, and keeps the steepest by partial
+    selection rather than by sorting every candidate (see
+    :func:`_pricing_batch`).  ``generated`` records the positions
+    already present in the restricted master.
     """
 
     def __init__(self, count, column_at, reduced_costs):
@@ -457,12 +459,22 @@ class ColumnGenerator:
 def _pricing_batch(gen, duals, q, *, use_objective=True, rc_tol=RC_TOL):
     """Positions of the ``q`` steepest unseen columns with reduced cost
     below -rc_tol, steepest first, ties broken by position.  An empty
-    array after a full scan certifies the restricted master solution."""
+    array after a full scan certifies the restricted master solution.
+
+    A partial selection finds the q-th smallest candidate value; only
+    the candidates at or below it, ties included, are sorted, which
+    picks exactly what sorting every candidate would."""
     rc = np.asarray(gen.reduced_costs(np.asarray(duals, dtype=float), use_objective), dtype=float)
     mask = rc < -rc_tol
     if gen.generated:
         mask[np.fromiter(gen.generated, dtype=int)] = False
     cand = np.nonzero(mask)[0]
+    if cand.size > q:
+        # partitioned in place: the candidate values are copied once
+        vals = rc[cand]
+        vals.partition(q - 1)
+        mask &= rc <= vals[q - 1]
+        cand = np.nonzero(mask)[0]
     return cand[np.lexsort((cand, rc[cand]))[:q]]
 
 

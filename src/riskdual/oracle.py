@@ -164,19 +164,30 @@ def solve_primal_discretization(
     """Maximize the risk over measures on the candidate grid.
 
     Builds one column per grid entry from the cell-restricted values,
-    deduplicates identical columns, and solves the resulting LP with
-    the dense simplex.  Infeasibility means no measure on the grid
-    meets the integral constraints.
+    restricting each cell once for all of its entries, deduplicates
+    identical columns, and solves the resulting LP with the dense
+    simplex.  Infeasibility means no measure on the grid meets the
+    integral constraints.
     """
     if grid is None:
         grid = build_candidate_grid(dual)
     senses, rhs = dual.master_row_data()
+    # a cell's entries share its Cell object, which the partition
+    # caches, so identity groups them
+    members = {}
+    for k, (cell, _q) in enumerate(grid.entries):
+        members.setdefault(id(cell), (cell, []))[1].append(k)
+    rows = [None] * grid.n_entries
+    for cell, ks in members.values():
+        points = [grid.entries[k][1] for k in ks]
+        cell_vals, cell_objs = _point_rows(dual.records, dual.riskfn, cell, points)
+        for k, vals, obj in zip(ks, cell_vals, cell_objs):
+            rows[k] = (vals, obj)
     cols = []
     objs = []
     reps = []
     seen = {}
-    for cell, q in grid.entries:
-        (vals,), (obj,) = _point_rows(dual.records, dual.riskfn, cell, [q])
+    for (_cell, q), (vals, obj) in zip(grid.entries, rows):
         sig = (round(float(obj), 12), tuple(np.round(vals, 12)))
         if sig in seen:
             continue

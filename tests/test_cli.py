@@ -537,6 +537,18 @@ def test_bound_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_column_generation_picks_are_pinned(tmp_path):
+    # 5 axes of 8 slabs (36,064 cells), VaR at 0.7 * 5: a change to how
+    # pricing scores or picks columns moves the round count, the column
+    # count or the last bits of the bound
+    cfg = write_config(tmp_path, _frequency_grid_config(
+        5, 8, {"kind": "var_indicator", "tau": 0.7 * 5}))
+    det = json.loads(_deterministic_at_blas_threads(tmp_path, ["bound", cfg], "1"))
+    assert (det["engine"], det["certified"]) == ("dcg", True)
+    assert (det["iterations"], det["columns_generated"]) == (312, 96)
+    assert float(det["bound"]).hex() == "0x1.ba1af286bca19p-1"
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
 def test_bootstrap_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     # 51 test functions on 20k rows, the size where a BLAS matrix-vector

@@ -8,6 +8,7 @@ against sign mistakes in any one route.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -722,6 +723,41 @@ def test_column_source_matches_the_restriction_route(dual):
         assert rc[pos] == pytest.approx(duals @ vals - obj, rel=0, abs=1e-10)
 
 
+def _per_cell_gather_scores(dual, duals, use_objective):
+    """The scorer written as one running sum per cell: z0 plus each
+    axis's weighted slab table gathered at every cell's slab index (the
+    corner's table row is the last), then per entry; point entries add
+    <G, q>, ray entries score <G, r> alone."""
+    entries = dual.scan_entries()
+    grid = dual._grid_ext
+    acc = np.full(grid.shape[0], duals[-1])
+    for a, (rows_a, mat) in dual._tables.items():
+        acc += (mat @ (duals[rows_a] * dual._rec_c[rows_a]))[grid[:, a]]
+    score = acc[entries.cell]
+    at = np.nonzero(entries.vertex >= 0)[0]
+    if at.size:
+        cells = entries.cell[at]
+        G = np.zeros((at.size, dual.partition.dimension))
+        for a, (rows_a, mat) in dual._tables.items():
+            G += (mat @ (duals[rows_a, None] * dual._rec_v[rows_a]))[grid[cells, a]]
+        const = np.where(entries.ray[at], 0.0, score[at])
+        score[at] = const + np.einsum("ij,ij->i", G, entries.points[entries.vertex[at]])
+    return score - entries.objective if use_objective else -score
+
+
+def _assert_scores_match_the_gather_formula(dual, seed=0):
+    duals = np.random.default_rng(seed).normal(0.0, 1.0, len(dual.records) + 1)
+    for use_objective in (True, False):
+        got = dual.master_generator().reduced_costs(duals, use_objective)
+        assert np.array_equal(got, _per_cell_gather_scores(dual, duals, use_objective))
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_models(), st.integers(0, 2**32 - 1))
+def test_reduced_costs_match_the_per_cell_gather_formula(dual, seed):
+    _assert_scores_match_the_gather_formula(dual, seed)
+
+
 # -- solve_bound against HiGHS --
 
 
@@ -899,6 +935,55 @@ def test_solve_bound_edge_cases_agree_with_highs(name, bps, tau, kind, fns, stat
     partition = build_box_partition([np.array(b) for b in bps], tau)
     got = _agrees_with_highs(partition, fns, RiskFunctional(kind, tau))
     assert (got.status, got.engine) == (status, engine)
+
+
+def test_reduced_costs_allocate_in_proportion_to_the_entries():
+    # VaR at the top corner of [0, 1]^12 in two slabs per axis: 4,096
+    # boxes plus the corner, whose table rows must not widen the sum to
+    # the 3^12 boxes of every axis with one more slab
+    d = 12
+    grid = np.array([0.0, 0.5, 1.0])
+    fns = [TestFunction(f"{name}_{a}_{s}", TestFunctionKind.SLAB_INDICATOR, a,
+                        (grid[s], grid[s + 1]), sense, bound)
+           for a in range(d) for s in range(2)
+           for name, sense, bound in (("hi", Sense.UPPER, 0.675), ("lo", Sense.LOWER, 0.325))]
+    dual = assemble_dual_lp(build_box_partition([grid] * d, float(d)), fns,
+                            RiskFunctional(VAR, float(d)))
+    count = dual.scan_entries().count
+    assert dual.corner_cell is not None and count == 2**d + 1
+    duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
+    tracemalloc.start()
+    try:
+        dual._reduced_costs(duals, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * count
+
+
+def _affine_record(axis, slab, v):
+    return TestFunction(f"aff_{axis}", TestFunctionKind.SLAB_AFFINE, axis, slab, Sense.UPPER,
+                        0.5, v=np.array(v, dtype=float), c=0.25)
+
+
+@pytest.mark.parametrize("bps,tau,kind,fns,corner,rays", [
+    # VaR at the top corner; axis 1 carries no record
+    ([[0.0, 0.5, 1.0]] * 3, 3.0, VAR,
+     _halves(0.5) + [_affine_record(2, (0.5, 1.0), [0.5, -1.0, 2.0])], True, False),
+    # open axes under the hinge: vertex and ray entries
+    ([[-np.inf, 0.0, 0.5, 1.0], TAIL_AXIS], 1.5, HINGE,
+     _halves(0.4, axis=1) + [_affine_record(0, (-np.inf, 0.0), [-1.0, 0.5]),
+                             _affine_record(1, (1.0, np.inf), [0.25, 1.0])], False, True),
+])
+def test_reduced_costs_match_the_gather_formula_on_fixed_models(bps, tau, kind, fns, corner,
+                                                                rays):
+    partition = build_box_partition([np.array(b) for b in bps], tau)
+    dual = assemble_dual_lp(partition, fns, RiskFunctional(kind, tau))
+    entries = dual.scan_entries()
+    assert (dual.corner_cell is not None) == corner
+    assert bool(np.any(entries.ray)) == rays
+    assert np.any(entries.vertex[entries.cell >= 0] >= 0)
+    _assert_scores_match_the_gather_formula(dual)
 
 
 

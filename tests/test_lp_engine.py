@@ -3,6 +3,8 @@ solver and against hand-checkable programs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskdual import (
     CapacityError,
@@ -15,7 +17,7 @@ from riskdual import (
     solve_dcg,
     solve_dense_simplex,
 )
-from riskdual.lp_engine import _pricing_batch
+from riskdual.lp_engine import RC_TOL, _pricing_batch
 
 from conftest import random_instance, random_lp, scipy_reference
 
@@ -216,6 +218,27 @@ def test_pricing_batch_respects_tolerance():
     gen = _toy_master([5.0, 5.0 + 1e-12])
     duals = np.array([5.0])
     assert _pricing_batch(gen, duals, 8).size == 0
+
+
+# few distinct values, so ties often straddle the q-th smallest; three
+# sit within RC_TOL of zero, one exactly on the tolerance
+PRICED_VALUES = (-3.0, -2.0, -1.0, -0.5, -1.5 * RC_TOL, -RC_TOL, -0.5 * RC_TOL, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PRICED_VALUES), min_size=1, max_size=60), st.data())
+def test_pricing_batch_matches_a_full_sort(values, data):
+    rc = np.array(values)
+    generated = data.draw(st.sets(st.integers(0, rc.size - 1)))
+    q = data.draw(st.integers(1, rc.size + 3))
+    gen = ColumnGenerator(rc.size, None, lambda _duals, _use_objective: rc.copy())
+    gen.generated.update(generated)
+    # the plain rule: sort every unseen candidate by (rc, position)
+    mask = rc < -RC_TOL
+    mask[list(generated)] = False
+    cand = np.nonzero(mask)[0]
+    expected = cand[np.lexsort((cand, rc[cand]))[:q]]
+    assert _pricing_batch(gen, np.zeros(1), q).tolist() == expected.tolist()
 
 
 def _random_master(seed, n_rows=4, n_cols=40):

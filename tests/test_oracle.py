@@ -16,11 +16,14 @@ from riskdual import (
     build_box_partition,
     build_candidate_grid,
     cell_contains,
+    dual_builder,
     duality_gap,
     oracle,
     solve_dense_simplex,
     solve_primal_discretization,
 )
+
+from riskdual.dual_builder import _point_rows
 
 from conftest import random_instance, two_point_model
 
@@ -147,6 +150,37 @@ def test_extra_points_attach_to_their_cells():
     assert len(added) == 1
     cell, q = added[0]
     assert cell_contains(cell, q)
+
+
+def test_primal_grid_restricts_each_cell_once(monkeypatch):
+    inst = random_instance(1, d=3, m=4)
+    dual = inst.dual()
+    # the extra point joins a cell that already has entries, out of order
+    grid = build_candidate_grid(dual, extra_points=[[0.3, 0.6, 0.2]])
+    # reference: one restriction per entry, deduplicated in entry order
+    cols, objs, seen = [], [], set()
+    for cell, q in grid.entries:
+        (vals,), (obj,) = _point_rows(dual.records, dual.riskfn, cell, [q])
+        sig = (round(float(obj), 12), tuple(np.round(vals, 12)))
+        if sig not in seen:
+            seen.add(sig)
+            cols.append(vals)
+            objs.append(obj)
+    restricted, lps = [], []
+    restrict, solve = dual_builder.restrict_to_cell, oracle.solve_dense_simplex
+    monkeypatch.setattr(dual_builder, "restrict_to_cell",
+                        lambda fn, cell: restricted.append(cell) or restrict(fn, cell))
+    monkeypatch.setattr(oracle, "solve_dense_simplex",
+                        lambda lp, **kw: lps.append(lp) or solve(lp, **kw))
+    primal = solve_primal_discretization(dual, grid)
+    assert primal.status is LPStatus.OPTIMAL
+    cells = {id(cell) for cell, _q in grid.entries}
+    assert (len(grid.entries), len(cells)) == (789, 98)
+    # every record and the risk, once per cell: 2,450 calls, not 19,725
+    assert len(restricted) == len(cells) * (len(dual.records) + 1)
+    (lp,) = lps
+    assert np.array_equal(lp.A, np.column_stack(cols))
+    assert np.array_equal(lp.c, np.array(objs))
 
 
 def test_point_budget_is_enforced():
