@@ -16,7 +16,9 @@ constraint set, 3 bound is infinite, 4 budget exceeded, 5 bad input,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -184,9 +186,12 @@ def _render(report, fmt):
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        rows = []
+        rows = [("key", "value")]
         _flatten("", report, rows)
-        return "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
+        # quoted where a value holds a comma or a quote, as a list does
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
     det = report["deterministic"]
     lines = [f"riskdual {det['command']}"]
     for k in sorted(det):
@@ -435,10 +440,6 @@ def _add_common(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="json")
 
 
-def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-
-
 def _add_budget(p):
     p.add_argument(
         "--budget-cells",
@@ -460,7 +461,6 @@ def build_parser():
     p.add_argument("config", help="model JSON file")
     p.add_argument("--mode", choices=[m.value for m in ReductionMode], default=None)
     _add_common(p)
-    _add_seed(p)
     _add_budget(p)
     p.set_defaults(func=cmd_bound)
 
@@ -484,7 +484,7 @@ def build_parser():
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--replicates", type=int, default=1000)
     _add_common(p)
-    _add_seed(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the resampling")
     p.set_defaults(func=cmd_bootstrap)
     return parser
 

@@ -146,7 +146,8 @@ def precompute_cell_lambda(cell, g):
 class ScanEntries:
     """Master columns in scan order, one entry per column.
 
-    ``cell`` holds the partition cell of each entry, -1 for the corner.
+    ``cell`` holds the partition cell of each entry; the corner, when
+    there is one, is the point entry at position 0 of the last cell.
     ``vertex`` holds the entry's row in ``points`` for a vertex, a ray
     or the corner, -1 for a collapsed cell.  ``ray`` flags the entries
     whose row is an extreme ray of an unbounded cell rather than a
@@ -177,8 +178,10 @@ class DualLP:
     a constant and the risk has a finite maximum; in LAMBDA_ELIMINATED
     mode those collapse to one row of the row dual and one master
     column, and the others get the explicit block and one master
-    column per vertex and per extreme ray.  The corner, when present,
-    is the extra last entry.
+    column per vertex and per extreme ray.  The corner is the top
+    vertex of the last cell, the whole top grid cell: the master scans
+    it as a point entry of that cell, the row routes as the degenerate
+    cell ``corner_cell``, one past the last in ``eliminable``.
     """
 
     def __init__(self, partition, riskfn, mode, records, corner_cell):
@@ -221,15 +224,11 @@ class DualLP:
                 self._rec_v[row] = fn.v
                 self._rec_c[row] = fn.c
         self._tables = self._containment_tables()
-        # slab indices per cell; the corner takes an extra last row (its
-        # table rows hold the top breakpoint), so entry cell -1 finds it
-        self._grid_ext = grid
-        if corner_cell is not None:
-            top = [len(b) - 1 for b in partition.breakpoints]
-            self._grid_ext = np.vstack([grid, np.array([top], dtype=grid.dtype)])
-            # the indicator risk charges the corner: it lies on the threshold
-            self._r_cells = np.append(self._r_cells, 1.0)
         self.eliminable = self._eliminable_mask()
+        if corner_cell is not None:
+            # the row routes and the oracle look the corner up by its id,
+            # one past the last cell; it shares the top cell's slabs
+            self.eliminable = np.append(self.eliminable, self.eliminable[-1])
         self._entries = None
 
     # -- per-record slab containment, tabulated over slab indices --
@@ -240,12 +239,7 @@ class DualLP:
         for row, (fn, sign, _rhs, _iseq) in enumerate(self.records):
             a = fn.axis
             b = bp[a]
-            lows, highs = b[:-1], b[1:]
-            if self.corner_cell is not None:
-                # the corner's interval on every axis is the top breakpoint
-                lows = np.append(lows, b[-1])
-                highs = np.append(highs, b[-1])
-            inside = slab_inside(fn, lows, highs)
+            inside = slab_inside(fn, b[:-1], b[1:])
             rows, mat = tables.setdefault(a, ([], []))
             rows.append(row)
             # table entries carry the record sign so lookups give the
@@ -263,7 +257,7 @@ class DualLP:
         mask = np.isfinite(self._r_cells)
         for a, (rows_a, mat) in self._tables.items():
             held = np.any(mat[:, linear[rows_a]] != 0.0, axis=1)
-            mask &= ~held[self._grid_ext[:, a]]
+            mask &= ~held[self._grid[:, a]]
         return mask
 
     # -- cell enumeration --
@@ -386,15 +380,16 @@ class DualLP:
         """The master's columns in scan order, built on first use.
 
         A collapsible cell is one entry; any other cell is one entry per
-        vertex, in :func:`cell_vertices` order, then one per ray when it
-        is unbounded; the corner is a point entry.  By Minkowski-Weyl a
-        cell is the hull of its vertices plus the cone of its rays plus
-        its lineality space, whose generators appear as rays in both
-        directions; so an affine function is nonnegative on the cell
-        exactly when it is at every vertex and does not fall along any
-        ray.  A cell with a whole-line axis is always sliced, because
-        tau is finite, and :func:`partition_vertices` takes its vertices
-        from a pointed section.
+        vertex, in :func:`partition_vertices` order, then one per ray
+        when it is unbounded; the corner comes first, as a point entry
+        of the last cell.  By Minkowski-Weyl a cell is the hull of its
+        vertices plus the cone of its rays plus its lineality space,
+        whose generators appear as rays in both directions; so an affine
+        function is nonnegative on the cell exactly when it is at every
+        vertex and does not fall along any ray.  A cell with a whole-line
+        axis is always sliced, because tau is finite, and
+        :func:`partition_vertices` takes its vertices from a pointed
+        section.
         """
         if self._entries is not None:
             return self._entries
@@ -417,14 +412,18 @@ class DualLP:
         ray = np.zeros(cell.size, dtype=bool)
         ray[rpos] = True
         points = np.vstack([vpoints, rays])
+        objective = self._r_cells[cell]
+        objective[ray] = 0.0
         if self.corner_cell is not None:
-            cell = np.concatenate([[-1], cell])
+            # the corner is a point of the top cell, the last slot: it has
+            # that cell's slabs on every axis, as no slab ends inside it;
+            # the indicator risk charges it, as it lies on the threshold
+            cell = np.concatenate([[self.partition.cell_count - 1], cell])
             vertex = np.concatenate([[len(points)], vertex])
             ray = np.concatenate([[False], ray])
             points = np.vstack([points, self.corner_cell.lows])
+            objective = np.concatenate([[1.0], objective])
         self._box = self._box_index(cell)
-        objective = self._r_cells[cell]
-        objective[ray] = 0.0
         if self.riskfn.kind is RiskKind.CVAR_HINGE:
             # the hinge is sum(x) - tau past the threshold: sum(q) - tau at
             # a vertex, sum(r) along a ray; there is no corner under this risk
@@ -439,13 +438,11 @@ class DualLP:
 
     def _box_index(self, cell):
         """Flat index of each entry's slab box in the grid of the axes
-        that carry records, row-major in table order; the corner (cell
-        -1) takes the index past the last box."""
+        that carry records, row-major in table order."""
         counts = self.partition.slab_counts
         box = np.zeros(cell.size, dtype=np.intp)
         for a in self._tables:
             box = box * counts[a] + self._grid[cell, a]
-        box[cell < 0] = np.prod([counts[a] for a in self._tables], dtype=np.intp)
         return box
 
     def _columns(self, pos):
@@ -458,7 +455,7 @@ class DualLP:
         cells = entries.cell[pos]
         M = np.zeros((len(self.records) + 1, cells.size))
         for a, (rows_a, mat) in self._tables.items():
-            M[rows_a, :] = mat[self._grid_ext[cells, a], :].T
+            M[rows_a, :] = mat[self._grid[cells, a], :].T
         M[-1, :] = 1.0
         factor = np.repeat(self._rec_c[:, None], cells.size, axis=1)
         vx = entries.vertex[pos]
@@ -478,29 +475,22 @@ class DualLP:
         part per slab; numpy broadcasting adds them onto z0 once per
         slab box, in table order, which is the order a running sum over
         the axes would take, so every box value is bitwise that sum.
-        The corner, whose table rows sit past the boxes, is summed on
-        its own, so the broadcast never grows past the box count.  One
-        gather then gives each entry its box's value.  Point entries
+        One gather then gives each entry its box's value.  Point entries
         add <G, q>, with G the dual-weighted sum of the linear parts of
         the records whose slab holds the cell.  A ray entry scores
         <G, r> alone: no constant part and no z0 term.
         """
         entries = self.scan_entries()
         duals = np.asarray(duals, dtype=float)
-        counts = self.partition.slab_counts
-        boxes = corner = duals[-1]
+        boxes = duals[-1]
         k = len(self._tables)
         for i, (a, (rows_a, mat)) in enumerate(self._tables.items()):
             t = mat @ (duals[rows_a] * self._rec_c[rows_a])
-            boxes = boxes + t[: counts[a]].reshape((-1,) + (1,) * (k - 1 - i))
-            corner = corner + t[-1]
-        boxes = np.ravel(boxes)
-        if self.corner_cell is not None:
-            boxes = np.append(boxes, corner)
-        score = boxes[self._box]
+            boxes = boxes + t.reshape((-1,) + (1,) * (k - 1 - i))
+        score = np.ravel(boxes)[self._box]
         at = np.nonzero(entries.vertex >= 0)[0]
         if at.size:
-            grid = self._grid_ext
+            grid = self._grid
             cells = entries.cell[at]
             G = np.zeros((at.size, self.partition.dimension))
             for a, (rows_a, mat) in self._tables.items():
@@ -542,19 +532,19 @@ class DualLP:
         M, robj = self._columns(np.arange(count))
         return LinearProgram("max", robj, M, senses, rhs, name="master")
 
-    def master_seed(self, seed_size: int = 8):
+    def master_seed(self):
         """Restricted master primed for column generation.
 
-        Seeds the first scan positions plus, for every (axis, slab)
-        pair, the first position whose cell lies in that slab, so each
-        record row starts with coverage and phase one converges in few
-        rounds.  Returns (LinearProgram, ColumnGenerator) with the
-        seeded positions marked generated.
+        Seeds the first 8 scan positions plus, for every (axis, slab)
+        pair, the first position past the corner whose cell lies in that
+        slab, so each record row starts with coverage and phase one
+        converges in few rounds.  Returns (LinearProgram,
+        ColumnGenerator) with the seeded positions marked generated.
         """
         gen = self.master_generator()
         entries = self.scan_entries()
-        picks = set(range(min(seed_size, gen.count)))
-        real = np.nonzero(entries.cell >= 0)[0]
+        picks = set(range(min(8, gen.count)))
+        real = np.arange(0 if self.corner_cell is None else 1, gen.count)
         for a, slabs in enumerate(self.partition.slab_counts):
             first = np.full(slabs, gen.count)
             np.minimum.at(first, self._grid[entries.cell[real], a], real)
@@ -621,17 +611,22 @@ def assemble_dual_lp(
                 f"{partition.dimension}"
             )
         b = bp[fn.axis]
+        snapped = []
         for end in fn.slab:
-            if np.isfinite(end):
-                ok = np.min(np.abs(b - end)) <= GRID_TOL
-            else:
-                # an infinite endpoint must be the axis end itself
-                ok = end == b[0] or end == b[-1]
-            if not ok:
+            # an infinite endpoint must be the axis end itself
+            gap = np.abs(b - end) if np.isfinite(end) else np.where(b == end, 0.0, np.inf)
+            snapped.append(int(np.argmin(gap)))
+            if gap[snapped[-1]] > GRID_TOL:
                 raise PartitionIncompatibleError(
                     f"slab endpoint {end} of {fn.id!r} is not a breakpoint "
                     f"of axis {fn.axis}"
                 )
+        if snapped[0] == snapped[1]:
+            # a sliver past an end of the axis: it holds no cell, only
+            # boundary points such as the corner
+            raise PartitionIncompatibleError(
+                f"slab {fn.slab} of {fn.id!r} holds no slab of axis {fn.axis}"
+            )
     corner = _make_corner_cell(partition, riskfn)
     return DualLP(partition, riskfn, mode, records, corner)
 

@@ -10,7 +10,6 @@ materialized for column generation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum, unique
@@ -62,8 +61,7 @@ class Cell:
     ``lows``/``highs`` give the per-axis interval (entries may be
     -inf/+inf).  ``slice_sign`` is 0 for an uncut box, +1 when the cell
     keeps the side sum(x) >= tau and -1 when it keeps sum(x) <= tau.
-    Instances are immutable after construction; ``vertices`` is a cache
-    filled by :func:`cell_vertices`.
+    Instances are immutable after construction.
     """
 
     __slots__ = (
@@ -77,7 +75,6 @@ class Cell:
         "degenerate",
         "_halfspaces",
         "_roles",
-        "vertices",
     )
 
     def __init__(
@@ -114,7 +111,6 @@ class Cell:
         self.degenerate = bool(degenerate)
         self._halfspaces = None
         self._roles = None
-        self.vertices = None
 
     @property
     def dimension(self) -> int:
@@ -184,63 +180,8 @@ def cell_contains(cell: Cell, x, tol: float = CONTAIN_TOL) -> bool:
     return True
 
 
-def _dedup_points(points):
-    out = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= VERTEX_TOL for q in out):
-            out.append(p)
-    out.sort(key=lambda p: tuple(p))
-    return out
-
-
-def cell_vertices(cell: Cell):
-    """Vertices of a bounded cell.
-
-    A plain box yields its 2^n corners.  A sliced box yields the
-    corners on the kept side plus the intersection of the hyperplane
-    with each box edge it crosses.  The result is cached on the cell.
-    Unbounded cells have no vertex form and raise UnsupportedCellError.
-    """
-    if cell.vertices is not None:
-        return cell.vertices
-    if not cell.bounded:
-        raise UnsupportedCellError(
-            f"cell {cell.id} is unbounded and has no vertex representation"
-        )
-    n = cell.dimension
-    corners = [
-        np.array(c, dtype=float)
-        for c in itertools.product(*[(cell.lows[i], cell.highs[i]) for i in range(n)])
-    ]
-    if cell.slice_sign == 0:
-        verts = _dedup_points(corners)
-        cell.vertices = verts
-        return verts
-    sign, tau = cell.slice_sign, cell.tau
-    kept = [c for c in corners if sign * (float(np.sum(c)) - tau) >= -VERTEX_TOL]
-    cuts = []
-    for axis in range(n):
-        others = [i for i in range(n) if i != axis]
-        for combo in itertools.product(*[(cell.lows[i], cell.highs[i]) for i in others]):
-            fixed = dict(zip(others, combo))
-            t = tau - sum(fixed.values())
-            # a cut within VERTEX_TOL of a kept corner is dropped by the
-            # deduplication; one next to a dropped corner is the vertex
-            if cell.lows[axis] < t < cell.highs[axis]:
-                p = np.empty(n)
-                p[axis] = t
-                for i, val in fixed.items():
-                    p[i] = val
-                cuts.append(p)
-    verts = _dedup_points(kept + cuts)
-    if not verts:
-        raise UnsupportedCellError(f"sliced cell {cell.id} has an empty vertex set")
-    cell.vertices = verts
-    return verts
-
-
-# cells per block in partition_vertices' deduplication, which holds a
-# cells x candidates x dimension temporary
+# boxes per block in _box_vertices' deduplication, which holds a
+# boxes x candidates x dimension temporary
 VERTEX_BLOCK = 1024
 
 
@@ -251,10 +192,10 @@ def _product_bits(n):
 
 
 def _vertex_candidates(lows, highs, sign, tau):
-    """The candidate list of cell_vertices for each cell, before
-    deduplication: corners in product order, then the hyperplane cuts
-    axis by axis.  Returns points (K, C, n) and a validity mask (K, C).
-    A candidate built on an infinite bound is no point and is invalid."""
+    """The candidate vertices of each box, before deduplication: corners
+    in product order, then the hyperplane cuts axis by axis.  Returns
+    points (K, C, n) and a validity mask (K, C).  A candidate built on
+    an infinite bound is no point and is invalid."""
     n = lows.shape[1]
     # NaN in place of an infinite bound spreads to every candidate built
     # on it, where inf - inf would warn
@@ -268,7 +209,7 @@ def _vertex_candidates(lows, highs, sign, tau):
     for axis in range(n):
         others = [i for i in range(n) if i != axis]
         fixed = np.where(other_bits, hi_pts[:, None, others], lo_pts[:, None, others])
-        # summed left to right, as the builtin sum in cell_vertices does
+        # a plain running sum, left to right, where np.sum may pair terms
         total = np.zeros(fixed.shape[:2])
         for j in range(n - 1):
             total = total + fixed[:, :, j]
@@ -284,7 +225,7 @@ def _vertex_candidates(lows, highs, sign, tau):
 
 
 def _dedup_candidates(points, valid):
-    """_dedup_points on every cell at once: a candidate survives unless
+    """Deduplication of every box at once: a candidate survives unless
     it lies within VERTEX_TOL of an earlier survivor."""
     keep = valid.copy()
     for j in range(1, points.shape[1]):
@@ -309,38 +250,31 @@ def _cut_near_an_end(points, valid, lows, highs):
     return np.any(near & valid, axis=1)
 
 
-def partition_vertices(partition, idx):
-    """Vertices of the partition cells ``idx``, stacked in that order.
+def _box_vertices(lows, highs, sign, tau, ids):
+    """Vertices of boxes ``lows[j]``/``highs[j]``, each cut by sum(x) =
+    tau on its side ``sign[j]`` (as ``Cell.slice_sign``; 0 is uncut).
 
-    Returns ``(start, points)``: the vertices of cell ``idx[j]`` are
-    ``points[start[j]:start[j + 1]]``.  On a bounded cell they have the
-    values, the order and the VERTEX_TOL deduplication that
-    :func:`cell_vertices` gives on ``partition.cell_at(idx[j])``; an
-    unbounded cell keeps the finite ones of the same candidates, and
-    :func:`partition_rays` gives its recession directions.  A sliced
-    cell with k whole-line axes (axis interval (-inf, inf)) is its
-    section at x_b = 0 on every line axis b but the first, plus the
-    k - 1 dimensional lineality space; its vertices are the section's.
-    Raises UnsupportedCellError for the first cell of ``idx`` that is
-    unsliced and contains a line, or has no vertex.
+    Returns ``(start, points)``: box j's vertices, sorted, are
+    ``points[start[j]:start[j + 1]]``: its corners on the kept side and
+    the hyperplane's crossings of its edges, less any within VERTEX_TOL
+    of an earlier one (corners in product order, then the crossings
+    axis by axis).  An unbounded box keeps the finite ones.  A sliced
+    box with k whole-line axes (interval (-inf, inf)) is its section at
+    x_b = 0 on every line axis b but the first, plus a k - 1
+    dimensional lineality space; its vertices are the section's.
+    Raises UnsupportedCellError, naming ``ids[j]``, for the first box
+    that is unsliced and contains a line, or has no vertex.
     """
-    idx = np.asarray(idx, dtype=np.intp)
-    n = partition.dimension
-    grid, flag, _side, _min, _max = partition.ref_arrays()
-    g = grid[idx]
-    lows = np.column_stack([b[g[:, a]] for a, b in enumerate(partition.breakpoints)])
-    highs = np.column_stack([b[g[:, a] + 1] for a, b in enumerate(partition.breakpoints)])
-    sign = flag[idx]
-    tau = 0.0 if partition.tau is None else partition.tau
+    n = lows.shape[1]
     bounded = np.all(np.isfinite(lows) & np.isfinite(highs), axis=1)
     lines = ~np.isfinite(lows) & ~np.isfinite(highs)
     unsliced_line = np.any(lines, axis=1) & (sign == 0)
     # pin every line axis but the first at 0; the zero-width axes send
-    # the cell through the deduplication
+    # the box through the deduplication
     section = lines & (np.cumsum(lines, axis=1) > 1)
-    lows[section] = 0.0
-    highs[section] = 0.0
-    counts = np.zeros(idx.size, dtype=np.intp)
+    lows = np.where(section, 0.0, lows)
+    highs = np.where(section, 0.0, highs)
+    counts = np.zeros(len(lows), dtype=np.intp)
     # a whole box wider than VERTEX_TOL on every axis keeps all its
     # corners, and product order is already sorted
     wide = np.all(highs - lows > VERTEX_TOL, axis=1)
@@ -351,7 +285,7 @@ def partition_vertices(partition, idx):
     for lo in range(0, rest.size, VERTEX_BLOCK):
         blk = rest[lo : lo + VERTEX_BLOCK]
         cand, valid = _vertex_candidates(lows[blk], highs[blk], sign[blk], tau)
-        # only sliver cells and cells with a cut next to an end of its
+        # only sliver boxes and boxes with a cut next to an end of its
         # axis need the pairwise deduplication
         keep = valid.copy()
         dedup = ~wide[blk] | _cut_near_an_end(cand, valid, lows[blk], highs[blk])
@@ -366,10 +300,10 @@ def partition_vertices(partition, idx):
         j = int(np.argmax(bad))
         if unsliced_line[j]:
             raise UnsupportedCellError(
-                f"unsliced cell {idx[j]} contains a line and has no vertex representation"
+                f"unsliced cell {ids[j]} contains a line and has no vertex representation"
             )
-        raise UnsupportedCellError(f"sliced cell {idx[j]} has an empty vertex set")
-    start = np.zeros(idx.size + 1, dtype=np.intp)
+        raise UnsupportedCellError(f"sliced cell {ids[j]} has an empty vertex set")
+    start = np.zeros(len(lows) + 1, dtype=np.intp)
     np.cumsum(counts, out=start[1:])
     points = np.empty((int(start[-1]), n))
     if np.any(plain):
@@ -380,6 +314,35 @@ def partition_vertices(partition, idx):
         rank = np.arange(int(n_rest.sum())) - np.repeat(np.cumsum(n_rest) - n_rest, n_rest)
         points[np.repeat(start[rest], n_rest) + rank] = np.concatenate(rest_points)
     return start, points
+
+
+def partition_vertices(partition, idx):
+    """Vertices of the partition cells ``idx``, stacked in that order,
+    as ``(start, points)`` from :func:`_box_vertices`: the vertices of
+    cell ``idx[j]`` are ``points[start[j]:start[j + 1]]``.  An unbounded
+    cell gets its finite vertices, and :func:`partition_rays` its
+    recession directions."""
+    idx = np.asarray(idx, dtype=np.intp)
+    grid, flag, _side, _min, _max = partition.ref_arrays()
+    g = grid[idx]
+    lows = np.column_stack([b[g[:, a]] for a, b in enumerate(partition.breakpoints)])
+    highs = np.column_stack([b[g[:, a] + 1] for a, b in enumerate(partition.breakpoints)])
+    tau = 0.0 if partition.tau is None else partition.tau
+    return _box_vertices(lows, highs, flag[idx], tau, idx)
+
+
+def cell_vertices(cell: Cell) -> np.ndarray:
+    """Vertices of a bounded cell, one per row, from :func:`_box_vertices`:
+    a plain box's 2^n corners, or a sliced box's corners on the kept
+    side and the hyperplane's crossings of its edges.  Unbounded cells
+    have no vertex form and raise UnsupportedCellError."""
+    if not cell.bounded:
+        raise UnsupportedCellError(
+            f"cell {cell.id} is unbounded and has no vertex representation"
+        )
+    tau = 0.0 if cell.tau is None else cell.tau
+    sign = np.array([cell.slice_sign])
+    return _box_vertices(cell.lows[None], cell.highs[None], sign, tau, [cell.id])[1]
 
 
 def partition_rays(partition, idx):

@@ -456,16 +456,16 @@ class ColumnGenerator:
         self.generated = set()
 
 
-def _pricing_batch(gen, duals, q, *, use_objective=True, rc_tol=RC_TOL):
+def _pricing_batch(gen, duals, q, *, use_objective=True):
     """Positions of the ``q`` steepest unseen columns with reduced cost
-    below -rc_tol, steepest first, ties broken by position.  An empty
+    below -RC_TOL, steepest first, ties broken by position.  An empty
     array after a full scan certifies the restricted master solution.
 
     A partial selection finds the q-th smallest candidate value; only
     the candidates at or below it, ties included, are sorted, which
     picks exactly what sorting every candidate would."""
     rc = np.asarray(gen.reduced_costs(np.asarray(duals, dtype=float), use_objective), dtype=float)
-    mask = rc < -rc_tol
+    mask = rc < -RC_TOL
     if gen.generated:
         mask[np.fromiter(gen.generated, dtype=int)] = False
     cand = np.nonzero(mask)[0]
@@ -485,7 +485,6 @@ def solve_dcg(
     batch: int = 8,
     iteration_limit: int = DEFAULT_ITER_LIMIT,
     round_limit: int = 100_000,
-    rc_tol: float = RC_TOL,
 ) -> LPSolution:
     """Delayed column generation over the transposed dual.
 
@@ -523,7 +522,7 @@ def solve_dcg(
         if sol.status is LPStatus.UNBOUNDED:
             break
         use_obj = sol.status is LPStatus.OPTIMAL
-        picks = _pricing_batch(gen, sol.duals, batch, use_objective=use_obj, rc_tol=rc_tol)
+        picks = _pricing_batch(gen, sol.duals, batch, use_objective=use_obj)
         if not picks.size:
             # clean full sweep: the optimum, or after phase one the
             # infeasibility, holds for every column

@@ -7,6 +7,8 @@ up here purely as an independent reference solver for cross-checks;
 the package itself never calls it.
 """
 
+import itertools
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -23,6 +25,8 @@ from riskdual import (
     empirical_integral,
     solve_dense_simplex,
 )
+from riskdual.errors import UnsupportedCellError
+from riskdual.geometry import VERTEX_TOL
 
 
 class Instance:
@@ -186,3 +190,59 @@ def scipy_reference(lp):
         return "unbounded", None
     assert res.status == 0, res.message
     return "optimal", float(sign * res.fun)
+
+
+# -- the per-cell vertex enumerator, kept as the reference --
+
+
+def _dedup_points(points):
+    out = []
+    for p in points:
+        if not any(np.max(np.abs(p - q)) <= VERTEX_TOL for q in out):
+            out.append(p)
+    out.sort(key=lambda p: tuple(p))
+    return out
+
+
+def reference_cell_vertices(cell):
+    """Vertices of a bounded cell, enumerated one candidate at a time.
+
+    A plain box yields its 2^n corners.  A sliced box yields the
+    corners on the kept side plus the intersection of the hyperplane
+    with each box edge it crosses.  Unbounded cells have no vertex form
+    and raise UnsupportedCellError.  This is the reference that the
+    array kernel behind ``cell_vertices`` and ``partition_vertices``
+    must match value for value, in order, with the same errors.
+    """
+    if not cell.bounded:
+        raise UnsupportedCellError(
+            f"cell {cell.id} is unbounded and has no vertex representation"
+        )
+    n = cell.dimension
+    corners = [
+        np.array(c, dtype=float)
+        for c in itertools.product(*[(cell.lows[i], cell.highs[i]) for i in range(n)])
+    ]
+    if cell.slice_sign == 0:
+        verts = _dedup_points(corners)
+        return verts
+    sign, tau = cell.slice_sign, cell.tau
+    kept = [c for c in corners if sign * (float(np.sum(c)) - tau) >= -VERTEX_TOL]
+    cuts = []
+    for axis in range(n):
+        others = [i for i in range(n) if i != axis]
+        for combo in itertools.product(*[(cell.lows[i], cell.highs[i]) for i in others]):
+            fixed = dict(zip(others, combo))
+            t = tau - sum(fixed.values())
+            # a cut within VERTEX_TOL of a kept corner is dropped by the
+            # deduplication; one next to a dropped corner is the vertex
+            if cell.lows[axis] < t < cell.highs[axis]:
+                p = np.empty(n)
+                p[axis] = t
+                for i, val in fixed.items():
+                    p[i] = val
+                cuts.append(p)
+    verts = _dedup_points(kept + cuts)
+    if not verts:
+        raise UnsupportedCellError(f"sliced cell {cell.id} has an empty vertex set")
+    return verts

@@ -367,7 +367,7 @@ def test_criterion_9_deterministic_reports(tmp_path, capsys):
         for run in range(2):
             out = tmp_path / f"run_{len(engines)}_{run}.json"
             code = main(
-                ["bound", str(cfg_path), "--seed", "11",
+                ["bound", str(cfg_path),
                  "--out", str(out), "--format", "json"] + mode_args
             )
             ok &= code == EXIT_OK

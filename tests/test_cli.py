@@ -1,5 +1,6 @@
 """Command line flows: configs in, reports and exit codes out."""
 
+import csv
 import json
 import os
 import subprocess
@@ -116,6 +117,39 @@ def test_bound_mode_override_and_formats(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["bound", cfg, "--format", "text", "--out", str(out)]) == EXIT_OK
     assert out.read_text().startswith("riskdual bound")
+
+
+def _flat_report(obj, prefix=""):
+    """The report as {dotted key: value}, lists kept whole."""
+    if not isinstance(obj, dict):
+        return {prefix: obj}
+    out = {}
+    for k, v in obj.items():
+        out.update(_flat_report(v, f"{prefix}.{k}" if prefix else k))
+    return out
+
+
+def test_csv_rows_are_key_and_value(tmp_path):
+    samples, _data = _write_samples(tmp_path)
+    cfg = write_config(tmp_path, two_point_config())
+    for args in (["bound", cfg],
+                 ["bootstrap", cfg, "--samples", samples, "--replicates", "100"]):
+        assert main(args + ["--out", str(tmp_path / "r.json")]) == EXIT_OK
+        want = _flat_report(json.loads((tmp_path / "r.json").read_text()))
+        out = tmp_path / "r.csv"
+        assert main(args + ["--format", "csv", "--out", str(out)]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        got = {k: json.loads(v) for k, v in rows[1:]}
+        assert got.keys() == want.keys()
+        # a list value such as the multiplier records or the intervals
+        # holds commas; it must come back whole
+        assert any(isinstance(v, list) for v in got.values())
+        for key, value in got.items():
+            if not key.startswith("timing."):
+                assert value == want[key], key
 
 
 def test_column_generation_past_the_old_eager_limit(tmp_path):
@@ -500,6 +534,7 @@ def test_unwritable_report_exits_five(tmp_path, capsys):
     ["verify", "m.json", "--samples", "s.csv", "--budget-cells", "9"],
     ["bootstrap", "m.json", "--samples", "s.csv", "--budget-cells", "9"],
     ["bootstrap", "m.json", "--samples", "s.csv", "--threads", "2"],
+    ["bound", "m.json", "--seed", "1"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(capsys, args):
     with pytest.raises(SystemExit) as exc:

@@ -33,7 +33,6 @@ from riskdual import (
     UnsupportedCellError,
     assemble_dual_lp,
     build_box_partition,
-    cell_vertices,
     maximize_linear_over_cell,
     precompute_cell_lambda,
     restrict_to_cell,
@@ -44,7 +43,7 @@ from riskdual import (
 from riskdual.dual_builder import CONST_TOL, _point_rows, _signed_restrictions
 from riskdual.geometry import VERTEX_TOL, partition_rays, partition_vertices
 
-from conftest import random_instance, scipy_reference, two_point_model
+from conftest import random_instance, reference_cell_vertices, scipy_reference, two_point_model
 
 ALL_MODES = (
     ReductionMode.EXPLICIT,
@@ -184,7 +183,7 @@ def test_vertex_block_matches_vertices():
     dual = assemble_dual_lp(part, fns, risk, ReductionMode.VERTEX)
     cell = part.cell_at(0)
     base, lam, senses, rhs = dual.cell_rows(cell)
-    verts = cell_vertices(cell)
+    verts = reference_cell_vertices(cell)
     assert lam is None
     assert senses == [">="] * len(verts)
     assert np.all(base[:, -1] == 1.0)
@@ -341,6 +340,34 @@ def test_corner_cell_covers_threshold_at_the_top():
     assert dual.corner_cell is not None
     assert not part.has_above_cells()
     assert _solve(dual) == pytest.approx(1.0)  # point mass at the corner
+
+
+def test_corner_is_the_top_vertex_of_the_last_cell():
+    # the top cell [0.5, 1]^2 is whole and last; the corner (1, 1) is its
+    # top vertex and the only point where the sum reaches tau
+    part = build_box_partition([np.array([0.0, 0.5, 1.0])] * 2, 2.0)
+    dual = assemble_dual_lp(part, _halves(0.5), RiskFunctional(RiskKind.VAR_INDICATOR, 2.0))
+    entries = dual.scan_entries()
+    corner = dual.corner_cell
+    assert corner is not None
+    assert entries.cell[0] == part.cell_count - 1
+    assert tuple(part.cell_at(part.cell_count - 1).highs) == (1.0, 1.0)
+    assert not entries.ray[0]
+    assert np.array_equal(entries.points[entries.vertex[0]], corner.lows)
+    assert entries.objective[0] == 1.0
+    # no other entry belongs to the corner, and the top cell's own
+    # entries still carry no charge: the sum stays below tau there
+    assert np.all(entries.objective[1:][entries.cell[1:] == part.cell_count - 1] == 0.0)
+
+
+def test_slab_past_the_top_end_is_rejected():
+    # both ends of [1, 1 + 5e-10] snap to the top breakpoint: the slab
+    # holds no cell, only points of the face x_0 = 1 such as the corner
+    part = build_box_partition([np.array([0.0, 0.5, 1.0])] * 2, 2.0)
+    fn = TestFunction("top", TestFunctionKind.SLAB_INDICATOR, 0, (1.0, 1.0 + 5e-10),
+                      Sense.UPPER, 0.1)
+    with pytest.raises(PartitionIncompatibleError, match="holds no slab"):
+        assemble_dual_lp(part, [fn], RiskFunctional(RiskKind.VAR_INDICATOR, 2.0))
 
 
 def test_no_corner_when_threshold_is_unreachable():
@@ -510,7 +537,7 @@ def test_vertex_table_matches_cell_vertices(partition, rnd):
     rnd.shuffle(idx)
     start, points = partition_vertices(partition, idx)
     for j, i in enumerate(idx):
-        ref = np.array(cell_vertices(partition.cell_at(i)))
+        ref = np.array(reference_cell_vertices(partition.cell_at(i)))
         got = points[start[j] : start[j + 1]]
         assert got.shape == ref.shape
         # distinct vertices lie more than VERTEX_TOL apart, so equal
@@ -585,7 +612,7 @@ def test_vertex_and_ray_table_matches_brute_force(partition):
         verts, ref_rays = brute_force_vertices_and_rays(section)
         got = points[vstart[i] : vstart[i + 1]]
         if cell.bounded:
-            np.testing.assert_allclose(got, cell_vertices(cell), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, reference_cell_vertices(cell), rtol=0, atol=1e-12)
         # each table vertex is a vertex; each vertex lies within the
         # deduplication tolerance of one in the table
         assert len(got) and np.all(np.isfinite(got))
@@ -668,7 +695,8 @@ def _restricted_entries(dual):
     corner = dual.corner_cell
     if corner is not None:
         (vals,), (obj,) = _point_rows(dual.records, dual.riskfn, corner, [corner.lows])
-        out.append((-1, corner.lows, False, vals, obj))
+        # the corner is a point of the top cell, the last slot
+        out.append((dual.partition.cell_count - 1, corner.lows, False, vals, obj))
     for i in dual.scan_order:
         cell = dual.partition.cell_at(int(i))
         V, cvec = _signed_restrictions(dual.records, cell)
@@ -683,7 +711,7 @@ def _restricted_entries(dual):
             out.append((int(i), None, False, np.append(cvec, 1.0), float(e - support)))
             continue
         if cell.bounded:
-            verts, rays = cell_vertices(cell), []
+            verts, rays = reference_cell_vertices(cell), []
         else:
             rows = entries.vertex[entries.cell == i]
             is_ray = entries.ray[entries.cell == i]
@@ -725,11 +753,11 @@ def test_column_source_matches_the_restriction_route(dual):
 
 def _per_cell_gather_scores(dual, duals, use_objective):
     """The scorer written as one running sum per cell: z0 plus each
-    axis's weighted slab table gathered at every cell's slab index (the
-    corner's table row is the last), then per entry; point entries add
-    <G, q>, ray entries score <G, r> alone."""
+    axis's weighted slab table gathered at every cell's slab index,
+    then per entry; point entries add <G, q>, ray entries score <G, r>
+    alone."""
     entries = dual.scan_entries()
-    grid = dual._grid_ext
+    grid = dual._grid
     acc = np.full(grid.shape[0], duals[-1])
     for a, (rows_a, mat) in dual._tables.items():
         acc += (mat @ (duals[rows_a] * dual._rec_c[rows_a]))[grid[:, a]]
@@ -939,8 +967,8 @@ def test_solve_bound_edge_cases_agree_with_highs(name, bps, tau, kind, fns, stat
 
 def test_reduced_costs_allocate_in_proportion_to_the_entries():
     # VaR at the top corner of [0, 1]^12 in two slabs per axis: 4,096
-    # boxes plus the corner, whose table rows must not widen the sum to
-    # the 3^12 boxes of every axis with one more slab
+    # boxes plus the corner's entry; no sum may widen to the 3^12 boxes
+    # of every axis with one more slab
     d = 12
     grid = np.array([0.0, 0.5, 1.0])
     fns = [TestFunction(f"{name}_{a}_{s}", TestFunctionKind.SLAB_INDICATOR, a,
@@ -982,7 +1010,8 @@ def test_reduced_costs_match_the_gather_formula_on_fixed_models(bps, tau, kind, 
     entries = dual.scan_entries()
     assert (dual.corner_cell is not None) == corner
     assert bool(np.any(entries.ray)) == rays
-    assert np.any(entries.vertex[entries.cell >= 0] >= 0)
+    # position 0 is the corner's point entry when there is a corner
+    assert np.any(entries.vertex[1:] >= 0)
     _assert_scores_match_the_gather_formula(dual)
 
 

@@ -18,6 +18,9 @@ from riskdual import (
     cell_vertices,
     maximize_linear_over_cell,
 )
+from riskdual.errors import UnsupportedCellError
+
+from conftest import reference_cell_vertices
 
 UNIT = np.array([0.0, 1.0])
 HALVES = np.array([0.0, 0.5, 1.0])
@@ -74,6 +77,58 @@ def test_box_vertices_are_the_corners():
     assert len(verts) == 8
     sums = sorted(float(v.sum()) for v in verts)
     assert sums[0] == 0.0 and sums[-1] == 6.0
+
+
+# widths: zero, below and near VERTEX_TOL, and ordinary
+WIDTHS = st.one_of(st.sampled_from([0.0, 1e-10, 5e-10, 1e-9, 2e-9]), st.floats(0.01, 3.0))
+# tau offsets from a corner sum, within and around VERTEX_TOL
+NEAR = [0.0, 1e-12, -1e-12, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]
+
+
+@st.composite
+def adhoc_cells(draw):
+    """Cells built directly, not from a partition: zero-width and sliver
+    axes, slices with tau on or within 2e-9 of a corner sum, slices past
+    either end of the box (no vertex), and sometimes an infinite end."""
+    d = draw(st.integers(1, 4))
+    lows = np.array([draw(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0])) for _ in range(d)])
+    lows = lows + np.array([draw(st.floats(-1.0, 1.0)) * draw(st.sampled_from([0, 1]))
+                            for _ in range(d)])
+    highs = lows + np.array([draw(WIDTHS) for _ in range(d)])
+    sign = draw(st.sampled_from([0, 1, -1]))
+    tau = None
+    if sign:
+        ends = np.where([draw(st.booleans()) for _ in range(d)], highs, lows)
+        where = draw(st.sampled_from(["corner", "inside", "below", "above"]))
+        if where == "corner":
+            tau = float(sum(ends)) + draw(st.sampled_from(NEAR))
+        elif where == "inside":
+            tau = float(np.sum(lows) + draw(st.floats(0.0, 1.0)) * np.sum(highs - lows))
+        else:
+            tau = float(np.sum(lows) - 1.0 if where == "below" else np.sum(highs) + 1.0)
+    if draw(st.integers(0, 5)) == 0:
+        a = draw(st.integers(0, d - 1))
+        if draw(st.booleans()):
+            lows[a] = -np.inf
+        else:
+            highs[a] = np.inf
+    return Cell(lows, highs, slice_sign=sign, tau=tau, cell_id=draw(st.integers(0, 99)),
+                degenerate=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(adhoc_cells())
+def test_cell_vertices_match_the_reference_enumerator(cell):
+    try:
+        ref = np.array(reference_cell_vertices(cell))
+    except UnsupportedCellError as exc:
+        with pytest.raises(UnsupportedCellError) as got:
+            cell_vertices(cell)
+        assert str(got.value) == str(exc)
+        return
+    got = cell_vertices(cell)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
 
 
 def test_cell_contains_boundary_tolerance():
