@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -42,6 +43,7 @@ from .test_functions import (
     Sense,
     TestFunction,
     TestFunctionKind,
+    check_dimension,
     empirical_integral,
     evaluate,
 )
@@ -103,6 +105,7 @@ class ModelConfig:
         if not isinstance(fns, list):
             raise InputError("test_functions must be a list")
         self.testfns = [self._parse_fn(i, d) for i, d in enumerate(fns)]
+        check_dimension(self.testfns, len(self.breakpoints))
 
         mode = raw.get("mode", ReductionMode.LAMBDA_ELIMINATED.value)
         try:
@@ -263,6 +266,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not math.isfinite(args.slack):
+        raise InputError(f"--slack must be finite, got {args.slack}")
     cfg = ModelConfig.load(args.config)
     samples = load_samples_csv(args.samples)
     dim = len(cfg.breakpoints)

@@ -70,6 +70,7 @@ from .test_functions import (
     RiskFunctional,
     RiskKind,
     TestFunctionKind,
+    check_dimension,
     normalized_records,
     restrict_to_cell,
     slab_inside,
@@ -217,10 +218,6 @@ class DualLP:
         self._rec_c = np.ones(len(records))
         for row, (fn, _sign, _rhs, _iseq) in enumerate(records):
             if fn.kind is TestFunctionKind.SLAB_AFFINE:
-                if fn.v.shape != (n,):
-                    raise InputError(
-                        f"test function {fn.id}: v has dimension {fn.v.size}, cell has {n}"
-                    )
                 self._rec_v[row] = fn.v
                 self._rec_c[row] = fn.c
         self._tables = self._containment_tables()
@@ -603,13 +600,9 @@ def assemble_dual_lp(
             f"partition is sliced at {partition.tau}, risk threshold is {riskfn.tau}"
         )
     records = normalized_records(testfns)
+    check_dimension([fn for fn, _sign, _rhs, _iseq in records], partition.dimension)
     bp = partition.breakpoints
     for fn, _sign, _rhs, _iseq in records:
-        if fn.axis >= partition.dimension:
-            raise InputError(
-                f"test function {fn.id!r} axis {fn.axis} outside dimension "
-                f"{partition.dimension}"
-            )
         b = bp[fn.axis]
         snapped = []
         for end in fn.slab:

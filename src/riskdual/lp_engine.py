@@ -3,9 +3,10 @@
 The dense solver is a revised simplex over an explicit basis inverse:
 Dantzig pricing with Bland's rule engaged after a run of degenerate
 pivots, and the inverse refreshed from scratch every so many pivots to
-bound error growth.  The column-generation solver drives the same core
-over a restricted master, pricing cell columns in a fixed scan order
-and warm-starting each re-solve from the previous basis.
+bound error growth.  The column-generation solver keeps one restricted
+master for the whole run: its standard form is built once, each round
+appends the priced cell columns to it in place, and the next re-solve
+starts from the previous basis, held as column positions.
 """
 
 from __future__ import annotations
@@ -57,7 +58,10 @@ class LinearProgram:
     subject to  A[i] @ x  (<=, >=, =)  rhs[i]   for each row i
                 x[j] >= 0 unless var_free[j]
 
-    ``A`` is a dense 2-dimensional array.
+    ``A`` is a dense 2-dimensional array.  The simplex runs on the
+    equality standard form of :meth:`standard_form`, built once per LP
+    and kept up to date by :meth:`append_columns`, the one way to change
+    the LP after a solve.
     """
 
     def __init__(self, sense, c, A, row_senses, rhs, var_free=None, name="lp"):
@@ -84,6 +88,7 @@ class LinearProgram:
             if self.var_free.size != n:
                 raise InputError("var_free length must match the column count")
         self.name = name
+        self._standard = None
 
     @property
     def n_rows(self) -> int:
@@ -96,13 +101,37 @@ class LinearProgram:
     def dense_matrix(self) -> np.ndarray:
         return np.array(self.A, dtype=float)
 
+    def standard_form(self) -> "_Canonical":
+        if self._standard is None:
+            self._standard = _Canonical(self)
+        return self._standard
+
+    def append_columns(self, cols, c, basis):
+        """Append nonnegative columns; returns ``basis``, standard-form
+        positions as in :attr:`LPSolution.basis`, moved to the grown
+        form.  The standard form takes the columns in place after its
+        structural columns, ahead of the slacks and artificials, so the
+        positions from there on move up by ``len(c)``."""
+        cols = np.asarray(cols, dtype=float)
+        c = np.asarray(c, dtype=float).reshape(-1)
+        standard = self.standard_form()
+        basis = np.asarray(basis)
+        moved = np.where(basis < standard.n_struct, basis, basis + c.size)
+        standard.insert(cols, c if self.sense == "min" else -c)
+        self.A = np.concatenate([self.A, cols], axis=1)
+        self.c = np.concatenate([self.c, c])
+        self.var_free = np.concatenate([self.var_free, np.zeros(c.size, dtype=bool)])
+        return moved
+
 
 @dataclass(eq=False)
 class LPSolution:
     """Solver result.  ``x`` and ``duals`` refer to the original rows
     and columns.  On an infeasible exit ``duals`` holds the phase-one
     row prices: a new column ``a`` can restore feasibility only if
-    duals @ a > 0."""
+    duals @ a > 0.  ``basis`` holds the final basis as positions in the
+    LP's standard form, one per row; passed back as ``warm_basis`` it
+    resumes the solve, phase one included."""
 
     status: LPStatus
     objective: Optional[float]
@@ -110,90 +139,81 @@ class LPSolution:
     duals: Optional[np.ndarray]
     iterations: int
     columns_generated: int = 0
-    basis_tokens: Optional[tuple] = None
+    basis: Optional[np.ndarray] = None
     feas_residual: Optional[float] = None
     certified: bool = False
     column_positions: Optional[list] = None
 
 
 class _Canonical:
-    """Equality standard form with a stable column-token layout.
+    """Equality standard form: structural, slack, artificial columns.
 
-    Tokens: ('x', j) for a nonnegative variable, ('xp', j)/('xn', j)
-    for the split of a free variable, ('s', i) slack/surplus, ('a', i)
-    artificial.  Token identity survives appending columns to the
-    original LP, which is what makes warm starts across column
-    generation valid.
+    Each original column is one structural column, or two adjacent ones
+    (+x, -x) when it is free; ``first[j]`` is the position of original
+    column j's first.  A slack or surplus follows for each inequality
+    row in row order, then one artificial per row.  Rows with a negative
+    right-hand side are negated, artificials excepted.  :meth:`insert`
+    puts new columns right after the structural block, so every column
+    keeps the order a build from scratch would give it, and with that
+    every tie-break of the pivot rules.
     """
 
     def __init__(self, lp: LinearProgram):
         m, n = lp.n_rows, lp.n_cols
-        dense = lp.A
         cmin = lp.c if lp.sense == "min" else -lp.c
 
-        if not np.any(lp.var_free):
-            tokens = [("x", j) for j in range(n)]
-            struct = np.array(dense, dtype=float)
-            costs = list(cmin)
-        else:
-            tokens = []
-            cols = []
-            costs = []
-            for j in range(n):
-                tokens.append(("x", j) if not lp.var_free[j] else ("xp", j))
-                cols.append(dense[:, j])
-                costs.append(cmin[j])
-                if lp.var_free[j]:
-                    tokens.append(("xn", j))
-                    cols.append(-dense[:, j])
-                    costs.append(-cmin[j])
-            struct = np.column_stack(cols) if cols else np.zeros((m, 0))
+        # a free column j is followed by its negation
+        struct_of = np.repeat(np.arange(n), np.where(lp.var_free, 2, 1))
+        negated = np.zeros(struct_of.size, dtype=bool)
+        negated[1:] = struct_of[1:] == struct_of[:-1]
+        struct = lp.A[:, struct_of]
+        struct[:, negated] = -struct[:, negated]
+        costs = cmin[struct_of]
+        costs[negated] = -costs[negated]
 
-        slack_rows = [i for i, s in enumerate(lp.row_senses) if s != "="]
-        slack_mat = np.zeros((m, len(slack_rows)))
-        slack_of_row = {}
-        for k, i in enumerate(slack_rows):
-            slack_mat[i, k] = 1.0 if lp.row_senses[i] == "<=" else -1.0
-            slack_of_row[i] = struct.shape[1] + k
-            tokens.append(("s", i))
-            costs.append(0.0)
-        n_real = struct.shape[1] + len(slack_rows)
-        tokens.extend(("a", i) for i in range(m))
-        costs.extend([0.0] * m)
+        senses = np.array(lp.row_senses, dtype="<U2")
+        self.slack_rows = np.flatnonzero(senses != "=")
+        slack_mat = np.zeros((m, self.slack_rows.size))
+        slack_mat[self.slack_rows, np.arange(self.slack_rows.size)] = np.where(
+            senses[self.slack_rows] == "<=", 1.0, -1.0
+        )
+        n_real = struct.shape[1] + self.slack_rows.size
 
         A = np.concatenate([struct, slack_mat, np.eye(m)], axis=1)
-        b = lp.rhs.astype(float).copy()
-        flip = b < 0
-        row_sign = np.where(flip, -1.0, 1.0)
-        b = np.abs(b)
+        flip = lp.rhs < 0
         # artificials for flipped rows keep coefficient +1
         A[flip, :n_real] = -A[flip, :n_real]
 
         self.m = m
         self.A = A
-        self.b = b
-        self.row_sign = row_sign
-        self.tokens = tokens
-        self.token_index = {t: k for k, t in enumerate(tokens)}
-        self.n_real = n_real
-        self.cost2 = np.array(costs)
-        self.cost1 = np.zeros(len(tokens))
-        self.cost1[n_real:] = 1.0
-        self.artificial = np.zeros(len(tokens), dtype=bool)
-        self.artificial[n_real:] = True
-        self.slack_of_row = slack_of_row
-        self.lp = lp
+        self.b = np.abs(lp.rhs)
+        self.row_sign = np.where(flip, -1.0, 1.0)
+        self.first = np.flatnonzero(~negated)
+        self.n_struct = struct.shape[1]
+        self.cost2 = np.concatenate([costs, np.zeros(A.shape[1] - costs.size)])
+
+    @property
+    def n_real(self) -> int:
+        """Columns ahead of the artificials."""
+        return self.A.shape[1] - self.m
+
+    def insert(self, cols, costs):
+        """Nonnegative columns, in the LP's own row signs, after the
+        structural block."""
+        k = self.n_struct
+        flipped = cols * self.row_sign[:, None]
+        self.A = np.concatenate([self.A[:, :k], flipped, self.A[:, k:]], axis=1)
+        self.cost2 = np.concatenate([self.cost2[:k], costs, self.cost2[k:]])
+        self.first = np.concatenate([self.first, k + np.arange(costs.size)])
+        self.n_struct += costs.size
 
     def cold_basis(self):
-        basis = np.empty(self.m, dtype=int)
-        for i in range(self.m):
-            j = self.slack_of_row.get(i)
-            # a slack enters the starting basis only when its flipped
-            # coefficient is +1, so the basic value equals b[i] >= 0
-            if j is not None and self.A[i, j] > 0.5:
-                basis[i] = j
-            else:
-                basis[i] = self.n_real + i
+        basis = self.n_real + np.arange(self.m)
+        slacks = self.n_struct + np.arange(self.slack_rows.size)
+        # a slack enters the starting basis only when its flipped
+        # coefficient is +1, so the basic value equals b[i] >= 0
+        keep = self.A[self.slack_rows, slacks] > 0.5
+        basis[self.slack_rows[keep]] = slacks[keep]
         return basis
 
 
@@ -220,8 +240,18 @@ def _leaving_row(d, xB, basis):
     ratios = xB[idx] / d[idx]
     theta = max(float(np.min(ratios)), 0.0)
     near = idx[ratios <= theta + DEGEN_TOL]
-    # deterministic leave choice: smallest basis token index
+    # deterministic leave choice: smallest basic column position
     return int(near[np.argmin(basis[near])])
+
+
+def _pivot(basis, Binv, j, d, r):
+    """Column ``j``, with basis-space entries ``d``, enters the basis in
+    row ``r``; returns the updated inverse."""
+    basis[r] = j
+    piv_row = Binv[r] / d[r]
+    Binv = Binv - np.outer(d, piv_row)
+    Binv[r] = piv_row
+    return Binv
 
 
 def _simplex_phase(canon, cost, basis, Binv, enterable, iter_budget, stats, phase_one=False):
@@ -280,10 +310,7 @@ def _simplex_phase(canon, cost, basis, Binv, enterable, iter_budget, stats, phas
         xB = xB - step * d
         xB[r] = step
         np.maximum(xB, 0.0, out=xB)
-        basis[r] = j
-        piv_row = Binv[r] / d[r]
-        Binv = Binv - np.outer(d, piv_row)
-        Binv[r] = piv_row
+        Binv = _pivot(basis, Binv, j, d, r)
         stats["iterations"] += 1
         if stats["iterations"] % REFACTOR_EVERY == 0:
             Binv = _refactor(A, basis)
@@ -296,20 +323,14 @@ def _drive_out_artificials(canon, basis, Binv, xB):
     replace them; rows where none can are redundant and keep their
     artificial pinned at zero."""
     for r in range(canon.m):
-        if not canon.artificial[basis[r]]:
-            continue
-        if xB[r] > FEAS_TOL:
+        if basis[r] < canon.n_real or xB[r] > FEAS_TOL:
             continue
         row = Binv[r] @ canon.A[:, : canon.n_real]
         good = np.nonzero(np.abs(row) > 1e-8)[0]
         if good.size == 0:
             continue
         j = int(good[0])
-        d = Binv @ canon.A[:, j]
-        piv_row = Binv[r] / d[r]
-        Binv = Binv - np.outer(d, piv_row)
-        Binv[r] = piv_row
-        basis[r] = j
+        Binv = _pivot(basis, Binv, j, Binv @ canon.A[:, j], r)
         xB = Binv @ canon.b
         np.maximum(xB, 0.0, out=xB)
     return basis, Binv, xB
@@ -317,15 +338,11 @@ def _drive_out_artificials(canon, basis, Binv, xB):
 
 def _feasibility_residual(lp: LinearProgram, x: np.ndarray) -> float:
     ax = lp.A @ x
-    worst = 0.0
-    for i, s in enumerate(lp.row_senses):
-        if s == "<=":
-            worst = max(worst, ax[i] - lp.rhs[i])
-        elif s == ">=":
-            worst = max(worst, lp.rhs[i] - ax[i])
-        else:
-            worst = max(worst, abs(ax[i] - lp.rhs[i]))
-    return float(worst)
+    senses = np.array(lp.row_senses, dtype="<U2")
+    gap = np.where(
+        senses == "<=", ax - lp.rhs, np.where(senses == ">=", lp.rhs - ax, np.abs(ax - lp.rhs))
+    )
+    return float(np.max(gap, initial=0.0))
 
 
 def solve_dense_simplex(
@@ -337,90 +354,71 @@ def solve_dense_simplex(
 ) -> LPSolution:
     """Two-phase revised simplex over the fully materialized LP.
 
-    ``warm_basis`` may carry the basis tokens of a previous solution of
-    the same LP (possibly with columns appended since); when the tokens
-    still name a feasible basis, phase one is skipped.  Raises
-    CapacityError when the row or column count exceeds ``budget``.
+    ``warm_basis`` may carry the ``basis`` of an earlier solution of the
+    same LP, as :meth:`LinearProgram.append_columns` returns it when
+    columns were appended since.  When it still names a feasible basis,
+    the solve resumes there.  Raises CapacityError when the row or
+    column count exceeds ``budget``.
     """
     if lp.n_rows > budget or lp.n_cols > budget:
         raise CapacityError(
             f"LP size {lp.n_rows}x{lp.n_cols} exceeds the dense budget {budget}"
         )
-    canon = _Canonical(lp)
+    canon = lp.standard_form()
     stats = {"iterations": 0}
 
-    # a warm basis may include artificial tokens: the previous round of
-    # column generation can stop mid-phase-one, and resuming it there is
-    # the point of warm starting
-    basis = None
-    Binv = None
-    if warm_basis is not None:
+    # a warm basis may include artificials: the previous round of column
+    # generation can stop mid-phase-one, and resuming it there is the
+    # point of warm starting
+    basis = None if warm_basis is None else np.array(warm_basis, dtype=int)
+    if basis is not None:
         try:
-            cand = np.array([canon.token_index[t] for t in warm_basis], dtype=int)
-        except KeyError:
-            cand = None
-        if cand is not None and cand.size == canon.m:
-            try:
-                Btry = _refactor(canon.A, cand)
-            except FactorizationError:
-                Btry = None
-            if Btry is not None:
-                xB = Btry @ canon.b
-                if np.all(xB >= -FEAS_TOL):
-                    basis = cand
-                    Binv = Btry
-
+            Binv = _refactor(canon.A, basis)
+        except FactorizationError:
+            basis = None
+        else:
+            xB = Binv @ canon.b
+            if not np.all(xB >= -FEAS_TOL):
+                basis = None
     if basis is None:
         basis = canon.cold_basis()
         Binv = _refactor(canon.A, basis)
         xB = Binv @ canon.b
 
-    if np.any(canon.artificial[basis] & (xB > FEAS_TOL)):
-        enter1 = ~canon.artificial
+    real = np.arange(canon.A.shape[1]) < canon.n_real
+    if np.any(~real[basis] & (xB > FEAS_TOL)):
+        cost1 = (~real).astype(float)
         status, basis, Binv, xB = _simplex_phase(
-            canon, canon.cost1, basis, Binv, enter1, iteration_limit, stats, phase_one=True
+            canon, cost1, basis, Binv, real, iteration_limit, stats, phase_one=True
         )
         if status == "iteration_limit":
             return LPSolution(LPStatus.ITERATION_LIMIT, None, None, None, stats["iterations"])
-        infeas = float(canon.cost1[basis] @ xB)
+        infeas = float(cost1[basis] @ xB)
         if infeas > FEAS_TOL:
-            pi1 = canon.cost1[basis] @ Binv
+            pi1 = cost1[basis] @ Binv
             duals1 = canon.row_sign * pi1
             return LPSolution(
-                LPStatus.INFEASIBLE, None, None, duals1, stats["iterations"],
-                basis_tokens=tuple(canon.tokens[k] for k in basis),
+                LPStatus.INFEASIBLE, None, None, duals1, stats["iterations"], basis=basis
             )
-    if np.any(canon.artificial[basis]):
+    if not np.all(real[basis]):
         basis, Binv, xB = _drive_out_artificials(canon, basis, Binv, xB)
 
-    enter2 = ~canon.artificial
     status, basis, Binv, xB = _simplex_phase(
-        canon, canon.cost2, basis, Binv, enter2, iteration_limit, stats
+        canon, canon.cost2, basis, Binv, real, iteration_limit, stats
     )
-    tokens = tuple(canon.tokens[k] for k in basis)
     if status == "iteration_limit":
         return LPSolution(
-            LPStatus.ITERATION_LIMIT, None, None, None,
-            stats["iterations"], basis_tokens=tokens,
+            LPStatus.ITERATION_LIMIT, None, None, None, stats["iterations"], basis=basis
         )
     if status == "unbounded":
         obj = -math.inf if lp.sense == "min" else math.inf
-        return LPSolution(
-            LPStatus.UNBOUNDED, obj, None, None,
-            stats["iterations"], basis_tokens=tokens,
-        )
+        return LPSolution(LPStatus.UNBOUNDED, obj, None, None, stats["iterations"], basis=basis)
 
-    x_can = np.zeros(len(canon.tokens))
+    x_can = np.zeros(canon.A.shape[1])
     x_can[basis] = xB
-    x = np.zeros(lp.n_cols)
-    for k, tok in enumerate(canon.tokens):
-        kind = tok[0]
-        if kind == "x":
-            x[tok[1]] = x_can[k]
-        elif kind == "xp":
-            x[tok[1]] += x_can[k]
-        elif kind == "xn":
-            x[tok[1]] -= x_can[k]
+    x = x_can[canon.first]
+    free = lp.var_free
+    x[free] -= x_can[canon.first[free] + 1]
     obj_min = float(canon.cost2 @ x_can)
     objective = obj_min if lp.sense == "min" else -obj_min
     pi2 = canon.cost2[basis] @ Binv
@@ -429,7 +427,7 @@ def solve_dense_simplex(
     residual = _feasibility_residual(lp, x)
     return LPSolution(
         LPStatus.OPTIMAL, objective, x, duals,
-        stats["iterations"], basis_tokens=tokens, feas_residual=residual,
+        stats["iterations"], basis=basis, feas_residual=residual,
     )
 
 
@@ -490,32 +488,25 @@ def solve_dcg(
 
     ``seed_lp`` holds the master rows and an initial column set (the
     generator's pre-marked positions); initial feasibility comes from
-    those columns plus the dense solver's phase-one artificials.  Each
-    round re-solves the restricted master warm-started from the last
-    basis, then prices unseen columns, adding up to ``batch`` of the
-    steepest.  A clean full pricing sweep sets ``certified``: the
-    returned optimum, or infeasibility, then holds against every cell;
-    a stop at ``round_limit`` leaves it unset.  Identical inputs
+    those columns plus the dense solver's phase-one artificials.  One
+    restricted master, a copy of the seed, lives through the run.  Each
+    round re-solves it from the last basis, then prices unseen columns
+    and appends up to ``batch`` of the steepest to it in place.  A clean
+    full pricing sweep sets ``certified``: the returned optimum, or
+    infeasibility, then holds against every cell; a stop at
+    ``round_limit`` leaves it unset.  Identical inputs
     produce identical iteration counts, columns and objective.
     """
-    A = seed_lp.A
-    objs = seed_lp.c
+    master = LinearProgram(
+        seed_lp.sense, seed_lp.c, seed_lp.A, seed_lp.row_senses, seed_lp.rhs, name=seed_lp.name
+    )
     positions = [None] * seed_lp.n_cols
-    tokens = None
+    basis = None
     total_iters = 0
-    generated = 0
     sol = None
 
     for _ in range(round_limit):
-        lp = LinearProgram(
-            seed_lp.sense,
-            objs,
-            A,
-            seed_lp.row_senses,
-            seed_lp.rhs,
-            name=seed_lp.name,
-        )
-        sol = solve_dense_simplex(lp, warm_basis=tokens, iteration_limit=iteration_limit)
+        sol = solve_dense_simplex(master, warm_basis=basis, iteration_limit=iteration_limit)
         total_iters += sol.iterations
         if sol.status is LPStatus.ITERATION_LIMIT:
             break
@@ -529,16 +520,13 @@ def solve_dcg(
             sol.certified = True
             break
         cols, col_objs = gen.column_at(picks)
-        A = np.concatenate([A, cols], axis=1)
-        objs = np.concatenate([objs, col_objs])
-        positions.extend(picks.tolist())
-        gen.generated.update(picks.tolist())
-        generated += picks.size
         # resume from the last basis even after an infeasible round:
         # phase one continues where it stopped
-        tokens = sol.basis_tokens
+        basis = master.append_columns(cols, col_objs, sol.basis)
+        positions.extend(picks.tolist())
+        gen.generated.update(picks.tolist())
 
     sol.iterations = total_iters
-    sol.columns_generated = generated
+    sol.columns_generated = len(positions) - seed_lp.n_cols
     sol.column_positions = positions
     return sol

@@ -212,6 +212,16 @@ def empirical_integral(fn, samples) -> float:
     return float(np.mean(evaluate(fn, data)))
 
 
+def check_dimension(testfns, n):
+    """Raise InputError for a test function whose axis or affine ``v``
+    does not fit a model with ``n`` axes."""
+    for fn in testfns:
+        if fn.axis >= n:
+            raise InputError(f"test function {fn.id!r} axis {fn.axis} outside dimension {n}")
+        if fn.v is not None and fn.v.shape != (n,):
+            raise InputError(f"test function {fn.id}: v has dimension {fn.v.size}, cell has {n}")
+
+
 def normalized_records(testfns):
     """Rewrite the constraint list in a uniform 'upper bound' form.
 

@@ -392,6 +392,13 @@ def test_input_errors_exit_five(tmp_path, capsys):
         assert main(["bound", write_config(tmp_path, cfg)]) == EXIT_INPUT, field
         assert field in capsys.readouterr().err, field
 
+    # a slack that is not finite would put NaN or Infinity in the report
+    samples, _ = _write_samples(tmp_path)
+    for slack in ("nan", "inf", "-inf"):
+        args = ["verify", write_config(tmp_path, two_point_config()), "--samples", samples]
+        assert main(args + [f"--slack={slack}"]) == EXIT_INPUT, slack
+        assert "--slack must be finite" in capsys.readouterr().err, slack
+
 
 def _two_axis_config():
     """A mean equality on axis 0 and a frequency bound on axis 1."""
@@ -425,6 +432,25 @@ def test_invalid_constraint_data_exits_five(tmp_path, capsys, fn, key, value, fi
     for args in (["bound", path], ["verify", path, "--samples", str(samples)]):
         assert main(args) == EXIT_INPUT
         assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "bootstrap"])
+@pytest.mark.parametrize("fn, key, value, message", [
+    (1, "axis", 2, "'upper' axis 2 outside dimension 2"),
+    (0, "v", [1.0], "mean_one_plus_x: v has dimension 1, cell has 2"),
+], ids=["axis_past_the_last", "short_v"])
+def test_model_that_does_not_fit_its_axes_exits_five(tmp_path, capsys, command, fn, key, value,
+                                                     message):
+    # every command reads the model the same way, so every one rejects it
+    cfg = _two_axis_config()
+    cfg["test_functions"][fn][key] = value
+    args = [command, write_config(tmp_path, cfg)]
+    if command != "bound":
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x,y\n0.2,0.3\n0.7,0.9\n")
+        args += ["--samples", str(samples)]
+    assert main(args) == EXIT_INPUT
+    assert message in capsys.readouterr().err
 
 
 def _write_samples(tmp_path, k=500, seed=0):
@@ -561,7 +587,7 @@ def _deterministic_at_blas_threads(tmp_path, args, threads):
     strict=True,
     reason="the simplex refactors its basis with np.linalg.solve, whose threaded"
     " LAPACK sums in an order that depends on the BLAS thread count; pricing"
-    " near-ties then pick other columns (ROADMAP item 2)",
+    " near-ties then pick other columns (ROADMAP item 6)",
 )
 def test_bound_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     # 5 axes of 12 slabs, VaR at 0.55 * 5

@@ -1035,3 +1035,52 @@ def test_line_axis_model_solves_on_column_generation():
     assert partition.cell_count == 2 * m * m
     got = _agrees_with_highs(partition, fns, RiskFunctional(VAR, 1.6))
     assert (got.status, got.engine, got.certified) == ("optimal", "dcg", True)
+
+
+@st.composite
+def slab_mass_models(draw):
+    """Slab-mass equalities on every slab of every axis, hinge risk.
+    Axes have 2-6 slabs with uniform or random breakpoints and uniform
+    or Dirichlet masses; tau lies strictly inside the range of sums."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bps, masses = [], []
+    for _ in range(d):
+        m = draw(st.integers(2, 6))
+        if draw(st.booleans()):
+            bps.append(np.linspace(0.0, 1.0, m + 1))
+        else:
+            bps.append(np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, m))]))
+        masses.append(rng.dirichlet(np.ones(m)) if draw(st.booleans()) else np.full(m, 1.0 / m))
+    tau = draw(st.floats(0.05, 0.95)) * sum(b[-1] for b in bps)
+    return bps, masses, tau
+
+
+def _comonotone_hinge(bps, masses, tau):
+    """Integral over u in (0, 1] of (sum_a Q_a(u) - tau)+, where Q_a is
+    the quantile of axis a's slab masses placed at the slab tops.  The
+    hinge is supermodular, so the comonotone coupling is the worst case
+    (Meilijson & Nadas 1979)."""
+    cums = [np.cumsum(p) for p in masses]
+    knots = np.unique(np.clip(np.concatenate([[0.0, 1.0], *cums]), 0.0, 1.0))
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    tops = sum(b[1:][np.minimum(np.searchsorted(c, mid), c.size - 1)] for b, c in zip(bps, cums))
+    return float(np.sum(np.diff(knots) * np.maximum(tops - tau, 0.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(slab_mass_models())
+def test_hinge_bound_is_the_comonotone_value(model):
+    bps, masses, tau = model
+    fns = [
+        TestFunction(f"p_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, axis=a,
+                     slab=(float(b[g]), float(b[g + 1])), sense=Sense.EQUALITY, bound=float(p[g]))
+        for a, (b, p) in enumerate(zip(bps, masses))
+        for g in range(p.size)
+    ]
+    risk = RiskFunctional(RiskKind.CVAR_HINGE, tau)
+    res = solve_bound(build_box_partition(bps, tau=tau), fns, risk)
+    assert res.status == "optimal"
+    ref = _comonotone_hinge(bps, masses, tau)
+    assert ref > 0.0
+    assert abs(res.bound - ref) <= 1e-9 * ref

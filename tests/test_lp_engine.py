@@ -17,6 +17,7 @@ from riskdual import (
     solve_dcg,
     solve_dense_simplex,
 )
+from riskdual import lp_engine
 from riskdual.lp_engine import RC_TOL, _pricing_batch
 
 from conftest import random_instance, random_lp, scipy_reference
@@ -87,7 +88,7 @@ def test_warm_start_skips_the_work():
     )
     cold = solve_dense_simplex(lp)
     assert cold.status is LPStatus.OPTIMAL and cold.iterations > 0
-    warm = solve_dense_simplex(lp, warm_basis=cold.basis_tokens)
+    warm = solve_dense_simplex(lp, warm_basis=cold.basis)
     assert warm.objective == pytest.approx(cold.objective)
     assert warm.iterations == 0
 
@@ -97,7 +98,10 @@ def test_warm_start_survives_column_append():
         "max", [1.0, 2.0], [[1.0, 1.0], [1.0, 3.0]], ["<="] * 2, [4.0, 6.0]
     )
     first = solve_dense_simplex(lp)
-    # append a column; old tokens still name the same variables
+    standard = lp.standard_form()
+    basic_cols = standard.A[:, first.basis]
+    basis = lp.append_columns([[1.0], [4.0]], [5.0], first.basis)
+    warm = solve_dense_simplex(lp, warm_basis=basis)
     bigger = LinearProgram(
         "max",
         [1.0, 2.0, 5.0],
@@ -105,8 +109,16 @@ def test_warm_start_survives_column_append():
         ["<="] * 2,
         [4.0, 6.0],
     )
-    warm = solve_dense_simplex(bigger, warm_basis=first.basis_tokens)
     cold = solve_dense_simplex(bigger)
+    # the column went into the same standard form, where a fresh build
+    # of the bigger LP puts it
+    assert lp.standard_form() is standard
+    assert np.array_equal(standard.A, bigger.standard_form().A)
+    # the moved positions name the same basic columns, and the solve
+    # starts from that old optimum, not from the slack basis a cold
+    # start takes
+    assert np.array_equal(standard.A[:, basis], basic_cols)
+    assert (warm.iterations, cold.iterations) == (2, 1)
     assert warm.status is LPStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective)
     ref_status, ref_value = scipy_reference(bigger)
@@ -120,10 +132,18 @@ def test_infeasible_exit_reports_pricing_duals():
     sol = solve_dense_simplex(lp)
     assert sol.status is LPStatus.INFEASIBLE
     assert sol.objective is None
-    assert sol.basis_tokens is not None
     # a column that feeds the uncovered row prices positive
     assert sol.duals @ np.array([0.0, 1.0]) > 0
     assert sol.duals @ np.array([1.0, 0.0]) <= 1e-9
+    # phase one resumes from the returned basis once such a column is in
+    basis = lp.append_columns([[0.0], [1.0]], [2.0], sol.basis)
+    resumed = solve_dense_simplex(lp, warm_basis=basis)
+    cold = solve_dense_simplex(
+        LinearProgram("max", [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], ["=", "="], [1.0, 1.0])
+    )
+    assert resumed.status is LPStatus.OPTIMAL
+    assert resumed.objective == pytest.approx(3.0)
+    assert resumed.iterations < cold.iterations
 
 
 @pytest.mark.parametrize("seed,kind,mode", [
@@ -256,23 +276,28 @@ def _random_master(seed, n_rows=4, n_cols=40):
     return LinearProgram("max", c, A, senses, rhs, name=f"master{seed}")
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_dcg_reaches_the_dense_optimum(seed):
-    lp = _random_master(seed)
-    dense = solve_dense_simplex(lp)
-    assert dense.status is LPStatus.OPTIMAL
-
+def _seeded_master(lp, seed_cols):
+    """Seed LP on ``seed_cols`` of ``lp`` and a generator of the rest."""
     full = lp.dense_matrix()
 
     def column_at(positions):
         return full[:, positions], lp.c[positions]
 
     gen = _scored(lp.n_cols, column_at)
-    seed_cols = [0, 1]
     gen.generated.update(seed_cols)
     seed_lp = LinearProgram(
-        "max", lp.c[seed_cols], full[:, seed_cols], lp.row_senses, lp.rhs
+        lp.sense, lp.c[seed_cols], full[:, seed_cols], lp.row_senses, lp.rhs
     )
+    return seed_lp, gen
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dcg_reaches_the_dense_optimum(seed):
+    lp = _random_master(seed)
+    dense = solve_dense_simplex(lp)
+    assert dense.status is LPStatus.OPTIMAL
+
+    seed_lp, gen = _seeded_master(lp, [0, 1])
     sol = solve_dcg(seed_lp, gen, batch=4)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.certified
@@ -309,3 +334,31 @@ def test_dcg_recovers_from_infeasible_seed():
     sol = solve_dcg(seed_lp, gen, batch=1)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.objective == pytest.approx(dense.objective, abs=1e-9)
+
+
+def test_dcg_builds_its_standard_form_once(monkeypatch):
+    # one restricted master lives through the run: rounds append to its
+    # standard form instead of building a new one
+    built, rounds = [], []
+
+    class Counted(lp_engine._Canonical):
+        def __init__(self, lp):
+            built.append(lp)
+            super().__init__(lp)
+
+    solve = lp_engine.solve_dense_simplex
+
+    def counted_solve(lp, **kwargs):
+        rounds.append(lp)
+        return solve(lp, **kwargs)
+
+    monkeypatch.setattr(lp_engine, "_Canonical", Counted)
+    monkeypatch.setattr(lp_engine, "solve_dense_simplex", counted_solve)
+    seed_lp, gen = _seeded_master(_random_master(5), [0, 1])
+    sol = solve_dcg(seed_lp, gen, batch=1)
+    assert sol.status is LPStatus.OPTIMAL and sol.certified
+    assert len(rounds) > 3
+    assert len(built) == 1
+    # every round solved the same master, which the seed LP is not
+    assert all(lp is rounds[0] for lp in rounds) and rounds[0] is not seed_lp
+    assert seed_lp.n_cols == 2
