@@ -43,7 +43,7 @@ from .test_functions import (
     Sense,
     TestFunction,
     TestFunctionKind,
-    check_dimension,
+    check_model,
     empirical_integral,
     evaluate,
 )
@@ -105,7 +105,8 @@ class ModelConfig:
         if not isinstance(fns, list):
             raise InputError("test_functions must be a list")
         self.testfns = [self._parse_fn(i, d) for i, d in enumerate(fns)]
-        check_dimension(self.testfns, len(self.breakpoints))
+        # the check assemble_dual_lp makes, so every command rejects alike
+        check_model(self.breakpoints, self.testfns, self.riskfn)
 
         mode = raw.get("mode", ReductionMode.LAMBDA_ELIMINATED.value)
         try:
@@ -146,6 +147,14 @@ class ModelConfig:
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from None
         return cls(raw)
+
+    def load_samples(self, path):
+        """Samples from a CSV file with one column per axis of the model."""
+        samples = load_samples_csv(path)
+        dim = len(self.breakpoints)
+        if samples.dimension != dim:
+            raise InputError(f"samples have {samples.dimension} columns, model has {dim} axes")
+        return samples
 
     def sha256(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -269,12 +278,7 @@ def cmd_verify(args) -> int:
     if not math.isfinite(args.slack):
         raise InputError(f"--slack must be finite, got {args.slack}")
     cfg = ModelConfig.load(args.config)
-    samples = load_samples_csv(args.samples)
-    dim = len(cfg.breakpoints)
-    if samples.dimension != dim:
-        raise InputError(
-            f"samples have {samples.dimension} columns, model has {dim} axes"
-        )
+    samples = cfg.load_samples(args.samples)
     checks = []
     all_ok = True
     for fn in cfg.testfns:
@@ -408,12 +412,7 @@ def cmd_bench(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     cfg = ModelConfig.load(args.config)
-    samples = load_samples_csv(args.samples)
-    dim = len(cfg.breakpoints)
-    if samples.dimension != dim:
-        raise InputError(
-            f"samples have {samples.dimension} columns, model has {dim} axes"
-        )
+    samples = cfg.load_samples(args.samples)
     t0 = time.perf_counter()
     bounds = bootstrap_integral_bounds(
         cfg.testfns,

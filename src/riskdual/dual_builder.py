@@ -28,9 +28,11 @@ is domination at every vertex plus a gap that does not fall along any
 ray.  Columns and reduced costs come from one array source: per-axis
 tables of each record's signed slab containment, indexed by the cells'
 slab indices, times the record's affine factor at the entry's vertex,
-or its slope along the entry's ray.  No column goes through a
-per-cell restriction; the row-form routes above and the primal oracle
-still do, which keeps them an independent check.
+or its slope along the entry's ray.  The tables are built from the slab
+ranges that :func:`~riskdual.test_functions.check_model` returns, the
+one check of a model's validity.  No column goes through a per-cell
+restriction; the row-form routes above and the primal oracle still do,
+which keeps them an independent check.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .errors import (
     CapacityError,
     InputError,
     ModelInfeasibleOnCell,
-    PartitionIncompatibleError,
     SolverError,
 )
 from .geometry import (
@@ -70,20 +71,13 @@ from .test_functions import (
     RiskFunctional,
     RiskKind,
     TestFunctionKind,
-    check_dimension,
+    check_model,
     normalized_records,
     restrict_to_cell,
-    slab_inside,
 )
 
-# slab endpoints must sit on partition breakpoints within this
-GRID_TOL = 1e-9
-# partition tau and risk tau must agree within this
-TAU_MATCH_TOL = 1e-9
 # linear parts below this count as constant for the collapse test
 CONST_TOL = 1e-12
-# threshold at which the top corner of the box counts as reaching tau
-CORNER_TOL = 1e-9
 
 
 @unique
@@ -185,7 +179,7 @@ class DualLP:
     cell ``corner_cell``, one past the last in ``eliminable``.
     """
 
-    def __init__(self, partition, riskfn, mode, records, corner_cell):
+    def __init__(self, partition, riskfn, mode, records, spans, corner_cell):
         self.partition = partition
         self.riskfn = riskfn
         self.mode = mode
@@ -207,11 +201,6 @@ class DualLP:
         else:
             self._r_cells = np.where(side > 0, rmax - tau, 0.0)
 
-        # restrict_to_cell checks these on every cell; here once per model
-        if abs(partition.tau - tau) > EVAL_TOL:
-            raise PartitionIncompatibleError(
-                f"cells were sliced at tau={partition.tau}, risk uses tau={tau}"
-            )
         # each record's affine factor <v, x> + c; an indicator has v = 0, c = 1
         n = partition.dimension
         self._rec_v = np.zeros((len(records), n))
@@ -220,7 +209,7 @@ class DualLP:
             if fn.kind is TestFunctionKind.SLAB_AFFINE:
                 self._rec_v[row] = fn.v
                 self._rec_c[row] = fn.c
-        self._tables = self._containment_tables()
+        self._tables = self._containment_tables(spans)
         self.eliminable = self._eliminable_mask()
         if corner_cell is not None:
             # the row routes and the oracle look the corner up by its id,
@@ -230,18 +219,16 @@ class DualLP:
 
     # -- per-record slab containment, tabulated over slab indices --
 
-    def _containment_tables(self):
-        bp = self.partition.breakpoints
+    def _containment_tables(self, spans):
+        counts = self.partition.slab_counts
         tables = {}
-        for row, (fn, sign, _rhs, _iseq) in enumerate(self.records):
-            a = fn.axis
-            b = bp[a]
-            inside = slab_inside(fn, b[:-1], b[1:])
-            rows, mat = tables.setdefault(a, ([], []))
+        for row, ((fn, sign, _rhs, _iseq), (i0, i1)) in enumerate(zip(self.records, spans)):
+            s = np.arange(counts[fn.axis])
+            rows, mat = tables.setdefault(fn.axis, ([], []))
             rows.append(row)
             # table entries carry the record sign so lookups give the
             # signed restriction constant directly
-            mat.append(sign * inside.astype(float))
+            mat.append(sign * ((s >= i0) & (s < i1)))
         out = {}
         for a, (rows, mat) in tables.items():
             out[a] = (np.array(rows, dtype=int), np.column_stack(mat))
@@ -557,12 +544,9 @@ class DualLP:
 def _make_corner_cell(partition, riskfn):
     if riskfn.kind is not RiskKind.VAR_INDICATOR:
         return None
-    if partition.has_above_cells():
-        return None
-    top = partition.max_total_sum
-    if not np.isfinite(top):
-        return None
-    if abs(top - riskfn.tau) > CORNER_TOL * max(1.0, abs(riskfn.tau)):
+    # with no cell past tau, the top corner is the only point that can
+    # reach it, and it does under the test evaluate applies
+    if partition.has_above_cells() or partition.max_total_sum < riskfn.tau - EVAL_TOL:
         return None
     corner = np.array([b[-1] for b in partition.breakpoints])
     return Cell(
@@ -581,47 +565,26 @@ def assemble_dual_lp(
     riskfn: RiskFunctional,
     mode: ReductionMode = ReductionMode.LAMBDA_ELIMINATED,
 ) -> DualLP:
-    """Check compatibility and assemble the finite dual.
+    """Check the model and assemble the finite dual.
 
-    The partition must be sliced at the risk threshold and every test
-    function slab must start and end on breakpoints of its axis.  When
-    the threshold coincides with the largest reachable sum, the
-    indicator risk still charges that single point; a degenerate
-    corner cell is appended so the dual sees it.
+    The model must pass :func:`~riskdual.test_functions.check_model` on
+    the partition's breakpoints, and the partition must be sliced at
+    the risk threshold.  When the threshold coincides with the largest
+    reachable sum, the indicator risk still charges that single point;
+    a degenerate corner cell is appended so the dual sees it.
     """
     if not isinstance(mode, ReductionMode):
         raise InputError(f"unknown reduction mode: {mode!r}")
-    if not np.isfinite(riskfn.tau):
-        raise InputError("risk threshold must be finite")
+    records = normalized_records(testfns)
+    spans = check_model(partition.breakpoints, [rec[0] for rec in records], riskfn)
     if partition.tau is None:
         raise InputError("partition must be sliced at the risk threshold")
-    if abs(partition.tau - riskfn.tau) > TAU_MATCH_TOL * max(1.0, abs(riskfn.tau)):
+    if abs(partition.tau - riskfn.tau) > EVAL_TOL:
         raise InputError(
             f"partition is sliced at {partition.tau}, risk threshold is {riskfn.tau}"
         )
-    records = normalized_records(testfns)
-    check_dimension([fn for fn, _sign, _rhs, _iseq in records], partition.dimension)
-    bp = partition.breakpoints
-    for fn, _sign, _rhs, _iseq in records:
-        b = bp[fn.axis]
-        snapped = []
-        for end in fn.slab:
-            # an infinite endpoint must be the axis end itself
-            gap = np.abs(b - end) if np.isfinite(end) else np.where(b == end, 0.0, np.inf)
-            snapped.append(int(np.argmin(gap)))
-            if gap[snapped[-1]] > GRID_TOL:
-                raise PartitionIncompatibleError(
-                    f"slab endpoint {end} of {fn.id!r} is not a breakpoint "
-                    f"of axis {fn.axis}"
-                )
-        if snapped[0] == snapped[1]:
-            # a sliver past an end of the axis: it holds no cell, only
-            # boundary points such as the corner
-            raise PartitionIncompatibleError(
-                f"slab {fn.slab} of {fn.id!r} holds no slab of axis {fn.axis}"
-            )
     corner = _make_corner_cell(partition, riskfn)
-    return DualLP(partition, riskfn, mode, records, corner)
+    return DualLP(partition, riskfn, mode, records, spans, corner)
 
 
 @dataclass(eq=False)

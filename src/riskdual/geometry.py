@@ -644,18 +644,11 @@ def _grid_sums(per_axis):
     return total
 
 
-def build_box_partition(breakpoints, tau=None, *, cell_budget=DEFAULT_CELL_BUDGET) -> Partition:
-    """Build the grid partition from per-axis breakpoints.
-
-    Breakpoints must be strictly increasing with at least two entries
-    per axis; the first entry may be -inf and the last +inf.  When
-    ``tau`` is given, any cell strictly straddling sum(x) = tau is
-    replaced by its below and above halves; cells touching the
-    hyperplane only on their boundary are left whole.  The slot count
-    is checked against ``cell_budget`` before any large array is built.
-    """
-    if cell_budget < 1:
-        raise InputError(f"cell budget must be at least 1, got {cell_budget}")
+def check_breakpoints(breakpoints):
+    """Per-axis breakpoints as float arrays.  Raises InputError unless
+    there is at least one axis and every axis has at least two strictly
+    increasing breakpoints, all finite except that the first may be
+    -inf and the last +inf."""
     if not breakpoints:
         raise InputError("need at least one axis of breakpoints")
     axes = []
@@ -670,6 +663,21 @@ def build_box_partition(breakpoints, tau=None, *, cell_budget=DEFAULT_CELL_BUDGE
         if np.isnan(arr[0]) or np.isnan(arr[-1]):
             raise InputError(f"axis {a}: breakpoints must not be NaN")
         axes.append(arr)
+    return axes
+
+
+def build_box_partition(breakpoints, tau=None, *, cell_budget=DEFAULT_CELL_BUDGET) -> Partition:
+    """Build the grid partition from per-axis breakpoints.
+
+    Breakpoints must pass :func:`check_breakpoints`.  When
+    ``tau`` is given, any cell strictly straddling sum(x) = tau is
+    replaced by its below and above halves; cells touching the
+    hyperplane only on their boundary are left whole.  The slot count
+    is checked against ``cell_budget`` before any large array is built.
+    """
+    if cell_budget < 1:
+        raise InputError(f"cell budget must be at least 1, got {cell_budget}")
+    axes = check_breakpoints(breakpoints)
     n = len(axes)
     counts = [len(arr) - 1 for arr in axes]
     k0 = 1

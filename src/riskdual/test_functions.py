@@ -1,4 +1,5 @@
-"""Piecewise-linear test functions and the two risk functionals.
+"""Piecewise-linear test functions, the two risk functionals, and the
+model check.
 
 A test function constrains the unknown measure through its integral:
 an upper bound, a lower bound, or an equality.  Supported shapes are
@@ -6,11 +7,16 @@ axis-aligned slab indicators 1_S and slab-masked affine pieces
 1_S(x) * (<v, x> + c).  Slab intervals are closed at both endpoints;
 the overlap at a shared breakpoint has measure zero and does not
 affect integrals against non-atomic measures.
+
+:func:`check_model` is the one check of a model's validity; the dual
+builds its columns from the slab ranges it returns.
+:func:`restrict_to_cell` is the independent per-cell route.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Optional
@@ -18,9 +24,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, PartitionIncompatibleError
-from .geometry import Cell, SideOfTau
+from .geometry import Cell, SideOfTau, check_breakpoints
 
 EVAL_TOL = 1e-12
+# a slab end past an end of its axis by at most this counts as that end
+GRID_TOL = 1e-9
 
 
 @unique
@@ -122,24 +130,6 @@ def _slab_relation(fn: TestFunction, cell: Cell) -> str:
     )
 
 
-def slab_inside(fn: TestFunction, lows, highs) -> np.ndarray:
-    """:func:`_slab_relation` over arrays of axis intervals [lows, highs]:
-    True where the interval lies in the slab, False where it lies
-    outside.  Raises PartitionIncompatibleError when any interval
-    straddles a slab boundary."""
-    lo, hi = fn.slab
-    inside = (lows >= lo - EVAL_TOL) & (highs <= hi + EVAL_TOL)
-    outside = (highs <= lo + EVAL_TOL) | (lows >= hi - EVAL_TOL)
-    straddle = ~(inside | outside)
-    if np.any(straddle):
-        j = int(np.argmax(straddle))
-        raise PartitionIncompatibleError(
-            f"test function {fn.id}: interval [{lows[j]}, {highs[j]}] straddles "
-            f"the slab boundary on axis {fn.axis}"
-        )
-    return inside
-
-
 def _cell_side(risk: RiskFunctional, cell: Cell) -> SideOfTau:
     if cell.side_of_tau in (SideOfTau.BELOW, SideOfTau.ABOVE):
         if cell.tau is not None and abs(cell.tau - risk.tau) > EVAL_TOL:
@@ -212,14 +202,56 @@ def empirical_integral(fn, samples) -> float:
     return float(np.mean(evaluate(fn, data)))
 
 
-def check_dimension(testfns, n):
-    """Raise InputError for a test function whose axis or affine ``v``
-    does not fit a model with ``n`` axes."""
+def check_model(breakpoints, testfns, riskfn):
+    """Raise unless the model is valid; return each test function's slab
+    range ``(i0, i1)``, in input order: its slab is the union of grid
+    slabs i0 to i1 - 1 of its axis.
+
+    A valid model has breakpoints that pass :func:`check_breakpoints`, a
+    finite risk threshold, unique test function ids, an axis below the
+    number of axes and an affine ``v`` with one entry per axis, and slab
+    ends on breakpoints: an end counts as b_k when it lies within
+    EVAL_TOL of b_k, or when b_k ends the axis and the end lies past it
+    by at most GRID_TOL, so an infinite end must be the axis end.  Any
+    other end cuts a grid slab, which raises PartitionIncompatibleError,
+    as does a slab that holds no grid slab.  Other faults raise
+    InputError.
+    """
+    axes = [b.tolist() for b in check_breakpoints(breakpoints)]
+    n = len(axes)
+    if not math.isfinite(riskfn.tau):
+        raise InputError("risk threshold must be finite")
+    seen = set()
     for fn in testfns:
+        if fn.id in seen:
+            raise InputError(f"duplicate test function id {fn.id!r}")
+        seen.add(fn.id)
         if fn.axis >= n:
             raise InputError(f"test function {fn.id!r} axis {fn.axis} outside dimension {n}")
         if fn.v is not None and fn.v.shape != (n,):
             raise InputError(f"test function {fn.id}: v has dimension {fn.v.size}, cell has {n}")
+    spans = []
+    for fn in testfns:
+        b = axes[fn.axis]
+        for end in fn.slab:
+            # b[k] is the first breakpoint at or past end - EVAL_TOL
+            k = bisect_left(b, end - EVAL_TOL)
+            if not (k < len(b) and b[k] <= end + EVAL_TOL
+                    or 0.0 <= b[0] - end <= GRID_TOL or 0.0 <= end - b[-1] <= GRID_TOL):
+                raise PartitionIncompatibleError(
+                    f"slab endpoint {end} of {fn.id!r} is not a breakpoint of axis {fn.axis}"
+                )
+        # b[j] >= lo - EVAL_TOL exactly for j >= i0, b[j + 1] <= hi + EVAL_TOL for j < i1
+        i0 = bisect_left(b, fn.slab[0] - EVAL_TOL, 0, len(b) - 1)
+        i1 = bisect_right(b, fn.slab[1] + EVAL_TOL, 1) - 1
+        if i0 >= i1:
+            # a sliver past an end of the axis: it holds no cell, only
+            # boundary points such as the corner
+            raise PartitionIncompatibleError(
+                f"slab {fn.slab} of {fn.id!r} holds no slab of axis {fn.axis}"
+            )
+        spans.append((i0, i1))
+    return spans
 
 
 def normalized_records(testfns):
@@ -232,11 +264,7 @@ def normalized_records(testfns):
     order.  The record order fixes the dual variable layout everywhere.
     """
     ineq, eq = [], []
-    seen = set()
     for fn in testfns:
-        if fn.id in seen:
-            raise InputError(f"duplicate test function id {fn.id!r}")
-        seen.add(fn.id)
         if fn.sense is Sense.EQUALITY:
             eq.append((fn, 1.0, fn.bound, True))
         elif fn.sense is Sense.UPPER:

@@ -1,0 +1,40 @@
+"""The benchmark's tracer rebinds riskdual functions and methods by name
+(perfbench/tracing.py), so renaming or deleting one breaks
+``perfbench/run.py --trace 1`` without failing any test that runs the
+program.  This test installs the tracer on the current code."""
+
+import importlib
+import os
+import sys
+
+# every module the tracer patches, loaded before the bindings are read
+from riskdual import cli, data_io, dual_builder, geometry, lp_engine, oracle, test_functions  # noqa: F401
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _bindings():
+    """Every attribute of every riskdual module and class, by identity."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "riskdual" or name.startswith("riskdual.")):
+            continue
+        for attr, value in vars(module).items():
+            out[(name, attr)] = id(value)
+            if isinstance(value, type) and value.__module__ == name:
+                out.update(((name, attr, a), id(v)) for a, v in vars(value).items())
+    return out
+
+
+def test_tracer_installs_and_uninstalls_on_the_current_code(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    before = _bindings()
+    try:
+        # raises when a name it rebinds is gone from riskdual
+        patched = tracer.install()
+    finally:
+        tracer.uninstall()
+    assert "riskdual.cli.build_box_partition" in patched["build_box_partition"]
+    assert _bindings() == before

@@ -1,13 +1,19 @@
 """Command line flows: configs in, reports and exit codes out."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import riskdual
 from riskdual import (
@@ -32,6 +38,9 @@ from riskdual.cli import (
     ModelConfig,
     main,
 )
+from riskdual.data_io import MIN_REPLICATES
+from riskdual.errors import PartitionIncompatibleError
+from riskdual.test_functions import check_model, restrict_to_cell
 
 
 def two_point_config(moment=14.0 / 9.0, **overrides):
@@ -434,16 +443,37 @@ def test_invalid_constraint_data_exits_five(tmp_path, capsys, fn, key, value, fi
         assert field in capsys.readouterr().err
 
 
+def _set(*path_and_value):
+    """An edit of a config: set the entry at ``path`` to ``value``."""
+    *path, key, value = path_and_value
+
+    def edit(cfg):
+        at = cfg
+        for step in path:
+            at = at[step]
+        at[key] = value
+
+    return edit
+
+
 @pytest.mark.parametrize("command", ["bound", "verify", "bootstrap"])
-@pytest.mark.parametrize("fn, key, value, message", [
-    (1, "axis", 2, "'upper' axis 2 outside dimension 2"),
-    (0, "v", [1.0], "mean_one_plus_x: v has dimension 1, cell has 2"),
-], ids=["axis_past_the_last", "short_v"])
-def test_model_that_does_not_fit_its_axes_exits_five(tmp_path, capsys, command, fn, key, value,
-                                                     message):
+@pytest.mark.parametrize("edit, message", [
+    (_set("test_functions", 1, "axis", 2), "'upper' axis 2 outside dimension 2"),
+    (_set("test_functions", 0, "v", [1.0]), "mean_one_plus_x: v has dimension 1, cell has 2"),
+    (_set("breakpoints", 0, [1.0, 0.5, 0.0]), "axis 0: breakpoints must be strictly increasing"),
+    (_set("test_functions", 1, "id", "mean_one_plus_x"),
+     "duplicate test function id 'mean_one_plus_x'"),
+    (_set("test_functions", 0, "slab", [0.0, 0.7]),
+     "slab endpoint 0.7 of 'mean_one_plus_x' is not a breakpoint of axis 0"),
+    (_set("test_functions", 1, "slab", [1.0, 1.0 + 5e-10]),
+     "slab (1.0, 1.0000000005) of 'upper' holds no slab of axis 1"),
+    (_set("risk", "tau", float("inf")), "risk threshold must be finite"),
+], ids=["axis_past_the_last", "short_v", "decreasing_breakpoints", "duplicate_id",
+        "off_grid_slab_end", "sliver_past_the_top", "infinite_tau"])
+def test_model_that_does_not_fit_its_axes_exits_five(tmp_path, capsys, command, edit, message):
     # every command reads the model the same way, so every one rejects it
     cfg = _two_axis_config()
-    cfg["test_functions"][fn][key] = value
+    edit(cfg)
     args = [command, write_config(tmp_path, cfg)]
     if command != "bound":
         samples = tmp_path / "samples.csv"
@@ -451,6 +481,108 @@ def test_model_that_does_not_fit_its_axes_exits_five(tmp_path, capsys, command, 
         args += ["--samples", str(samples)]
     assert main(args) == EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+# slab end offsets around the 1e-12 and 1e-9 tolerances of the rule
+END_OFFSETS = [0.0] + [s * o for o in (0.5e-12, 2e-12, 1e-10, 5e-10, 2e-9) for s in (1, -1)]
+
+
+def _counts_as(end, b):
+    """Index of the breakpoint that a slab end counts as, or None: k
+    when |end - b_k| <= 1e-12, or when b_k is an end of the axis and the
+    end lies past it by at most 1e-9; an infinite end only as itself."""
+    last = len(b) - 1
+    for k, bk in enumerate(b):
+        if math.isinf(end) or math.isinf(bk):
+            if end == bk:
+                return k
+        elif abs(end - bk) <= 1e-12:
+            return k
+        elif k in (0, last) and 0 < (bk - end if k == 0 else end - bk) <= 1e-9:
+            return k
+    return None
+
+
+@st.composite
+def slab_end_models(draw):
+    """One or two axes of well-spaced breakpoints, open or closed at
+    either end, with indicator slabs whose ends sit on or near a
+    breakpoint, or at an infinity."""
+    d = draw(st.integers(1, 2))
+    bps = []
+    for _ in range(d):
+        ticks = sorted(draw(st.lists(st.integers(-4, 8), min_size=2, max_size=4, unique=True)))
+        b = [t / 2 for t in ticks]
+        if draw(st.booleans()):
+            b[0] = -math.inf
+        if draw(st.booleans()):
+            b[-1] = math.inf
+        bps.append(b)
+    fns = []
+    for j in range(draw(st.integers(1, 2))):
+        axis = draw(st.integers(0, d - 1))
+        b = bps[axis]
+        ends = []
+        k = draw(st.integers(0, len(b) - 1))
+        for _ in range(2):
+            if draw(st.integers(0, 9)) == 0:
+                ends.append(draw(st.sampled_from([-math.inf, math.inf])))
+                continue
+            # both ends near one breakpoint now and then: a sliver slab
+            k = k if draw(st.integers(0, 3)) == 0 else draw(st.integers(0, len(b) - 1))
+            ends.append(b[k] + draw(st.one_of(st.just(0.0), st.sampled_from(END_OFFSETS))))
+        lo, hi = sorted(ends)
+        assume(lo < hi)
+        fns.append({"id": f"f{j}", "kind": "slab_indicator", "axis": axis, "slab": [lo, hi],
+                    "sense": "inequality_upper", "bound": 1.0})
+    finite = [x for b in bps for x in b if math.isfinite(x)]
+    tau = draw(st.sampled_from(finite or [0.0]))
+    return {"schema": 1, "breakpoints": bps, "risk": {"kind": "var_indicator", "tau": tau},
+            "test_functions": fns}
+
+
+@settings(max_examples=200, deadline=None)
+@given(slab_end_models())
+def test_slab_end_rule_is_one_verdict_for_every_command(model):
+    # the stated rule: both ends count as breakpoints, with a range between
+    spans = []
+    for f in model["test_functions"]:
+        b = model["breakpoints"][f["axis"]]
+        k0, k1 = (_counts_as(e, b) for e in f["slab"])
+        spans.append(None if k0 is None or k1 is None or k0 >= k1 else (k0, k1))
+    valid = None not in spans
+    d = len(model["breakpoints"])
+    verdicts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(model, fh)
+        samples = os.path.join(tmp, "samples.csv")
+        with open(samples, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"x{a}" for a in range(d)) + "\n" + ",".join(["0.25"] * d) + "\n")
+        for args in (["bound", path], ["verify", path, "--samples", samples],
+                     ["bootstrap", path, "--samples", samples, "--replicates", str(MIN_REPLICATES)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(args)
+            verdicts.append((code == EXIT_INPUT, err.getvalue()))
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert verdicts[0][0] == (not valid)
+    if not valid:
+        with pytest.raises(PartitionIncompatibleError):
+            ModelConfig(model)
+        return
+    cfg = ModelConfig(model)
+    assert check_model(cfg.breakpoints, cfg.testfns, cfg.riskfn) == spans
+    # each table column is what the per-cell route gives on every cell
+    partition = build_box_partition(cfg.breakpoints, cfg.riskfn.tau)
+    dual = assemble_dual_lp(partition, cfg.testfns, cfg.riskfn)
+    grid = partition.ref_arrays()[0]
+    for row, (fn, sign, _rhs, _iseq) in enumerate(dual.records):
+        rows_a, mat = dual._tables[fn.axis]
+        column = mat[:, rows_a.tolist().index(row)]
+        for i, cell in enumerate(partition.cells):
+            assert column[grid[i, fn.axis]] == sign * restrict_to_cell(fn, cell)[1]
 
 
 def _write_samples(tmp_path, k=500, seed=0):

@@ -33,6 +33,7 @@ from riskdual import (
     UnsupportedCellError,
     assemble_dual_lp,
     build_box_partition,
+    evaluate,
     maximize_linear_over_cell,
     precompute_cell_lambda,
     restrict_to_cell,
@@ -378,6 +379,18 @@ def test_no_corner_when_threshold_is_unreachable():
     assert _solve(dual) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_corner_reaches_tau_only_as_evaluate_has_it(mode):
+    # no point of [0, 1] reaches tau = 1 + 5e-10 under evaluate's
+    # 1e-12 rule, so no mass is charged; tau = 1 is reached at x = 1
+    for tau, corner, bound in ((1.0 + 5e-10, False, 0.0), (1.0, True, 1.0)):
+        risk = RiskFunctional(RiskKind.VAR_INDICATOR, tau)
+        assert evaluate(risk, np.array([1.0])) == bound
+        res = solve_bound(build_box_partition([np.array([0.0, 1.0])], tau), [], risk, mode)
+        assert (res.dual.corner_cell is not None) == corner
+        assert (res.status, res.bound, res.certified) == ("optimal", bound, True)
+
+
 def test_shortfall_with_unbounded_domain_is_flagged():
     # cells: [0, 0.5] and [0.5, 1] (the halves of [0, 1]), then [1, inf)
     part = build_box_partition([np.array([0.0, 1.0, np.inf])], 0.5)
@@ -447,7 +460,8 @@ def test_assemble_validation():
         ]
         assemble_dual_lp(part, off_grid, risk)
     with pytest.raises(PartitionIncompatibleError):
-        # on the grid within GRID_TOL, but a cell straddles it at EVAL_TOL
+        # 1e-10 off an interior breakpoint: beyond EVAL_TOL, only an end
+        # past the axis counts as a breakpoint (within GRID_TOL)
         near_grid = [
             TestFunction(
                 "f", TestFunctionKind.SLAB_INDICATOR, 0, (0.0, 0.5 + 1e-10), Sense.UPPER, 1.0

@@ -22,6 +22,7 @@ from riskdual import (
     normalized_records,
     restrict_to_cell,
 )
+from riskdual.test_functions import check_model
 
 
 def ind(axis, slab, sense=Sense.UPPER, bound=1.0, fn_id="f"):
@@ -162,8 +163,9 @@ def test_normalized_records_order_and_signs():
 
 def test_duplicate_function_ids_are_rejected():
     fns = [ind(0, (0.0, 0.5), fn_id="same"), ind(0, (0.5, 1.0), fn_id="same")]
-    with pytest.raises(InputError):
-        normalized_records(fns)
+    risk = RiskFunctional(RiskKind.VAR_INDICATOR, 0.5)
+    with pytest.raises(InputError, match="duplicate test function id 'same'"):
+        check_model([[0.0, 0.5, 1.0]], fns, risk)
 
 
 def test_constructor_validation():
