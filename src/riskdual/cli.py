@@ -65,7 +65,6 @@ _ALLOWED_KEYS = {
     "breakpoints",
     "risk",
     "test_functions",
-    "mode",
 }
 
 
@@ -107,12 +106,6 @@ class ModelConfig:
         self.testfns = [self._parse_fn(i, d) for i, d in enumerate(fns)]
         # the check assemble_dual_lp makes, so every command rejects alike
         check_model(self.breakpoints, self.testfns, self.riskfn)
-
-        mode = raw.get("mode", ReductionMode.LAMBDA_ELIMINATED.value)
-        try:
-            self.mode = ReductionMode(mode)
-        except ValueError:
-            raise InputError(f"unknown reduction mode: {mode!r}") from None
 
     def _parse_fn(self, i, d):
         where = f"test_functions[{i}]"
@@ -245,7 +238,7 @@ def cmd_bound(args) -> int:
     partition = build_box_partition(
         cfg.breakpoints, tau=cfg.riskfn.tau, cell_budget=args.budget_cells
     )
-    mode = ReductionMode(args.mode) if args.mode else cfg.mode
+    mode = ReductionMode(args.mode)
     t0 = time.perf_counter()
     res = solve_bound(partition, cfg.testfns, cfg.riskfn, mode)
     log.debug("bound: %s over %d cells: %s", res.engine, partition.cell_count, res.status)
@@ -463,7 +456,8 @@ def build_parser():
 
     p = sub.add_parser("bound", help="compute the worst-case risk bound")
     p.add_argument("config", help="model JSON file")
-    p.add_argument("--mode", choices=[m.value for m in ReductionMode], default=None)
+    p.add_argument("--mode", choices=[m.value for m in ReductionMode],
+                   default=ReductionMode.LAMBDA_ELIMINATED.value)
     _add_common(p)
     _add_budget(p)
     p.set_defaults(func=cmd_bound)

@@ -126,7 +126,9 @@ def bootstrap_integral_bounds(
         raise InputError("bootstrap needs a nonempty two-dimensional sample set")
     testfns = list(testfns)
     k = data.shape[0]
-    values = np.column_stack([evaluate(fn, data) for fn in testfns])
+    values = np.empty((k, len(testfns)))
+    for j, fn in enumerate(testfns):
+        values[:, j] = evaluate(fn, data)
     means = np.empty((replicates, len(testfns)))
     for r in range(replicates):
         idx = np.random.default_rng((seed, r)).integers(0, k, size=k)

@@ -121,11 +121,12 @@ def precompute_cell_lambda(cell, g):
     """Best multiplier vector for a collapsed cell row.
 
     Solves max lam @ ell subject to sum_j lam_j f_j = -g, lam >= 0
-    over the cell's halfspaces (f_j, ell_j), reading the multipliers
-    off the face active at the maximizer of <g, x>.  Returns (lam, C)
-    with C the optimum.  Raises ModelInfeasibleOnCell when no feasible
-    lam exists, which happens exactly when <g, x> is unbounded above
-    on the cell.
+    over the cell's halfspaces (f_j, ell_j): by LP duality the optimum
+    is minus the maximum of <g, x> over the cell, and lam is the
+    certificate that :func:`maximize_linear_over_cell` returns with it.
+    Returns (lam, C) with C the optimum.  Raises ModelInfeasibleOnCell
+    when no feasible lam exists, which happens exactly when <g, x> is
+    unbounded above on the cell.
     """
     g = np.asarray(g, dtype=float)
     val, _x, lam = maximize_linear_over_cell(cell, g)

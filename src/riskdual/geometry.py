@@ -74,7 +74,6 @@ class Cell:
         "multi_index",
         "degenerate",
         "_halfspaces",
-        "_roles",
     )
 
     def __init__(
@@ -110,7 +109,6 @@ class Cell:
         self.multi_index = None if multi_index is None else tuple(multi_index)
         self.degenerate = bool(degenerate)
         self._halfspaces = None
-        self._roles = None
 
     @property
     def dimension(self) -> int:
@@ -131,36 +129,25 @@ class Cell:
     def _build_halfspaces(self):
         n = self.dimension
         halfspaces = []
-        roles = []
         for axis in range(n):
             if math.isfinite(self.lows[axis]):
                 e = np.zeros(n)
                 e[axis] = 1.0
                 halfspaces.append(Halfspace(e, self.lows[axis]))
-                roles.append(("lo", axis))
             if math.isfinite(self.highs[axis]):
                 e = np.zeros(n)
                 e[axis] = -1.0
                 halfspaces.append(Halfspace(e, -self.highs[axis]))
-                roles.append(("hi", axis))
         if self.slice_sign != 0:
             ones = np.full(n, float(self.slice_sign))
             halfspaces.append(Halfspace(ones, self.slice_sign * self.tau))
-            roles.append(("slice", -1))
         self._halfspaces = tuple(halfspaces)
-        self._roles = tuple(roles)
 
     @property
     def halfspaces(self):
         if self._halfspaces is None:
             self._build_halfspaces()
         return self._halfspaces
-
-    @property
-    def halfspace_roles(self):
-        if self._roles is None:
-            self._build_halfspaces()
-        return self._roles
 
     def __repr__(self):
         tag = "" if self.slice_sign == 0 else (" | sum>=tau" if self.slice_sign > 0 else " | sum<=tau")
@@ -444,19 +431,6 @@ def _free_fill(lows, highs, free_idx, target):
     return vals
 
 
-def _lam_from_bounds(cell, at_hi, coeff_hi, at_lo, coeff_lo, slice_coeff=0.0):
-    lam = np.zeros(len(cell.halfspaces))
-    for j, role in enumerate(cell.halfspace_roles):
-        kind, axis = role
-        if kind == "hi" and axis in at_hi:
-            lam[j] = coeff_hi[axis]
-        elif kind == "lo" and axis in at_lo:
-            lam[j] = coeff_lo[axis]
-        elif kind == "slice":
-            lam[j] = slice_coeff
-    return lam
-
-
 def maximize_linear_over_cell(cell: Cell, g):
     """Maximize <g, x> over the cell.
 
@@ -465,98 +439,55 @@ def maximize_linear_over_cell(cell: Cell, g):
     certifies the value: sum_j lam_j f_j = -g and sum_j lam_j l_j =
     -value.  When the maximum is +infinity the result is
     ``(inf, None, None)``.
+
+    This is the LP dual over the slice multiplier gamma >= 0: with s
+    the slice sign and h = g + s gamma 1, the value is the least
+    max over the box of <h, x> - s gamma tau.  That function of gamma
+    is convex and piecewise linear with kinks at 0 and at each -s g_i
+    > 0.  The optimal gamma is the first kink, in ascending order, at
+    which the box maximizer, its zero coefficients of h at their
+    s-side ends, reaches the slice.  There x puts h > 0 at highs and
+    h < 0 at lows and fills the rest to the slice, and lam holds -h on
+    the lows, h on the highs and gamma on the slice.  Raises
+    InputError when no kink reaches the slice: the cell is empty.
     """
     g = np.asarray(g, dtype=float)
     n = cell.dimension
     if g.shape != (n,):
         raise InputError("gradient dimension does not match the cell")
-    lows, highs = cell.lows, cell.highs
-    up_open = ~np.isfinite(highs)
-    down_open = ~np.isfinite(lows)
-
-    if cell.slice_sign == 0:
-        if np.any((g > 0) & up_open) or np.any((g < 0) & down_open):
-            return math.inf, None, None
-        x = np.where(g > 0, highs, np.where(g < 0, lows, np.clip(0.0, lows, highs)))
-        at_hi = {i for i in range(n) if g[i] > 0}
-        at_lo = {i for i in range(n) if g[i] < 0}
-        lam = _lam_from_bounds(cell, at_hi, g, at_lo, -g)
-        return float(g @ x), x, lam
-
-    sigma, tau = cell.slice_sign, cell.tau
-
-    # unboundedness over the sliced box: a recession direction with
-    # positive payoff that the slice admits
-    p_axes = np.nonzero(up_open)[0]   # +e allowed
-    n_axes = np.nonzero(down_open)[0]  # -e allowed
-    unbounded = False
-    if sigma > 0 and p_axes.size and np.max(g[p_axes]) > 0:
-        unbounded = True
-    if sigma < 0 and n_axes.size and np.min(g[n_axes]) < 0:
-        unbounded = True
-    if p_axes.size and n_axes.size and np.max(g[p_axes]) > np.min(g[n_axes]):
-        unbounded = True
-    if unbounded:
+    lows, highs, s = cell.lows, cell.highs, cell.slice_sign
+    gamma, h = 0.0, g
+    if s != 0:
+        side = highs if s > 0 else lows
+        for gamma in sorted({0.0} | {float(-s * v) for v in g if -s * v > 0}):
+            h = g + s * gamma
+            # an infinite s * x_i decides the test without the sum,
+            # which would form inf - inf when both signs occur; they do
+            # only where the box max is +inf at every gamma, and the
+            # verdict below returns +inf
+            reach = s * np.where(h > 0, highs, np.where(h < 0, lows, side))
+            if reach.max() == math.inf or (
+                reach.min() > -math.inf and np.sum(reach) >= s * cell.tau
+            ):
+                break
+        else:
+            raise InputError("cell face sum(x) = tau is empty; invalid sliced cell")
+    if np.any((h > 0) & ~np.isfinite(highs)) or np.any((h < 0) & ~np.isfinite(lows)):
         return math.inf, None, None
-
-    # box optimum, with g == 0 coordinates free to chase the slice; when
-    # the box value is infinite but the slice blocks it, fall through to
-    # the active-face solve below
-    if not (np.any((g > 0) & up_open) or np.any((g < 0) & down_open)):
-        free_idx = [int(i) for i in np.nonzero(g == 0)[0]]
-        pinned_sum = float(
-            np.sum(np.where(g > 0, highs, np.where(g < 0, lows, 0.0)))
-        )
-        best_free = sum(
-            (highs[i] if sigma > 0 else lows[i]) for i in free_idx
-        )
-        if sigma * (pinned_sum + best_free - tau) >= 0:
-            lo_free = sum(lows[i] for i in free_idx)
-            hi_free = sum(highs[i] for i in free_idx)
-            lo_t = max(lo_free, tau - pinned_sum) if sigma > 0 else lo_free
-            hi_t = hi_free if sigma > 0 else min(hi_free, tau - pinned_sum)
-            target = min(max(0.0, lo_t), hi_t)
-            vals = _free_fill(lows, highs, free_idx, target)
-            x = np.where(g > 0, highs, np.where(g < 0, lows, 0.0))
-            for i, v in vals.items():
-                x[i] = v
-            at_hi = {i for i in range(n) if g[i] > 0}
-            at_lo = {i for i in range(n) if g[i] < 0}
-            lam = _lam_from_bounds(cell, at_hi, g, at_lo, -g)
-            return float(g @ x), x, lam
-
-    # the slice is active: maximize over the face sum(x) = tau
-    candidates = sorted(set(float(v) for v in g), reverse=True)
-    for nu in candidates:
-        hi_set = np.nonzero(g > nu)[0]
-        lo_set = np.nonzero(g < nu)[0]
-        free_idx = [int(i) for i in np.nonzero(g == nu)[0]]
-        if np.any(up_open[hi_set]) or np.any(down_open[lo_set]):
-            continue
-        pinned_sum = float(np.sum(highs[hi_set])) + float(np.sum(lows[lo_set]))
-        s_min = pinned_sum + sum(lows[i] for i in free_idx)
-        s_max = pinned_sum + sum(highs[i] for i in free_idx)
-        if not (s_min - 1e-12 <= tau <= s_max + 1e-12):
-            continue
-        vals = _free_fill(lows, highs, free_idx, tau - pinned_sum)
-        x = np.empty(n)
-        x[hi_set] = highs[hi_set]
-        x[lo_set] = lows[lo_set]
-        for i, v in vals.items():
+    x = np.where(h > 0, highs, np.where(h < 0, lows, np.clip(0.0, lows, highs)))
+    if s != 0:
+        free = np.nonzero(h == 0)[0]
+        pinned = float(np.sum(highs[h > 0])) + float(np.sum(lows[h < 0]))
+        target = min(max(cell.tau - pinned, float(np.sum(lows[free]))), float(np.sum(highs[free])))
+        for i, v in _free_fill(lows, highs, free, target).items():
             x[i] = v
-        gamma = -sigma * nu
-        if gamma < -1e-9:
-            # the face multiplier must be nonnegative; this candidate
-            # corresponds to the slice pushing the wrong way
-            continue
-        gamma = max(gamma, 0.0)
-        coeff_hi = g - nu
-        coeff_lo = nu - g
-        at_hi = {int(i) for i in hi_set}
-        at_lo = {int(i) for i in lo_set}
-        lam = _lam_from_bounds(cell, at_hi, coeff_hi, at_lo, coeff_lo, slice_coeff=gamma)
-        return float(g @ x), x, lam
-    raise InputError("cell face sum(x) = tau is empty; invalid sliced cell")
+    # row-major selection: each axis's finite low, then its finite high,
+    # in the order of cell.halfspaces
+    lam = np.column_stack([np.where(h < 0, -h, 0.0), np.where(h > 0, h, 0.0)])
+    lam = lam[np.column_stack([np.isfinite(lows), np.isfinite(highs)])]
+    if s != 0:
+        lam = np.append(lam, gamma)
+    return float(g @ x), x, lam
 
 
 class Partition:
@@ -656,12 +587,13 @@ def check_breakpoints(breakpoints):
         arr = np.asarray(bp, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise InputError(f"axis {a}: need at least two breakpoints")
-        if np.any(np.diff(arr) <= 0):
+        if np.any(np.isnan(arr)):
+            raise InputError(f"axis {a}: breakpoints must not be NaN")
+        # compared, not differenced: inf - inf is NaN, which passes "<= 0"
+        if not np.all(arr[1:] > arr[:-1]):
             raise InputError(f"axis {a}: breakpoints must be strictly increasing")
         if arr.size > 2 and (not np.all(np.isfinite(arr[1:-1]))):
             raise InputError(f"axis {a}: interior breakpoints must be finite")
-        if np.isnan(arr[0]) or np.isnan(arr[-1]):
-            raise InputError(f"axis {a}: breakpoints must not be NaN")
         axes.append(arr)
     return axes
 

@@ -420,10 +420,11 @@ def solve_dense_simplex(
     free = lp.var_free
     x[free] -= x_can[canon.first[free] + 1]
     obj_min = float(canon.cost2 @ x_can)
-    objective = obj_min if lp.sense == "min" else -obj_min
+    # 0.0 - v, not -v, which would turn a zero into -0.0
+    objective = obj_min if lp.sense == "min" else 0.0 - obj_min
     pi2 = canon.cost2[basis] @ Binv
     duals_min = canon.row_sign * pi2
-    duals = duals_min if lp.sense == "min" else -duals_min
+    duals = duals_min if lp.sense == "min" else 0.0 - duals_min
     residual = _feasibility_residual(lp, x)
     return LPSolution(
         LPStatus.OPTIMAL, objective, x, duals,

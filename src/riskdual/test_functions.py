@@ -74,10 +74,10 @@ class TestFunction:
             raise InputError(f"test function {self.id}: axis must be a non-negative integer, got {axis!r}")
         self.axis = int(axis)
         lo, hi = float(slab[0]), float(slab[1])
-        if not lo < hi:
-            raise InputError(f"test function {self.id}: slab must have positive width")
         if math.isnan(lo) or math.isnan(hi):
             raise InputError(f"test function {self.id}: slab endpoints must not be NaN")
+        if not lo < hi:
+            raise InputError(f"test function {self.id}: slab must have positive width")
         self.slab = (lo, hi)
         self.sense = Sense(sense)
         self.bound = float(bound)

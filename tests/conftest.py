@@ -8,6 +8,7 @@ the package itself never calls it.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -25,8 +26,8 @@ from riskdual import (
     empirical_integral,
     solve_dense_simplex,
 )
-from riskdual.errors import UnsupportedCellError
-from riskdual.geometry import VERTEX_TOL
+from riskdual.errors import InputError, UnsupportedCellError
+from riskdual.geometry import VERTEX_TOL, _free_fill
 
 
 class Instance:
@@ -246,3 +247,134 @@ def reference_cell_vertices(cell):
     if not verts:
         raise UnsupportedCellError(f"sliced cell {cell.id} has an empty vertex set")
     return verts
+
+
+# -- the three-case linear support solver, kept as the reference --
+
+
+def _halfspace_roles(cell):
+    """("lo", axis), ("hi", axis) and ("slice", -1) for each of
+    ``cell.halfspaces``, in order: each finite low then each finite
+    high, axis by axis, then the slice."""
+    roles = []
+    for axis in range(cell.dimension):
+        if math.isfinite(cell.lows[axis]):
+            roles.append(("lo", axis))
+        if math.isfinite(cell.highs[axis]):
+            roles.append(("hi", axis))
+    if cell.slice_sign != 0:
+        roles.append(("slice", -1))
+    return roles
+
+
+def _lam_from_bounds(cell, at_hi, coeff_hi, at_lo, coeff_lo, slice_coeff=0.0):
+    lam = np.zeros(len(cell.halfspaces))
+    for j, role in enumerate(_halfspace_roles(cell)):
+        kind, axis = role
+        if kind == "hi" and axis in at_hi:
+            lam[j] = coeff_hi[axis]
+        elif kind == "lo" and axis in at_lo:
+            lam[j] = coeff_lo[axis]
+        elif kind == "slice":
+            lam[j] = slice_coeff
+    return lam
+
+
+def reference_maximize_linear_over_cell(cell, g):
+    """Maximize <g, x> over the cell, case by case: an unsliced box, a
+    box optimum that the slice admits, else a scan of the face sum(x) =
+    tau over the candidate levels of g.  Returns ``(value, x, lam)`` as
+    ``maximize_linear_over_cell`` does, which must match its +inf
+    verdict, its error type and its finite values.
+    """
+    g = np.asarray(g, dtype=float)
+    n = cell.dimension
+    if g.shape != (n,):
+        raise InputError("gradient dimension does not match the cell")
+    lows, highs = cell.lows, cell.highs
+    up_open = ~np.isfinite(highs)
+    down_open = ~np.isfinite(lows)
+
+    if cell.slice_sign == 0:
+        if np.any((g > 0) & up_open) or np.any((g < 0) & down_open):
+            return math.inf, None, None
+        x = np.where(g > 0, highs, np.where(g < 0, lows, np.clip(0.0, lows, highs)))
+        at_hi = {i for i in range(n) if g[i] > 0}
+        at_lo = {i for i in range(n) if g[i] < 0}
+        lam = _lam_from_bounds(cell, at_hi, g, at_lo, -g)
+        return float(g @ x), x, lam
+
+    sigma, tau = cell.slice_sign, cell.tau
+
+    # unboundedness over the sliced box: a recession direction with
+    # positive payoff that the slice admits
+    p_axes = np.nonzero(up_open)[0]   # +e allowed
+    n_axes = np.nonzero(down_open)[0]  # -e allowed
+    unbounded = False
+    if sigma > 0 and p_axes.size and np.max(g[p_axes]) > 0:
+        unbounded = True
+    if sigma < 0 and n_axes.size and np.min(g[n_axes]) < 0:
+        unbounded = True
+    if p_axes.size and n_axes.size and np.max(g[p_axes]) > np.min(g[n_axes]):
+        unbounded = True
+    if unbounded:
+        return math.inf, None, None
+
+    # box optimum, with g == 0 coordinates free to chase the slice; when
+    # the box value is infinite but the slice blocks it, fall through to
+    # the active-face solve below
+    if not (np.any((g > 0) & up_open) or np.any((g < 0) & down_open)):
+        free_idx = [int(i) for i in np.nonzero(g == 0)[0]]
+        pinned_sum = float(
+            np.sum(np.where(g > 0, highs, np.where(g < 0, lows, 0.0)))
+        )
+        best_free = sum(
+            (highs[i] if sigma > 0 else lows[i]) for i in free_idx
+        )
+        if sigma * (pinned_sum + best_free - tau) >= 0:
+            lo_free = sum(lows[i] for i in free_idx)
+            hi_free = sum(highs[i] for i in free_idx)
+            lo_t = max(lo_free, tau - pinned_sum) if sigma > 0 else lo_free
+            hi_t = hi_free if sigma > 0 else min(hi_free, tau - pinned_sum)
+            target = min(max(0.0, lo_t), hi_t)
+            vals = _free_fill(lows, highs, free_idx, target)
+            x = np.where(g > 0, highs, np.where(g < 0, lows, 0.0))
+            for i, v in vals.items():
+                x[i] = v
+            at_hi = {i for i in range(n) if g[i] > 0}
+            at_lo = {i for i in range(n) if g[i] < 0}
+            lam = _lam_from_bounds(cell, at_hi, g, at_lo, -g)
+            return float(g @ x), x, lam
+
+    # the slice is active: maximize over the face sum(x) = tau
+    candidates = sorted(set(float(v) for v in g), reverse=True)
+    for nu in candidates:
+        hi_set = np.nonzero(g > nu)[0]
+        lo_set = np.nonzero(g < nu)[0]
+        free_idx = [int(i) for i in np.nonzero(g == nu)[0]]
+        if np.any(up_open[hi_set]) or np.any(down_open[lo_set]):
+            continue
+        pinned_sum = float(np.sum(highs[hi_set])) + float(np.sum(lows[lo_set]))
+        s_min = pinned_sum + sum(lows[i] for i in free_idx)
+        s_max = pinned_sum + sum(highs[i] for i in free_idx)
+        if not (s_min - 1e-12 <= tau <= s_max + 1e-12):
+            continue
+        vals = _free_fill(lows, highs, free_idx, tau - pinned_sum)
+        x = np.empty(n)
+        x[hi_set] = highs[hi_set]
+        x[lo_set] = lows[lo_set]
+        for i, v in vals.items():
+            x[i] = v
+        gamma = -sigma * nu
+        if gamma < -1e-9:
+            # the face multiplier must be nonnegative; this candidate
+            # corresponds to the slice pushing the wrong way
+            continue
+        gamma = max(gamma, 0.0)
+        coeff_hi = g - nu
+        coeff_lo = nu - g
+        at_hi = {int(i) for i in hi_set}
+        at_lo = {int(i) for i in lo_set}
+        lam = _lam_from_bounds(cell, at_hi, coeff_hi, at_lo, coeff_lo, slice_coeff=gamma)
+        return float(g @ x), x, lam
+    raise InputError("cell face sum(x) = tau is empty; invalid sliced cell")

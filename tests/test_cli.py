@@ -20,6 +20,7 @@ from riskdual import (
     FactorizationError,
     LPSolution,
     LPStatus,
+    ReductionMode,
     SolverError,
     assemble_dual_lp,
     build_box_partition,
@@ -126,6 +127,25 @@ def test_bound_mode_override_and_formats(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["bound", cfg, "--format", "text", "--out", str(out)]) == EXIT_OK
     assert out.read_text().startswith("riskdual bound")
+
+
+def test_a_zero_bound_prints_alike_in_every_mode(tmp_path):
+    # tau past the grid leaves only the corner, and the record is slack:
+    # every mode reaches the bound 0 with zero multipliers, and none
+    # may print it as -0.0
+    cfg = two_point_config(breakpoints=[[0.0, 0.5, 1.0]], risk={"kind": "var_indicator", "tau": 2.0})
+    cfg["test_functions"] = [
+        {"id": "low", "kind": "slab_indicator", "axis": 0, "slab": [0.0, 0.5],
+         "sense": "inequality_upper", "bound": 0.7}]
+    path = write_config(tmp_path, cfg)
+    printed = []
+    for mode in ReductionMode:
+        code, report = run(["bound", path, "--mode", mode.value], tmp_path)
+        assert code == EXIT_OK
+        det = report["deterministic"]
+        printed.append(json.dumps([det["bound"], det["multipliers"]]))
+    assert printed == ['[0.0, {"records": [{"id": "low", "sense": "inequality_upper", '
+                       '"value": 0.0}], "z0": 0.0}]'] * 3
 
 
 def _flat_report(obj, prefix=""):
@@ -281,7 +301,7 @@ def _frequency_grid_config(d, m, risk):
     return {"schema": 1, "breakpoints": [grid] * d, "risk": risk, "test_functions": fns}
 
 
-def _hinge_grid_config(d=2, m=4, tau=1.2, mode="lambda_eliminated"):
+def _hinge_grid_config(d=2, m=4, tau=1.2):
     """Slab frequencies and one mean equality per axis with hinge risk:
     column generation needs several rounds on it."""
     cfg = _frequency_grid_config(d, m, {"kind": "cvar_hinge", "tau": tau})
@@ -290,7 +310,6 @@ def _hinge_grid_config(d=2, m=4, tau=1.2, mode="lambda_eliminated"):
             {"id": f"mean_{a}", "kind": "slab_affine", "axis": a, "slab": [0.0, 1.0],
              "sense": "equality", "bound": 0.5,
              "v": [float(i == a) for i in range(d)], "c": 0.0})
-    cfg["mode"] = mode
     return cfg
 
 
@@ -327,14 +346,14 @@ def _singular(*_args, **_kwargs):
     ("solve_dense_simplex", "explicit", _singular, "singular"),
 ])
 def test_solver_failure_exit_six(tmp_path, monkeypatch, capsys, name, mode, solver, why):
-    raw = _hinge_grid_config(mode=mode)
+    raw = _hinge_grid_config()
     model = ModelConfig(raw)
     partition = build_box_partition(model.breakpoints, model.riskfn.tau)
     monkeypatch.setattr(dual_builder, name, solver)
     with pytest.raises(SolverError, match=why):
-        solve_bound(partition, model.testfns, model.riskfn, model.mode)
+        solve_bound(partition, model.testfns, model.riskfn, ReductionMode(mode))
     capsys.readouterr()
-    code, report = run(["bound", write_config(tmp_path, raw)], tmp_path)
+    code, report = run(["bound", write_config(tmp_path, raw), "--mode", mode], tmp_path)
     assert code == EXIT_SOLVER
     assert report is None
     assert "solver failure" in capsys.readouterr().err
@@ -376,10 +395,10 @@ def test_input_errors_exit_five(tmp_path, capsys):
     assert main(["bound", str(bad)]) == EXIT_INPUT
 
     assert main(["bound", write_config(tmp_path, two_point_config(schema=2))]) == EXIT_INPUT
-    assert (
-        main(["bound", write_config(tmp_path, two_point_config(surprise=1))])
-        == EXIT_INPUT
-    )
+    for key, value in (("surprise", 1), ("mode", "explicit")):
+        cfg = two_point_config(**{key: value})
+        assert main(["bound", write_config(tmp_path, cfg)]) == EXIT_INPUT
+        assert f"unknown model keys: ['{key}']" in capsys.readouterr().err
     # slab endpoints must land on breakpoints
     cfg = two_point_config()
     cfg["test_functions"][0]["slab"] = [0.0, 0.7]
@@ -461,6 +480,9 @@ def _set(*path_and_value):
     (_set("test_functions", 1, "axis", 2), "'upper' axis 2 outside dimension 2"),
     (_set("test_functions", 0, "v", [1.0]), "mean_one_plus_x: v has dimension 1, cell has 2"),
     (_set("breakpoints", 0, [1.0, 0.5, 0.0]), "axis 0: breakpoints must be strictly increasing"),
+    (_set("breakpoints", 1, [math.inf, math.inf]), "axis 1: breakpoints must be strictly increasing"),
+    (_set("breakpoints", 1, [-math.inf, -math.inf]),
+     "axis 1: breakpoints must be strictly increasing"),
     (_set("test_functions", 1, "id", "mean_one_plus_x"),
      "duplicate test function id 'mean_one_plus_x'"),
     (_set("test_functions", 0, "slab", [0.0, 0.7]),
@@ -468,7 +490,8 @@ def _set(*path_and_value):
     (_set("test_functions", 1, "slab", [1.0, 1.0 + 5e-10]),
      "slab (1.0, 1.0000000005) of 'upper' holds no slab of axis 1"),
     (_set("risk", "tau", float("inf")), "risk threshold must be finite"),
-], ids=["axis_past_the_last", "short_v", "decreasing_breakpoints", "duplicate_id",
+], ids=["axis_past_the_last", "short_v", "decreasing_breakpoints", "infinite_axis",
+        "minus_infinite_axis", "duplicate_id",
         "off_grid_slab_end", "sliver_past_the_top", "infinite_tau"])
 def test_model_that_does_not_fit_its_axes_exits_five(tmp_path, capsys, command, edit, message):
     # every command reads the model the same way, so every one rejects it
@@ -655,6 +678,16 @@ def test_bootstrap_command(tmp_path):
               "--replicates", "5"])
         == EXIT_INPUT
     )
+
+
+def test_bootstrap_on_a_model_without_test_functions(tmp_path):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x\n0.2\n0.7\n")
+    cfg = two_point_config(risk={"kind": "var_indicator", "tau": 2.0}, test_functions=[])
+    code, report = run(["bootstrap", write_config(tmp_path, cfg), "--samples", str(samples)],
+                       tmp_path)
+    assert code == EXIT_OK
+    assert report["deterministic"]["intervals"] == []
 
 
 @pytest.mark.parametrize("command", ["verify", "bootstrap"])

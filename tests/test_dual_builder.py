@@ -1098,3 +1098,55 @@ def test_hinge_bound_is_the_comonotone_value(model):
     ref = _comonotone_hinge(bps, masses, tau)
     assert ref > 0.0
     assert abs(res.bound - ref) <= 1e-9 * ref
+
+
+@st.composite
+def makarov_models(draw):
+    """Two axes of m slabs on [0, 1], uniform or random breakpoints, and
+    tau anywhere in [0, 2] or, three times in ten, on a sum of two slab
+    tops."""
+    m = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bps = [
+        np.linspace(0.0, 1.0, m + 1) if draw(st.booleans())
+        else np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, m - 1)), [1.0]])
+        for _ in range(2)
+    ]
+    if draw(st.integers(0, 9)) < 3:
+        tau = float(bps[0][rng.integers(1, m + 1)] + bps[1][rng.integers(1, m + 1)])
+    else:
+        tau = float(rng.uniform(0.0, 2.0))
+    return bps, tau
+
+
+def _makarov(bps, tau):
+    """max k/m such that top_1[m-k+i] + top_2[m+1-i] > tau for every
+    i = 1..k, where top_a holds axis a's slab tops in increasing order
+    (1-based); 1/m, the corner, when no k does and tau is the sum of the
+    axis tops.  With uniform slab masses at d = 2 this is the exact worst
+    case (Makarov 1981; Ruschendorf 1982)."""
+    top1, top2 = bps[0][1:], bps[1][1:]
+    m = top1.size
+    k = max((k for k in range(1, m + 1)
+             if all(top1[m - k + i - 1] + top2[m - i] > tau for i in range(1, k + 1))),
+            default=0)
+    if k == 0 and tau == top1[-1] + top2[-1]:
+        k = 1
+    return k / m
+
+
+@settings(max_examples=100, deadline=None)
+@given(makarov_models())
+def test_var_bound_is_the_makarov_value(model):
+    bps, tau = model
+    m = bps[0].size - 1
+    fns = [
+        TestFunction(f"p_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, axis=a,
+                     slab=(float(b[g]), float(b[g + 1])), sense=Sense.EQUALITY, bound=1.0 / m)
+        for a, b in enumerate(bps)
+        for g in range(m)
+    ]
+    risk = RiskFunctional(RiskKind.VAR_INDICATOR, tau)
+    res = solve_bound(build_box_partition(bps, tau=tau), fns, risk)
+    assert res.status == "optimal"
+    assert abs(res.bound - _makarov(bps, tau)) <= 1e-9

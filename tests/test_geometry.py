@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskdual import (
@@ -20,7 +20,7 @@ from riskdual import (
 )
 from riskdual.errors import UnsupportedCellError
 
-from conftest import reference_cell_vertices
+from conftest import reference_cell_vertices, reference_maximize_linear_over_cell
 
 UNIT = np.array([0.0, 1.0])
 HALVES = np.array([0.0, 0.5, 1.0])
@@ -175,14 +175,13 @@ def test_cell_constructor_validation():
         Cell([0.0], [1.0], slice_sign=1)  # sliced needs tau
 
 
-def test_halfspace_roles_align():
+def test_halfspaces_are_the_finite_bounds_then_the_slice():
     cell = Cell([0.0, -np.inf], [1.0, 2.0], slice_sign=-1, tau=1.5)
-    roles = cell.halfspace_roles
-    assert len(roles) == len(cell.halfspaces)
-    assert roles.count(("slice", -1)) == 1
-    # the -inf lower bound contributes no halfspace
-    assert ("lo", 1) not in roles
-    assert ("hi", 1) in roles
+    # x0 >= 0, -x0 >= -1, then -x1 >= -2 (the -inf lower bound
+    # contributes no halfspace), then -x0 - x1 >= -1.5
+    normals = [h.normal.tolist() for h in cell.halfspaces]
+    assert normals == [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]]
+    assert [h.bound for h in cell.halfspaces] == [0.0, -1.0, -2.0, -1.5]
 
 
 def test_breakpoint_validation():
@@ -319,3 +318,65 @@ def test_linear_support_with_zero_slopes_on_unbounded_cells(lows, highs, sign, t
     assert np.all(lam >= 0.0)
     assert np.allclose(F.T @ lam, -g, atol=1e-12)
     assert lam @ ell == pytest.approx(-val, abs=1e-12)
+
+
+@st.composite
+def open_cells_and_gradients(draw):
+    """Cells whose axes are finite, open at one end or the whole line,
+    with tau on an integer sum of finite ends or anywhere, and integer
+    gradients (ties and zeros) or normal ones."""
+    d = draw(st.integers(1, 4))
+    lows, highs = [], []
+    for _ in range(d):
+        lo = draw(st.integers(-3, 3)) + draw(st.sampled_from([0.0, 0.25, -0.3]))
+        hi = lo + draw(st.sampled_from([1.0, 2.0, 0.5, 3.7]))
+        kind = draw(st.sampled_from(["finite", "finite", "down", "up", "line"]))
+        lows.append(-np.inf if kind in ("down", "line") else lo)
+        highs.append(np.inf if kind in ("up", "line") else hi)
+    sign = draw(st.sampled_from([0, 1, -1]))
+    tau = None
+    if sign != 0:
+        ends = [draw(st.sampled_from([e for e in (lo, hi) if np.isfinite(e)] or [0.0]))
+                for lo, hi in zip(lows, highs)]
+        tau = draw(st.one_of(st.just(float(np.sum(np.round(ends)))), st.floats(-8, 8)))
+    if draw(st.booleans()):
+        g = np.array([draw(st.integers(-2, 2)) for _ in range(d)], dtype=float)
+    else:
+        g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=d)
+    return Cell(lows, highs, slice_sign=sign, tau=tau), g
+
+
+def _outcome(solver, cell, g):
+    with np.errstate(all="raise"):
+        try:
+            return solver(cell, g), None
+        except Exception as exc:  # the error type is part of the outcome
+            return None, type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_cells_and_gradients())
+# the kinks at gamma = 4.25e-110 and 1 tie in floating point; the first
+# is the one whose maximizer reaches the slice
+@example((Cell([0.0] * 3, [1.0] * 3, slice_sign=1, tau=1.5), np.array([1.0, -1.0, -4.25e-110])))
+def test_kink_scan_matches_the_reference_solver(cg):
+    cell, g = cg
+    got, err = _outcome(maximize_linear_over_cell, cell, g)
+    want, want_err = _outcome(reference_maximize_linear_over_cell, cell, g)
+    assert err is want_err
+    if err is not None:
+        return
+    val, x, lam = got
+    assert np.isinf(val) == np.isinf(want[0])
+    if np.isinf(val):
+        assert val > 0 and x is None and lam is None
+        return
+    scale = max(1.0, abs(want[0]))
+    assert abs(val - want[0]) <= 1e-9 * scale
+    assert cell_contains(cell, x, tol=1e-9)
+    assert float(g @ x) == val
+    F = np.array([h.normal for h in cell.halfspaces]).reshape(-1, cell.dimension)
+    ell = np.array([h.bound for h in cell.halfspaces])
+    assert np.all(lam >= 0.0)
+    assert np.allclose(F.T @ lam, -g, atol=1e-9)
+    assert abs(lam @ ell + val) <= 1e-9 * scale

@@ -169,10 +169,11 @@ def test_duplicate_function_ids_are_rejected():
 
 
 def test_constructor_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="positive width"):
         ind(0, (0.5, 0.5))
-    with pytest.raises(InputError):
-        ind(0, (np.nan, 1.0))
+    for slab in ((np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(InputError, match="slab endpoints must not be NaN"):
+            ind(0, slab)
     with pytest.raises(InputError):
         TestFunction("a", TestFunctionKind.SLAB_AFFINE, 0, (0.0, 1.0), Sense.UPPER, 1.0)
     with pytest.raises(InputError):
