@@ -35,7 +35,6 @@ from .geometry import (
     SideOfTau,
     build_box_partition,
     cell_contains,
-    cell_interior_point,
     cell_vertices,
     maximize_linear_over_cell,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "SideOfTau",
     "build_box_partition",
     "cell_contains",
-    "cell_interior_point",
     "cell_vertices",
     "maximize_linear_over_cell",
     "ColumnGenerator",

@@ -155,17 +155,20 @@ class ModelConfig:
 
 
 def _number(value, field):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{field} must be a number, got {value!r}") from None
+    # bool is an int subclass, and float(True) is 1.0; a JSON integer
+    # can be too large for a float
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"{field} must be a number, got {value!r}")
 
 
 def _numbers(values, field):
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{field} must be a list of numbers, got {values!r}") from None
+    if not isinstance(values, list):
+        raise InputError(f"{field} must be a list of numbers, got {values!r}")
+    return np.array([_number(x, field) for x in values], dtype=float)
 
 
 # -- report plumbing --
@@ -336,9 +339,12 @@ def _parse_sizes(text):
     for part in text.split(","):
         try:
             d, m = part.strip().split(":")
-            sizes.append((int(d), int(m)))
+            d, m = int(d), int(m)
         except ValueError:
             raise InputError(f"bad bench size {part!r}, expected D:M") from None
+        if d < 1 or m < 1:
+            raise InputError(f"bad bench size {part!r}, D and M must be at least 1")
+        sizes.append((d, m))
     return sizes
 
 

@@ -61,7 +61,8 @@ class Cell:
     ``lows``/``highs`` give the per-axis interval (entries may be
     -inf/+inf).  ``slice_sign`` is 0 for an uncut box, +1 when the cell
     keeps the side sum(x) >= tau and -1 when it keeps sum(x) <= tau.
-    Instances are immutable after construction.
+    A ``degenerate`` cell may have zero-width axes.  Instances are
+    immutable after construction.
     """
 
     __slots__ = (
@@ -92,10 +93,12 @@ class Cell:
         highs = np.asarray(highs, dtype=float)
         if lows.shape != highs.shape or lows.ndim != 1:
             raise InputError("cell bounds must be two vectors of equal length")
-        if not degenerate and np.any(highs - lows <= 0):
+        # compared, not differenced: inf - inf is NaN, which passes "< 0"
+        if not degenerate and not np.all(lows < highs):
             raise InputError("cell must have positive extent on every axis")
-        if degenerate and np.any(highs - lows < 0):
-            raise InputError("degenerate cell bounds are inverted")
+        # a zero-width axis must still hold a real number
+        if degenerate and not np.all((lows <= highs) & (lows < math.inf) & (highs > -math.inf)):
+            raise InputError("degenerate cell bounds are inverted or hold no real number")
         if slice_sign not in (0, 1, -1):
             raise InputError("slice_sign must be 0, +1 or -1")
         if slice_sign != 0 and tau is None:
@@ -366,45 +369,6 @@ def partition_rays(partition, idx):
     k, c = np.nonzero(valid)
     np.cumsum(np.bincount(k, minlength=idx.size), out=start[1:])
     return start, dirs[c]
-
-
-def cell_interior_point(cell: Cell) -> np.ndarray:
-    """A point of the cell away from its boundary wherever the cell
-    has extent.
-
-    Midway along bounded axes, one unit in from a single finite bound,
-    zero on doubly unbounded axes.  On a sliced cell the point is
-    pushed past the threshold into the kept side, spread over the axes
-    so that no coordinate lands on its own bound unless the piece is a
-    zero-depth sliver.
-    """
-    lows, highs = cell.lows, cell.highs
-    x = np.where(
-        np.isfinite(lows),
-        np.where(np.isfinite(highs), 0.5 * (lows + highs), lows + 1.0),
-        np.where(np.isfinite(highs), highs - 1.0, 0.0),
-    )
-    if cell.slice_sign:
-        tau = cell.tau
-        total = float(np.sum(x))
-        room = (highs - x) if cell.slice_sign > 0 else (x - lows)
-        room_total = float(np.sum(room))
-        gap = cell.slice_sign * (tau - total)
-        depth = room_total - gap
-        if depth < -CONTAIN_TOL:
-            raise UnsupportedCellError(
-                f"cell {cell.id} has no point on its side of the threshold"
-            )
-        # overshoot by a quarter of the available depth, capped, so the
-        # point clears the hyperplane strictly whenever it can
-        delta = gap if depth <= CONTAIN_TOL else gap + min(1.0, 0.25 * depth)
-        if delta > 0 and room_total > 0:
-            if np.isinf(room_total):
-                ax = int(np.argmax(np.isinf(room)))
-                x[ax] += cell.slice_sign * delta
-            else:
-                x = x + cell.slice_sign * delta * (room / room_total)
-    return x
 
 
 def _free_fill(lows, highs, free_idx, target):

@@ -16,19 +16,19 @@ indicator is ambiguous, the restriction is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
 from .dual_builder import _point_rows
-from .errors import CapacityError, UnsupportedCellError
-from .geometry import Cell, cell_contains, cell_interior_point, cell_vertices
+from .errors import CapacityError
+from .geometry import cell_vertices, partition_rays, partition_vertices
 from .lp_engine import DENSE_BUDGET, LinearProgram, LPSolution, LPStatus, solve_dense_simplex
-from .test_functions import RiskKind
 
 # candidate points closer than this are the same point for reporting
 POINT_TOL = 1e-9
-# default surrogate extent for cells with infinite bounds
+# candidates on an unbounded cell sit twice this far along its rays
 DEFAULT_RAY_RADIUS = 10.0
 DEFAULT_POINT_BUDGET = 100_000
 
@@ -37,105 +37,50 @@ DEFAULT_POINT_BUDGET = 100_000
 class CandidateGrid:
     """Candidate support points with cell provenance.
 
-    ``entries`` holds (cell, point) pairs; a geometric point shared by
-    several cells appears once per cell because its restricted column
-    differs per cell.  ``exact`` says whether the grid provably attains
-    every cell's restricted maximum, i.e. whether the discretized
-    primal matches the dual bound rather than merely bounding it from
-    below.
+    ``entries`` holds (cell, point) pairs, each cell's entries in one
+    run; a geometric point shared by several cells appears once per
+    cell because its restricted column differs per cell.  ``exact``
+    says whether the grid provably attains every cell's restricted
+    maximum, i.e. whether the discretized primal matches the dual bound
+    rather than merely bounding it from below.
     """
 
     entries: list
     exact: bool
 
-    @property
-    def n_entries(self) -> int:
-        return len(self.entries)
-
-    def unique_points(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((0, 0))
-        pts = np.array([p for _c, p in self.entries])
-        order = np.lexsort(pts.T[::-1])
-        pts = pts[order]
-        keep = [0]
-        for i in range(1, len(pts)):
-            if np.max(np.abs(pts[i] - pts[keep[-1]])) > POINT_TOL:
-                keep.append(i)
-        return pts[keep]
-
-
-def _surrogate_points(cell, radius):
-    lows = cell.lows
-    highs = cell.highs
-    lo_inf = ~np.isfinite(lows)
-    hi_inf = ~np.isfinite(highs)
-    anchor_lo = np.where(lo_inf, np.where(hi_inf, -radius, highs - 2 * radius), lows)
-    anchor_hi = np.where(hi_inf, np.where(lo_inf, radius, anchor_lo + 2 * radius), highs)
-    boxed = Cell(
-        anchor_lo,
-        anchor_hi,
-        slice_sign=cell.slice_sign,
-        tau=cell.tau,
-        side_of_tau=cell.side_of_tau,
-        cell_id=cell.id,
-    )
-    try:
-        pts = cell_vertices(boxed)
-    except UnsupportedCellError:
-        # the box misses the kept side of the hyperplane
-        pts = []
-    return [p for p in pts if cell_contains(cell, p)]
-
-
-def _cell_is_constant(dual, cell):
-    """True when every record and the risk restrict to constants on the
-    cell, so one interior point carries the cell's whole column."""
-    if not dual.eliminable[cell.id]:
-        return False
-    if dual.riskfn.kind is RiskKind.CVAR_HINGE and cell.side_of_tau is not None:
-        return cell.side_of_tau.value != "above"
-    return True
-
 
 def build_candidate_grid(
     dual,
     *,
-    extra_points=None,
     ray_radius: float = DEFAULT_RAY_RADIUS,
     point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> CandidateGrid:
-    """Collect per-cell candidate points for the discretized primal.
+    """Collect per-cell candidate points for the discretized primal,
+    from the vertex and ray tables the master's columns come from.
 
-    Bounded cells contribute their vertices.  A cell with infinite
-    bounds contributes one interior point when everything restricts to
-    a constant on it (any point carries the same column), otherwise
-    the vertices of a radius-limited surrogate box, which keeps the
-    grid usable but drops the exactness guarantee.  ``extra_points``
-    are attached to every cell containing them.
+    Every cell contributes its vertices: a bounded cell and the corner
+    through :func:`cell_vertices`, an unbounded cell its finite ones
+    through :func:`partition_vertices`.  An unbounded cell that does not
+    collapse also contributes each vertex moved ``2 * ray_radius`` along
+    each of its rays from :func:`partition_rays`; the grid is inexact
+    when any such cell has a ray, since its restricted maximum need not
+    be attained.  A collapsible cell has every record constant and a
+    finite risk maximum, attained at a vertex.
     """
     entries = []
     exact = True
     for cell in dual.iter_cells():
         if cell.bounded:
             points = cell_vertices(cell)
-        elif _cell_is_constant(dual, cell):
-            points = [cell_interior_point(cell)]
         else:
-            points = _surrogate_points(cell, ray_radius)
-            exact = False
-        for q in points:
-            entries.append((cell, q))
-        if len(entries) > point_budget:
-            raise CapacityError(
-                f"candidate grid exceeds the point budget {point_budget}"
-            )
-    if extra_points is not None:
-        cells = list(dual.iter_cells())
-        for q in np.atleast_2d(np.asarray(extra_points, dtype=float)):
-            for cell in cells:
-                if cell_contains(cell, q):
-                    entries.append((cell, q.copy()))
+            _start, points = partition_vertices(dual.partition, [cell.id])
+            if not dual.eliminable[cell.id]:
+                _start, rays = partition_rays(dual.partition, [cell.id])
+                if len(rays):
+                    exact = False
+                    moved = points[:, None, :] + 2 * ray_radius * rays
+                    points = np.vstack([points, moved.reshape(-1, cell.dimension)])
+        entries.extend((cell, q) for q in points)
         if len(entries) > point_budget:
             raise CapacityError(
                 f"candidate grid exceeds the point budget {point_budget}"
@@ -172,17 +117,11 @@ def solve_primal_discretization(
     if grid is None:
         grid = build_candidate_grid(dual)
     senses, rhs = dual.master_row_data()
-    # a cell's entries share its Cell object, which the partition
-    # caches, so identity groups them
-    members = {}
-    for k, (cell, _q) in enumerate(grid.entries):
-        members.setdefault(id(cell), (cell, []))[1].append(k)
-    rows = [None] * grid.n_entries
-    for cell, ks in members.values():
-        points = [grid.entries[k][1] for k in ks]
-        cell_vals, cell_objs = _point_rows(dual.records, dual.riskfn, cell, points)
-        for k, vals, obj in zip(ks, cell_vals, cell_objs):
-            rows[k] = (vals, obj)
+    # a cell's entries form one run, restricted once
+    rows = []
+    for cell, run in groupby(grid.entries, key=lambda entry: entry[0]):
+        cell_vals, cell_objs = _point_rows(dual.records, dual.riskfn, cell, [q for _c, q in run])
+        rows.extend(zip(cell_vals, cell_objs))
     cols = []
     objs = []
     reps = []

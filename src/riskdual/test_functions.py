@@ -4,9 +4,14 @@ model check.
 A test function constrains the unknown measure through its integral:
 an upper bound, a lower bound, or an equality.  Supported shapes are
 axis-aligned slab indicators 1_S and slab-masked affine pieces
-1_S(x) * (<v, x> + c).  Slab intervals are closed at both endpoints;
-the overlap at a shared breakpoint has measure zero and does not
-affect integrals against non-atomic measures.
+1_S(x) * (<v, x> + c).  Slab intervals are closed at both endpoints,
+so :func:`evaluate`, and with it ``verify`` and ``bootstrap``, counts a
+point on a shared breakpoint in both neighbouring slabs.  The dual and
+the primal oracle score a point through one cell's restriction
+instead: a point on an interior breakpoint counts in the slab above
+it, and the top end of a finite axis in the last slab.  The two differ
+on mass that sits on a breakpoint, as rounded or discrete samples can;
+ROADMAP.md item 1 is to settle on one convention.
 
 :func:`check_model` is the one check of a model's validity; the dual
 builds its columns from the slab ranges it returns.

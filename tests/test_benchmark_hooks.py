@@ -12,6 +12,20 @@ from riskdual import cli, data_io, dual_builder, geometry, lp_engine, oracle, te
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
+# names one module imports from another, which the tracer must rebind in
+# the importing module too, as (importer, name, defining module); the
+# same list as perfbench's test_install_rebinds_names_imported_by_other_modules
+CROSS_MODULE = [
+    (cli, "build_box_partition", geometry),
+    (cli, "assemble_dual_lp", dual_builder),
+    (cli, "solve_dcg", lp_engine),
+    (cli, "solve_dense_simplex", lp_engine),
+    (dual_builder, "restrict_to_cell", test_functions),
+    (dual_builder, "cell_vertices", geometry),
+    (oracle, "cell_vertices", geometry),
+    (oracle, "solve_dense_simplex", lp_engine),
+]
+
 
 def _bindings():
     """Every attribute of every riskdual module and class, by identity."""
@@ -38,3 +52,20 @@ def test_tracer_installs_and_uninstalls_on_the_current_code(monkeypatch):
         tracer.uninstall()
     assert "riskdual.cli.build_box_partition" in patched["build_box_partition"]
     assert _bindings() == before
+
+
+def test_tracer_rebinds_names_imported_by_other_modules(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    originals = {(user, name): getattr(home, name) for user, name, home in CROSS_MODULE}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (user, name), original in originals.items():
+            bound = getattr(user, name)
+            assert bound is not original, f"{user.__name__}.{name}"
+            assert bound.__wrapped__ is original, f"{user.__name__}.{name}"
+    finally:
+        tracer.uninstall()
+    for (user, name), original in originals.items():
+        assert getattr(user, name) is original

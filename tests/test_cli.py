@@ -412,6 +412,16 @@ def test_input_errors_exit_five(tmp_path, capsys):
         ("test_functions[0].v", lambda c: c["test_functions"][0].update(v=["a"])),
         ("test_functions[0].c", lambda c: c["test_functions"][0].update(c="one")),
         ("test_functions[0].slab", lambda c: c["test_functions"][0].update(slab=[0.0])),
+        # JSON booleans are not numbers, though Python reads them as 1 and 0
+        ("breakpoints[0]", lambda c: c.update(breakpoints=[[0.0, True]])),
+        ("risk.tau", lambda c: c["risk"].update(tau=True)),
+        ("test_functions[0].slab", lambda c: c["test_functions"][0].update(slab=[0.0, True])),
+        ("test_functions[0].bound", lambda c: c["test_functions"][0].update(bound=False)),
+        ("test_functions[0].v", lambda c: c["test_functions"][0].update(v=[True])),
+        ("test_functions[0].c", lambda c: c["test_functions"][0].update(c=False)),
+        # an integer too large for a float
+        ("breakpoints[0]", lambda c: c.update(breakpoints=[[0.0, 10**400]])),
+        ("risk.tau", lambda c: c["risk"].update(tau=10**400)),
     ]
     for field, edit in malformed:
         cfg = two_point_config()
@@ -793,6 +803,12 @@ def test_bootstrap_report_does_not_depend_on_the_blas_thread_count(tmp_path):
 def test_bench_rejects_zero_repeats(capsys):
     assert main(["bench", "--sizes", "2:4", "--repeats", "0"]) == EXIT_INPUT
     assert "--repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["2:-3", "0:4", "3:0"])
+def test_bench_rejects_sizes_below_one(capsys, sizes):
+    assert main(["bench", "--sizes", sizes, "--repeats", "1"]) == EXIT_INPUT
+    assert f"bad bench size '{sizes}'" in capsys.readouterr().err
 
 
 def test_bench_smoke(tmp_path):

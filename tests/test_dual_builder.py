@@ -1135,10 +1135,9 @@ def _makarov(bps, tau):
     return k / m
 
 
-@settings(max_examples=100, deadline=None)
-@given(makarov_models())
-def test_var_bound_is_the_makarov_value(model):
-    bps, tau = model
+def _uniform_mass_var_bound(bps, tau):
+    """VaR bound at tau under mass 1/m on each of the m slabs of every
+    axis."""
     m = bps[0].size - 1
     fns = [
         TestFunction(f"p_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, axis=a,
@@ -1149,4 +1148,68 @@ def test_var_bound_is_the_makarov_value(model):
     risk = RiskFunctional(RiskKind.VAR_INDICATOR, tau)
     res = solve_bound(build_box_partition(bps, tau=tau), fns, risk)
     assert res.status == "optimal"
-    assert abs(res.bound - _makarov(bps, tau)) <= 1e-9
+    return res.bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(makarov_models())
+def test_var_bound_is_the_makarov_value(model):
+    bps, tau = model
+    assert abs(_uniform_mass_var_bound(bps, tau) - _makarov(bps, tau)) <= 1e-9
+
+
+@st.composite
+def rearrangement_models(draw):
+    """Three or four axes of m = 4-10 slabs on [0, 1], all uniform or
+    all random breakpoints, and tau anywhere in [0, d] or on a sum of
+    slab tops, one per axis.  Uniform axes with tau on a sum of tops
+    are where rows sum exactly to tau."""
+    d = draw(st.integers(3, 4))
+    m = draw(st.integers(4, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    uniform = draw(st.booleans())
+    bps = [
+        np.linspace(0.0, 1.0, m + 1) if uniform
+        else np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, m - 1)), [1.0]])
+        for _ in range(d)
+    ]
+    if draw(st.booleans()):
+        tau = float(sum(b[rng.integers(1, m + 1)] for b in bps))
+    else:
+        tau = float(rng.uniform(0.0, d))
+    return bps, tau
+
+
+def _rearrangement(bps, tau):
+    """Rearrangement-algorithm value (Puccetti & Ruschendorf 2012): the
+    largest k/m for which the top k slab tops of every axis, each
+    column rearranged to be oppositely ordered to the sum of the
+    others, give rows that all sum past tau + 1e-9.  Mass 1/m on each
+    row, with the other slabs paired off anyhow, fits the slab masses,
+    and a row summing past tau has the risk 1 at points just below its
+    slab tops, so this is a lower bound on the worst case.  The margin
+    keeps a float sum of tops one ulp past a tau that equals it in
+    exact arithmetic from counting; the partition treats sums within
+    1e-12 of tau as not past it."""
+    m = bps[0].size - 1
+    for k in range(m, 0, -1):
+        rows = np.column_stack([b[-k:] for b in bps])
+        for _sweep in range(100):
+            before = rows.copy()
+            for j in range(rows.shape[1]):
+                others = rows.sum(axis=1) - rows[:, j]
+                col = np.empty(k)
+                col[np.argsort(others, kind="stable")] = np.sort(rows[:, j])[::-1]
+                rows[:, j] = col
+            if np.array_equal(rows, before):
+                break
+        if np.all(rows.sum(axis=1) > tau + 1e-9):
+            return k / m
+    return 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rearrangement_models())
+def test_var_bound_is_at_least_the_rearrangement_value(model):
+    bps, tau = model
+    assert _uniform_mass_var_bound(bps, tau) >= _rearrangement(bps, tau) - 1e-9

@@ -14,7 +14,6 @@ from riskdual import (
     SideOfTau,
     build_box_partition,
     cell_contains,
-    cell_interior_point,
     cell_vertices,
     maximize_linear_over_cell,
 )
@@ -143,17 +142,21 @@ def test_cell_contains_boundary_tolerance():
     assert not cell_contains(sliced, [0.2, 0.2])
 
 
-def test_interior_points_land_inside():
-    part = build_box_partition([HALVES, HALVES], 1.0)
-    for cell in part.cells:
-        assert cell_contains(cell, cell_interior_point(cell))
-    # unbounded tails on either end
-    for cell in build_box_partition([np.array([-np.inf, 0.0, 1.0, np.inf])], 0.5).cells:
-        assert cell_contains(cell, cell_interior_point(cell))
-    tall = Cell([0.0, 0.0], [np.inf, np.inf], slice_sign=1, tau=3.0)
-    q = cell_interior_point(tall)
-    assert cell_contains(tall, q)
-    assert q.sum() >= 3.0
+@pytest.mark.parametrize("lows, highs, degenerate", [
+    ([np.inf], [np.inf], False),
+    ([-np.inf], [-np.inf], False),
+    ([np.inf], [np.inf], True),
+    ([-np.inf], [-np.inf], True),
+    ([0.0, np.inf], [1.0, np.inf], True),
+    ([np.nan], [1.0], True),
+])
+def test_cell_bounds_are_compared_not_differenced(lows, highs, degenerate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            Cell(lows, highs, degenerate=degenerate)
+        # a zero-width axis beside an open one is still a cell
+        Cell([0.0, 0.0], [0.0, np.inf], degenerate=True)
 
 
 def test_degenerate_cell_point():

@@ -15,7 +15,6 @@ from riskdual import (
     assemble_dual_lp,
     build_box_partition,
     build_candidate_grid,
-    cell_contains,
     dual_builder,
     duality_gap,
     oracle,
@@ -73,8 +72,8 @@ def test_support_points_lie_in_the_box():
 
 def test_tail_mass_on_an_unbounded_axis():
     # only an upper bound on the bounded slab: everything else may sit
-    # past the threshold, and a single interior point represents the
-    # constant unbounded cell exactly
+    # past the threshold, and the finite vertex of the constant
+    # unbounded cell represents it exactly
     part = build_box_partition([np.array([0.0, 1.0, np.inf])], 1.0)
     fns = [
         TestFunction(
@@ -103,7 +102,7 @@ def test_surrogate_grid_drops_exactness():
     dual = assemble_dual_lp(part, fns, risk)
     grid = build_candidate_grid(dual)
     # the affine record varies on the unbounded cell, so its points
-    # come from a clipped surrogate box
+    # include moves along its ray, where no maximum is attained
     assert not grid.exact
 
 
@@ -123,40 +122,21 @@ def _far_threshold_tail():
     return dual, cell
 
 
-def test_surrogate_box_short_of_the_threshold_gives_no_points():
+def test_far_threshold_tail_gets_points_along_its_ray():
     dual, cell = _far_threshold_tail()
-    # the radius-1 box [1, 3] lies wholly below 5, on the dropped side
-    assert oracle._surrogate_points(cell, 1.0) == []
-    assert not build_candidate_grid(dual, ray_radius=1.0).exact
-
-
-def test_surrogate_points_pass_other_faults_on(monkeypatch):
-    _dual, cell = _far_threshold_tail()
-
-    def broken(_cell):
-        raise ValueError("not an empty vertex set")
-
-    monkeypatch.setattr(oracle, "cell_vertices", broken)
-    with pytest.raises(ValueError):
-        oracle._surrogate_points(cell, 10.0)
-
-
-def test_extra_points_attach_to_their_cells():
-    dual = two_point_model(14.0 / 9.0).dual()
-    base = build_candidate_grid(dual)
-    grid = build_candidate_grid(dual, extra_points=[[0.25]])
-    assert grid.n_entries == base.n_entries + 1
-    added = [(c, q) for c, q in grid.entries if float(q[0]) == 0.25]
-    assert len(added) == 1
-    cell, q = added[0]
-    assert cell_contains(cell, q)
+    grid = build_candidate_grid(dual, ray_radius=1.0)
+    # the cut vertex 5, then 5 moved twice the radius along the ray e_0
+    points = [float(q[0]) for c, q in grid.entries if c is cell]
+    assert points == [5.0, 7.0]
+    assert not grid.exact
+    primal = solve_primal_discretization(dual, grid)
+    assert primal.status is LPStatus.OPTIMAL
 
 
 def test_primal_grid_restricts_each_cell_once(monkeypatch):
     inst = random_instance(1, d=3, m=4)
     dual = inst.dual()
-    # the extra point joins a cell that already has entries, out of order
-    grid = build_candidate_grid(dual, extra_points=[[0.3, 0.6, 0.2]])
+    grid = build_candidate_grid(dual)
     # reference: one restriction per entry, deduplicated in entry order
     cols, objs, seen = [], [], set()
     for cell, q in grid.entries:
@@ -175,8 +155,8 @@ def test_primal_grid_restricts_each_cell_once(monkeypatch):
     primal = solve_primal_discretization(dual, grid)
     assert primal.status is LPStatus.OPTIMAL
     cells = {id(cell) for cell, _q in grid.entries}
-    assert (len(grid.entries), len(cells)) == (789, 98)
-    # every record and the risk, once per cell: 2,450 calls, not 19,725
+    assert (len(grid.entries), len(cells)) == (788, 98)
+    # every record and the risk, once per cell: 2,450 calls, not 19,700
     assert len(restricted) == len(cells) * (len(dual.records) + 1)
     (lp,) = lps
     assert np.array_equal(lp.A, np.column_stack(cols))
@@ -214,14 +194,3 @@ def test_duality_gap_scaling():
     assert rel == pytest.approx(1e-8)  # primal below one: absolute scale
     _gap, rel = duality_gap(200.0, 201.0)
     assert rel == pytest.approx(1.0 / 200.0)
-
-
-def test_unique_points_deduplicate_shared_vertices():
-    inst = random_instance(4, d=2, m=2)
-    grid = build_candidate_grid(inst.dual())
-    pts = grid.unique_points()
-    assert pts.ndim == 2
-    # interior grid vertices are shared by up to four cells
-    assert pts.shape[0] < grid.n_entries
-    as_tuples = {tuple(np.round(p, 9)) for p in pts}
-    assert len(as_tuples) == pts.shape[0]
