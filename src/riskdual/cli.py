@@ -22,6 +22,7 @@ import io
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 import time
@@ -155,12 +156,13 @@ class ModelConfig:
 
 
 def _number(value, field):
-    # bool is an int subclass, and float(True) is 1.0; a JSON integer
-    # can be too large for a float
-    if not isinstance(value, bool):
+    # a JSON number only: float() would also take the string "0.5" and
+    # True, a bool being an int; a JSON integer can be too large for a
+    # float
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise InputError(f"{field} must be a number, got {value!r}")
 
@@ -314,10 +316,16 @@ def cmd_verify(args) -> int:
 # -- bench --
 
 
-def _bench_model(d, m, tau_scale=0.62):
+def _bench_grid(d, m):
+    """Breakpoints and threshold of the scaling family: d axes of m
+    equal slabs on [0, 1], threshold 0.62 * d."""
+    return [np.linspace(0.0, 1.0, m + 1) for _ in range(d)], 0.62 * d
+
+
+def _bench_model(d, m):
     """Scaling family: d uniform-like axes with m slabs each, two-sided
     frequency bounds per slab, indicator risk at a sum threshold."""
-    bp = [np.linspace(0.0, 1.0, m + 1) for _ in range(d)]
+    bp, tau = _bench_grid(d, m)
     fns = []
     for a in range(d):
         for g in range(m):
@@ -330,7 +338,6 @@ def _bench_model(d, m, tau_scale=0.62):
                 f"lo_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, axis=a,
                 slab=slab, sense=Sense.LOWER, bound=0.65 / m,
             ))
-    tau = tau_scale * d
     return bp, fns, RiskFunctional(RiskKind.VAR_INDICATOR, tau)
 
 
@@ -352,6 +359,10 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise InputError(f"--repeats must be at least 1, got {args.repeats}")
     sizes = _parse_sizes(args.sizes)
+    # every size meets the cell budget before any size builds its model,
+    # whose 2 * d * m test functions can cost more than the partition
+    for d, m in sizes:
+        build_box_partition(*_bench_grid(d, m), cell_budget=args.budget_cells)
     results = []
     timing = []
     for d, m in sizes:

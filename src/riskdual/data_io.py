@@ -121,6 +121,9 @@ def bootstrap_integral_bounds(
         raise InputError("bootstrap level must be strictly between 0 and 1")
     if replicates < MIN_REPLICATES:
         raise InputError(f"bootstrap needs at least {MIN_REPLICATES} replicates")
+    # the replicate generators take (seed, r), which must be nonnegative
+    if seed < 0:
+        raise InputError(f"bootstrap seed must be nonnegative, got {seed}")
     data = samples.data if hasattr(samples, "data") else np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise InputError("bootstrap needs a nonempty two-dimensional sample set")

@@ -58,8 +58,8 @@ from .geometry import (
     partition_rays,
     partition_vertices,
 )
+from . import lp_engine
 from .lp_engine import (
-    DENSE_BUDGET,
     ColumnGenerator,
     LinearProgram,
     LPStatus,
@@ -291,7 +291,7 @@ class DualLP:
 
     # -- materialized dual (row form) --
 
-    def materialize(self, budget: int = DENSE_BUDGET) -> LinearProgram:
+    def materialize(self) -> LinearProgram:
         """Build the row dual from every cell's :meth:`cell_rows`.
 
         Columns are y, z, z0, then each explicit block's multipliers,
@@ -299,8 +299,9 @@ class DualLP:
         dropped when an earlier one has the same sense, right-hand side
         and nonzero coefficients, each rounded to 12 digits.  Raises
         CapacityError when the row or column count would exceed
-        ``budget``.
+        ``lp_engine.DENSE_BUDGET``.
         """
+        budget = lp_engine.DENSE_BUDGET
         n_cells = self.partition.cell_count + (1 if self.corner_cell is not None else 0)
         if n_cells > budget:
             raise CapacityError(
@@ -503,14 +504,15 @@ class DualLP:
             self.scan_entries().count, self._columns, reduced_costs=self._reduced_costs
         )
 
-    def master_lp(self, budget: int = DENSE_BUDGET) -> LinearProgram:
+    def master_lp(self) -> LinearProgram:
         """Fully materialized master with one column per scan entry.
 
         This is the single-shot route: every column is built up front
         and handed to the dense solver.  Raises CapacityError when the
-        column count exceeds ``budget``.
+        column count exceeds ``lp_engine.DENSE_BUDGET``.
         """
         count = self.scan_entries().count
+        budget = lp_engine.DENSE_BUDGET
         if count > budget:
             raise CapacityError(f"{count} master columns exceed the budget {budget}")
         senses, rhs = self.master_row_data()
@@ -578,8 +580,6 @@ def assemble_dual_lp(
         raise InputError(f"unknown reduction mode: {mode!r}")
     records = normalized_records(testfns)
     spans = check_model(partition.breakpoints, [rec[0] for rec in records], riskfn)
-    if partition.tau is None:
-        raise InputError("partition must be sliced at the risk threshold")
     if abs(partition.tau - riskfn.tau) > EVAL_TOL:
         raise InputError(
             f"partition is sliced at {partition.tau}, risk threshold is {riskfn.tau}"

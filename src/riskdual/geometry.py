@@ -3,17 +3,16 @@
 Cells are axis-aligned boxes, possibly cut once by the hyperplane
 ``sum(x) = tau``.  A partition is the grid generated by per-axis
 breakpoint lists; any grid cell whose interior strictly straddles the
-hyperplane is replaced by its two halves.  Cell objects are built
-lazily from their multi-index so large grids never have to be
+hyperplane is replaced by its two halves.  A Cell object is built on
+each request from its slot's arrays, so large grids never have to be
 materialized for column generation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +71,6 @@ class Cell:
         "slice_sign",
         "tau",
         "side_of_tau",
-        "multi_index",
         "degenerate",
         "_halfspaces",
     )
@@ -85,7 +83,6 @@ class Cell:
         slice_sign=0,
         tau=None,
         side_of_tau=None,
-        multi_index=None,
         cell_id=0,
         degenerate=False,
     ):
@@ -109,7 +106,6 @@ class Cell:
         self.slice_sign = int(slice_sign)
         self.tau = None if tau is None else float(tau)
         self.side_of_tau = side_of_tau
-        self.multi_index = None if multi_index is None else tuple(multi_index)
         self.degenerate = bool(degenerate)
         self._halfspaces = None
 
@@ -251,14 +247,15 @@ def _box_vertices(lows, highs, sign, tau, ids):
     axis by axis).  An unbounded box keeps the finite ones.  A sliced
     box with k whole-line axes (interval (-inf, inf)) is its section at
     x_b = 0 on every line axis b but the first, plus a k - 1
-    dimensional lineality space; its vertices are the section's.
-    Raises UnsupportedCellError, naming ``ids[j]``, for the first box
-    that is unsliced and contains a line, or has no vertex.
+    dimensional lineality space; its vertices are the section's.  A
+    partition cell with a whole-line axis has sums over (-inf, inf), so
+    it straddles the finite tau and is sliced.  Raises
+    UnsupportedCellError, naming ``ids[j]``, for the first box that has
+    no vertex.
     """
     n = lows.shape[1]
     bounded = np.all(np.isfinite(lows) & np.isfinite(highs), axis=1)
     lines = ~np.isfinite(lows) & ~np.isfinite(highs)
-    unsliced_line = np.any(lines, axis=1) & (sign == 0)
     # pin every line axis but the first at 0; the zero-width axes send
     # the box through the deduplication
     section = lines & (np.cumsum(lines, axis=1) > 1)
@@ -270,7 +267,7 @@ def _box_vertices(lows, highs, sign, tau, ids):
     wide = np.all(highs - lows > VERTEX_TOL, axis=1)
     plain = bounded & wide & (sign == 0)
     counts[plain] = 1 << n
-    rest = np.nonzero(~unsliced_line & ~plain)[0]
+    rest = np.nonzero(~plain)[0]
     rest_points = []
     for lo in range(0, rest.size, VERTEX_BLOCK):
         blk = rest[lo : lo + VERTEX_BLOCK]
@@ -285,13 +282,8 @@ def _box_vertices(lows, highs, sign, tau, ids):
         pts = cand[k, c]
         order = np.lexsort([pts[:, i] for i in range(n - 1, -1, -1)] + [k])
         rest_points.append(pts[order])
-    bad = unsliced_line | (counts == 0)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        if unsliced_line[j]:
-            raise UnsupportedCellError(
-                f"unsliced cell {ids[j]} contains a line and has no vertex representation"
-            )
+    if not np.all(counts):
+        j = int(np.argmin(counts))
         raise UnsupportedCellError(f"sliced cell {ids[j]} has an empty vertex set")
     start = np.zeros(len(lows) + 1, dtype=np.intp)
     np.cumsum(counts, out=start[1:])
@@ -317,8 +309,7 @@ def partition_vertices(partition, idx):
     g = grid[idx]
     lows = np.column_stack([b[g[:, a]] for a, b in enumerate(partition.breakpoints)])
     highs = np.column_stack([b[g[:, a] + 1] for a, b in enumerate(partition.breakpoints)])
-    tau = 0.0 if partition.tau is None else partition.tau
-    return _box_vertices(lows, highs, flag[idx], tau, idx)
+    return _box_vertices(lows, highs, flag[idx], partition.tau, idx)
 
 
 def cell_vertices(cell: Cell) -> np.ndarray:
@@ -455,11 +446,11 @@ def maximize_linear_over_cell(cell: Cell, g):
 
 
 class Partition:
-    """Grid partition of the box spanned by per-axis breakpoints,
-    optionally sliced by sum(x) = tau.
+    """Grid partition of the box spanned by per-axis breakpoints, sliced
+    by sum(x) = tau.
 
-    Cell slots are stored as integer refs (multi-index plus a split
-    flag); Cell objects are materialized on demand by :meth:`cell_at`.
+    Cell slots are stored as integer refs (grid index plus a split
+    flag); :meth:`cell_at` builds a slot's Cell on each call.
     """
 
     def __init__(self, breakpoints, tau, ref_grid, ref_flag, ref_side, ref_min, ref_max):
@@ -471,8 +462,6 @@ class Partition:
         self._ref_side = ref_side
         self._ref_min = ref_min
         self._ref_max = ref_max
-        self._cache = {}
-        self._all_cells = None
 
     @property
     def cell_count(self) -> int:
@@ -492,44 +481,26 @@ class Partition:
     def ref_arrays(self):
         """Raw (grid_index, flag, side, min_sum, max_sum) arrays, one row
         per cell slot.  Flags: 0 whole cell, -1 below half, +1 above half.
-        Sides: -1 below, +1 above, 0 no tau."""
+        Sides: -1 below, +1 above."""
         return self._ref_grid, self._ref_flag, self._ref_side, self._ref_min, self._ref_max
 
     def cell_at(self, i: int) -> Cell:
-        cell = self._cache.get(i)
-        if cell is not None:
-            return cell
         if not (0 <= i < self.cell_count):
             raise InputError(f"cell index {i} out of range")
         idx = self._ref_grid[i]
         lows = np.array([self.breakpoints[a][idx[a]] for a in range(self.dimension)])
         highs = np.array([self.breakpoints[a][idx[a] + 1] for a in range(self.dimension)])
-        flag = int(self._ref_flag[i])
-        side_code = int(self._ref_side[i])
-        side = None
-        if self.tau is not None:
-            side = SideOfTau.BELOW if side_code < 0 else SideOfTau.ABOVE
-        cell = Cell(
+        return Cell(
             lows,
             highs,
-            slice_sign=flag,
+            slice_sign=int(self._ref_flag[i]),
             tau=self.tau,
-            side_of_tau=side,
-            multi_index=tuple(int(v) for v in idx),
+            side_of_tau=SideOfTau.BELOW if self._ref_side[i] < 0 else SideOfTau.ABOVE,
             cell_id=i,
         )
-        self._cache[i] = cell
-        return cell
-
-    @property
-    def cells(self):
-        if self._all_cells is None:
-            self._all_cells = [self.cell_at(i) for i in range(self.cell_count)]
-        return self._all_cells
 
     def __repr__(self):
-        taus = "" if self.tau is None else f", tau={self.tau}"
-        return f"Partition(dim={self.dimension}, cells={self.cell_count}{taus})"
+        return f"Partition(dim={self.dimension}, cells={self.cell_count}, tau={self.tau})"
 
 
 def _grid_sums(per_axis):
@@ -562,19 +533,19 @@ def check_breakpoints(breakpoints):
     return axes
 
 
-def build_box_partition(breakpoints, tau=None, *, cell_budget=DEFAULT_CELL_BUDGET) -> Partition:
-    """Build the grid partition from per-axis breakpoints.
+def build_box_partition(breakpoints, tau, *, cell_budget=DEFAULT_CELL_BUDGET) -> Partition:
+    """Build the grid partition from per-axis breakpoints, sliced at tau.
 
-    Breakpoints must pass :func:`check_breakpoints`.  When
-    ``tau`` is given, any cell strictly straddling sum(x) = tau is
-    replaced by its below and above halves; cells touching the
+    Breakpoints must pass :func:`check_breakpoints` and tau must be
+    finite, so every cell with a whole-line axis is sliced.  Any cell
+    strictly straddling sum(x) = tau is replaced by its below and above
+    halves, in two consecutive slots, below first; cells touching the
     hyperplane only on their boundary are left whole.  The slot count
     is checked against ``cell_budget`` before any large array is built.
     """
     if cell_budget < 1:
         raise InputError(f"cell budget must be at least 1, got {cell_budget}")
     axes = check_breakpoints(breakpoints)
-    n = len(axes)
     counts = [len(arr) - 1 for arr in axes]
     k0 = 1
     for m in counts:
@@ -584,56 +555,32 @@ def build_box_partition(breakpoints, tau=None, *, cell_budget=DEFAULT_CELL_BUDGE
                 f"grid would have more than {cell_budget} cells; raise the cell budget"
             )
 
-    lows_ax = [arr[:-1] for arr in axes]
-    highs_ax = [arr[1:] for arr in axes]
-    min_sums = _grid_sums(lows_ax)
-    max_sums = _grid_sums(highs_ax)
-    grid = np.stack(
-        np.meshgrid(*[np.arange(m, dtype=np.int32) for m in counts], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, n) if n > 0 else np.zeros((1, 0), dtype=np.int32)
-
-    if tau is None:
-        flags = np.zeros(k0, dtype=np.int8)
-        sides = np.zeros(k0, dtype=np.int8)
-        return Partition(axes, None, grid, flags, sides, min_sums, max_sums)
-
     tau = float(tau)
+    if not math.isfinite(tau):
+        raise InputError(f"partition threshold must be finite, got {tau}")
+    min_sums = _grid_sums([arr[:-1] for arr in axes])
+    max_sums = _grid_sums([arr[1:] for arr in axes])
     straddle = (min_sums < tau - STRADDLE_TOL) & (max_sums > tau + STRADDLE_TOL)
-    n_extra = int(np.count_nonzero(straddle))
-    if k0 + n_extra > cell_budget:
+    if k0 + int(np.count_nonzero(straddle)) > cell_budget:
         raise CapacityError(
             f"sliced grid would have more than {cell_budget} cells; raise the cell budget"
         )
-    total = k0 + n_extra
-    ref_grid = np.empty((total, n), dtype=np.int32)
-    ref_flag = np.empty(total, dtype=np.int8)
-    ref_side = np.empty(total, dtype=np.int8)
-    ref_min = np.empty(total)
-    ref_max = np.empty(total)
-
-    # slot layout: each straddling grid cell contributes two consecutive
-    # slots (below half first); whole cells contribute one
-    out = np.cumsum(np.where(straddle, 2, 1))
-    start = out - np.where(straddle, 2, 1)
-    whole = ~straddle
-    w_pos = start[whole]
-    ref_grid[w_pos] = grid[whole]
-    ref_flag[w_pos] = 0
-    ref_side[w_pos] = np.where(max_sums[whole] <= tau + STRADDLE_TOL, -1, 1)
-    ref_min[w_pos] = min_sums[whole]
-    ref_max[w_pos] = max_sums[whole]
-    s_pos = start[straddle]
-    for offset, flag, side in ((0, -1, -1), (1, 1, 1)):
-        pos = s_pos + offset
-        ref_grid[pos] = grid[straddle]
-        ref_flag[pos] = flag
-        ref_side[pos] = side
-        ref_min[pos] = min_sums[straddle]
-        ref_max[pos] = max_sums[straddle]
-    # a sliced half inherits the box min/max sum clipped at tau
-    below_mask = ref_flag == -1
-    above_mask = ref_flag == 1
-    ref_max[below_mask] = tau
-    ref_min[above_mask] = tau
+    # a straddling grid cell takes two consecutive slots, below half first
+    reps = np.where(straddle, 2, 1)
+    grid = np.stack(
+        np.meshgrid(*[np.arange(m, dtype=np.int32) for m in counts], indexing="ij"), axis=-1
+    ).reshape(-1, len(axes))
+    ref_grid = np.repeat(grid, reps, axis=0)
+    ref_flag = np.repeat(-straddle.astype(np.int8), reps)
+    above = np.cumsum(reps)[straddle] - 1
+    ref_flag[above] = 1
+    # a half's side is its flag; a whole cell is above when its max sum
+    # passes tau
+    ref_side = np.repeat(np.where(max_sums <= tau + STRADDLE_TOL, -1, 1).astype(np.int8), reps)
+    ref_side[above - 1] = -1
+    # a half inherits the box min/max sum clipped at tau
+    ref_min = np.repeat(min_sums, reps)
+    ref_min[above] = tau
+    ref_max = np.repeat(max_sums, reps)
+    ref_max[above - 1] = tau
     return Partition(axes, tau, ref_grid, ref_flag, ref_side, ref_min, ref_max)

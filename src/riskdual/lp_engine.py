@@ -6,7 +6,9 @@ pivots, and the inverse refreshed from scratch every so many pivots to
 bound error growth.  The column-generation solver keeps one restricted
 master for the whole run: its standard form is built once, each round
 appends the priced cell columns to it in place, and the next re-solve
-starts from the previous basis, held as column positions.
+starts from the previous basis, held as column positions.  The limits
+DENSE_BUDGET, ITER_LIMIT, ROUND_LIMIT and DCG_BATCH are module
+constants, read when a solve starts.
 """
 
 from __future__ import annotations
@@ -37,8 +39,11 @@ BLAND_AFTER = 50
 REFACTOR_EVERY = 100
 # dense solver row/column budget
 DENSE_BUDGET = 10_000
-
-DEFAULT_ITER_LIMIT = 100_000
+# pivots per dense solve, phase one and two together
+ITER_LIMIT = 100_000
+# column-generation rounds, and columns priced into the master per round
+ROUND_LIMIT = 100_000
+DCG_BATCH = 8
 
 ROW_SENSES = ("<=", ">=", "=")
 
@@ -254,7 +259,7 @@ def _pivot(basis, Binv, j, d, r):
     return Binv
 
 
-def _simplex_phase(canon, cost, basis, Binv, enterable, iter_budget, stats, phase_one=False):
+def _simplex_phase(canon, cost, basis, Binv, enterable, stats, phase_one=False):
     """Run pivots until optimal/unbounded for the given costs.
 
     Returns (status, basis, Binv, xB) with status 'optimal',
@@ -271,7 +276,7 @@ def _simplex_phase(canon, cost, basis, Binv, enterable, iter_budget, stats, phas
     bland = False
     skipped = np.zeros(A.shape[1], dtype=bool)
     while True:
-        if stats["iterations"] >= iter_budget:
+        if stats["iterations"] >= ITER_LIMIT:
             return "iteration_limit", basis, Binv, xB
         pi = cost[basis] @ Binv
         rc = cost - pi @ A
@@ -345,24 +350,19 @@ def _feasibility_residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(np.max(gap, initial=0.0))
 
 
-def solve_dense_simplex(
-    lp: LinearProgram,
-    *,
-    warm_basis=None,
-    iteration_limit: int = DEFAULT_ITER_LIMIT,
-    budget: int = DENSE_BUDGET,
-) -> LPSolution:
+def solve_dense_simplex(lp: LinearProgram, *, warm_basis=None) -> LPSolution:
     """Two-phase revised simplex over the fully materialized LP.
 
     ``warm_basis`` may carry the ``basis`` of an earlier solution of the
     same LP, as :meth:`LinearProgram.append_columns` returns it when
     columns were appended since.  When it still names a feasible basis,
     the solve resumes there.  Raises CapacityError when the row or
-    column count exceeds ``budget``.
+    column count exceeds DENSE_BUDGET, and stops with status
+    ITERATION_LIMIT after ITER_LIMIT pivots.
     """
-    if lp.n_rows > budget or lp.n_cols > budget:
+    if lp.n_rows > DENSE_BUDGET or lp.n_cols > DENSE_BUDGET:
         raise CapacityError(
-            f"LP size {lp.n_rows}x{lp.n_cols} exceeds the dense budget {budget}"
+            f"LP size {lp.n_rows}x{lp.n_cols} exceeds the dense budget {DENSE_BUDGET}"
         )
     canon = lp.standard_form()
     stats = {"iterations": 0}
@@ -389,7 +389,7 @@ def solve_dense_simplex(
     if np.any(~real[basis] & (xB > FEAS_TOL)):
         cost1 = (~real).astype(float)
         status, basis, Binv, xB = _simplex_phase(
-            canon, cost1, basis, Binv, real, iteration_limit, stats, phase_one=True
+            canon, cost1, basis, Binv, real, stats, phase_one=True
         )
         if status == "iteration_limit":
             return LPSolution(LPStatus.ITERATION_LIMIT, None, None, None, stats["iterations"])
@@ -403,9 +403,7 @@ def solve_dense_simplex(
     if not np.all(real[basis]):
         basis, Binv, xB = _drive_out_artificials(canon, basis, Binv, xB)
 
-    status, basis, Binv, xB = _simplex_phase(
-        canon, canon.cost2, basis, Binv, real, iteration_limit, stats
-    )
+    status, basis, Binv, xB = _simplex_phase(canon, canon.cost2, basis, Binv, real, stats)
     if status == "iteration_limit":
         return LPSolution(
             LPStatus.ITERATION_LIMIT, None, None, None, stats["iterations"], basis=basis
@@ -477,14 +475,7 @@ def _pricing_batch(gen, duals, q, *, use_objective=True):
     return cand[np.lexsort((cand, rc[cand]))[:q]]
 
 
-def solve_dcg(
-    seed_lp: LinearProgram,
-    gen: ColumnGenerator,
-    *,
-    batch: int = 8,
-    iteration_limit: int = DEFAULT_ITER_LIMIT,
-    round_limit: int = 100_000,
-) -> LPSolution:
+def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
     """Delayed column generation over the transposed dual.
 
     ``seed_lp`` holds the master rows and an initial column set (the
@@ -492,10 +483,10 @@ def solve_dcg(
     those columns plus the dense solver's phase-one artificials.  One
     restricted master, a copy of the seed, lives through the run.  Each
     round re-solves it from the last basis, then prices unseen columns
-    and appends up to ``batch`` of the steepest to it in place.  A clean
+    and appends up to DCG_BATCH of the steepest to it in place.  A clean
     full pricing sweep sets ``certified``: the returned optimum, or
-    infeasibility, then holds against every cell; a stop at
-    ``round_limit`` leaves it unset.  Identical inputs
+    infeasibility, then holds against every cell; a stop after
+    ROUND_LIMIT rounds leaves it unset.  Identical inputs
     produce identical iteration counts, columns and objective.
     """
     master = LinearProgram(
@@ -506,15 +497,15 @@ def solve_dcg(
     total_iters = 0
     sol = None
 
-    for _ in range(round_limit):
-        sol = solve_dense_simplex(master, warm_basis=basis, iteration_limit=iteration_limit)
+    for _ in range(ROUND_LIMIT):
+        sol = solve_dense_simplex(master, warm_basis=basis)
         total_iters += sol.iterations
         if sol.status is LPStatus.ITERATION_LIMIT:
             break
         if sol.status is LPStatus.UNBOUNDED:
             break
         use_obj = sol.status is LPStatus.OPTIMAL
-        picks = _pricing_batch(gen, sol.duals, batch, use_objective=use_obj)
+        picks = _pricing_batch(gen, sol.duals, DCG_BATCH, use_objective=use_obj)
         if not picks.size:
             # clean full sweep: the optimum, or after phase one the
             # infeasibility, holds for every column

@@ -24,13 +24,14 @@ import numpy as np
 from .dual_builder import _point_rows
 from .errors import CapacityError
 from .geometry import cell_vertices, partition_rays, partition_vertices
-from .lp_engine import DENSE_BUDGET, LinearProgram, LPSolution, LPStatus, solve_dense_simplex
+from .lp_engine import LinearProgram, LPSolution, LPStatus, solve_dense_simplex
 
 # candidate points closer than this are the same point for reporting
 POINT_TOL = 1e-9
 # candidates on an unbounded cell sit twice this far along its rays
-DEFAULT_RAY_RADIUS = 10.0
-DEFAULT_POINT_BUDGET = 100_000
+RAY_RADIUS = 10.0
+# candidate grid entries, over all cells
+POINT_BUDGET = 100_000
 
 
 @dataclass(eq=False)
@@ -49,23 +50,20 @@ class CandidateGrid:
     exact: bool
 
 
-def build_candidate_grid(
-    dual,
-    *,
-    ray_radius: float = DEFAULT_RAY_RADIUS,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-) -> CandidateGrid:
+def build_candidate_grid(dual) -> CandidateGrid:
     """Collect per-cell candidate points for the discretized primal,
     from the vertex and ray tables the master's columns come from.
 
     Every cell contributes its vertices: a bounded cell and the corner
     through :func:`cell_vertices`, an unbounded cell its finite ones
     through :func:`partition_vertices`.  An unbounded cell that does not
-    collapse also contributes each vertex moved ``2 * ray_radius`` along
+    collapse also contributes each vertex moved twice RAY_RADIUS along
     each of its rays from :func:`partition_rays`; the grid is inexact
     when any such cell has a ray, since its restricted maximum need not
     be attained.  A collapsible cell has every record constant and a
-    finite risk maximum, attained at a vertex.
+    finite risk maximum, attained at a vertex.  Raises CapacityError
+    when the grid holds more than POINT_BUDGET entries.  RAY_RADIUS and
+    POINT_BUDGET are module constants, read at call time.
     """
     entries = []
     exact = True
@@ -78,13 +76,11 @@ def build_candidate_grid(
                 _start, rays = partition_rays(dual.partition, [cell.id])
                 if len(rays):
                     exact = False
-                    moved = points[:, None, :] + 2 * ray_radius * rays
+                    moved = points[:, None, :] + 2 * RAY_RADIUS * rays
                     points = np.vstack([points, moved.reshape(-1, cell.dimension)])
         entries.extend((cell, q) for q in points)
-        if len(entries) > point_budget:
-            raise CapacityError(
-                f"candidate grid exceeds the point budget {point_budget}"
-            )
+        if len(entries) > POINT_BUDGET:
+            raise CapacityError(f"candidate grid exceeds the point budget {POINT_BUDGET}")
     return CandidateGrid(entries=entries, exact=exact)
 
 
@@ -100,19 +96,14 @@ class DiscretePrimal:
     solution: LPSolution
 
 
-def solve_primal_discretization(
-    dual,
-    grid: Optional[CandidateGrid] = None,
-    *,
-    budget: int = DENSE_BUDGET,
-) -> DiscretePrimal:
+def solve_primal_discretization(dual, grid: Optional[CandidateGrid] = None) -> DiscretePrimal:
     """Maximize the risk over measures on the candidate grid.
 
     Builds one column per grid entry from the cell-restricted values,
     restricting each cell once for all of its entries, deduplicates
     identical columns, and solves the resulting LP with the dense
-    simplex.  Infeasibility means no measure on the grid meets the
-    integral constraints.
+    simplex, which raises CapacityError past its budget.  Infeasibility
+    means no measure on the grid meets the integral constraints.
     """
     if grid is None:
         grid = build_candidate_grid(dual)
@@ -134,14 +125,10 @@ def solve_primal_discretization(
         cols.append(vals)
         objs.append(obj)
         reps.append(q)
-    if len(cols) > budget:
-        raise CapacityError(
-            f"{len(cols)} distinct candidate columns exceed the budget {budget}"
-        )
     n_rows = len(rhs)
     M = np.column_stack(cols) if cols else np.zeros((n_rows, 0))
     lp = LinearProgram("max", np.array(objs), M, senses, rhs, name="primal_grid")
-    sol = solve_dense_simplex(lp, budget=budget)
+    sol = solve_dense_simplex(lp)
     support = []
     if sol.status is LPStatus.OPTIMAL:
         agg = {}

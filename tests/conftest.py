@@ -7,10 +7,12 @@ up here purely as an independent reference solver for cross-checks;
 the package itself never calls it.
 """
 
+import contextlib
 import itertools
 import math
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
 from riskdual import (
@@ -26,8 +28,25 @@ from riskdual import (
     empirical_integral,
     solve_dense_simplex,
 )
+from riskdual import lp_engine
 from riskdual.errors import InputError, UnsupportedCellError
 from riskdual.geometry import VERTEX_TOL, _free_fill
+
+
+@contextlib.contextmanager
+def lp_limit(name, value):
+    """Run the block with the lp_engine constant ``name`` (DENSE_BUDGET,
+    ITER_LIMIT, ROUND_LIMIT or DCG_BATCH) set to ``value``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_engine, name, value)
+        yield
+
+
+def solve_rows(dual):
+    """The materialized row dual solved by the dense simplex, under a
+    budget of 20,000 rows and columns."""
+    with lp_limit("DENSE_BUDGET", 20_000):
+        return solve_dense_simplex(dual.materialize())
 
 
 class Instance:
@@ -42,9 +61,8 @@ class Instance:
     def dual(self, mode=ReductionMode.LAMBDA_ELIMINATED):
         return assemble_dual_lp(self.partition, self.testfns, self.risk, mode)
 
-    def bound(self, mode=ReductionMode.LAMBDA_ELIMINATED, budget=20_000):
-        sol = solve_dense_simplex(self.dual(mode).materialize(budget), budget=budget)
-        return sol
+    def bound(self, mode=ReductionMode.LAMBDA_ELIMINATED):
+        return solve_rows(self.dual(mode))
 
 
 def jittered_breakpoints(rng, m, lo=0.0, hi=1.0):

@@ -1,11 +1,16 @@
 """The benchmark's tracer rebinds riskdual functions and methods by name
 (perfbench/tracing.py), so renaming or deleting one breaks
 ``perfbench/run.py --trace 1`` without failing any test that runs the
-program.  This test installs the tracer on the current code."""
+program.  These tests install the tracer on the current code and run
+the benchmark runner on two workloads."""
 
 import importlib
+import json
 import os
+import subprocess
 import sys
+
+import pytest
 
 # every module the tracer patches, loaded before the bindings are read
 from riskdual import cli, data_io, dual_builder, geometry, lp_engine, oracle, test_functions  # noqa: F401
@@ -69,3 +74,15 @@ def test_tracer_rebinds_names_imported_by_other_modules(monkeypatch):
         tracer.uninstall()
     for (user, name), original in originals.items():
         assert getattr(user, name) is original
+
+
+@pytest.mark.parametrize("workload", ["unbounded_rows", "hinge_affine"])
+def test_benchmark_runner_passes_its_reference_check(workload):
+    # --trace 1 installs the tracer and ends with a traced reference
+    # check, which runs the primal oracle against references.json
+    args = [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", workload,
+            "--seed", "0", "--seconds", "0.2", "--trace", "1"]
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0, proc.stdout

@@ -24,6 +24,7 @@ from riskdual import (
     SolverError,
     assemble_dual_lp,
     build_box_partition,
+    cli,
     dual_builder,
     lp_engine,
     solve_bound,
@@ -42,6 +43,8 @@ from riskdual.cli import (
 from riskdual.data_io import MIN_REPLICATES
 from riskdual.errors import PartitionIncompatibleError
 from riskdual.test_functions import check_model, restrict_to_cell
+
+from conftest import lp_limit
 
 
 def two_point_config(moment=14.0 / 9.0, **overrides):
@@ -313,9 +316,16 @@ def _hinge_grid_config(d=2, m=4, tau=1.2):
     return cfg
 
 
+def _with_limit(limit, value, solver, *args):
+    """``solver(*args)`` with the lp_engine constant ``limit`` set to
+    ``value``."""
+    with lp_limit(limit, value):
+        return solver(*args)
+
+
 def _stopped_dcg(round_limit, status):
-    def solve(seed_lp, gen, **kwargs):
-        sol = lp_engine.solve_dcg(seed_lp, gen, round_limit=round_limit)
+    def solve(seed_lp, gen):
+        sol = _with_limit("ROUND_LIMIT", round_limit, lp_engine.solve_dcg, seed_lp, gen)
         assert sol.status is status and not sol.certified
         return sol
 
@@ -335,10 +345,10 @@ def _singular(*_args, **_kwargs):
 
 @pytest.mark.parametrize("name,mode,solver,why", [
     ("solve_dcg", "lambda_eliminated",
-     lambda seed_lp, gen, **kw: lp_engine.solve_dcg(seed_lp, gen, iteration_limit=3),
+     lambda *args: _with_limit("ITER_LIMIT", 3, lp_engine.solve_dcg, *args),
      "iteration_limit"),
     ("solve_dense_simplex", "explicit",
-     lambda lp, **kw: lp_engine.solve_dense_simplex(lp, iteration_limit=3),
+     lambda *args: _with_limit("ITER_LIMIT", 3, lp_engine.solve_dense_simplex, *args),
      "iteration_limit"),
     ("solve_dcg", "lambda_eliminated", _stopped_dcg(3, LPStatus.OPTIMAL), "clean pricing sweep"),
     ("solve_dcg", "lambda_eliminated", _stopped_dcg(1, LPStatus.INFEASIBLE), "clean pricing sweep"),
@@ -422,6 +432,13 @@ def test_input_errors_exit_five(tmp_path, capsys):
         # an integer too large for a float
         ("breakpoints[0]", lambda c: c.update(breakpoints=[[0.0, 10**400]])),
         ("risk.tau", lambda c: c["risk"].update(tau=10**400)),
+        # JSON strings are not numbers, though float() reads them
+        ("breakpoints[0]", lambda c: c.update(breakpoints=[["0", "1"]])),
+        ("risk.tau", lambda c: c["risk"].update(tau="0.5")),
+        ("test_functions[0].slab", lambda c: c["test_functions"][0].update(slab=["0", "1"])),
+        ("test_functions[0].bound", lambda c: c["test_functions"][0].update(bound="1.5")),
+        ("test_functions[0].v", lambda c: c["test_functions"][0].update(v=["1"])),
+        ("test_functions[0].c", lambda c: c["test_functions"][0].update(c="1")),
     ]
     for field, edit in malformed:
         cfg = two_point_config()
@@ -436,6 +453,11 @@ def test_input_errors_exit_five(tmp_path, capsys):
         args = ["verify", write_config(tmp_path, two_point_config()), "--samples", samples]
         assert main(args + [f"--slack={slack}"]) == EXIT_INPUT, slack
         assert "--slack must be finite" in capsys.readouterr().err, slack
+
+    # the replicate generators take no negative seed
+    args = ["bootstrap", write_config(tmp_path, two_point_config()), "--samples", samples]
+    assert main(args + ["--seed", "-1"]) == EXIT_INPUT
+    assert "bootstrap seed must be nonnegative, got -1" in capsys.readouterr().err
 
 
 def _two_axis_config():
@@ -614,7 +636,7 @@ def test_slab_end_rule_is_one_verdict_for_every_command(model):
     for row, (fn, sign, _rhs, _iseq) in enumerate(dual.records):
         rows_a, mat = dual._tables[fn.axis]
         column = mat[:, rows_a.tolist().index(row)]
-        for i, cell in enumerate(partition.cells):
+        for i, cell in enumerate(map(partition.cell_at, range(partition.cell_count))):
             assert column[grid[i, fn.axis]] == sign * restrict_to_cell(fn, cell)[1]
 
 
@@ -809,6 +831,16 @@ def test_bench_rejects_zero_repeats(capsys):
 def test_bench_rejects_sizes_below_one(capsys, sizes):
     assert main(["bench", "--sizes", sizes, "--repeats", "1"]) == EXIT_INPUT
     assert f"bad bench size '{sizes}'" in capsys.readouterr().err
+
+
+def test_bench_checks_the_cell_budget_before_building_a_model(monkeypatch, capsys):
+    # 2:20 has 400 cells: no size may build its test functions first
+    built, make = [], cli.TestFunction
+    monkeypatch.setattr(cli, "TestFunction", lambda *a, **k: built.append(a) or make(*a, **k))
+    args = ["bench", "--sizes", "2:4,2:20", "--budget-cells", "100", "--repeats", "1"]
+    assert main(args) == EXIT_BUDGET
+    assert "grid would have more than 100 cells" in capsys.readouterr().err
+    assert built == []
 
 
 def test_bench_smoke(tmp_path):

@@ -30,7 +30,6 @@ from riskdual import (
     Sense,
     TestFunction,
     TestFunctionKind,
-    UnsupportedCellError,
     assemble_dual_lp,
     build_box_partition,
     evaluate,
@@ -41,10 +40,18 @@ from riskdual import (
     solve_dcg,
     solve_dense_simplex,
 )
+from riskdual import lp_engine
 from riskdual.dual_builder import CONST_TOL, _point_rows, _signed_restrictions
 from riskdual.geometry import VERTEX_TOL, partition_rays, partition_vertices
 
-from conftest import random_instance, reference_cell_vertices, scipy_reference, two_point_model
+from conftest import (
+    lp_limit,
+    random_instance,
+    reference_cell_vertices,
+    scipy_reference,
+    solve_rows,
+    two_point_model,
+)
 
 ALL_MODES = (
     ReductionMode.EXPLICIT,
@@ -53,8 +60,8 @@ ALL_MODES = (
 )
 
 
-def _solve(dual, budget=20_000):
-    sol = solve_dense_simplex(dual.materialize(budget), budget=budget)
+def _solve(dual):
+    sol = solve_rows(dual)
     assert sol.status is LPStatus.OPTIMAL
     return sol.objective
 
@@ -277,7 +284,8 @@ def test_master_agrees_with_dual_rows(seed):
     inst = random_instance(seed, affine=(seed % 2 == 0))
     dual = inst.dual()
     row_value = _solve(dual)
-    master = solve_dense_simplex(dual.master_lp(20_000), budget=20_000)
+    with lp_limit("DENSE_BUDGET", 20_000):
+        master = solve_dense_simplex(dual.master_lp())
     assert master.status is LPStatus.OPTIMAL
     assert master.objective == pytest.approx(row_value, abs=1e-8)
 
@@ -286,7 +294,8 @@ def test_master_agrees_with_dual_rows(seed):
 def test_column_generation_agrees_with_single_shot(seed):
     inst = random_instance(seed)
     dual = inst.dual()
-    single = solve_dense_simplex(dual.master_lp(20_000), budget=20_000)
+    with lp_limit("DENSE_BUDGET", 20_000):
+        single = solve_dense_simplex(dual.master_lp())
     seed_lp, gen = dual.master_seed()
     dcg = solve_dcg(seed_lp, gen)
     assert dcg.status is LPStatus.OPTIMAL
@@ -297,7 +306,8 @@ def test_column_generation_agrees_with_single_shot(seed):
 def test_generated_columns_match_the_materialized_master():
     inst = random_instance(42, d=2, m=4)
     dual = inst.dual()
-    lp = dual.master_lp(20_000)
+    with lp_limit("DENSE_BUDGET", 20_000):
+        lp = dual.master_lp()
     gen = dual.master_generator()
     dense = lp.dense_matrix()
     for pos in range(gen.count):
@@ -443,9 +453,6 @@ def test_assemble_validation():
         other = build_box_partition([np.array([0.0, 0.5, 1.0])], 0.25)
         assemble_dual_lp(other, fns, risk)
     with pytest.raises(InputError):
-        unsliced = build_box_partition([np.array([0.0, 0.5, 1.0])])
-        assemble_dual_lp(unsliced, fns, risk)
-    with pytest.raises(InputError):
         bad_axis = [
             TestFunction(
                 "f", TestFunctionKind.SLAB_INDICATOR, 3, (0.0, 0.5), Sense.UPPER, 1.0
@@ -478,12 +485,13 @@ def test_vertex_mode_rejects_unbounded_cells():
         dual.materialize()
 
 
-def test_materialize_budget():
+def test_materialize_budget(monkeypatch):
     inst = random_instance(3, d=2, m=4)
+    monkeypatch.setattr(lp_engine, "DENSE_BUDGET", 4)
     with pytest.raises(CapacityError):
-        inst.dual().materialize(4)
+        inst.dual().materialize()
     with pytest.raises(CapacityError):
-        inst.dual().master_lp(4)
+        inst.dual().master_lp()
 
 
 def test_scan_order_prefers_cells_past_the_threshold():
@@ -652,12 +660,6 @@ def test_vertex_and_ray_table_matches_brute_force(partition):
             assert len(table) == len(ref_rays)
 
 
-def test_unsliced_line_cell_has_no_vertex_table():
-    partition = build_box_partition([np.array([-np.inf, np.inf]), np.array([0.0, 1.0])])
-    with pytest.raises(UnsupportedCellError, match="contains a line"):
-        partition_vertices(partition, [0])
-
-
 @st.composite
 def column_models(draw):
     """Small models mixing indicator and affine records of every sense
@@ -744,7 +746,8 @@ def test_column_source_matches_the_restriction_route(dual):
     ref = _restricted_entries(dual)
     entries = dual.scan_entries()
     gen = dual.master_generator()
-    master = dual.master_lp(100_000)
+    with lp_limit("DENSE_BUDGET", 100_000):
+        master = dual.master_lp()
     M = master.dense_matrix()
     assert entries.count == gen.count == len(ref)
     assert entries.cell.tolist() == [cell for cell, _q, _ray, _vals, _obj in ref]
@@ -1213,3 +1216,52 @@ def _rearrangement(bps, tau):
 def test_var_bound_is_at_least_the_rearrangement_value(model):
     bps, tau = model
     assert _uniform_mass_var_bound(bps, tau) >= _rearrangement(bps, tau) - 1e-9
+
+
+def _dual_bound(tops, d, tau):
+    """Embrechts & Puccetti's dual bound (Finance Stoch. 10, 2006) on
+    P(X_1 + ... + X_d >= tau) for d variables distributed as X, uniform
+    on ``tops``: min(1, D(t)) over candidate t < tau / d, with
+
+        D(t) = d * int_t^{tau - (d - 1) t} P(X > x) dx / (tau - d t).
+
+    Each D(t) is the mean of d * min(1, (x - t)+ / (tau - d t)) under X,
+    a function whose sum over the axes is at least 1 wherever the sum
+    reaches tau; so every t gives an upper bound, and a finite set of t
+    is safe.  D is a ratio of piecewise-linear functions of t, which
+    takes its minimum where t or tau - (d - 1) t meets a top, or in a
+    limit; the candidates are those points and a grid."""
+    cands = np.concatenate([tops, (tau - tops) / (d - 1), np.linspace(-1.0, tau / d, 201)])
+    t = cands[tau - d * cands > 1e-6][:, None]
+    upper = tau - (d - 1) * t
+    mass = np.mean(np.clip(tops, t, upper) - t, axis=1)
+    return min(1.0, float(np.min(d * mass / (tau - d * t[:, 0]))))
+
+
+@st.composite
+def shared_axis_models(draw):
+    """Three or four axes that share one breakpoint list of m = 4-10
+    slabs on [0, 1], uniform or random, and tau anywhere in [0, d] or on
+    a sum of slab tops, one per axis."""
+    d = draw(st.integers(3, 4))
+    m = draw(st.integers(4, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        bp = np.linspace(0.0, 1.0, m + 1)
+    else:
+        bp = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, m - 1)), [1.0]])
+    if draw(st.booleans()):
+        tau = float(sum(bp[rng.integers(1, m + 1, size=d)]))
+    else:
+        tau = float(rng.uniform(0.0, d))
+    return [bp] * d, tau
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_axis_models())
+def test_var_bound_is_at_most_the_dual_bound(model):
+    # mass 1/m on each slab puts at most the mass of X, uniform on the
+    # slab tops, above any point, so the dual bound holds on the model
+    bps, tau = model
+    bound = _uniform_mass_var_bound(bps, tau)
+    assert bound <= _dual_bound(bps[0][1:], len(bps), tau) + 1e-9

@@ -30,7 +30,7 @@ def test_two_axis_partition_layout():
     # the low box stays below, the high box touches only at its corner
     part = build_box_partition([HALVES, HALVES], 1.0)
     assert part.cell_count == 6
-    _grid, flag, side, mins, maxs = part.ref_arrays()
+    grid, flag, side, mins, maxs = part.ref_arrays()
     assert int(np.sum(flag == 0)) == 2
     assert int(np.sum(flag == -1)) == 2
     assert int(np.sum(flag == 1)) == 2
@@ -41,24 +41,19 @@ def test_two_axis_partition_layout():
     assert np.all(mins[flag == 1] == 1.0)
     assert part.max_total_sum == 2.0
     assert part.has_above_cells()
-
-
-def test_partition_without_tau_keeps_boxes_whole():
-    part = build_box_partition([HALVES, HALVES])
-    assert part.tau is None
-    assert part.cell_count == 4
-    for cell in part.cells:
-        assert cell.slice_sign == 0
-        assert cell.side_of_tau is None
+    # grid order, a straddling box in two consecutive slots, below first
+    assert grid.tolist() == [[0, 0], [0, 1], [0, 1], [1, 0], [1, 0], [1, 1]]
+    assert flag.tolist() == [0, -1, 1, -1, 1, 0]
+    assert side.tolist() == [-1, -1, 1, -1, 1, 1]
+    assert mins.tolist() == [0.0, 0.5, 1.0, 0.5, 1.0, 1.0]
+    assert maxs.tolist() == [1.0, 1.0, 1.5, 1.0, 1.5, 2.0]
 
 
 def test_sliced_cell_vertices_triangle_piece():
     part = build_box_partition([HALVES, HALVES], 1.0)
-    below = [
-        c for c in part.cells if c.multi_index == (0, 1) and c.slice_sign == -1
-    ]
-    assert len(below) == 1
-    got = sorted(map(tuple, cell_vertices(below[0])))
+    grid, flag, _side, _min, _max = part.ref_arrays()
+    (below,) = np.nonzero((grid == [0, 1]).all(axis=1) & (flag == -1))[0]
+    got = sorted(map(tuple, cell_vertices(part.cell_at(int(below)))))
     want = [(0.0, 0.5), (0.0, 1.0), (0.5, 0.5)]
     assert np.allclose(got, want, atol=1e-12)
 
@@ -189,29 +184,32 @@ def test_halfspaces_are_the_finite_bounds_then_the_slice():
 
 def test_breakpoint_validation():
     with pytest.raises(InputError):
-        build_box_partition([])
+        build_box_partition([], 0.5)
     with pytest.raises(InputError):
-        build_box_partition([np.array([0.0])])
+        build_box_partition([np.array([0.0])], 0.5)
     with pytest.raises(InputError):
-        build_box_partition([np.array([0.0, 0.0, 1.0])])
+        build_box_partition([np.array([0.0, 0.0, 1.0])], 0.5)
     with pytest.raises(InputError):
-        build_box_partition([np.array([0.0, np.inf, 1.0])])
+        build_box_partition([np.array([0.0, np.inf, 1.0])], 0.5)
     with pytest.raises(InputError):
-        build_box_partition([np.array([np.nan, 1.0])])
+        build_box_partition([np.array([np.nan, 1.0])], 0.5)
+    # a whole-line axis is sliced only at a finite threshold
+    for tau in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="threshold must be finite"):
+            build_box_partition([np.array([-np.inf, np.inf])], tau)
 
 
 def test_cell_budget_is_checked_before_allocation():
     bp = [np.linspace(0.0, 1.0, 101)] * 3
     with pytest.raises(CapacityError):
-        build_box_partition(bp, cell_budget=10_000)
+        build_box_partition(bp, 1.5, cell_budget=10_000)
     # slicing can push a fitting grid over the budget
     with pytest.raises(CapacityError):
         build_box_partition([HALVES, HALVES], 1.0, cell_budget=5)
 
 
-def test_cell_at_caches_and_checks_range():
+def test_cell_at_checks_range():
     part = build_box_partition([HALVES], 0.25)
-    assert part.cell_at(0) is part.cell_at(0)
     with pytest.raises(InputError):
         part.cell_at(part.cell_count)
 
@@ -219,7 +217,8 @@ def test_cell_at_caches_and_checks_range():
 def test_ref_arrays_match_materialized_cells():
     part = build_box_partition([HALVES, np.array([0.0, 0.3, 1.0])], 0.9)
     _grid, flag, side, mins, maxs = part.ref_arrays()
-    for i, cell in enumerate(part.cells):
+    for i in range(part.cell_count):
+        cell = part.cell_at(i)
         assert cell.id == i
         assert cell.slice_sign == int(flag[i])
         want_side = SideOfTau.ABOVE if side[i] > 0 else SideOfTau.BELOW

@@ -166,9 +166,10 @@ def test_tiny_rounding_pivots_are_not_taken(seed, kind, mode):
     assert sol.objective == pytest.approx(ref_value, rel=1e-7, abs=1e-7)
 
 
-def test_iteration_limit_is_reported():
+def test_iteration_limit_is_reported(monkeypatch):
     lp = random_lp(3, m=6, n=8)
-    sol = solve_dense_simplex(lp, iteration_limit=1)
+    monkeypatch.setattr(lp_engine, "ITER_LIMIT", 1)
+    sol = solve_dense_simplex(lp)
     if sol.status is LPStatus.ITERATION_LIMIT:
         assert sol.objective is None
     else:
@@ -176,10 +177,11 @@ def test_iteration_limit_is_reported():
         assert sol.iterations <= 1
 
 
-def test_size_budget_is_enforced():
+def test_size_budget_is_enforced(monkeypatch):
     lp = random_lp(11, m=4, n=6)
+    monkeypatch.setattr(lp_engine, "DENSE_BUDGET", 5)
     with pytest.raises(CapacityError):
-        solve_dense_simplex(lp, budget=5)
+        solve_dense_simplex(lp)
 
 
 def test_linear_program_validation():
@@ -292,13 +294,14 @@ def _seeded_master(lp, seed_cols):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_dcg_reaches_the_dense_optimum(seed):
+def test_dcg_reaches_the_dense_optimum(seed, monkeypatch):
     lp = _random_master(seed)
     dense = solve_dense_simplex(lp)
     assert dense.status is LPStatus.OPTIMAL
 
     seed_lp, gen = _seeded_master(lp, [0, 1])
-    sol = solve_dcg(seed_lp, gen, batch=4)
+    monkeypatch.setattr(lp_engine, "DCG_BATCH", 4)
+    sol = solve_dcg(seed_lp, gen)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.certified
     assert sol.objective == pytest.approx(dense.objective, abs=1e-9)
@@ -308,7 +311,7 @@ def test_dcg_reaches_the_dense_optimum(seed):
     assert set(appended) <= set(range(lp.n_cols))
 
 
-def test_dcg_recovers_from_infeasible_seed():
+def test_dcg_recovers_from_infeasible_seed(monkeypatch):
     # seed columns cannot satisfy the equality rows; phase one duals
     # must pull in covering columns
     A = np.array(
@@ -331,7 +334,8 @@ def test_dcg_recovers_from_infeasible_seed():
     gen = _scored(4, column_at)
     gen.generated.add(1)  # covers only the normalization row
     seed_lp = LinearProgram("max", c[[1]], A[:, [1]], senses, rhs)
-    sol = solve_dcg(seed_lp, gen, batch=1)
+    monkeypatch.setattr(lp_engine, "DCG_BATCH", 1)
+    sol = solve_dcg(seed_lp, gen)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.objective == pytest.approx(dense.objective, abs=1e-9)
 
@@ -354,8 +358,9 @@ def test_dcg_builds_its_standard_form_once(monkeypatch):
 
     monkeypatch.setattr(lp_engine, "_Canonical", Counted)
     monkeypatch.setattr(lp_engine, "solve_dense_simplex", counted_solve)
+    monkeypatch.setattr(lp_engine, "DCG_BATCH", 1)
     seed_lp, gen = _seeded_master(_random_master(5), [0, 1])
-    sol = solve_dcg(seed_lp, gen, batch=1)
+    sol = solve_dcg(seed_lp, gen)
     assert sol.status is LPStatus.OPTIMAL and sol.certified
     assert len(rounds) > 3
     assert len(built) == 1

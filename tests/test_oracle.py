@@ -18,17 +18,16 @@ from riskdual import (
     dual_builder,
     duality_gap,
     oracle,
-    solve_dense_simplex,
     solve_primal_discretization,
 )
 
 from riskdual.dual_builder import _point_rows
 
-from conftest import random_instance, two_point_model
+from conftest import random_instance, solve_rows, two_point_model
 
 
-def _dual_value(dual, budget=20_000):
-    sol = solve_dense_simplex(dual.materialize(budget), budget=budget)
+def _dual_value(dual):
+    sol = solve_rows(dual)
     assert sol.status is LPStatus.OPTIMAL
     return sol.objective
 
@@ -122,11 +121,12 @@ def _far_threshold_tail():
     return dual, cell
 
 
-def test_far_threshold_tail_gets_points_along_its_ray():
+def test_far_threshold_tail_gets_points_along_its_ray(monkeypatch):
     dual, cell = _far_threshold_tail()
-    grid = build_candidate_grid(dual, ray_radius=1.0)
+    monkeypatch.setattr(oracle, "RAY_RADIUS", 1.0)
+    grid = build_candidate_grid(dual)
     # the cut vertex 5, then 5 moved twice the radius along the ray e_0
-    points = [float(q[0]) for c, q in grid.entries if c is cell]
+    points = [float(q[0]) for c, q in grid.entries if c.id == cell.id]
     assert points == [5.0, 7.0]
     assert not grid.exact
     primal = solve_primal_discretization(dual, grid)
@@ -151,7 +151,7 @@ def test_primal_grid_restricts_each_cell_once(monkeypatch):
     monkeypatch.setattr(dual_builder, "restrict_to_cell",
                         lambda fn, cell: restricted.append(cell) or restrict(fn, cell))
     monkeypatch.setattr(oracle, "solve_dense_simplex",
-                        lambda lp, **kw: lps.append(lp) or solve(lp, **kw))
+                        lambda lp: lps.append(lp) or solve(lp))
     primal = solve_primal_discretization(dual, grid)
     assert primal.status is LPStatus.OPTIMAL
     cells = {id(cell) for cell, _q in grid.entries}
@@ -163,10 +163,11 @@ def test_primal_grid_restricts_each_cell_once(monkeypatch):
     assert np.array_equal(lp.c, np.array(objs))
 
 
-def test_point_budget_is_enforced():
+def test_point_budget_is_enforced(monkeypatch):
     inst = random_instance(1, d=2, m=4)
+    monkeypatch.setattr(oracle, "POINT_BUDGET", 3)
     with pytest.raises(CapacityError):
-        build_candidate_grid(inst.dual(), point_budget=3)
+        build_candidate_grid(inst.dual())
 
 
 def test_infeasible_constraints_are_reported():

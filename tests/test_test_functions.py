@@ -133,7 +133,7 @@ def test_evaluation_matches_restriction_inside_cells(seed):
         RiskFunctional(RiskKind.VAR_INDICATOR, part.tau),
         RiskFunctional(RiskKind.CVAR_HINGE, part.tau),
     ]
-    for cell in part.cells:
+    for cell in map(part.cell_at, range(part.cell_count)):
         q = np.mean(cell_vertices(cell), axis=0)
         for fn in fns:
             v, c = restrict_to_cell(fn, cell)
