@@ -10,6 +10,7 @@ where N_i counts the draws of row i, so no resampled rows are copied.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +54,21 @@ def load_samples_csv(path) -> SampleSet:
 
     Every later row must hold one float per header column; errors name
     the offending line, or the file when it cannot be read as UTF-8 text.
+    A number may not hold an underscore, which float() would skip.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            columns, rows = _read_rows(csv.reader(fh), path)
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read samples file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+    # one scan of the rows after the header: float("1_0") is 10.0
+    at = text.find("_", text.find("\n") + 1 or len(text))
+    if at >= 0:
+        lineno = text.count("\n", 0, at) + 1
+        raise InputError(f"{path}:{lineno}: underscore in a number")
+    columns, rows = _read_rows(csv.reader(io.StringIO(text, newline="")), path)
     if not rows:
         raise InputError(f"{path}: no data rows")
     return SampleSet(np.array(rows, dtype=float), columns)

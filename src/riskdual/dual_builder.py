@@ -32,7 +32,10 @@ or its slope along the entry's ray.  The tables are built from the slab
 ranges that :func:`~riskdual.test_functions.check_model` returns, the
 one check of a model's validity.  No column goes through a per-cell
 restriction; the row-form routes above and the primal oracle still do,
-which keeps them an independent check.
+which keeps them an independent check.  Pricing scores the point
+entries one by one and finds the steepest collapsed cells by an exact
+bound-and-evaluate search over slab boxes (see
+:meth:`DualLP._reduced_costs`).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .errors import (
     SolverError,
 )
 from .geometry import (
+    STRADDLE_TOL,
     Cell,
     Partition,
     SideOfTau,
@@ -57,14 +61,17 @@ from .geometry import (
     maximize_linear_over_cell,
     partition_rays,
     partition_vertices,
+    _grid_sums,
 )
 from . import lp_engine
 from .lp_engine import (
+    RC_TOL,
     ColumnGenerator,
     LinearProgram,
     LPStatus,
     solve_dcg,
     solve_dense_simplex,
+    steepest_candidates,
 )
 from .test_functions import (
     EVAL_TOL,
@@ -78,6 +85,9 @@ from .test_functions import (
 
 # linear parts below this count as constant for the collapse test
 CONST_TOL = 1e-12
+# boxes in the box pricer's first block of units, each next block
+# twice as many; a grid of at most half as many boxes is swept whole
+BOX_BLOCK = 2048
 
 
 @unique
@@ -178,6 +188,14 @@ class DualLP:
     vertex of the last cell, the whole top grid cell: the master scans
     it as a point entry of that cell, the row routes as the degenerate
     cell ``corner_cell``, one past the last in ``eliminable``.
+
+    Column generation prices the master through
+    :meth:`_reduced_costs`.  On a collapsed cell the reduced cost is z0
+    plus one dual-weighted table entry per axis, less an objective no
+    larger than the largest on the cell's side of tau, so a lower bound
+    per (side, head tuple) unit lets the pricer skip most slab boxes
+    and still return exactly the candidates a sweep of every entry
+    would.
     """
 
     def __init__(self, partition, riskfn, mode, records, spans, corner_cell):
@@ -375,7 +393,7 @@ class DualLP:
         vertex and does not fall along any ray.  A cell with a whole-line
         axis is always sliced, because tau is finite, and
         :func:`partition_vertices` takes its vertices from a pointed
-        section.
+        section.  The pricer's index of the entries is built with them.
         """
         if self._entries is not None:
             return self._entries
@@ -409,7 +427,6 @@ class DualLP:
             ray = np.concatenate([[False], ray])
             points = np.vstack([points, self.corner_cell.lows])
             objective = np.concatenate([[1.0], objective])
-        self._box = self._box_index(cell)
         if self.riskfn.kind is RiskKind.CVAR_HINGE:
             # the hinge is sum(x) - tau past the threshold: sum(q) - tau at
             # a vertex, sum(r) along a ray; there is no corner under this risk
@@ -420,16 +437,102 @@ class DualLP:
                 0.0,
             )
         self._entries = ScanEntries(cell, vertex, ray, points, objective)
+        self._index_boxes()
         return self._entries
 
-    def _box_index(self, cell):
-        """Flat index of each entry's slab box in the grid of the axes
-        that carry records, row-major in table order."""
+    def _index_boxes(self):
+        """The box pricer's index of the collapsed entries.
+
+        A slab box is a tuple of slabs on the axes that carry records,
+        in table order; its first half, rounded up, is the head tuple
+        and the rest the tail tuple.  A box's key is its flat index,
+        plus the box count when its cells lie below tau; a unit is a
+        (side, head tuple) pair, whose boxes are a run of keys.
+        ``_by_box`` lists the collapsed entries by key, then position,
+        and ``_box_key`` holds their keys, so a binary search finds any
+        box's or unit's entries.  The search's own tables wait for its
+        first use (:meth:`_index_units`): small grids are swept.
+        """
+        entries = self._entries
+        axes = list(self._tables)
         counts = self.partition.slab_counts
-        box = np.zeros(cell.size, dtype=np.intp)
-        for a in self._tables:
-            box = box * counts[a] + self._grid[cell, a]
-        return box
+        half = (len(axes) + 1) // 2
+        self._n_head = int(np.prod([counts[a] for a in axes[:half]], dtype=np.intp))
+        self._n_tail = int(np.prod([counts[a] for a in axes[half:]], dtype=np.intp))
+        n_boxes = self._n_head * self._n_tail
+        self._point_at = np.flatnonzero(entries.vertex >= 0)
+        # 4-byte keys and positions where they fit, built in place: these
+        # are the pricer's only arrays as long as the collapsed entries
+        small = max(entries.count, 2 * n_boxes) < 2**31
+        self._key_type = np.int32 if small else np.intp
+        key = np.zeros(self.partition.cell_count, dtype=self._key_type)
+        for a in axes:
+            key *= counts[a]
+            key += self._grid[:, a]
+        key[self._side <= 0] += n_boxes
+        collapsed = entries.vertex < 0
+        key = key[entries.cell]
+        key = key[collapsed]
+        by_box = np.arange(entries.count, dtype=self._key_type)[collapsed]
+        # scan order is partition order on each side, so the keys are
+        # already sorted when the table axes lead in axis order
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
+            key, by_box = key[order], by_box[order]
+        self._box_key, self._by_box = key, by_box
+        self._units = None
+
+    def _index_units(self):
+        """The search's per-run tables.
+
+        A tail can put a box above tau only if the box's largest sum,
+        with the free axes at their tops, passes tau, and below only if
+        its least sum stays under tau; with the tails sorted by those
+        sums, the ones that can are a suffix or a prefix, found once per
+        unit.  A margin well past the partition's rounding keeps every
+        tail that can.
+        """
+        entries = self._entries
+        axes = list(self._tables)
+        head, tail = axes[: (len(axes) + 1) // 2], axes[(len(axes) + 1) // 2 :]
+        n_head, n_tail = self._n_head, self._n_tail
+        bps = self.partition.breakpoints
+        tau = self.partition.tau
+        free = [a for a in range(self.partition.dimension) if a not in self._tables]
+        scale = abs(tau) + sum(np.max(np.abs(b[np.isfinite(b)]), initial=0.0) for b in bps)
+        margin = STRADDLE_TOL + 8 * len(bps) * np.finfo(float).eps * scale
+        low_t = _grid_sums([bps[a][:-1] for a in tail])
+        high_t = _grid_sums([bps[a][1:] for a in tail])
+        low_h = _grid_sums([bps[a][:-1] for a in head]) + sum(bps[a][0] for a in free)
+        high_h = _grid_sums([bps[a][1:] for a in head]) + sum(bps[a][-1] for a in free)
+        self._tail_by_high = np.argsort(high_t, kind="stable")
+        above_from = np.searchsorted(
+            high_t[self._tail_by_high], tau - margin - high_h, side="right"
+        )
+        self._tail_by_low = np.argsort(low_t, kind="stable")
+        below_to = np.searchsorted(low_t[self._tail_by_low], tau + margin - low_h)
+
+        # the units that hold entries; for each, its first position, its
+        # head tuple, the slot of its least tail part in the per-round
+        # table of suffix minima by high sum, inf, inf, prefix minima by
+        # low sum, and the largest objective on its side
+        unit_start = np.searchsorted(
+            self._box_key, (np.arange(2 * n_head + 1) * n_tail).astype(self._key_type)
+        )
+        self._units = np.flatnonzero(np.diff(unit_start))
+        self._unit_first = np.minimum.reduceat(self._by_box, unit_start[self._units])
+        above = self._units < n_head
+        self._unit_head = self._units % n_head
+        self._unit_least = np.where(
+            above, above_from[self._unit_head], n_tail + 1 + below_to[self._unit_head]
+        )
+        collapsed = entries.vertex < 0
+        up = self._side[entries.cell] > 0
+        self._unit_obj = np.where(
+            above,
+            np.max(entries.objective, where=collapsed & up, initial=0.0),
+            np.max(entries.objective, where=collapsed & ~up, initial=0.0),
+        )
 
     def _columns(self, pos):
         """Master columns at scan positions ``pos``, as a (rows, len(pos))
@@ -454,40 +557,161 @@ class DualLP:
         M[:-1] *= factor
         return M, entries.objective[pos]
 
-    def _reduced_costs(self, duals, use_objective):
-        """Reduced cost of every scan entry.
+    def _reduced_costs(self, duals, use_objective, q, seen):
+        """Pricing candidates, as :class:`ColumnGenerator` defines them;
+        here exactly the q steepest entries outside ``seen`` whose
+        reduced cost is below -RC_TOL, by value, then position.
 
-        Each axis's slab table weighted by the duals gives a record
-        part per slab; numpy broadcasting adds them onto z0 once per
-        slab box, in table order, which is the order a running sum over
-        the axes would take, so every box value is bitwise that sum.
-        One gather then gives each entry its box's value.  Point entries
-        add <G, q>, with G the dual-weighted sum of the linear parts of
-        the records whose slab holds the cell.  A ray entry scores
-        <G, r> alone: no constant part and no z0 term.
+        Each axis's slab table weighted by the duals gives a record part
+        per slab.  A box's value is z0 plus its parts, summed in table
+        order; a collapsed entry scores its box's value less its
+        objective in phase two, and minus it in phase one.  Point
+        entries (vertices, rays and the corner) are all scored: the box
+        value plus <G, q>, with G the dual-weighted sum of the linear
+        parts of the records whose slab holds the cell, or <G, r> alone
+        for a ray.
+
+        Collapsed entries are swept on grids of at most BOX_BLOCK / 2
+        boxes, and found by bound and evaluate on larger ones.  Units,
+        (side, head tuple) pairs, are evaluated in order of a lower
+        bound on their scores (:meth:`_bounded_units`), in doubling
+        blocks, until the next bound passes the q-th candidate so far,
+        or -RC_TOL while there are fewer than q; a unit whose bound
+        equals it is still evaluated, as its entries may tie.  The
+        search is exact: every box value continues the head partial by
+        the same additions in the same order as the running sum over
+        the axes, so it is bitwise that sum; a unit is skipped only when
+        its bound, which the rounding slack keeps below every score in
+        it, passes the q-th candidate; and a box is skipped only when
+        it cannot beat that candidate, ties broken by position.  So the
+        candidates, and an empty answer as a certificate, are those of
+        a sweep of every entry.
         """
-        entries = self.scan_entries()
         duals = np.asarray(duals, dtype=float)
-        boxes = duals[-1]
-        k = len(self._tables)
-        for i, (a, (rows_a, mat)) in enumerate(self._tables.items()):
-            t = mat @ (duals[rows_a] * self._rec_c[rows_a])
-            boxes = boxes + t.reshape((-1,) + (1,) * (k - 1 - i))
-        score = np.ravel(boxes)[self._box]
-        at = np.nonzero(entries.vertex >= 0)[0]
-        if at.size:
-            grid = self._grid
-            cells = entries.cell[at]
-            G = np.zeros((at.size, self.partition.dimension))
-            for a, (rows_a, mat) in self._tables.items():
-                G += (mat @ (duals[rows_a, None] * self._rec_v[rows_a]))[grid[cells, a]]
-            const = np.where(entries.ray[at], 0.0, score[at])
-            score[at] = const + np.einsum("ij,ij->i", G, entries.points[entries.vertex[at]])
-        if use_objective:
-            score -= entries.objective
-        else:
-            np.negative(score, out=score)
-        return score
+        tables = [mat @ (duals[rows_a] * self._rec_c[rows_a])
+                  for rows_a, mat in self._tables.values()]
+        pos, vals = self._point_at, self._point_costs(duals, tables, use_objective)
+        self._scored = pos.size
+        if self._box_key.size:
+            head, tail = tables[: (len(tables) + 1) // 2], tables[(len(tables) + 1) // 2 :]
+            partial = self._box_sums(duals[-1:], head)[0]
+            pos, vals = self._search_units(pos, vals, partial, tail, use_objective, q, seen)
+        return steepest_candidates(pos, vals, q, seen)
+
+    def _search_units(self, pos, vals, partial, tail, use_objective, q, seen):
+        """The point candidates ``(pos, vals)`` joined by the collapsed
+        entries that can beat their q-th, ``(cut, last)`` as (value,
+        position): the units by increasing bound, in doubling blocks,
+        while the next bound is at most the cut."""
+        n_tail = self._n_tail
+        if 2 * partial.size * n_tail <= BOX_BLOCK:
+            # every box fits the first block: score them all, as a sweep
+            boxes = self._box_sums(np.concatenate([partial, partial]), tail)
+            box = np.ravel(boxes)[self._box_key]
+            if use_objective:
+                box = box - self._entries.objective[self._by_box]
+            else:
+                box = -box
+            self._scored += boxes.size
+            return np.concatenate([pos, self._by_box]), np.concatenate([vals, box])
+        if self._units is None:
+            self._index_units()
+        block = max(BOX_BLOCK // n_tail, 1)
+        cut, last = -RC_TOL, self._entries.count
+        pos, vals = steepest_candidates(pos, vals, q, seen)
+        if vals.size == q:
+            cut = vals.max()
+            last = pos[vals == cut].max()
+        units, bound = self._bounded_units(partial, tail, use_objective, cut)
+        done = 0
+        while done < units.size and bound[done] <= cut:
+            stop = min(done + block, int(np.searchsorted(bound, cut, side="right")))
+            new_pos, new_vals = self._box_costs(
+                units[done:stop], partial, tail, use_objective, cut, last
+            )
+            pos, vals = steepest_candidates(
+                np.concatenate([pos, new_pos]), np.concatenate([vals, new_vals]), q, seen
+            )
+            if vals.size == q:
+                cut = vals.max()
+                last = pos[vals == cut].max()
+            self._scored += (stop - done) * n_tail
+            done, block = stop, 2 * block
+        return pos, vals
+
+    def _bounded_units(self, partial, tail, use_objective, cut):
+        """Indices into ``_units`` of the units whose bound is at most
+        ``cut``, by increasing bound, and their bounds.  A unit's bound
+        is its head partial plus the least tail part that can reach its
+        side, less its side's largest objective and a rounding slack:
+        no entry of the unit scores below it."""
+        sign = 1.0 if use_objective else -1.0
+        part = sign * self._box_sums(np.zeros(1), tail)[0]
+        least = np.concatenate([
+            np.minimum.accumulate(part[self._tail_by_high][::-1])[::-1],
+            [np.inf, np.inf],
+            np.minimum.accumulate(part[self._tail_by_low]),
+        ])[self._unit_least]
+        p = partial[self._unit_head]
+        obj = self._unit_obj if use_objective else 0.0
+        # a box sum rounds by at most a few eps of its terms' sizes
+        size = np.abs(p) + sum(np.max(np.abs(t)) for t in tail) + obj
+        slack = 4 * (len(self._tables) + 2) * np.finfo(float).eps * size
+        bound = sign * p + least - obj - slack
+        keep = np.flatnonzero(bound <= cut)
+        order = keep[np.argsort(bound[keep], kind="stable")]
+        return order, bound[order]
+
+    def _box_costs(self, at, partial, tail, use_objective, cut, last):
+        """Positions and reduced costs of the collapsed entries of units
+        ``_units[at]`` whose box can beat the q-th candidate so far,
+        ``(cut, last)`` as (value, position).  Each box value continues
+        its head partial over the tail tables in table order.  Less the
+        side's largest objective it rounds, rounding being monotone, to
+        at most the score of any entry in the box; a box can tie the cut
+        only in a unit with a position before ``last``."""
+        entries = self._entries
+        vals = self._box_sums(partial[self._unit_head[at]], tail)
+        low = vals - self._unit_obj[at, None] if use_objective else -vals
+        ties = (self._unit_first[at] < last)[:, None]
+        row, col = np.nonzero((low < cut) | ((low == cut) & ties))
+        key = (self._units[at[row]] * vals.shape[1] + col).astype(self._key_type)
+        first = np.searchsorted(self._box_key, key)
+        count = np.searchsorted(self._box_key, key, side="right") - first
+        start = np.repeat(first - np.cumsum(count) + count, count)
+        pos = self._by_box[np.arange(start.size) + start]
+        box = np.repeat(vals[row, col], count)
+        return pos, box - entries.objective[pos] if use_objective else -box
+
+    @staticmethod
+    def _box_sums(partial, tables):
+        """Running sums, one row per partial and one column per slab
+        tuple of ``tables``, row-major: each partial plus its tuple's
+        table entries, added in table order."""
+        vals = partial.reshape((-1,) + (1,) * len(tables))
+        for i, t in enumerate(tables):
+            vals = vals + t.reshape((-1,) + (1,) * (len(tables) - 1 - i))
+        return vals.reshape(partial.size, -1)
+
+    def _point_costs(self, duals, tables, use_objective):
+        """Reduced costs of the point entries, in ``_point_at`` order."""
+        entries = self._entries
+        at = self._point_at
+        if not at.size:
+            return np.zeros(0)
+        cells = entries.cell[at]
+        slabs = [self._grid[cells, a] for a in self._tables]
+        box = duals[-1]
+        for t, s in zip(tables, slabs):
+            box = box + t[s]
+        # np.take: a row gather, bit for bit the indexing, but faster
+        G = np.zeros((at.size, self.partition.dimension))
+        for (rows_a, mat), s in zip(self._tables.values(), slabs):
+            G += np.take(mat @ (duals[rows_a, None] * self._rec_v[rows_a]), s, axis=0)
+        const = np.where(entries.ray[at], 0.0, box)
+        points = np.take(entries.points, entries.vertex[at], axis=0)
+        score = const + np.einsum("ij,ij->i", G, points)
+        return score - entries.objective[at] if use_objective else -score
 
     def master_generator(self) -> ColumnGenerator:
         """Column producer over the scan entries: one column per
@@ -495,13 +719,15 @@ class DualLP:
         cell, and the corner.
 
         ``column_at`` is :meth:`_columns`, which builds a whole batch of
-        positions as one block; it and the vectorized pricing scorer
+        positions as one block; it and the pricer, :meth:`_reduced_costs`,
         read the same source, the per-axis slab tables and the vertex
         table, for indicator and affine records alike; neither restricts
-        a record to a cell.
+        a record to a cell.  ``scored()`` is the number of boxes and
+        point entries the last pricing call scored.
         """
         return ColumnGenerator(
-            self.scan_entries().count, self._columns, reduced_costs=self._reduced_costs
+            self.scan_entries().count, self._columns, self._reduced_costs,
+            scored=lambda: self._scored,
         )
 
     def master_lp(self) -> LinearProgram:

@@ -401,10 +401,11 @@ def maximize_linear_over_cell(cell: Cell, g):
     is convex and piecewise linear with kinks at 0 and at each -s g_i
     > 0.  The optimal gamma is the first kink, in ascending order, at
     which the box maximizer, its zero coefficients of h at their
-    s-side ends, reaches the slice.  There x puts h > 0 at highs and
-    h < 0 at lows and fills the rest to the slice, and lam holds -h on
-    the lows, h on the highs and gamma on the slice.  Raises
-    InputError when no kink reaches the slice: the cell is empty.
+    s-side ends, reaches the slice to within STRADDLE_TOL.  There x
+    puts h > 0 at highs and h < 0 at lows and fills the rest to the
+    slice, and lam holds -h on the lows, h on the highs and gamma on
+    the slice.  Raises InputError when no kink reaches the slice: the
+    cell is empty.
     """
     g = np.asarray(g, dtype=float)
     n = cell.dimension
@@ -421,8 +422,10 @@ def maximize_linear_over_cell(cell: Cell, g):
             # only where the box max is +inf at every gamma, and the
             # verdict below returns +inf
             reach = s * np.where(h > 0, highs, np.where(h < 0, lows, side))
+            # a slice that misses the box by at most STRADDLE_TOL touches
+            # it, as in build_box_partition's straddle test
             if reach.max() == math.inf or (
-                reach.min() > -math.inf and np.sum(reach) >= s * cell.tau
+                reach.min() > -math.inf and np.sum(reach) >= s * cell.tau - STRADDLE_TOL
             ):
                 break
         else:

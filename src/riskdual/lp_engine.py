@@ -6,14 +6,19 @@ pivots, and the inverse refreshed from scratch every so many pivots to
 bound error growth.  The column-generation solver keeps one restricted
 master for the whole run: its standard form is built once, each round
 appends the priced cell columns to it in place, and the next re-solve
-starts from the previous basis, held as column positions.  The limits
+starts from the previous basis, held as column positions.  Pricing asks
+the column generator for candidates rather than for every column's
+reduced cost; the generator must find them exactly, by search or by
+sweep, so an empty answer certifies the master.  The limits
 DENSE_BUDGET, ITER_LIMIT, ROUND_LIMIT and DCG_BATCH are module
 constants, read when a solve starts.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Optional
@@ -21,6 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError, FactorizationError, InputError
+
+log = logging.getLogger(__name__)
 
 # primal feasibility tolerance
 FEAS_TOL = 1e-7
@@ -439,40 +446,57 @@ class ColumnGenerator:
     returns the dense ``(rows, len(positions))`` column block and the
     objectives; it is a pure function, so fetching a position again, in
     any batch, yields bit-identical data.  ``reduced_costs(duals,
-    use_objective)`` scores every position at once, once per round;
-    pricing reads nothing else, and keeps the steepest by partial
-    selection rather than by sorting every candidate (see
-    :func:`_pricing_batch`).  ``generated`` records the positions
-    already present in the restricted master.
+    use_objective, q, seen)`` prices once per round, ``seen`` being the
+    sorted positions in ``generated``, and returns candidate
+    ``(positions, values)``: unseen positions with reduced cost below
+    -RC_TOL, their costs, and among them the q steepest by cost, then
+    position.  A pricer may find them by search rather than by scoring
+    every position, but it must be exact: :func:`_pricing_batch` picks
+    from the candidates alone, and no candidate certifies the master.
+    ``generated`` records the positions already present in the
+    restricted master.  ``scored()``, when given, tells how many boxes
+    and entries the last pricing call scored, for the round log.
     """
 
-    def __init__(self, count, column_at, reduced_costs):
+    def __init__(self, count, column_at, reduced_costs, scored=None):
         self.count = int(count)
         self.column_at = column_at
         self.reduced_costs = reduced_costs
+        self.scored = scored
         self.generated = set()
+
+
+def steepest_candidates(positions, values, q, seen):
+    """The ``q`` steepest pairs of ``(positions, values)`` that pricing
+    may pick, by value, then position: those not in ``seen``, a sorted
+    array, with value below -RC_TOL.  Partial selections find them, so
+    nothing is sorted here."""
+    keep = values < -RC_TOL
+    positions, values = positions[keep], values[keep]
+    if seen.size and positions.size:
+        at = np.minimum(np.searchsorted(seen, positions), seen.size - 1)
+        keep = seen[at] != positions
+        positions, values = positions[keep], values[keep]
+    if values.size > q:
+        last = np.partition(values, q - 1)[q - 1]
+        keep = values < last
+        tied = np.flatnonzero(values == last)
+        # the ties at the q-th value that fit, lowest positions first
+        room = q - np.count_nonzero(keep)
+        keep[tied[np.argpartition(positions[tied], room - 1)[:room]]] = True
+        positions, values = positions[keep], values[keep]
+    return positions, values
 
 
 def _pricing_batch(gen, duals, q, *, use_objective=True):
     """Positions of the ``q`` steepest unseen columns with reduced cost
-    below -RC_TOL, steepest first, ties broken by position.  An empty
-    array after a full scan certifies the restricted master solution.
-
-    A partial selection finds the q-th smallest candidate value; only
-    the candidates at or below it, ties included, are sorted, which
-    picks exactly what sorting every candidate would."""
-    rc = np.asarray(gen.reduced_costs(np.asarray(duals, dtype=float), use_objective), dtype=float)
-    mask = rc < -RC_TOL
-    if gen.generated:
-        mask[np.fromiter(gen.generated, dtype=int)] = False
-    cand = np.nonzero(mask)[0]
-    if cand.size > q:
-        # partitioned in place: the candidate values are copied once
-        vals = rc[cand]
-        vals.partition(q - 1)
-        mask &= rc <= vals[q - 1]
-        cand = np.nonzero(mask)[0]
-    return cand[np.lexsort((cand, rc[cand]))[:q]]
+    below -RC_TOL, steepest first, ties broken by position, and their
+    reduced costs.  None from an exact pricer certifies the restricted
+    master solution."""
+    seen = np.sort(np.fromiter(gen.generated, dtype=np.intp, count=len(gen.generated)))
+    pos, vals = gen.reduced_costs(np.asarray(duals, dtype=float), use_objective, q, seen)
+    order = np.lexsort((pos, vals))[:q]
+    return pos[order], vals[order]
 
 
 def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
@@ -483,11 +507,14 @@ def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
     those columns plus the dense solver's phase-one artificials.  One
     restricted master, a copy of the seed, lives through the run.  Each
     round re-solves it from the last basis, then prices unseen columns
-    and appends up to DCG_BATCH of the steepest to it in place.  A clean
-    full pricing sweep sets ``certified``: the returned optimum, or
-    infeasibility, then holds against every cell; a stop after
-    ROUND_LIMIT rounds leaves it unset.  Identical inputs
-    produce identical iteration counts, columns and objective.
+    and appends up to DCG_BATCH of the steepest to it in place.  An
+    exact pricing call that finds no candidate sets ``certified``: the
+    returned optimum, or infeasibility, then holds against every cell;
+    a stop after ROUND_LIMIT rounds leaves it unset.  Identical inputs
+    produce identical iteration counts, columns and objective.  Each
+    round logs one line at debug level: phase, restricted objective,
+    pivots, picks, most negative reduced cost, what pricing scored and
+    its seconds.
     """
     master = LinearProgram(
         seed_lp.sense, seed_lp.c, seed_lp.A, seed_lp.row_senses, seed_lp.rhs, name=seed_lp.name
@@ -497,7 +524,7 @@ def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
     total_iters = 0
     sol = None
 
-    for _ in range(ROUND_LIMIT):
+    for round_no in range(ROUND_LIMIT):
         sol = solve_dense_simplex(master, warm_basis=basis)
         total_iters += sol.iterations
         if sol.status is LPStatus.ITERATION_LIMIT:
@@ -505,10 +532,18 @@ def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
         if sol.status is LPStatus.UNBOUNDED:
             break
         use_obj = sol.status is LPStatus.OPTIMAL
-        picks = _pricing_batch(gen, sol.duals, DCG_BATCH, use_objective=use_obj)
+        t0 = time.perf_counter()
+        picks, rc = _pricing_batch(gen, sol.duals, DCG_BATCH, use_objective=use_obj)
+        log.debug(
+            "dcg round %d: phase %d, objective %s, pivots %d, picks %d, min rc %s, "
+            "scored %s, pricing %.6f s",
+            round_no + 1, 2 if use_obj else 1, sol.objective, sol.iterations, picks.size,
+            float(rc[0]) if rc.size else None, gen.scored() if gen.scored else None,
+            time.perf_counter() - t0,
+        )
         if not picks.size:
-            # clean full sweep: the optimum, or after phase one the
-            # infeasibility, holds for every column
+            # exact pricing found nothing: the optimum, or after phase
+            # one the infeasibility, holds for every column
             sol.certified = True
             break
         cols, col_objs = gen.column_at(picks)

@@ -396,3 +396,66 @@ def reference_maximize_linear_over_cell(cell, g):
         lam = _lam_from_bounds(cell, at_hi, coeff_hi, at_lo, coeff_lo, slice_coeff=gamma)
         return float(g @ x), x, lam
     raise InputError("cell face sum(x) = tau is empty; invalid sliced cell")
+
+
+# -- the per-entry pricing sweep, kept as the reference --
+
+
+def reference_reduced_costs(dual, duals, use_objective):
+    """Reduced cost of every scan entry, the sweep the box pricer must
+    reproduce.
+
+    Each axis's slab table weighted by the duals gives a record part
+    per slab; numpy broadcasting adds them onto z0 once per slab box,
+    in table order, and one gather gives each entry its box's value.
+    Point entries add <G, q>, with G the dual-weighted sum of the
+    linear parts of the records whose slab holds the cell.  A ray entry
+    scores <G, r> alone: no constant part and no z0 term.
+    """
+    entries = dual.scan_entries()
+    duals = np.asarray(duals, dtype=float)
+    counts = dual.partition.slab_counts
+    boxes = duals[-1]
+    box = np.zeros(entries.count, dtype=np.intp)
+    k = len(dual._tables)
+    for i, (a, (rows_a, mat)) in enumerate(dual._tables.items()):
+        t = mat @ (duals[rows_a] * dual._rec_c[rows_a])
+        boxes = boxes + t.reshape((-1,) + (1,) * (k - 1 - i))
+        box = box * counts[a] + dual._grid[entries.cell, a]
+    score = np.ravel(boxes)[box]
+    at = np.nonzero(entries.vertex >= 0)[0]
+    if at.size:
+        cells = entries.cell[at]
+        G = np.zeros((at.size, dual.partition.dimension))
+        for a, (rows_a, mat) in dual._tables.items():
+            G += (mat @ (duals[rows_a, None] * dual._rec_v[rows_a]))[dual._grid[cells, a]]
+        const = np.where(entries.ray[at], 0.0, score[at])
+        score[at] = const + np.einsum("ij,ij->i", G, entries.points[entries.vertex[at]])
+    if use_objective:
+        score -= entries.objective
+    else:
+        np.negative(score, out=score)
+    return score
+
+
+def sweep_generator(count, column_at, scores):
+    """A generator whose pricer scores every position with
+    ``scores(duals, use_objective)`` and returns every unseen one below
+    -RC_TOL as a candidate, leaving the selection to the caller."""
+
+    def reduced_costs(duals, use_objective, q, seen):
+        rc = np.asarray(scores(duals, use_objective), dtype=float)
+        keep = rc < -lp_engine.RC_TOL
+        keep[seen] = False
+        pos = np.flatnonzero(keep)
+        return pos, rc[pos]
+
+    return lp_engine.ColumnGenerator(count, column_at, reduced_costs)
+
+
+def reference_generator(dual):
+    """The dual's generator with the full sweep as its pricer."""
+    return sweep_generator(
+        dual.scan_entries().count, dual._columns,
+        lambda duals, use_objective: reference_reduced_costs(dual, duals, use_objective),
+    )

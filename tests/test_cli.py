@@ -4,8 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -109,6 +111,30 @@ def test_bound_report_is_deterministic(tmp_path):
     da = json.dumps(first["deterministic"], sort_keys=True)
     db = json.dumps(second["deterministic"], sort_keys=True)
     assert da == db
+
+
+def test_debug_log_has_one_line_per_round_and_leaves_the_report(tmp_path, caplog,
+                                                                monkeypatch):
+    # 4 axes of 6 slabs, VaR at 0.7 * 4: 2,592 boxes, so pricing searches
+    cfg = write_config(tmp_path, _frequency_grid_config(
+        4, 6, {"kind": "var_indicator", "tau": 0.7 * 4}))
+    _, quiet = run(["bound", cfg], tmp_path, out="quiet.json")
+    monkeypatch.setenv("RISKDUAL_LOG", "debug")
+    with caplog.at_level(logging.DEBUG, logger="riskdual"):
+        _, loud = run(["bound", cfg], tmp_path, out="loud.json")
+    assert loud["deterministic"] == quiet["deterministic"]
+    lines = [r.getMessage() for r in caplog.records if r.name == "riskdual.lp_engine"]
+    assert len(lines) >= 2
+    for n, line in enumerate(lines, start=1):
+        m = re.fullmatch(
+            r"dcg round (\d+): phase ([12]), objective (\S+), pivots (\d+), picks (\d+), "
+            r"min rc (\S+), scored (\d+), pricing (\d+\.\d{6}) s", line
+        )
+        assert m and int(m[1]) == n
+        assert (m[6] == "None") == (m[5] == "0")
+    # the last round certifies with an empty pricing call
+    assert ", picks 0, min rc None, " in lines[-1]
+    assert lines[-1].startswith(f"dcg round {len(lines)}: phase 2, ")
 
 
 def test_bound_mode_override_and_formats(tmp_path):

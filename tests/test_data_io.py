@@ -51,6 +51,16 @@ def test_csv_errors_name_the_line(tmp_path):
         load_samples_csv(path)
 
 
+def test_csv_rejects_underscores_in_numbers(tmp_path):
+    # float() reads "1_0" as 10.0; a header name may hold one
+    path = tmp_path / "under.csv"
+    path.write_text("x_0,y_0\n0.1,0.2\n\n1_0,0.4\n")
+    with pytest.raises(InputError, match="under.csv:4: underscore"):
+        load_samples_csv(path)
+    path.write_text("x_0,y_0\n0.1,0.2\n")
+    assert load_samples_csv(path).columns == ("x_0", "y_0")
+
+
 def test_sample_set_validation():
     with pytest.raises(InputError):
         SampleSet(np.array([1.0, 2.0]), ("x",))

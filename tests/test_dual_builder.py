@@ -40,14 +40,17 @@ from riskdual import (
     solve_dcg,
     solve_dense_simplex,
 )
-from riskdual import lp_engine
+from riskdual import dual_builder, lp_engine
 from riskdual.dual_builder import CONST_TOL, _point_rows, _signed_restrictions
+from riskdual.lp_engine import _pricing_batch
 from riskdual.geometry import VERTEX_TOL, partition_rays, partition_vertices
 
 from conftest import (
     lp_limit,
     random_instance,
     reference_cell_vertices,
+    reference_generator,
+    reference_reduced_costs,
     scipy_reference,
     solve_rows,
     two_point_model,
@@ -318,12 +321,17 @@ def test_generated_columns_match_the_materialized_master():
 
 def test_vectorized_pricing_matches_per_column_scores():
     inst = random_instance(43, d=2, m=4)
-    gen = inst.dual().master_generator()
+    dual = inst.dual()
+    gen = dual.master_generator()
     rng = np.random.default_rng(0)
     n_rows = len(inst.dual().master_row_data()[1])
     duals = rng.normal(0, 1, n_rows)
     for use_obj in (True, False):
-        fast = gen.reduced_costs(duals, use_objective=use_obj)
+        fast = reference_reduced_costs(dual, duals, use_obj)
+        # the pricer's candidates carry the sweep's values
+        pos, vals = gen.reduced_costs(duals, use_obj, gen.count, np.zeros(0, dtype=np.intp))
+        assert pos.size and np.array_equal(vals, fast[pos])
+        assert sorted(pos.tolist()) == np.flatnonzero(fast < -lp_engine.RC_TOL).tolist()
         slow = np.empty(gen.count)
         for pos in range(gen.count):
             cols, objs = gen.column_at(np.array([pos]))
@@ -753,7 +761,7 @@ def test_column_source_matches_the_restriction_route(dual):
     assert entries.cell.tolist() == [cell for cell, _q, _ray, _vals, _obj in ref]
     assert entries.ray.tolist() == [ray for _cell, _q, ray, _vals, _obj in ref]
     duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
-    rc = gen.reduced_costs(duals, use_objective=True)
+    rc = reference_reduced_costs(dual, duals, use_objective=True)
     for pos, (_cell, q, _ray, vals, obj) in enumerate(ref):
         if q is None:
             assert entries.vertex[pos] == -1
@@ -791,10 +799,19 @@ def _per_cell_gather_scores(dual, duals, use_objective):
 
 
 def _assert_scores_match_the_gather_formula(dual, seed=0):
+    """The reference sweep is bitwise the per-cell running sum, and so
+    is every value among the pricer's candidates, by the sweep and by
+    the box search alike."""
     duals = np.random.default_rng(seed).normal(0.0, 1.0, len(dual.records) + 1)
+    seen = np.zeros(0, dtype=np.intp)
     for use_objective in (True, False):
-        got = dual.master_generator().reduced_costs(duals, use_objective)
-        assert np.array_equal(got, _per_cell_gather_scores(dual, duals, use_objective))
+        gather = _per_cell_gather_scores(dual, duals, use_objective)
+        assert np.array_equal(reference_reduced_costs(dual, duals, use_objective), gather)
+        for box_block in (1, dual_builder.BOX_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dual_builder, "BOX_BLOCK", box_block)
+                pos, vals = dual._reduced_costs(duals, use_objective, 8, seen)
+            assert np.array_equal(vals, gather[pos])
 
 
 @settings(max_examples=80, deadline=None)
@@ -982,28 +999,154 @@ def test_solve_bound_edge_cases_agree_with_highs(name, bps, tau, kind, fns, stat
     assert (got.status, got.engine) == (status, engine)
 
 
-def test_reduced_costs_allocate_in_proportion_to_the_entries():
-    # VaR at the top corner of [0, 1]^12 in two slabs per axis: 4,096
-    # boxes plus the corner's entry; no sum may widen to the 3^12 boxes
-    # of every axis with one more slab
-    d = 12
-    grid = np.array([0.0, 0.5, 1.0])
-    fns = [TestFunction(f"{name}_{a}_{s}", TestFunctionKind.SLAB_INDICATOR, a,
-                        (grid[s], grid[s + 1]), sense, bound)
-           for a in range(d) for s in range(2)
-           for name, sense, bound in (("hi", Sense.UPPER, 0.675), ("lo", Sense.LOWER, 0.325))]
-    dual = assemble_dual_lp(build_box_partition([grid] * d, float(d)), fns,
-                            RiskFunctional(VAR, float(d)))
+def test_pricing_allocates_in_proportion_to_the_boxes_evaluated():
+    # 4 axes of 16 slabs, VaR at 0.7 * 4: 70,375 entries, all collapsed;
+    # one round may allocate per box evaluated and per unit, not per entry
+    d, m = 4, 16
+    grid = np.linspace(0.0, 1.0, m + 1)
+    fns = [TestFunction(f"{name}_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, a,
+                        (grid[g], grid[g + 1]), sense, bound / m)
+           for a in range(d) for g in range(m)
+           for name, sense, bound in (("hi", Sense.UPPER, 1.35), ("lo", Sense.LOWER, 0.65))]
+    dual = assemble_dual_lp(build_box_partition([grid] * d, 0.7 * d), fns,
+                            RiskFunctional(VAR, 0.7 * d))
     count = dual.scan_entries().count
-    assert dual.corner_cell is not None and count == 2**d + 1
+    assert count == 70_375
     duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
+    # the first search builds the unit tables, once per run
+    dual._reduced_costs(-duals, True, 8, np.zeros(0, dtype=np.intp))
     tracemalloc.start()
     try:
-        dual._reduced_costs(duals, True)
+        pos, _vals = dual._reduced_costs(duals, True, 8, np.zeros(0, dtype=np.intp))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * count
+    assert pos.size == 8 and 0 < dual._scored < count // 8
+    assert peak <= 128 * (dual._scored + dual._units.size) + 65_536
+    assert peak < 4 * count
+
+
+@st.composite
+def indicator_models(draw):
+    """Indicator records only, so every cell on which the risk has a
+    maximum collapses: axes may carry no record, the first record may
+    sit on any axis, axes may be open, VaR may sit at the top corner,
+    and the hinge charges each cell above tau its own objective."""
+    bps = draw(breakpoint_grids())
+    d = len(bps)
+    lo = sum(b[0] for b in bps)
+    hi = sum(b[-1] for b in bps)
+    kind = draw(st.sampled_from(list(RiskKind)))
+    if kind is RiskKind.VAR_INDICATOR and draw(st.booleans()):
+        tau = hi
+    else:
+        tau = lo + draw(st.integers(1, 7)) / 8 * (hi - lo)
+    if draw(st.booleans()):
+        bps = open_ends(draw, bps)
+    fns = []
+    for j, axis in enumerate(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=5))):
+        i0, i1 = sorted(draw(st.lists(
+            st.integers(0, len(bps[axis]) - 1), min_size=2, max_size=2, unique=True)))
+        fns.append(TestFunction(f"ind{j}", TestFunctionKind.SLAB_INDICATOR, axis,
+                                (float(bps[axis][i0]), float(bps[axis][i1])),
+                                draw(st.sampled_from(list(Sense))), 0.5))
+    return assemble_dual_lp(build_box_partition(bps, tau), fns, RiskFunctional(kind, tau))
+
+
+def _assert_pricer_matches_the_sweep(dual, rng, box_block):
+    """Picks and reduced costs of every pricing call equal the full
+    sweep's, in both phases, for q of 1, 8 and 64, random generated
+    sets, and random, integer and z0-only duals: the last two make
+    ties at the q-th value common."""
+    gen, ref = dual.master_generator(), reference_generator(dual)
+    n = len(dual.records) + 1
+    for duals in (rng.normal(0.0, 1.0, n), rng.integers(-2, 3, n).astype(float),
+                  np.eye(n)[-1] * rng.integers(-2, 3)):
+        generated = rng.choice(gen.count, size=int(rng.integers(0, gen.count + 1)), replace=False)
+        gen.generated = set(generated.tolist())
+        ref.generated = set(generated.tolist())
+        for q in (1, 8, 64):
+            for use_objective in (True, False):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(dual_builder, "BOX_BLOCK", box_block)
+                    picks, rc = _pricing_batch(gen, duals, q, use_objective=use_objective)
+                want, want_rc = _pricing_batch(ref, duals, q, use_objective=use_objective)
+                assert picks.tolist() == want.tolist()
+                assert np.array_equal(rc, want_rc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(column_models(), indicator_models()), st.sampled_from([1, 64, 2048]),
+       st.integers(0, 2**32 - 1))
+def test_box_pricer_matches_the_sweep(dual, box_block, seed):
+    # a box block of 1 sends even the smallest model through the search
+    _assert_pricer_matches_the_sweep(dual, np.random.default_rng(seed), box_block)
+
+
+def test_box_search_keeps_boxes_whose_sums_round_low():
+    # 4 axes of 2 slabs, hinge at the top, so every cell collapses below
+    # tau.  Axes 2 and 3 add 2**53 and take it back: z0 + 3 + 2**53
+    # rounds up to 2**53 + 4, so every box is worth 4 and scores -4 in
+    # phase one, though head partial plus tail part says 3 or 3.25.
+    # Bounds without their rounding slack would search the 3.25 units
+    # first and stop there, missing position 0.
+    grid = [0.0, 0.5, 1.0]
+    fns = [TestFunction(f"hi_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, a,
+                        (grid[g], grid[g + 1]), Sense.UPPER, 0.75)
+           for a in range(4) for g in range(2)]
+    dual = assemble_dual_lp(build_box_partition([grid] * 4, 4.0), fns,
+                            RiskFunctional(HINGE, 4.0))
+    big = 2.0**53
+    duals = np.array([3.0, 3.25, 0.0, 0.0, big, big, -big, -big, 0.0])
+    assert np.all(reference_reduced_costs(dual, duals, False) == -4.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dual_builder, "BOX_BLOCK", 1)
+        picks, rc = _pricing_batch(dual.master_generator(), duals, 1, use_objective=False)
+    assert picks.tolist() == [0] and rc.tolist() == [-4.0]
+
+
+def _frequency_records(bps, axes):
+    """Two-sided frequency bounds on every slab of ``axes``, listed in
+    that order."""
+    fns = []
+    for a in axes:
+        b = bps[a]
+        m = len(b) - 1
+        for g in range(m):
+            slab = (float(b[g]), float(b[g + 1]))
+            fns.append(TestFunction(f"hi_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, a, slab,
+                                    Sense.UPPER, 1.35 / m))
+            fns.append(TestFunction(f"lo_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, a, slab,
+                                    Sense.LOWER, 0.65 / m))
+    return fns
+
+
+GRID6 = list(np.linspace(0.0, 1.0, 7))
+OPEN6 = [-np.inf] + GRID6[1:-1] + [np.inf]
+
+
+@pytest.mark.parametrize("bps,axes,tau,kind,extra", [
+    # VaR at the top corner: the corner is a point entry
+    ([GRID6] * 4, [0, 1, 2, 3], 4.0, VAR, []),
+    # hinge on indicators: cells above tau collapse with their own objectives
+    ([GRID6] * 4, [0, 1, 2, 3], 2.4, HINGE, []),
+    # axis 1 carries no record
+    ([GRID6] * 5, [0, 2, 3, 4], 3.0, VAR, []),
+    # table order is not axis order
+    ([GRID6] * 4, [3, 1, 0, 2], 2.6, VAR, []),
+    # open axes, and an affine record whose cells get vertices and rays
+    ([OPEN6] * 4, [0, 1, 2, 3], 2.2, VAR,
+     [TestFunction("aff", TestFunctionKind.SLAB_AFFINE, 0, (GRID6[-2], np.inf), Sense.UPPER,
+                   0.3, v=np.eye(4)[0], c=0.0)]),
+], ids=["var_corner", "hinge_collapsed", "record_free_axis", "table_order", "open_axes"])
+def test_box_search_matches_the_sweep_on_fixed_models(bps, axes, tau, kind, extra):
+    partition = build_box_partition([np.array(b) for b in bps], tau)
+    dual = assemble_dual_lp(partition, _frequency_records(partition.breakpoints, axes) + extra,
+                            RiskFunctional(kind, tau))
+    # enough boxes that pricing searches under the default block
+    boxes = np.prod([partition.slab_counts[a] for a in dual._tables])
+    assert 2 * boxes > dual_builder.BOX_BLOCK
+    _assert_pricer_matches_the_sweep(dual, np.random.default_rng(7), dual_builder.BOX_BLOCK)
 
 
 def _affine_record(axis, slab, v):

@@ -361,6 +361,10 @@ def _outcome(solver, cell, g):
 # the kinks at gamma = 4.25e-110 and 1 tie in floating point; the first
 # is the one whose maximizer reaches the slice
 @example((Cell([0.0] * 3, [1.0] * 3, slice_sign=1, tau=1.5), np.array([1.0, -1.0, -4.25e-110])))
+# slices that miss the box by exactly 1e-12 touch it, in both solvers
+@example((Cell([0.0, 0.0, -np.inf], [1.0, 0.5, -1.5], slice_sign=1, tau=1e-12),
+          np.array([0.126, -0.132, 0.640])))
+@example((Cell([0.0], [np.inf], slice_sign=-1, tau=-1e-12), np.array([0.12573022])))
 def test_kink_scan_matches_the_reference_solver(cg):
     cell, g = cg
     got, err = _outcome(maximize_linear_over_cell, cell, g)

@@ -1,6 +1,9 @@
 """Two-phase simplex and delayed column generation against a reference
 solver and against hand-checkable programs."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,6 @@ from hypothesis import strategies as st
 
 from riskdual import (
     CapacityError,
-    ColumnGenerator,
     InputError,
     LPStatus,
     LinearProgram,
@@ -20,7 +22,7 @@ from riskdual import (
 from riskdual import lp_engine
 from riskdual.lp_engine import RC_TOL, _pricing_batch
 
-from conftest import random_instance, random_lp, scipy_reference
+from conftest import random_instance, random_lp, scipy_reference, sweep_generator
 
 
 def test_tiny_known_programs():
@@ -196,15 +198,15 @@ def test_linear_program_validation():
 
 
 def _scored(count, column_at):
-    """Generator whose scorer prices every position through column_at,
-    the plain definition the array scorers must reproduce."""
+    """Generator whose pricer scores every position through column_at,
+    the plain definition the array pricers must reproduce."""
 
-    def reduced_costs(duals, use_objective):
+    def scores(duals, use_objective):
         cols, objs = column_at(np.arange(count))
         score = duals @ cols
         return score - objs if use_objective else -score
 
-    return ColumnGenerator(count, column_at, reduced_costs)
+    return sweep_generator(count, column_at, scores)
 
 
 def _toy_master(r_values):
@@ -217,29 +219,33 @@ def _toy_master(r_values):
     return _scored(len(r_values), column_at)
 
 
+def _picks(gen, duals, q):
+    return _pricing_batch(gen, duals, q)[0].tolist()
+
+
 def test_pricing_batch_order_and_certificate():
     gen = _toy_master([0.0, 3.0, 1.0, 5.0, 2.0])
     duals = np.array([0.0])
-    assert _pricing_batch(gen, duals, 1).tolist() == [3]
-    assert gen.reduced_costs(duals, True)[3] == pytest.approx(-5.0)
+    picks, rc = _pricing_batch(gen, duals, 1)
+    assert picks.tolist() == [3] and rc.tolist() == [-5.0]
     # the batch runs steepest first; position 0 prices at zero
-    assert _pricing_batch(gen, duals, 8).tolist() == [3, 1, 4, 2]
+    picks, rc = _pricing_batch(gen, duals, 8)
+    assert picks.tolist() == [3, 1, 4, 2] and rc.tolist() == [-5.0, -3.0, -2.0, -1.0]
     gen.generated.update({1, 3})
-    assert _pricing_batch(gen, duals, 8).tolist() == [4, 2]
+    assert _picks(gen, duals, 8) == [4, 2]
     gen.generated.update({0, 2, 4})
-    assert _pricing_batch(gen, duals, 8).size == 0
+    assert _picks(gen, duals, 8) == []
 
 
 def test_pricing_batch_breaks_ties_by_position():
     gen = _toy_master([2.0, 4.0, 2.0, 4.0])
-    picks = _pricing_batch(gen, np.array([0.0]), 3)
-    assert picks.tolist() == [1, 3, 0]
+    assert _picks(gen, np.array([0.0]), 3) == [1, 3, 0]
 
 
 def test_pricing_batch_respects_tolerance():
     gen = _toy_master([5.0, 5.0 + 1e-12])
     duals = np.array([5.0])
-    assert _pricing_batch(gen, duals, 8).size == 0
+    assert _picks(gen, duals, 8) == []
 
 
 # few distinct values, so ties often straddle the q-th smallest; three
@@ -253,14 +259,18 @@ def test_pricing_batch_matches_a_full_sort(values, data):
     rc = np.array(values)
     generated = data.draw(st.sets(st.integers(0, rc.size - 1)))
     q = data.draw(st.integers(1, rc.size + 3))
-    gen = ColumnGenerator(rc.size, None, lambda _duals, _use_objective: rc.copy())
+    gen = sweep_generator(rc.size, None, lambda _duals, _use_objective: rc.copy())
     gen.generated.update(generated)
     # the plain rule: sort every unseen candidate by (rc, position)
     mask = rc < -RC_TOL
     mask[list(generated)] = False
     cand = np.nonzero(mask)[0]
     expected = cand[np.lexsort((cand, rc[cand]))[:q]]
-    assert _pricing_batch(gen, np.zeros(1), q).tolist() == expected.tolist()
+    assert _picks(gen, np.zeros(1), q) == expected.tolist()
+    # the candidates are exactly the picks, in some order
+    seen = np.array(sorted(generated), dtype=np.intp)
+    pos, _vals = lp_engine.steepest_candidates(np.arange(rc.size), rc, q, seen)
+    assert sorted(pos.tolist()) == sorted(expected.tolist())
 
 
 def _random_master(seed, n_rows=4, n_cols=40):
@@ -367,3 +377,32 @@ def test_dcg_builds_its_standard_form_once(monkeypatch):
     # every round solved the same master, which the seed LP is not
     assert all(lp is rounds[0] for lp in rounds) and rounds[0] is not seed_lp
     assert seed_lp.n_cols == 2
+
+
+def test_dcg_logs_one_debug_line_per_round(caplog, monkeypatch):
+    solves = []
+    solve = lp_engine.solve_dense_simplex
+
+    def counted_solve(lp, **kwargs):
+        sol = solve(lp, **kwargs)
+        # solve_dcg sums the pivots into the last solution it returns
+        solves.append((sol.status, sol.objective, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(lp_engine, "solve_dense_simplex", counted_solve)
+    monkeypatch.setattr(lp_engine, "DCG_BATCH", 2)
+    seed_lp, gen = _seeded_master(_random_master(3), [0, 1])
+    with caplog.at_level(logging.DEBUG, logger="riskdual.lp_engine"):
+        sol = solve_dcg(seed_lp, gen)
+    assert sol.certified
+    lines = [r.getMessage() for r in caplog.records if r.name == "riskdual.lp_engine"]
+    assert len(lines) == len(solves) > 2
+    for n, (line, (status, objective, pivots)) in enumerate(zip(lines, solves), start=1):
+        phase = 2 if status is LPStatus.OPTIMAL else 1
+        assert line.startswith(
+            f"dcg round {n}: phase {phase}, objective {objective}, pivots {pivots}, picks "
+        )
+        # a sweep generator does not say what it scored
+        assert re.search(r", scored None, pricing \d+\.\d{6} s$", line)
+    assert all(", picks 2, min rc -" in line for line in lines[:-1])
+    assert ", picks 0, min rc None, " in lines[-1]
