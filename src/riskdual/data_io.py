@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,13 @@ def load_samples_csv(path) -> SampleSet:
         raise InputError(f"cannot read samples file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
-    # one scan of the rows after the header: float("1_0") is 10.0
-    at = text.find("_", text.find("\n") + 1 or len(text))
+    # one scan of the rows after the header: float("1_0") is 10.0.  The
+    # csv reader ends a line at "\r", "\n" or "\r\n"
+    head = re.search("[\r\n]", text)
+    at = text.find("_", head.end()) if head else -1
     if at >= 0:
-        lineno = text.count("\n", 0, at) + 1
-        raise InputError(f"{path}:{lineno}: underscore in a number")
+        ends = text.count("\r", 0, at) + text.count("\n", 0, at) - text.count("\r\n", 0, at)
+        raise InputError(f"{path}:{ends + 1}: underscore in a number")
     columns, rows = _read_rows(csv.reader(io.StringIO(text, newline="")), path)
     if not rows:
         raise InputError(f"{path}: no data rows")

@@ -40,6 +40,7 @@ bound-and-evaluate search over slab boxes (see
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Optional
@@ -83,11 +84,19 @@ from .test_functions import (
     restrict_to_cell,
 )
 
+log = logging.getLogger(__name__)
+
 # linear parts below this count as constant for the collapse test
 CONST_TOL = 1e-12
 # boxes in the box pricer's first block of units, each next block
-# twice as many; a grid of at most half as many boxes is swept whole
+# twice as many
 BOX_BLOCK = 2048
+# a grid whose boxes, on both sides, and collapsed entries number at
+# most this many together is swept whole: there one sum per box and one
+# gather per entry cost less than the search's per-round bounds (on 2-
+# to 5-axis frequency grids, 1 BLAS thread, the two meet between 42,000
+# and 53,000)
+SWEEP_SIZE = 2**15
 
 
 @unique
@@ -451,7 +460,8 @@ class DualLP:
         ``_by_box`` lists the collapsed entries by key, then position,
         and ``_box_key`` holds their keys, so a binary search finds any
         box's or unit's entries.  The search's own tables wait for its
-        first use (:meth:`_index_units`): small grids are swept.
+        first use (:meth:`_index_units`): a master that is only
+        materialized, or whose grid is swept, never needs them.
         """
         entries = self._entries
         axes = list(self._tables)
@@ -571,21 +581,22 @@ class DualLP:
         parts of the records whose slab holds the cell, or <G, r> alone
         for a ray.
 
-        Collapsed entries are swept on grids of at most BOX_BLOCK / 2
-        boxes, and found by bound and evaluate on larger ones.  Units,
-        (side, head tuple) pairs, are evaluated in order of a lower
-        bound on their scores (:meth:`_bounded_units`), in doubling
-        blocks, until the next bound passes the q-th candidate so far,
-        or -RC_TOL while there are fewer than q; a unit whose bound
-        equals it is still evaluated, as its entries may tie.  The
-        search is exact: every box value continues the head partial by
-        the same additions in the same order as the running sum over
-        the axes, so it is bitwise that sum; a unit is skipped only when
-        its bound, which the rounding slack keeps below every score in
-        it, passes the q-th candidate; and a box is skipped only when
-        it cannot beat that candidate, ties broken by position.  So the
-        candidates, and an empty answer as a certificate, are those of
-        a sweep of every entry.
+        Collapsed entries are swept when the grid is small (SWEEP_SIZE),
+        and found by bound and evaluate otherwise.  Units, (side, head
+        tuple) pairs, are evaluated in order of a lower bound on their
+        scores (:meth:`_bounded_units`), in doubling blocks, until the
+        next bound passes the q-th candidate so far, or -RC_TOL while
+        there are fewer than q; a unit whose bound equals it is still
+        evaluated, as its entries may tie.  The search is exact: every
+        box value continues the head partial by the same additions in
+        the same order as the running sum over the axes, so it is
+        bitwise that sum; a unit is skipped only when its bound, which
+        the rounding slack keeps below every score in it, passes the
+        q-th candidate; and a box is skipped only when it cannot beat
+        that candidate, ties broken by position.  So the candidates, and
+        an empty answer as a certificate, are those of a sweep of every
+        entry.  Each call logs, at debug level, how many boxes and point
+        entries it scored.
         """
         duals = np.asarray(duals, dtype=float)
         tables = [mat @ (duals[rows_a] * self._rec_c[rows_a])
@@ -596,16 +607,18 @@ class DualLP:
             head, tail = tables[: (len(tables) + 1) // 2], tables[(len(tables) + 1) // 2 :]
             partial = self._box_sums(duals[-1:], head)[0]
             pos, vals = self._search_units(pos, vals, partial, tail, use_objective, q, seen)
+        log.debug("pricing scored %d boxes and %d point entries",
+                  self._scored - self._point_at.size, self._point_at.size)
         return steepest_candidates(pos, vals, q, seen)
 
     def _search_units(self, pos, vals, partial, tail, use_objective, q, seen):
         """The point candidates ``(pos, vals)`` joined by the collapsed
         entries that can beat their q-th, ``(cut, last)`` as (value,
         position): the units by increasing bound, in doubling blocks,
-        while the next bound is at most the cut."""
+        while the next bound is at most the cut.  On a grid of at most
+        SWEEP_SIZE boxes and entries, every collapsed entry instead."""
         n_tail = self._n_tail
-        if 2 * partial.size * n_tail <= BOX_BLOCK:
-            # every box fits the first block: score them all, as a sweep
+        if 2 * partial.size * n_tail + self._box_key.size <= SWEEP_SIZE:
             boxes = self._box_sums(np.concatenate([partial, partial]), tail)
             box = np.ravel(boxes)[self._box_key]
             if use_objective:
@@ -722,13 +735,9 @@ class DualLP:
         positions as one block; it and the pricer, :meth:`_reduced_costs`,
         read the same source, the per-axis slab tables and the vertex
         table, for indicator and affine records alike; neither restricts
-        a record to a cell.  ``scored()`` is the number of boxes and
-        point entries the last pricing call scored.
+        a record to a cell.
         """
-        return ColumnGenerator(
-            self.scan_entries().count, self._columns, self._reduced_costs,
-            scored=lambda: self._scored,
-        )
+        return ColumnGenerator(self.scan_entries().count, self._columns, self._reduced_costs)
 
     def master_lp(self) -> LinearProgram:
         """Fully materialized master with one column per scan entry.

@@ -454,15 +454,13 @@ class ColumnGenerator:
     every position, but it must be exact: :func:`_pricing_batch` picks
     from the candidates alone, and no candidate certifies the master.
     ``generated`` records the positions already present in the
-    restricted master.  ``scored()``, when given, tells how many boxes
-    and entries the last pricing call scored, for the round log.
+    restricted master.
     """
 
-    def __init__(self, count, column_at, reduced_costs, scored=None):
+    def __init__(self, count, column_at, reduced_costs):
         self.count = int(count)
         self.column_at = column_at
         self.reduced_costs = reduced_costs
-        self.scored = scored
         self.generated = set()
 
 
@@ -513,8 +511,7 @@ def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
     a stop after ROUND_LIMIT rounds leaves it unset.  Identical inputs
     produce identical iteration counts, columns and objective.  Each
     round logs one line at debug level: phase, restricted objective,
-    pivots, picks, most negative reduced cost, what pricing scored and
-    its seconds.
+    pivots, picks, most negative reduced cost and pricing seconds.
     """
     master = LinearProgram(
         seed_lp.sense, seed_lp.c, seed_lp.A, seed_lp.row_senses, seed_lp.rhs, name=seed_lp.name
@@ -536,10 +533,9 @@ def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
         picks, rc = _pricing_batch(gen, sol.duals, DCG_BATCH, use_objective=use_obj)
         log.debug(
             "dcg round %d: phase %d, objective %s, pivots %d, picks %d, min rc %s, "
-            "scored %s, pricing %.6f s",
+            "pricing %.6f s",
             round_no + 1, 2 if use_obj else 1, sol.objective, sol.iterations, picks.size,
-            float(rc[0]) if rc.size else None, gen.scored() if gen.scored else None,
-            time.perf_counter() - t0,
+            float(rc[0]) if rc.size else None, time.perf_counter() - t0,
         )
         if not picks.size:
             # exact pricing found nothing: the optimum, or after phase

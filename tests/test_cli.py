@@ -115,7 +115,7 @@ def test_bound_report_is_deterministic(tmp_path):
 
 def test_debug_log_has_one_line_per_round_and_leaves_the_report(tmp_path, caplog,
                                                                 monkeypatch):
-    # 4 axes of 6 slabs, VaR at 0.7 * 4: 2,592 boxes, so pricing searches
+    # 4 axes of 6 slabs, VaR at 0.7 * 4: 1,296 boxes a side
     cfg = write_config(tmp_path, _frequency_grid_config(
         4, 6, {"kind": "var_indicator", "tau": 0.7 * 4}))
     _, quiet = run(["bound", cfg], tmp_path, out="quiet.json")
@@ -128,10 +128,17 @@ def test_debug_log_has_one_line_per_round_and_leaves_the_report(tmp_path, caplog
     for n, line in enumerate(lines, start=1):
         m = re.fullmatch(
             r"dcg round (\d+): phase ([12]), objective (\S+), pivots (\d+), picks (\d+), "
-            r"min rc (\S+), scored (\d+), pricing (\d+\.\d{6}) s", line
+            r"min rc (\S+), pricing (\d+\.\d{6}) s", line
         )
         assert m and int(m[1]) == n
         assert (m[6] == "None") == (m[5] == "0")
+    # the pricer logs what it scored, once per round
+    scored = [
+        re.fullmatch(r"pricing scored (\d+) boxes and (\d+) point entries", r.getMessage())
+        for r in caplog.records if r.name == "riskdual.dual_builder"
+    ]
+    assert len(scored) == len(lines) and all(scored)
+    assert 0 < max(int(m[1]) for m in scored) <= 2 * 1_296
     # the last round certifies with an empty pricing call
     assert ", picks 0, min rc None, " in lines[-1]
     assert lines[-1].startswith(f"dcg round {len(lines)}: phase 2, ")

@@ -54,11 +54,12 @@ def test_csv_errors_name_the_line(tmp_path):
 def test_csv_rejects_underscores_in_numbers(tmp_path):
     # float() reads "1_0" as 10.0; a header name may hold one
     path = tmp_path / "under.csv"
-    path.write_text("x_0,y_0\n0.1,0.2\n\n1_0,0.4\n")
-    with pytest.raises(InputError, match="under.csv:4: underscore"):
-        load_samples_csv(path)
-    path.write_text("x_0,y_0\n0.1,0.2\n")
-    assert load_samples_csv(path).columns == ("x_0", "y_0")
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(f"x_0,y_0{end}0.1,0.2{end}{end}1_0,0.4{end}".encode())
+        with pytest.raises(InputError, match="under.csv:4: underscore"):
+            load_samples_csv(path)
+        path.write_bytes(f"x_0,y_0{end}0.1,0.2{end}".encode())
+        assert load_samples_csv(path).columns == ("x_0", "y_0")
 
 
 def test_sample_set_validation():

@@ -800,18 +800,28 @@ def _per_cell_gather_scores(dual, duals, use_objective):
 
 def _assert_scores_match_the_gather_formula(dual, seed=0):
     """The reference sweep is bitwise the per-cell running sum, and so
-    is every value among the pricer's candidates, by the sweep and by
-    the box search alike."""
+    is every value among the pricer's candidates, whether it sweeps
+    the grid or searches it one unit at a time or in blocks of the
+    default size."""
     duals = np.random.default_rng(seed).normal(0.0, 1.0, len(dual.records) + 1)
     seen = np.zeros(0, dtype=np.intp)
     for use_objective in (True, False):
         gather = _per_cell_gather_scores(dual, duals, use_objective)
         assert np.array_equal(reference_reduced_costs(dual, duals, use_objective), gather)
-        for box_block in (1, dual_builder.BOX_BLOCK):
+        for box_block in (None, 1, dual_builder.BOX_BLOCK):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(dual_builder, "BOX_BLOCK", box_block)
+                _price_by(mp, box_block)
                 pos, vals = dual._reduced_costs(duals, use_objective, 8, seen)
             assert np.array_equal(vals, gather[pos])
+
+
+def _price_by(mp, box_block):
+    """Leave the pricer's limits as they are when ``box_block`` is None,
+    else make it search every grid, starting with blocks of
+    ``box_block`` boxes."""
+    if box_block is not None:
+        mp.setattr(dual_builder, "SWEEP_SIZE", 0)
+        mp.setattr(dual_builder, "BOX_BLOCK", box_block)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1068,7 +1078,7 @@ def _assert_pricer_matches_the_sweep(dual, rng, box_block):
         for q in (1, 8, 64):
             for use_objective in (True, False):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(dual_builder, "BOX_BLOCK", box_block)
+                    _price_by(mp, box_block)
                     picks, rc = _pricing_batch(gen, duals, q, use_objective=use_objective)
                 want, want_rc = _pricing_batch(ref, duals, q, use_objective=use_objective)
                 assert picks.tolist() == want.tolist()
@@ -1076,10 +1086,11 @@ def _assert_pricer_matches_the_sweep(dual, rng, box_block):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(column_models(), indicator_models()), st.sampled_from([1, 64, 2048]),
+@given(st.one_of(column_models(), indicator_models()), st.sampled_from([None, 1, 64, 2048]),
        st.integers(0, 2**32 - 1))
 def test_box_pricer_matches_the_sweep(dual, box_block, seed):
-    # a box block of 1 sends even the smallest model through the search
+    # None sweeps these small grids; a box block of 1 makes the search
+    # stop and check after each unit
     _assert_pricer_matches_the_sweep(dual, np.random.default_rng(seed), box_block)
 
 
@@ -1100,7 +1111,7 @@ def test_box_search_keeps_boxes_whose_sums_round_low():
     duals = np.array([3.0, 3.25, 0.0, 0.0, big, big, -big, -big, 0.0])
     assert np.all(reference_reduced_costs(dual, duals, False) == -4.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dual_builder, "BOX_BLOCK", 1)
+        _price_by(mp, 1)
         picks, rc = _pricing_batch(dual.master_generator(), duals, 1, use_objective=False)
     assert picks.tolist() == [0] and rc.tolist() == [-4.0]
 
@@ -1143,7 +1154,8 @@ def test_box_search_matches_the_sweep_on_fixed_models(bps, axes, tau, kind, extr
     partition = build_box_partition([np.array(b) for b in bps], tau)
     dual = assemble_dual_lp(partition, _frequency_records(partition.breakpoints, axes) + extra,
                             RiskFunctional(kind, tau))
-    # enough boxes that pricing searches under the default block
+    # more boxes than the default first block, so the search has to
+    # decide where to stop
     boxes = np.prod([partition.slab_counts[a] for a in dual._tables])
     assert 2 * boxes > dual_builder.BOX_BLOCK
     _assert_pricer_matches_the_sweep(dual, np.random.default_rng(7), dual_builder.BOX_BLOCK)

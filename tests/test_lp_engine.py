@@ -402,7 +402,6 @@ def test_dcg_logs_one_debug_line_per_round(caplog, monkeypatch):
         assert line.startswith(
             f"dcg round {n}: phase {phase}, objective {objective}, pivots {pivots}, picks "
         )
-        # a sweep generator does not say what it scored
-        assert re.search(r", scored None, pricing \d+\.\d{6} s$", line)
+        assert re.search(r", min rc \S+, pricing \d+\.\d{6} s$", line)
     assert all(", picks 2, min rc -" in line for line in lines[:-1])
     assert ", picks 0, min rc None, " in lines[-1]
