@@ -17,30 +17,32 @@ another.  They differ only in which rows they emit: every route gives
 a cell's rows as arrays from :meth:`DualLP.cell_rows`.  The row dual's
 columns are y (one per inequality record), z (one per equality
 record), z0, then the multipliers of each explicit block, block by
-block in scan order.
+block in :meth:`DualLP.iter_cells` order.
 
 The transposed master, used by column generation and the single-shot
-solve, has one column per scan entry: a collapsible cell, a vertex or
-a ray of any other cell, or the corner point.  A cell is the hull of
-its vertices plus the cone of its rays plus its lineality space, whose
-generators enter as rays in both directions, so domination on the cell
-is domination at every vertex plus a gap that does not fall along any
-ray.  Columns and reduced costs come from one array source: per-axis
-tables of each record's signed slab containment, indexed by the cells'
-slab indices, times the record's affine factor at the entry's vertex,
-or its slope along the entry's ray.  The tables are built from the slab
-ranges that :func:`~riskdual.test_functions.check_model` returns, the
-one check of a model's validity.  No column goes through a per-cell
-restriction; the row-form routes above and the primal oracle still do,
-which keeps them an independent check.  Pricing scores the point
-entries one by one and finds the steepest collapsed cells by an exact
-bound-and-evaluate search over slab boxes (see
-:meth:`DualLP._reduced_costs`).
+solve, has one column per point entry, a vertex or a ray of a cell that
+does not collapse or the corner point, then one per key, a slab tuple
+over the axes that carry records and a side of tau, which stands for
+every collapsed cell there.  A cell is the hull of its vertices plus
+the cone of its rays plus its lineality space, whose generators enter
+as rays in both directions, so domination on the cell is domination at
+every vertex plus a gap that does not fall along any ray.  Columns and
+reduced costs come from one array source: per-axis tables of each
+record's signed slab containment, indexed by slab, times the record's
+affine factor at the entry's vertex, or its slope along the entry's
+ray.  The tables are built from the slab ranges that
+:func:`~riskdual.test_functions.check_model` returns, the one check of
+a model's validity.  No column goes through a per-cell restriction; the
+row-form routes above and the primal oracle still do, which keeps them
+an independent check.  Pricing scores the point entries one by one and
+finds the steepest keys by an exact bound-and-evaluate search over slab
+boxes (see :meth:`DualLP._reduced_costs`).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Optional
@@ -91,11 +93,10 @@ CONST_TOL = 1e-12
 # boxes in the box pricer's first block of units, each next block
 # twice as many
 BOX_BLOCK = 2048
-# a grid whose boxes, on both sides, and collapsed entries number at
-# most this many together is swept whole: there one sum per box and one
-# gather per entry cost less than the search's per-round bounds (on 2-
-# to 5-axis frequency grids, 1 BLAS thread, the two meet between 42,000
-# and 53,000)
+# a grid whose boxes, on both sides, and keys number at most this many
+# together is swept whole: there one sum per box and one pick per key
+# cost less than the search's per-round bounds (on 2- to 5-axis
+# frequency grids, 1 BLAS thread, the two meet between 42,000 and 53,000)
 SWEEP_SIZE = 2**15
 
 
@@ -159,19 +160,18 @@ def precompute_cell_lambda(cell, g):
 
 @dataclass(eq=False)
 class ScanEntries:
-    """Master columns in scan order, one entry per column.
+    """The master's point columns in position order: vertices, rays and
+    the corner, one entry per column.  Collapsed cells have none; their
+    columns are keys (see :class:`DualLP`).
 
-    ``cell`` holds the partition cell of each entry; the corner, when
-    there is one, is the point entry at position 0 of the last cell.
-    ``vertex`` holds the entry's row in ``points`` for a vertex, a ray
-    or the corner, -1 for a collapsed cell.  ``ray`` flags the entries
-    whose row is an extreme ray of an unbounded cell rather than a
-    point.  ``objective`` is the risk the column carries: its value at
-    a point, its slope <g, r> along a ray.
+    ``cell`` holds each entry's partition cell; the corner, when there
+    is one, is entry 0, of the last cell.  ``points`` holds the vertex,
+    ray or corner, and ``ray`` flags the rays.  ``objective`` is the
+    risk the column carries: its value at a point, its slope <g, r>
+    along a ray.
     """
 
     cell: np.ndarray
-    vertex: np.ndarray
     ray: np.ndarray
     points: np.ndarray
     objective: np.ndarray
@@ -186,25 +186,28 @@ class DualLP:
 
     Rows of the master (the transposed form) are fixed as: one '<='
     row per inequality record, one '=' row per equality record, then
-    the normalization row with right-hand side one.  Cells are scanned
-    with the synthetic corner first (when present), then cells on the
-    high side of tau, then the rest, each group in partition order.
-    ``eliminable`` flags the cells on which every record restricts to
-    a constant and the risk has a finite maximum; in LAMBDA_ELIMINATED
-    mode those collapse to one row of the row dual and one master
-    column, and the others get the explicit block and one master
-    column per vertex and per extreme ray.  The corner is the top
-    vertex of the last cell, the whole top grid cell: the master scans
-    it as a point entry of that cell, the row routes as the degenerate
+    the normalization row with right-hand side one.  Cells are visited
+    (:meth:`iter_cells`) with the synthetic corner first (when present),
+    then cells on the high side of tau, then the rest, each group in
+    partition order.  ``eliminable`` flags the cells on which every
+    record restricts to a constant and the risk has a finite maximum;
+    in LAMBDA_ELIMINATED mode those collapse to one row of the row dual,
+    and the others get the explicit block.  The corner is the top
+    vertex of the last cell, the whole top grid cell: the master has it
+    as a point entry of that cell, the row routes as the degenerate
     cell ``corner_cell``, one past the last in ``eliminable``.
 
-    Column generation prices the master through
-    :meth:`_reduced_costs`.  On a collapsed cell the reduced cost is z0
-    plus one dual-weighted table entry per axis, less an objective no
-    larger than the largest on the cell's side of tau, so a lower bound
-    per (side, head tuple) unit lets the pricer skip most slab boxes
-    and still return exactly the candidates a sweep of every entry
-    would.
+    The master's columns are the point entries of :meth:`scan_entries`,
+    at positions 0 to P - 1, then one column per key.  A key is the flat
+    index of a slab tuple over the axes that carry records, in table
+    order, plus the box count when the column lies below tau; its
+    position is P plus the key.  Every collapsed cell with those slabs
+    on that side has the same column, so the key stands for all of them
+    and carries their largest objective, which dominates the rest.
+    ``_has`` flags the keys that hold a collapsed cell, one row per unit
+    (side, head tuple: the first half of the table axes, rounded up) and
+    one column per tail tuple; the other keys are not columns.  Column
+    generation prices the master through :meth:`_reduced_costs`.
     """
 
     def __init__(self, partition, riskfn, mode, records, spans, corner_cell):
@@ -216,18 +219,9 @@ class DualLP:
         self.n_ineq = sum(1 for _, _, _, iseq in records if not iseq)
         self.n_eq = len(records) - self.n_ineq
 
-        grid, flag, side, rmin, rmax = partition.ref_arrays()
+        grid, _flag, side, _rmin, rmax = partition.ref_arrays()
         self._grid = grid
         self._side = side
-        above = np.nonzero(side > 0)[0]
-        below = np.nonzero(side <= 0)[0]
-        self.scan_order = np.concatenate([above, below])
-
-        tau = riskfn.tau
-        if riskfn.kind is RiskKind.VAR_INDICATOR:
-            self._r_cells = (side > 0).astype(float)
-        else:
-            self._r_cells = np.where(side > 0, rmax - tau, 0.0)
 
         # each record's affine factor <v, x> + c; an indicator has v = 0, c = 1
         n = partition.dimension
@@ -238,12 +232,13 @@ class DualLP:
                 self._rec_v[row] = fn.v
                 self._rec_c[row] = fn.c
         self._tables = self._containment_tables(spans)
-        self.eliminable = self._eliminable_mask()
+        self._index_keys(rmax)
         if corner_cell is not None:
             # the row routes and the oracle look the corner up by its id,
             # one past the last cell; it shares the top cell's slabs
             self.eliminable = np.append(self.eliminable, self.eliminable[-1])
         self._entries = None
+        self._units = None
 
     # -- per-record slab containment, tabulated over slab indices --
 
@@ -262,24 +257,69 @@ class DualLP:
             out[a] = (np.array(rows, dtype=int), np.column_stack(mat))
         return out
 
-    def _eliminable_mask(self):
-        # a cell collapses unless the slab of a record with a non-constant
-        # linear part holds it, or the hinge has no maximum on it
+    def _index_keys(self, rmax):
+        """``eliminable``, the key layout and ``_has``, in one pass over
+        the cells.  A cell collapses unless the slab of a record with a
+        non-constant linear part holds it, or the hinge has no maximum on
+        it: on an unbounded cell past tau."""
         linear = np.max(np.abs(self._rec_v), axis=1, initial=0.0) > CONST_TOL
-        mask = np.isfinite(self._r_cells)
+        counts = self.partition.slab_counts
+        self._shape = tuple(counts[a] for a in self._tables)
+        half = (len(self._shape) + 1) // 2
+        self._n_head = int(np.prod(self._shape[:half], dtype=np.intp))
+        self._n_tail = int(np.prod(self._shape[half:], dtype=np.intp))
+        self._n_boxes = self._n_head * self._n_tail
+        if self.riskfn.kind is RiskKind.CVAR_HINGE:
+            self.eliminable = (self._side <= 0) | np.isfinite(rmax)
+        else:
+            self.eliminable = np.ones(self.partition.cell_count, dtype=bool)
+        key = np.zeros(self.partition.cell_count, dtype=np.intp)
         for a, (rows_a, mat) in self._tables.items():
             held = np.any(mat[:, linear[rows_a]] != 0.0, axis=1)
-            mask &= ~held[self._grid[:, a]]
-        return mask
+            self.eliminable &= ~held[self._grid[:, a]]
+            key *= counts[a]
+            key += self._grid[:, a]
+        key[self._side <= 0] += self._n_boxes
+        has = np.zeros(2 * self._n_boxes, dtype=bool)
+        has[key[self.eliminable]] = True
+        self._has = has.reshape(2 * self._n_head, self._n_tail)
+        self._n_keys = int(np.count_nonzero(has))
+
+    def _key_slabs(self, keys):
+        """Each table axis's slab at ``keys``, in table order."""
+        return np.unravel_index(keys % self._n_boxes, self._shape) if self._shape else ()
+
+    def _objectives(self, keys):
+        """The objective of each key's column, the largest of its cells'.
+        VaR charges 1 past tau; the hinge charges a cell past tau its
+        largest sum less tau, and 0 below.  A collapsed cell past tau has
+        finite tops, so the largest sum puts every axis without records
+        at its largest finite top; it adds the tops in axis order, as
+        the partition does."""
+        above = keys < self._n_boxes
+        out = above.astype(float)
+        if self.riskfn.kind is RiskKind.CVAR_HINGE:
+            slabs = dict(zip(self._tables, self._key_slabs(keys[above])))
+            total = 0.0
+            for a, tops in enumerate(b[1:] for b in self.partition.breakpoints):
+                total = total + (tops[slabs[a]] if a in slabs
+                                 else np.max(tops[np.isfinite(tops)], initial=-np.inf))
+            out[above] = total - self.riskfn.tau
+        return out
 
     # -- cell enumeration --
 
+    def _above_first(self, cells):
+        """Indices of the cells that ``cells`` (a mask, or True for all)
+        flags: those above tau, then the rest, each in partition order."""
+        up = self._side > 0
+        return np.concatenate([np.flatnonzero(cells & up), np.flatnonzero(cells & ~up)])
+
     def iter_cells(self):
-        """All cells in scan order: corner first, then high side, then
-        the rest."""
+        """All cells: corner first, then high side, then the rest."""
         if self.corner_cell is not None:
             yield self.corner_cell
-        for ridx in self.scan_order:
+        for ridx in self._above_first(True):
             yield self.partition.cell_at(int(ridx))
 
     def cell_rows(self, cell):
@@ -322,11 +362,11 @@ class DualLP:
         """Build the row dual from every cell's :meth:`cell_rows`.
 
         Columns are y, z, z0, then each explicit block's multipliers,
-        block by block in scan order.  A row with no multipliers is
-        dropped when an earlier one has the same sense, right-hand side
-        and nonzero coefficients, each rounded to 12 digits.  Raises
-        CapacityError when the row or column count would exceed
-        ``lp_engine.DENSE_BUDGET``.
+        block by block in :meth:`iter_cells` order.  A row with no
+        multipliers is dropped when an earlier one has the same sense,
+        right-hand side and nonzero coefficients, each rounded to 12
+        digits.  Raises CapacityError when the row or column count would
+        exceed ``lp_engine.DENSE_BUDGET``.
         """
         budget = lp_engine.DENSE_BUDGET
         n_cells = self.partition.cell_count + (1 if self.corner_cell is not None else 0)
@@ -390,110 +430,63 @@ class DualLP:
         return senses, rhs
 
     def scan_entries(self) -> ScanEntries:
-        """The master's columns in scan order, built on first use.
+        """The master's point columns, built on first use.
 
-        A collapsible cell is one entry; any other cell is one entry per
-        vertex, in :func:`partition_vertices` order, then one per ray
-        when it is unbounded; the corner comes first, as a point entry
-        of the last cell.  By Minkowski-Weyl a cell is the hull of its
-        vertices plus the cone of its rays plus its lineality space,
-        whose generators appear as rays in both directions; so an affine
-        function is nonnegative on the cell exactly when it is at every
-        vertex and does not fall along any ray.  A cell with a whole-line
-        axis is always sliced, because tau is finite, and
-        :func:`partition_vertices` takes its vertices from a pointed
-        section.  The pricer's index of the entries is built with them.
+        The corner comes first, as a point entry of the last cell; then
+        every cell that does not collapse, in :meth:`iter_cells` order,
+        gives one entry per vertex, in :func:`partition_vertices` order,
+        then one per ray when it is unbounded.  By Minkowski-Weyl a cell
+        is the hull of its vertices plus the cone of its rays plus its
+        lineality space, whose generators appear as rays in both
+        directions; so an affine function is nonnegative on the cell
+        exactly when it is at every vertex and does not fall along any
+        ray.  A cell with a whole-line axis is always sliced, because tau
+        is finite, and :func:`partition_vertices` takes its vertices from
+        a pointed section.
         """
         if self._entries is not None:
             return self._entries
-        order = self.scan_order
-        by_point = ~self.eliminable[order]
-        vstart, vpoints = partition_vertices(self.partition, order[by_point])
-        rstart, rays = partition_rays(self.partition, order[by_point])
+        order = self._above_first(~self.eliminable[: self.partition.cell_count])
+        vstart, vpoints = partition_vertices(self.partition, order)
+        rstart, rays = partition_rays(self.partition, order)
         nv, nr = np.diff(vstart), np.diff(rstart)
-        counts = np.ones(order.size, dtype=np.intp)
-        counts[by_point] = nv + nr
-        cell = np.repeat(order, counts)
-        # a cell's entries are its vertices, then its rays; the point
-        # table holds every vertex, then every ray
-        first = (np.cumsum(counts) - counts)[by_point]
+        cell = np.repeat(order, nv + nr)
+        # a cell's entries are its vertices, then its rays
+        first = np.cumsum(nv + nr) - nv - nr
         vpos = np.repeat(first - vstart[:-1], nv) + np.arange(len(vpoints))
         rpos = np.repeat(first + nv - rstart[:-1], nr) + np.arange(len(rays))
-        vertex = np.full(cell.size, -1, dtype=np.intp)
-        vertex[vpos] = np.arange(len(vpoints))
-        vertex[rpos] = len(vpoints) + np.arange(len(rays))
+        points = np.empty((cell.size, self.partition.dimension))
+        points[vpos] = vpoints
+        points[rpos] = rays
         ray = np.zeros(cell.size, dtype=bool)
         ray[rpos] = True
-        points = np.vstack([vpoints, rays])
-        objective = self._r_cells[cell]
-        objective[ray] = 0.0
+        up = self._side[cell] > 0
+        if self.riskfn.kind is RiskKind.CVAR_HINGE:
+            # the hinge is sum(x) - tau past the threshold: sum(q) - tau at
+            # a vertex, sum(r) along a ray; there is no corner under this risk
+            tau = np.where(ray, 0.0, self.riskfn.tau)
+            objective = np.where(up, np.sum(points, axis=1) - tau, 0.0)
+        else:
+            objective = (up & ~ray).astype(float)
         if self.corner_cell is not None:
             # the corner is a point of the top cell, the last slot: it has
             # that cell's slabs on every axis, as no slab ends inside it;
             # the indicator risk charges it, as it lies on the threshold
             cell = np.concatenate([[self.partition.cell_count - 1], cell])
-            vertex = np.concatenate([[len(points)], vertex])
             ray = np.concatenate([[False], ray])
-            points = np.vstack([points, self.corner_cell.lows])
+            points = np.vstack([self.corner_cell.lows, points])
             objective = np.concatenate([[1.0], objective])
-        if self.riskfn.kind is RiskKind.CVAR_HINGE:
-            # the hinge is sum(x) - tau past the threshold: sum(q) - tau at
-            # a vertex, sum(r) along a ray; there is no corner under this risk
-            at = np.nonzero(vertex >= 0)[0]
-            objective[at] = np.where(
-                self._side[cell[at]] > 0,
-                np.sum(points[vertex[at]], axis=1) - np.where(ray[at], 0.0, self.riskfn.tau),
-                0.0,
-            )
-        self._entries = ScanEntries(cell, vertex, ray, points, objective)
-        self._index_boxes()
+        self._entries = ScanEntries(cell, ray, points, objective)
         return self._entries
 
-    def _index_boxes(self):
-        """The box pricer's index of the collapsed entries.
-
-        A slab box is a tuple of slabs on the axes that carry records,
-        in table order; its first half, rounded up, is the head tuple
-        and the rest the tail tuple.  A box's key is its flat index,
-        plus the box count when its cells lie below tau; a unit is a
-        (side, head tuple) pair, whose boxes are a run of keys.
-        ``_by_box`` lists the collapsed entries by key, then position,
-        and ``_box_key`` holds their keys, so a binary search finds any
-        box's or unit's entries.  The search's own tables wait for its
-        first use (:meth:`_index_units`): a master that is only
-        materialized, or whose grid is swept, never needs them.
-        """
-        entries = self._entries
-        axes = list(self._tables)
-        counts = self.partition.slab_counts
-        half = (len(axes) + 1) // 2
-        self._n_head = int(np.prod([counts[a] for a in axes[:half]], dtype=np.intp))
-        self._n_tail = int(np.prod([counts[a] for a in axes[half:]], dtype=np.intp))
-        n_boxes = self._n_head * self._n_tail
-        self._point_at = np.flatnonzero(entries.vertex >= 0)
-        # 4-byte keys and positions where they fit, built in place: these
-        # are the pricer's only arrays as long as the collapsed entries
-        small = max(entries.count, 2 * n_boxes) < 2**31
-        self._key_type = np.int32 if small else np.intp
-        key = np.zeros(self.partition.cell_count, dtype=self._key_type)
-        for a in axes:
-            key *= counts[a]
-            key += self._grid[:, a]
-        key[self._side <= 0] += n_boxes
-        collapsed = entries.vertex < 0
-        key = key[entries.cell]
-        key = key[collapsed]
-        by_box = np.arange(entries.count, dtype=self._key_type)[collapsed]
-        # scan order is partition order on each side, so the keys are
-        # already sorted when the table axes lead in axis order
-        if np.any(key[1:] < key[:-1]):
-            order = np.argsort(key, kind="stable")
-            key, by_box = key[order], by_box[order]
-        self._box_key, self._by_box = key, by_box
-        self._units = None
+    def master_positions(self):
+        """Every master column's position, in increasing order: the point
+        entries, then the keys that hold a collapsed cell."""
+        start = self.scan_entries().count
+        return np.concatenate([np.arange(start), start + np.flatnonzero(self._has)])
 
     def _index_units(self):
-        """The search's per-run tables.
+        """The search's per-run tables, built on its first use.
 
         A tail can put a box above tau only if the box's largest sum,
         with the free axes at their tops, passes tau, and below only if
@@ -502,7 +495,6 @@ class DualLP:
         unit.  A margin well past the partition's rounding keeps every
         tail that can.
         """
-        entries = self._entries
         axes = list(self._tables)
         head, tail = axes[: (len(axes) + 1) // 2], axes[(len(axes) + 1) // 2 :]
         n_head, n_tail = self._n_head, self._n_tail
@@ -522,142 +514,139 @@ class DualLP:
         self._tail_by_low = np.argsort(low_t, kind="stable")
         below_to = np.searchsorted(low_t[self._tail_by_low], tau + margin - low_h)
 
-        # the units that hold entries; for each, its first position, its
-        # head tuple, the slot of its least tail part in the per-round
-        # table of suffix minima by high sum, inf, inf, prefix minima by
-        # low sum, and the largest objective on its side
-        unit_start = np.searchsorted(
-            self._box_key, (np.arange(2 * n_head + 1) * n_tail).astype(self._key_type)
-        )
-        self._units = np.flatnonzero(np.diff(unit_start))
-        self._unit_first = np.minimum.reduceat(self._by_box, unit_start[self._units])
+        # the units that hold columns; for each, its head tuple, the slot
+        # of its least tail part in the per-round table of suffix minima
+        # by high sum, inf, inf, prefix minima by low sum, and the largest
+        # objective on its side
+        self._units = np.flatnonzero(np.any(self._has, axis=1))
         above = self._units < n_head
         self._unit_head = self._units % n_head
         self._unit_least = np.where(
             above, above_from[self._unit_head], n_tail + 1 + below_to[self._unit_head]
         )
-        collapsed = entries.vertex < 0
-        up = self._side[entries.cell] > 0
-        self._unit_obj = np.where(
-            above,
-            np.max(entries.objective, where=collapsed & up, initial=0.0),
-            np.max(entries.objective, where=collapsed & ~up, initial=0.0),
-        )
+        top = self._objectives(np.flatnonzero(self._has[:n_head]))
+        self._unit_obj = np.where(above, np.max(top, initial=0.0), 0.0)
 
     def _columns(self, pos):
-        """Master columns at scan positions ``pos``, as a (rows, len(pos))
+        """Master columns at positions ``pos``, as a (rows, len(pos))
         matrix, and their objectives.  Record r's value is its signed
         slab containment times its affine factor: <v, q> + c at a point
-        entry, c on a collapsed cell, <v, r> along a ray, whose
-        normalization entry is 0."""
+        entry, c on a key, <v, r> along a ray, whose normalization entry
+        is 0."""
         entries = self.scan_entries()
-        cells = entries.cell[pos]
-        M = np.zeros((len(self.records) + 1, cells.size))
-        for a, (rows_a, mat) in self._tables.items():
-            M[rows_a, :] = mat[self._grid[cells, a], :].T
+        pos = np.asarray(pos)
+        at = pos < entries.count
+        cells, keys = entries.cell[pos[at]], pos[~at] - entries.count
+        M = np.zeros((len(self.records) + 1, pos.size))
+        slabs = np.empty(pos.size, dtype=np.intp)
+        for (a, (rows_a, mat)), s in zip(self._tables.items(), self._key_slabs(keys)):
+            slabs[at], slabs[~at] = self._grid[cells, a], s
+            M[rows_a, :] = mat[slabs, :].T
         M[-1, :] = 1.0
-        factor = np.repeat(self._rec_c[:, None], cells.size, axis=1)
-        vx = entries.vertex[pos]
-        at = vx >= 0
-        if np.any(at):
-            ray = entries.ray[pos]
-            M[-1, ray] = 0.0
-            factor[:, ray] = 0.0
-            factor[:, at] += self._rec_v @ entries.points[vx[at]].T
+        factor = np.repeat(self._rec_c[:, None], pos.size, axis=1)
+        ray = np.zeros(pos.size, dtype=bool)
+        ray[at] = entries.ray[pos[at]]
+        M[-1, ray] = 0.0
+        factor[:, ray] = 0.0
+        factor[:, at] += self._rec_v @ entries.points[pos[at]].T
         M[:-1] *= factor
-        return M, entries.objective[pos]
+        objective = np.empty(pos.size)
+        objective[at] = entries.objective[pos[at]]
+        objective[~at] = self._objectives(keys)
+        return M, objective
 
     def _reduced_costs(self, duals, use_objective, q, seen):
         """Pricing candidates, as :class:`ColumnGenerator` defines them;
-        here exactly the q steepest entries outside ``seen`` whose
+        here exactly the q steepest columns outside ``seen`` whose
         reduced cost is below -RC_TOL, by value, then position.
 
         Each axis's slab table weighted by the duals gives a record part
         per slab.  A box's value is z0 plus its parts, summed in table
-        order; a collapsed entry scores its box's value less its
-        objective in phase two, and minus it in phase one.  Point
-        entries (vertices, rays and the corner) are all scored: the box
-        value plus <G, q>, with G the dual-weighted sum of the linear
-        parts of the records whose slab holds the cell, or <G, r> alone
-        for a ray.
+        order; a key scores its box's value less its objective in phase
+        two, and minus it in phase one.  Point entries (vertices, rays
+        and the corner) are all scored: the box value plus <G, q>, with
+        G the dual-weighted sum of the linear parts of the records whose
+        slab holds the cell, or <G, r> alone for a ray.
 
-        Collapsed entries are swept when the grid is small (SWEEP_SIZE),
-        and found by bound and evaluate otherwise.  Units, (side, head
-        tuple) pairs, are evaluated in order of a lower bound on their
-        scores (:meth:`_bounded_units`), in doubling blocks, until the
-        next bound passes the q-th candidate so far, or -RC_TOL while
-        there are fewer than q; a unit whose bound equals it is still
-        evaluated, as its entries may tie.  The search is exact: every
-        box value continues the head partial by the same additions in
-        the same order as the running sum over the axes, so it is
-        bitwise that sum; a unit is skipped only when its bound, which
-        the rounding slack keeps below every score in it, passes the
-        q-th candidate; and a box is skipped only when it cannot beat
-        that candidate, ties broken by position.  So the candidates, and
-        an empty answer as a certificate, are those of a sweep of every
-        entry.  Each call logs, at debug level, how many boxes and point
-        entries it scored.
+        Keys are swept when the grid is small (SWEEP_SIZE), and found by
+        bound and evaluate otherwise: units are evaluated in order of a
+        lower bound on their scores (:meth:`_bounded_units`), in doubling
+        blocks, until the next bound passes the q-th candidate so far, or
+        -RC_TOL while there are fewer than q; a unit whose bound equals
+        it is still evaluated when its first key comes before that
+        candidate, as its keys may tie.  The search is exact: every box
+        value continues the head partial by the same additions in the
+        same order as the running sum over the axes, so it is bitwise
+        that sum, and a unit or a box is skipped only when it cannot beat
+        the q-th candidate, ties broken by position.  So the candidates,
+        and an empty answer as a certificate, are those of a sweep of
+        every column.  Each call logs, at debug level, how many boxes and
+        point entries it scored.
         """
         duals = np.asarray(duals, dtype=float)
         tables = [mat @ (duals[rows_a] * self._rec_c[rows_a])
                   for rows_a, mat in self._tables.values()]
-        pos, vals = self._point_at, self._point_costs(duals, tables, use_objective)
-        self._scored = pos.size
-        if self._box_key.size:
-            head, tail = tables[: (len(tables) + 1) // 2], tables[(len(tables) + 1) // 2 :]
-            partial = self._box_sums(duals[-1:], head)[0]
-            pos, vals = self._search_units(pos, vals, partial, tail, use_objective, q, seen)
-        log.debug("pricing scored %d boxes and %d point entries",
-                  self._scored - self._point_at.size, self._point_at.size)
+        points = self.scan_entries().count
+        pos, vals = np.arange(points), self._point_costs(duals, tables, use_objective)
+        self._scored = points
+        if self._n_keys:
+            pos, vals = self._search_units(pos, vals, duals[-1:], tables, use_objective, q, seen)
+        log.debug("pricing scored %d boxes and %d point entries", self._scored - points, points)
         return steepest_candidates(pos, vals, q, seen)
 
-    def _search_units(self, pos, vals, partial, tail, use_objective, q, seen):
-        """The point candidates ``(pos, vals)`` joined by the collapsed
-        entries that can beat their q-th, ``(cut, last)`` as (value,
-        position): the units by increasing bound, in doubling blocks,
-        while the next bound is at most the cut.  On a grid of at most
-        SWEEP_SIZE boxes and entries, every collapsed entry instead."""
-        n_tail = self._n_tail
-        if 2 * partial.size * n_tail + self._box_key.size <= SWEEP_SIZE:
+    def _search_units(self, pos, vals, z0, tables, use_objective, q, seen):
+        """The point candidates ``(pos, vals)`` joined by the keys that
+        can beat their q-th, ``(cut, last)`` as (value, position): the
+        units by increasing bound, in doubling blocks, while the next
+        bound is at most the cut.  On a grid of at most SWEEP_SIZE boxes
+        and keys, every key instead."""
+        half = (len(tables) + 1) // 2
+        partial, tail = self._box_sums(z0, tables[:half])[0], tables[half:]
+        start, n_tail = self._entries.count, self._n_tail
+        if 2 * self._n_boxes + self._n_keys <= SWEEP_SIZE:
             boxes = self._box_sums(np.concatenate([partial, partial]), tail)
-            box = np.ravel(boxes)[self._box_key]
-            if use_objective:
-                box = box - self._entries.objective[self._by_box]
-            else:
-                box = -box
+            keys = np.flatnonzero(self._has)
+            box = boxes[self._has]
+            box = box - self._objectives(keys) if use_objective else -box
             self._scored += boxes.size
-            return np.concatenate([pos, self._by_box]), np.concatenate([vals, box])
+            return np.concatenate([pos, start + keys]), np.concatenate([vals, box])
         if self._units is None:
             self._index_units()
+        # integer terms whose magnitudes sum below 2**53 add exactly
+        terms = np.concatenate([z0, *tables, self._unit_obj])
+        exact = bool(np.all(terms == np.round(terms)) and np.sum(np.abs(terms)) < 2.0**53)
         block = max(BOX_BLOCK // n_tail, 1)
-        cut, last = -RC_TOL, self._entries.count
+        cut, last = -RC_TOL, start + 2 * self._n_boxes
         pos, vals = steepest_candidates(pos, vals, q, seen)
         if vals.size == q:
             cut = vals.max()
             last = pos[vals == cut].max()
-        units, bound = self._bounded_units(partial, tail, use_objective, cut)
+        units, bound = self._bounded_units(partial, tail, use_objective, cut, exact)
+        first = start + self._units[units] * n_tail
         done = 0
         while done < units.size and bound[done] <= cut:
             stop = min(done + block, int(np.searchsorted(bound, cut, side="right")))
-            new_pos, new_vals = self._box_costs(
-                units[done:stop], partial, tail, use_objective, cut, last
-            )
+            # a unit whose bound is the cut can only tie it, and a tie
+            # counts only before the q-th candidate
+            at = units[done:stop][(bound[done:stop] < cut) | (first[done:stop] < last)]
+            new_pos, new_vals = self._box_costs(at, partial, tail, use_objective, cut, last)
             pos, vals = steepest_candidates(
                 np.concatenate([pos, new_pos]), np.concatenate([vals, new_vals]), q, seen
             )
             if vals.size == q:
                 cut = vals.max()
                 last = pos[vals == cut].max()
-            self._scored += (stop - done) * n_tail
+            self._scored += at.size * n_tail
             done, block = stop, 2 * block
         return pos, vals
 
-    def _bounded_units(self, partial, tail, use_objective, cut):
+    def _bounded_units(self, partial, tail, use_objective, cut, exact):
         """Indices into ``_units`` of the units whose bound is at most
         ``cut``, by increasing bound, and their bounds.  A unit's bound
         is its head partial plus the least tail part that can reach its
-        side, less its side's largest objective and a rounding slack:
-        no entry of the unit scores below it."""
+        side, less its side's largest objective, and less a rounding
+        slack unless every sum is ``exact``: no score in the unit falls
+        below it."""
         sign = 1.0 if use_objective else -1.0
         part = sign * self._box_sums(np.zeros(1), tail)[0]
         least = np.concatenate([
@@ -667,34 +656,31 @@ class DualLP:
         ])[self._unit_least]
         p = partial[self._unit_head]
         obj = self._unit_obj if use_objective else 0.0
-        # a box sum rounds by at most a few eps of its terms' sizes
-        size = np.abs(p) + sum(np.max(np.abs(t)) for t in tail) + obj
-        slack = 4 * (len(self._tables) + 2) * np.finfo(float).eps * size
-        bound = sign * p + least - obj - slack
+        bound = sign * p + least - obj
+        if not exact:
+            # a box sum rounds by at most a few eps of its terms' sizes
+            size = np.abs(p) + sum(np.max(np.abs(t)) for t in tail) + obj
+            bound -= 4 * (len(self._tables) + 2) * np.finfo(float).eps * size
         keep = np.flatnonzero(bound <= cut)
         order = keep[np.argsort(bound[keep], kind="stable")]
         return order, bound[order]
 
     def _box_costs(self, at, partial, tail, use_objective, cut, last):
-        """Positions and reduced costs of the collapsed entries of units
-        ``_units[at]`` whose box can beat the q-th candidate so far,
-        ``(cut, last)`` as (value, position).  Each box value continues
-        its head partial over the tail tables in table order.  Less the
-        side's largest objective it rounds, rounding being monotone, to
-        at most the score of any entry in the box; a box can tie the cut
-        only in a unit with a position before ``last``."""
-        entries = self._entries
+        """Positions and reduced costs of the keys of units ``_units[at]``
+        that can beat the q-th candidate so far, ``(cut, last)`` as
+        (value, position).  Each box value continues its head partial
+        over the tail tables in table order.  Less the side's largest
+        objective it rounds, rounding being monotone, to at most the
+        key's score; a box that ties the cut counts only before
+        ``last``."""
+        units = self._units[at]
         vals = self._box_sums(partial[self._unit_head[at]], tail)
         low = vals - self._unit_obj[at, None] if use_objective else -vals
-        ties = (self._unit_first[at] < last)[:, None]
-        row, col = np.nonzero((low < cut) | ((low == cut) & ties))
-        key = (self._units[at[row]] * vals.shape[1] + col).astype(self._key_type)
-        first = np.searchsorted(self._box_key, key)
-        count = np.searchsorted(self._box_key, key, side="right") - first
-        start = np.repeat(first - np.cumsum(count) + count, count)
-        pos = self._by_box[np.arange(start.size) + start]
-        box = np.repeat(vals[row, col], count)
-        return pos, box - entries.objective[pos] if use_objective else -box
+        row, col = np.nonzero(self._has[units] & (low <= cut))
+        keys = units[row] * vals.shape[1] + col
+        keep = (low[row, col] < cut) | (self._entries.count + keys < last)
+        keys, box = keys[keep], vals[row[keep], col[keep]]
+        return self._entries.count + keys, box - self._objectives(keys) if use_objective else -box
 
     @staticmethod
     def _box_sums(partial, tables):
@@ -704,73 +690,84 @@ class DualLP:
         vals = partial.reshape((-1,) + (1,) * len(tables))
         for i, t in enumerate(tables):
             vals = vals + t.reshape((-1,) + (1,) * (len(tables) - 1 - i))
-        return vals.reshape(partial.size, -1)
+        return vals.reshape(partial.size, math.prod(t.size for t in tables))
 
     def _point_costs(self, duals, tables, use_objective):
-        """Reduced costs of the point entries, in ``_point_at`` order."""
+        """Reduced costs of the point entries, in position order."""
         entries = self._entries
-        at = self._point_at
-        if not at.size:
+        if not entries.count:
             return np.zeros(0)
-        cells = entries.cell[at]
-        slabs = [self._grid[cells, a] for a in self._tables]
+        slabs = [self._grid[entries.cell, a] for a in self._tables]
         box = duals[-1]
         for t, s in zip(tables, slabs):
             box = box + t[s]
         # np.take: a row gather, bit for bit the indexing, but faster
-        G = np.zeros((at.size, self.partition.dimension))
+        G = np.zeros((entries.count, self.partition.dimension))
         for (rows_a, mat), s in zip(self._tables.values(), slabs):
             G += np.take(mat @ (duals[rows_a, None] * self._rec_v[rows_a]), s, axis=0)
-        const = np.where(entries.ray[at], 0.0, box)
-        points = np.take(entries.points, entries.vertex[at], axis=0)
-        score = const + np.einsum("ij,ij->i", G, points)
-        return score - entries.objective[at] if use_objective else -score
+        const = np.where(entries.ray, 0.0, box)
+        score = const + np.einsum("ij,ij->i", G, entries.points)
+        return score - entries.objective if use_objective else -score
 
     def master_generator(self) -> ColumnGenerator:
-        """Column producer over the scan entries: one column per
-        collapsible cell, one per vertex and extreme ray of every other
-        cell, and the corner.
+        """Column producer over the master's columns: one per point
+        entry (every vertex and extreme ray of a cell that does not
+        collapse, and the corner), then one per key.
 
         ``column_at`` is :meth:`_columns`, which builds a whole batch of
         positions as one block; it and the pricer, :meth:`_reduced_costs`,
-        read the same source, the per-axis slab tables and the vertex
+        read the same source, the per-axis slab tables and the point
         table, for indicator and affine records alike; neither restricts
         a record to a cell.
         """
-        return ColumnGenerator(self.scan_entries().count, self._columns, self._reduced_costs)
+        return ColumnGenerator(self.scan_entries().count + self._n_keys, self._columns,
+                               self._reduced_costs)
 
     def master_lp(self) -> LinearProgram:
-        """Fully materialized master with one column per scan entry.
+        """Fully materialized master with one column per master
+        position, in position order.
 
         This is the single-shot route: every column is built up front
         and handed to the dense solver.  Raises CapacityError when the
         column count exceeds ``lp_engine.DENSE_BUDGET``.
         """
-        count = self.scan_entries().count
+        positions = self.master_positions()
         budget = lp_engine.DENSE_BUDGET
-        if count > budget:
-            raise CapacityError(f"{count} master columns exceed the budget {budget}")
+        if positions.size > budget:
+            raise CapacityError(f"{positions.size} master columns exceed the budget {budget}")
         senses, rhs = self.master_row_data()
-        M, robj = self._columns(np.arange(count))
+        M, robj = self._columns(positions)
         return LinearProgram("max", robj, M, senses, rhs, name="master")
 
     def master_seed(self):
         """Restricted master primed for column generation.
 
-        Seeds the first 8 scan positions plus, for every (axis, slab)
-        pair, the first position past the corner whose cell lies in that
-        slab, so each record row starts with coverage and phase one
-        converges in few rounds.  Returns (LinearProgram,
-        ColumnGenerator) with the seeded positions marked generated.
+        Seeds the first 8 positions plus, for every pair of a table axis
+        and one of its slabs, the first column past the corner whose
+        cells lie in that slab: a point entry when there is one, else
+        the first key, found on ``_has`` by the key layout.  So each
+        record row starts with coverage and phase one converges in few
+        rounds.  Returns (LinearProgram, ColumnGenerator) with the seeded
+        positions marked generated.
         """
         gen = self.master_generator()
         entries = self.scan_entries()
-        picks = set(range(min(8, gen.count)))
-        real = np.arange(0 if self.corner_cell is None else 1, gen.count)
-        for a, slabs in enumerate(self.partition.slab_counts):
-            first = np.full(slabs, gen.count)
-            np.minimum.at(first, self._grid[entries.cell[real], a], real)
-            picks.update(first[first < gen.count].tolist())
+        picks = set(self.master_positions()[:8].tolist())
+        skip = 0 if self.corner_cell is None else 1
+        post = self._n_boxes
+        for a in self._tables:
+            slabs = self.partition.slab_counts[a]
+            post //= slabs
+            # the keys as (side and earlier axes, slab, later axes)
+            has = self._has.reshape(-1, slabs, post)
+            held = np.any(has, axis=2)
+            pre = np.argmax(held, axis=0)
+            s = np.arange(slabs)
+            first = entries.count + (pre * slabs + s) * post + np.argmax(has[pre, s], axis=1)
+            first[~np.any(held, axis=0)] = -1
+            at, where = np.unique(self._grid[entries.cell[skip:], a], return_index=True)
+            first[at] = skip + where
+            picks.update(first[first >= 0].tolist())
         pos = np.array(sorted(picks), dtype=np.intp)
         senses, rhs = self.master_row_data()
         M, objs = self._columns(pos)
@@ -861,9 +858,9 @@ def solve_bound(
     """Worst-case bound of ``riskfn`` over the measures that meet
     ``testfns``, on a partition sliced at the risk threshold.
 
-    LAMBDA_ELIMINATED mode runs column generation over the scan
-    entries, which cover every cell; EXPLICIT and VERTEX solve the dense
-    row dual in one shot.  A DCG optimum counts only after a clean
+    LAMBDA_ELIMINATED mode runs column generation over the point
+    entries and keys, which cover every cell; EXPLICIT and VERTEX solve
+    the dense row dual in one shot.  A DCG optimum counts only after a clean
     pricing sweep.  An unbounded DCG master means +inf when it has ray
     columns: the restricted master was feasible and its ray is one of
     the full master.  On the row dual, UNBOUNDED means no measure fits

@@ -440,8 +440,8 @@ def solve_dense_simplex(lp: LinearProgram, *, warm_basis=None) -> LPSolution:
 class ColumnGenerator:
     """On-demand producer of master columns for cell constraints.
 
-    Positions index a fixed deterministic scan order: the corner first
-    when there is one, then the cells above tau, then the rest.
+    Positions index a fixed deterministic order: point entries, then
+    key positions; ``count`` is the number of columns.
     ``column_at(positions)`` takes an integer array of positions and
     returns the dense ``(rows, len(positions))`` column block and the
     objectives; it is a pure function, so fetching a position again, in

@@ -402,15 +402,17 @@ def reference_maximize_linear_over_cell(cell, g):
 
 
 def reference_reduced_costs(dual, duals, use_objective):
-    """Reduced cost of every scan entry, the sweep the box pricer must
-    reproduce.
+    """Reduced cost at every master position, the sweep the box pricer
+    must reproduce; +inf at a key that holds no collapsed cell, which is
+    no column.
 
     Each axis's slab table weighted by the duals gives a record part
     per slab; numpy broadcasting adds them onto z0 once per slab box,
-    in table order, and one gather gives each entry its box's value.
-    Point entries add <G, q>, with G the dual-weighted sum of the
-    linear parts of the records whose slab holds the cell.  A ray entry
-    scores <G, r> alone: no constant part and no z0 term.
+    in table order.  A key scores its box's value; a point entry gathers
+    the value of its cell's box and adds <G, q>, with G the
+    dual-weighted sum of the linear parts of the records whose slab
+    holds the cell.  A ray entry scores <G, r> alone: no constant part
+    and no z0 term.
     """
     entries = dual.scan_entries()
     duals = np.asarray(duals, dtype=float)
@@ -422,20 +424,24 @@ def reference_reduced_costs(dual, duals, use_objective):
         t = mat @ (duals[rows_a] * dual._rec_c[rows_a])
         boxes = boxes + t.reshape((-1,) + (1,) * (k - 1 - i))
         box = box * counts[a] + dual._grid[entries.cell, a]
-    score = np.ravel(boxes)[box]
-    at = np.nonzero(entries.vertex >= 0)[0]
-    if at.size:
-        cells = entries.cell[at]
-        G = np.zeros((at.size, dual.partition.dimension))
+    boxes = np.ravel(boxes)
+    score = np.concatenate([boxes[box], boxes, boxes])
+    if entries.count:
+        G = np.zeros((entries.count, dual.partition.dimension))
         for a, (rows_a, mat) in dual._tables.items():
-            G += (mat @ (duals[rows_a, None] * dual._rec_v[rows_a]))[dual._grid[cells, a]]
-        const = np.where(entries.ray[at], 0.0, score[at])
-        score[at] = const + np.einsum("ij,ij->i", G, entries.points[entries.vertex[at]])
+            G += (mat @ (duals[rows_a, None] * dual._rec_v[rows_a]))[dual._grid[entries.cell, a]]
+        const = np.where(entries.ray, 0.0, score[: entries.count])
+        score[: entries.count] = const + np.einsum("ij,ij->i", G, entries.points)
+    keys = np.flatnonzero(dual._has)
+    objective = np.concatenate([entries.objective, dual._objectives(keys)])
+    at = np.concatenate([np.arange(entries.count), entries.count + keys])
     if use_objective:
-        score -= entries.objective
+        score[at] -= objective
     else:
         np.negative(score, out=score)
-    return score
+    out = np.full(score.size, np.inf)
+    out[at] = score[at]
+    return out
 
 
 def sweep_generator(count, column_at, scores):
@@ -456,6 +462,6 @@ def sweep_generator(count, column_at, scores):
 def reference_generator(dual):
     """The dual's generator with the full sweep as its pricer."""
     return sweep_generator(
-        dual.scan_entries().count, dual._columns,
+        dual.master_generator().count, dual._columns,
         lambda duals, use_objective: reference_reduced_costs(dual, duals, use_objective),
     )

@@ -2,7 +2,7 @@
 (perfbench/tracing.py), so renaming or deleting one breaks
 ``perfbench/run.py --trace 1`` without failing any test that runs the
 program.  These tests install the tracer on the current code and run
-the benchmark runner on two workloads."""
+the benchmark runner on every bound workload."""
 
 import importlib
 import json
@@ -76,7 +76,7 @@ def test_tracer_rebinds_names_imported_by_other_modules(monkeypatch):
         assert getattr(user, name) is original
 
 
-@pytest.mark.parametrize("workload", ["unbounded_rows", "hinge_affine"])
+@pytest.mark.parametrize("workload", ["unbounded_rows", "hinge_affine", "var_sweep"])
 def test_benchmark_runner_passes_its_reference_check(workload):
     # --trace 1 installs the tracer and ends with a traced reference
     # check, which runs the primal oracle against references.json

@@ -43,7 +43,7 @@ from riskdual import (
 from riskdual import dual_builder, lp_engine
 from riskdual.dual_builder import CONST_TOL, _point_rows, _signed_restrictions
 from riskdual.lp_engine import _pricing_batch
-from riskdual.geometry import VERTEX_TOL, partition_rays, partition_vertices
+from riskdual.geometry import VERTEX_TOL, SideOfTau, partition_rays, partition_vertices
 
 from conftest import (
     lp_limit,
@@ -313,10 +313,12 @@ def test_generated_columns_match_the_materialized_master():
         lp = dual.master_lp()
     gen = dual.master_generator()
     dense = lp.dense_matrix()
-    for pos in range(gen.count):
+    positions = dual.master_positions()
+    assert positions.size == gen.count == lp.n_cols
+    for j, pos in enumerate(positions):
         cols, objs = gen.column_at(np.array([pos]))
-        assert np.allclose(cols[:, 0], dense[:, pos], atol=1e-12)
-        assert objs[0] == pytest.approx(float(lp.c[pos]), abs=1e-12)
+        assert np.allclose(cols[:, 0], dense[:, j], atol=1e-12)
+        assert objs[0] == pytest.approx(float(lp.c[j]), abs=1e-12)
 
 
 def test_vectorized_pricing_matches_per_column_scores():
@@ -332,12 +334,15 @@ def test_vectorized_pricing_matches_per_column_scores():
         pos, vals = gen.reduced_costs(duals, use_obj, gen.count, np.zeros(0, dtype=np.intp))
         assert pos.size and np.array_equal(vals, fast[pos])
         assert sorted(pos.tolist()) == np.flatnonzero(fast < -lp_engine.RC_TOL).tolist()
-        slow = np.empty(gen.count)
-        for pos in range(gen.count):
+        positions = dual.master_positions()
+        slow = np.empty(positions.size)
+        for j, pos in enumerate(positions):
             cols, objs = gen.column_at(np.array([pos]))
             score = float(duals @ cols[:, 0])
-            slow[pos] = score - objs[0] if use_obj else -score
-        assert np.allclose(fast, slow, atol=1e-10)
+            slow[j] = score - objs[0] if use_obj else -score
+        assert np.allclose(fast[positions], slow, atol=1e-10)
+        # a key that holds no collapsed cell is no column
+        assert np.all(np.delete(fast, positions) == np.inf)
 
 
 def test_master_seed_covers_every_record_row():
@@ -369,14 +374,15 @@ def test_corner_is_the_top_vertex_of_the_last_cell():
     entries = dual.scan_entries()
     corner = dual.corner_cell
     assert corner is not None
-    assert entries.cell[0] == part.cell_count - 1
+    assert entries.cell.tolist() == [part.cell_count - 1]
     assert tuple(part.cell_at(part.cell_count - 1).highs) == (1.0, 1.0)
     assert not entries.ray[0]
-    assert np.array_equal(entries.points[entries.vertex[0]], corner.lows)
+    assert np.array_equal(entries.points[0], corner.lows)
     assert entries.objective[0] == 1.0
-    # no other entry belongs to the corner, and the top cell's own
-    # entries still carry no charge: the sum stays below tau there
-    assert np.all(entries.objective[1:][entries.cell[1:] == part.cell_count - 1] == 0.0)
+    # every cell collapses below tau, the top cell too: the keys of the
+    # two slabs of axis 0 carry no charge, as the sum stays below tau
+    _M, objs = dual._columns(dual.master_positions()[1:])
+    assert objs.tolist() == [0.0, 0.0]
 
 
 def test_slab_past_the_top_end_is_rejected():
@@ -419,10 +425,14 @@ def test_shortfall_with_unbounded_domain_is_flagged():
     # is the hinge's slope along it
     assert dual.eliminable.tolist() == [True, True, False]
     entries = dual.scan_entries()
-    assert entries.cell.tolist() == [1, 2, 2, 0]
-    assert entries.ray.tolist() == [False, False, True, False]
-    assert entries.points[entries.vertex[1:3]].tolist() == [[1.0], [1.0]]
-    assert entries.objective[1:3].tolist() == [0.5, 1.0]
+    assert entries.cell.tolist() == [2, 2]
+    assert entries.ray.tolist() == [False, True]
+    assert entries.points.tolist() == [[1.0], [1.0]]
+    assert entries.objective.tolist() == [0.5, 1.0]
+    # no axis carries a record, so there is one box: cell 1 is the key
+    # above tau, cell 0 the key below, at positions 2 and 3
+    assert dual.master_positions().tolist() == [0, 1, 2, 3]
+    assert dual._columns(np.array([2, 3]))[1].tolist() == [0.5, 0.0]
     res = solve_bound(part, [], risk)
     assert (res.status, res.engine) == ("unbounded", "dcg")
     # under VaR every cell collapses
@@ -506,10 +516,16 @@ def test_scan_order_prefers_cells_past_the_threshold():
     inst = random_instance(21, d=2, m=4, risk_kind=RiskKind.VAR_INDICATOR)
     dual = inst.dual()
     _grid, _flag, side, _mins, _maxs = inst.partition.ref_arrays()
-    order = dual.scan_order
+    order = np.array([cell.id for cell in dual.iter_cells()])
+    assert sorted(order.tolist()) == list(range(inst.partition.cell_count))
     first_below = np.argmax(side[order] < 0)
     # all cells past the threshold come before the first below cell
-    assert np.all(side[order[:first_below]] > 0)
+    assert 0 < first_below and np.all(side[order[:first_below]] > 0)
+    assert np.all(side[order[first_below:]] < 0)
+    # and so do their keys, the columns past the point entries
+    keys = dual.master_positions() - dual.scan_entries().count
+    above = keys < dual._n_boxes
+    assert above[0] and not above[-1] and np.all(np.diff(above.astype(int)) <= 0)
 
 
 # -- the array column source against the per-cell restriction route --
@@ -710,19 +726,26 @@ def column_models(draw):
 
 
 def _restricted_entries(dual):
-    """Scan entries rebuilt cell by cell through restrict_to_cell:
-    (cell, point or ray or None, is a ray, column, objective).  An
-    unbounded cell reads its vertices and rays off the entry table,
-    which test_vertex_and_ray_table_matches_brute_force checks."""
+    """Master columns rebuilt cell by cell through restrict_to_cell.
+    Returns the point entries, as (cell, point or ray, is a ray,
+    column, objective) in position order, and every collapsed cell, as
+    (cell, key, column, objective).  An unbounded cell reads its
+    vertices and rays off the entry table, which
+    test_vertex_and_ray_table_matches_brute_force checks."""
     entries = dual.scan_entries()
-    out = []
+    points, collapsed = [], []
     corner = dual.corner_cell
     if corner is not None:
         (vals,), (obj,) = _point_rows(dual.records, dual.riskfn, corner, [corner.lows])
         # the corner is a point of the top cell, the last slot
-        out.append((dual.partition.cell_count - 1, corner.lows, False, vals, obj))
-    for i in dual.scan_order:
-        cell = dual.partition.cell_at(int(i))
+        points.append((dual.partition.cell_count - 1, corner.lows, False, vals, obj))
+    grid, _flag, _side, _mins, _maxs = dual.partition.ref_arrays()
+    counts = dual.partition.slab_counts
+    n_boxes = int(np.prod([counts[a] for a in dual._tables]))
+    for cell in dual.iter_cells():
+        i = cell.id
+        if i == dual.partition.cell_count:
+            continue  # the corner
         V, cvec = _signed_restrictions(dual.records, cell)
         g, e = restrict_to_cell(dual.riskfn, cell)
         # a cell collapses when every record is constant on it and the
@@ -732,70 +755,100 @@ def _restricted_entries(dual):
         assert dual.eliminable[i] == (constant and np.isfinite(top))
         if dual.eliminable[i]:
             _lam, support = precompute_cell_lambda(cell, g)
-            out.append((int(i), None, False, np.append(cvec, 1.0), float(e - support)))
+            # its key: the flat slab index over the axes with records, in
+            # table order, past the boxes when below tau
+            key = 0
+            for a in dual._tables:
+                key = key * counts[a] + int(grid[i, a])
+            key += n_boxes * (cell.side_of_tau is not SideOfTau.ABOVE)
+            collapsed.append((i, key, np.append(cvec, 1.0), float(e - support)))
             continue
         if cell.bounded:
             verts, rays = reference_cell_vertices(cell), []
         else:
-            rows = entries.vertex[entries.cell == i]
-            is_ray = entries.ray[entries.cell == i]
-            verts, rays = entries.points[rows[~is_ray]], entries.points[rows[is_ray]]
+            own = entries.cell == i
+            verts, rays = entries.points[own & ~entries.ray], entries.points[own & entries.ray]
         vals, objs = _point_rows(dual.records, dual.riskfn, cell, verts)
         for q, row, obj in zip(verts, vals, objs):
-            out.append((int(i), q, False, row, obj))
+            points.append((i, q, False, row, obj))
         for r in rays:
-            out.append((int(i), r, True, np.append(V @ r, 0.0), float(g @ r)))
-    return out
+            points.append((i, r, True, np.append(V @ r, 0.0), float(g @ r)))
+    return points, collapsed
 
 
 @settings(max_examples=80, deadline=None)
 @given(column_models())
 def test_column_source_matches_the_restriction_route(dual):
-    ref = _restricted_entries(dual)
+    points, collapsed = _restricted_entries(dual)
     entries = dual.scan_entries()
     gen = dual.master_generator()
     with lp_limit("DENSE_BUDGET", 100_000):
         master = dual.master_lp()
     M = master.dense_matrix()
-    assert entries.count == gen.count == len(ref)
-    assert entries.cell.tolist() == [cell for cell, _q, _ray, _vals, _obj in ref]
-    assert entries.ray.tolist() == [ray for _cell, _q, ray, _vals, _obj in ref]
+    # the point entries, then one column per key that holds a collapsed cell
+    keys = sorted({key for _cell, key, _vals, _obj in collapsed})
+    positions = dual.master_positions()
+    assert positions.tolist() == list(range(len(points))) + [len(points) + k for k in keys]
+    assert entries.count == len(points) and gen.count == master.n_cols == positions.size
+    assert entries.cell.tolist() == [cell for cell, _q, _ray, _vals, _obj in points]
+    assert entries.ray.tolist() == [ray for _cell, _q, ray, _vals, _obj in points]
     duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
     rc = reference_reduced_costs(dual, duals, use_objective=True)
-    for pos, (_cell, q, _ray, vals, obj) in enumerate(ref):
-        if q is None:
-            assert entries.vertex[pos] == -1
-        else:
-            np.testing.assert_allclose(entries.points[entries.vertex[pos]], q, rtol=0, atol=1e-12)
+
+    def check(pos, vals, obj):
+        j = int(np.searchsorted(positions, pos))
         cols, col_objs = gen.column_at(np.array([pos]))
-        col, col_obj = cols[:, 0], col_objs[0]
-        np.testing.assert_allclose(col, vals, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(M[:, pos], vals, rtol=0, atol=1e-12)
-        assert col_obj == pytest.approx(obj, rel=0, abs=1e-12)
-        assert master.c[pos] == pytest.approx(obj, rel=0, abs=1e-12)
-        assert rc[pos] == pytest.approx(duals @ vals - obj, rel=0, abs=1e-10)
+        np.testing.assert_allclose(cols[:, 0], vals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(M[:, j], vals, rtol=0, atol=1e-12)
+        if obj is not None:
+            assert col_objs[0] == pytest.approx(obj, rel=0, abs=1e-12)
+            assert master.c[j] == pytest.approx(obj, rel=0, abs=1e-12)
+            assert rc[pos] == pytest.approx(duals @ vals - obj, rel=0, abs=1e-10)
+        return col_objs[0]
+
+    for pos, (_cell, q, _ray, vals, obj) in enumerate(points):
+        np.testing.assert_allclose(entries.points[pos], q, rtol=0, atol=1e-12)
+        check(pos, vals, obj)
+    # a collapsed cell has its key's column and at most its objective;
+    # one cell per key has it
+    best = {}
+    for _cell, key, vals, obj in collapsed:
+        assert obj <= check(len(points) + key, vals, None) + 1e-12
+        if key not in best or obj > best[key][0]:
+            best[key] = (obj, vals)
+    for key, (obj, vals) in best.items():
+        check(len(points) + key, vals, obj)
 
 
 def _per_cell_gather_scores(dual, duals, use_objective):
     """The scorer written as one running sum per cell: z0 plus each
     axis's weighted slab table gathered at every cell's slab index,
-    then per entry; point entries add <G, q>, ray entries score <G, r>
-    alone."""
+    then per column: a collapsed cell gives its key's value, a point
+    entry adds <G, q>, and a ray entry scores <G, r> alone.  +inf where
+    no column is."""
     entries = dual.scan_entries()
     grid = dual._grid
+    counts = dual.partition.slab_counts
     acc = np.full(grid.shape[0], duals[-1])
+    key = np.zeros(grid.shape[0], dtype=np.intp)
     for a, (rows_a, mat) in dual._tables.items():
         acc += (mat @ (duals[rows_a] * dual._rec_c[rows_a]))[grid[:, a]]
-    score = acc[entries.cell]
-    at = np.nonzero(entries.vertex >= 0)[0]
-    if at.size:
-        cells = entries.cell[at]
-        G = np.zeros((at.size, dual.partition.dimension))
+        key = key * counts[a] + grid[:, a]
+    key[dual._side <= 0] += dual._n_boxes
+    score = np.full(entries.count + 2 * dual._n_boxes, np.inf)
+    collapsed = dual.eliminable[: grid.shape[0]]
+    score[entries.count + key[collapsed]] = acc[collapsed]
+    if entries.count:
+        cells = entries.cell
+        G = np.zeros((entries.count, dual.partition.dimension))
         for a, (rows_a, mat) in dual._tables.items():
             G += (mat @ (duals[rows_a, None] * dual._rec_v[rows_a]))[grid[cells, a]]
-        const = np.where(entries.ray[at], 0.0, score[at])
-        score[at] = const + np.einsum("ij,ij->i", G, entries.points[entries.vertex[at]])
-    return score - entries.objective if use_objective else -score
+        const = np.where(entries.ray, 0.0, acc[cells])
+        score[: entries.count] = const + np.einsum("ij,ij->i", G, entries.points)
+    at = dual.master_positions()
+    objective = np.concatenate([entries.objective, dual._objectives(at[entries.count :] - entries.count)])
+    score[at] = score[at] - objective if use_objective else -score[at]
+    return score
 
 
 def _assert_scores_match_the_gather_formula(dual, seed=0):
@@ -833,12 +886,15 @@ def test_reduced_costs_match_the_per_cell_gather_formula(dual, seed):
 # -- solve_bound against HiGHS --
 
 
-def _highs_bound(partition, testfns, risk):
-    """Reference (status, bound) from scipy's HiGHS: the full master when
-    every cell is bounded, else the explicit row dual.  An infeasible
-    row dual means +inf if a measure fits, which the VaR row dual tells
-    (it is always feasible: z0 = 1 dominates the indicator)."""
-    if all(np.all(np.isfinite(b)) for b in partition.breakpoints):
+def _highs_bound(partition, testfns, risk, rows=None):
+    """Reference (status, bound) from scipy's HiGHS: the full master, or
+    the explicit row dual when ``rows`` is set, by default when some
+    cell is unbounded.  An infeasible row dual means +inf if a measure
+    fits, which the VaR row dual tells (it is always feasible: z0 = 1
+    dominates the indicator)."""
+    if rows is None:
+        rows = not all(np.all(np.isfinite(b)) for b in partition.breakpoints)
+    if not rows:
         return scipy_reference(assemble_dual_lp(partition, testfns, risk).master_lp())
 
     def rows(riskfn):
@@ -1009,18 +1065,20 @@ def test_solve_bound_edge_cases_agree_with_highs(name, bps, tau, kind, fns, stat
     assert (got.status, got.engine) == (status, engine)
 
 
-def test_pricing_allocates_in_proportion_to_the_boxes_evaluated():
-    # 4 axes of 16 slabs, VaR at 0.7 * 4: 70,375 entries, all collapsed;
-    # one round may allocate per box evaluated and per unit, not per entry
-    d, m = 4, 16
+def _frequency_grid_dual(d=4, m=16):
+    """Family (a): two-sided frequency bounds on every slab of d axes of
+    m slabs on [0, 1], VaR at 0.7 * d; every cell collapses."""
     grid = np.linspace(0.0, 1.0, m + 1)
-    fns = [TestFunction(f"{name}_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, a,
-                        (grid[g], grid[g + 1]), sense, bound / m)
-           for a in range(d) for g in range(m)
-           for name, sense, bound in (("hi", Sense.UPPER, 1.35), ("lo", Sense.LOWER, 0.65))]
-    dual = assemble_dual_lp(build_box_partition([grid] * d, 0.7 * d), fns,
+    partition = build_box_partition([grid] * d, 0.7 * d)
+    return assemble_dual_lp(partition, _frequency_records(partition.breakpoints, range(d)),
                             RiskFunctional(VAR, 0.7 * d))
-    count = dual.scan_entries().count
+
+
+def test_pricing_allocates_in_proportion_to_the_boxes_evaluated():
+    # 4 axes of 16 slabs, VaR at 0.7 * 4: 70,375 cells, all collapsed;
+    # one round may allocate per box evaluated and per unit, not per cell
+    dual = _frequency_grid_dual()
+    count = dual.master_generator().count
     assert count == 70_375
     duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
     # the first search builds the unit tables, once per run
@@ -1070,9 +1128,10 @@ def _assert_pricer_matches_the_sweep(dual, rng, box_block):
     ties at the q-th value common."""
     gen, ref = dual.master_generator(), reference_generator(dual)
     n = len(dual.records) + 1
+    positions = dual.master_positions()
     for duals in (rng.normal(0.0, 1.0, n), rng.integers(-2, 3, n).astype(float),
                   np.eye(n)[-1] * rng.integers(-2, 3)):
-        generated = rng.choice(gen.count, size=int(rng.integers(0, gen.count + 1)), replace=False)
+        generated = rng.choice(positions, size=int(rng.integers(0, gen.count + 1)), replace=False)
         gen.generated = set(generated.tolist())
         ref.generated = set(generated.tolist())
         for q in (1, 8, 64):
@@ -1100,7 +1159,8 @@ def test_box_search_keeps_boxes_whose_sums_round_low():
     # rounds up to 2**53 + 4, so every box is worth 4 and scores -4 in
     # phase one, though head partial plus tail part says 3 or 3.25.
     # Bounds without their rounding slack would search the 3.25 units
-    # first and stop there, missing position 0.
+    # first and stop there, missing the first column, the key below tau
+    # of box 0 at position 16.
     grid = [0.0, 0.5, 1.0]
     fns = [TestFunction(f"hi_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, a,
                         (grid[g], grid[g + 1]), Sense.UPPER, 0.75)
@@ -1109,11 +1169,11 @@ def test_box_search_keeps_boxes_whose_sums_round_low():
                             RiskFunctional(HINGE, 4.0))
     big = 2.0**53
     duals = np.array([3.0, 3.25, 0.0, 0.0, big, big, -big, -big, 0.0])
-    assert np.all(reference_reduced_costs(dual, duals, False) == -4.0)
+    assert np.all(reference_reduced_costs(dual, duals, False)[dual.master_positions()] == -4.0)
     with pytest.MonkeyPatch.context() as mp:
         _price_by(mp, 1)
         picks, rc = _pricing_batch(dual.master_generator(), duals, 1, use_objective=False)
-    assert picks.tolist() == [0] and rc.tolist() == [-4.0]
+    assert picks.tolist() == [16] and rc.tolist() == [-4.0]
 
 
 def _frequency_records(bps, axes):
@@ -1161,6 +1221,72 @@ def test_box_search_matches_the_sweep_on_fixed_models(bps, axes, tau, kind, extr
     _assert_pricer_matches_the_sweep(dual, np.random.default_rng(7), dual_builder.BOX_BLOCK)
 
 
+def test_exact_sums_skip_units_that_can_only_tie_late():
+    # integer duals on axis 0 only: every box ties with the 4,096 of its
+    # axis-0 slab, so the q-th value is tied across whole units.  The
+    # sums are exact, so a unit whose bound is the cut and whose first
+    # key comes after the q-th candidate is skipped; z0 + 0.5 shifts
+    # every score alike but takes the rounding slack, which puts such
+    # units just under the cut and evaluates them
+    dual = _frequency_grid_dual()
+    ref = reference_generator(dual)
+    duals = np.zeros(len(dual.records) + 1)
+    duals[:32] = np.random.default_rng(0).integers(-1, 2, 32)
+    scored = []
+    for z0 in (3.0, 3.5):
+        duals[-1] = z0
+        picks, rc = _pricing_batch(dual.master_generator(), duals, 8, use_objective=False)
+        want, want_rc = _pricing_batch(ref, duals, 8, use_objective=False)
+        assert picks.tolist() == want.tolist() and np.array_equal(rc, want_rc)
+        assert np.all(rc == -z0 - 2.0)
+        scored.append(dual._scored)
+    assert scored[0] < scored[1]
+
+
+@pytest.mark.parametrize("bps,axes,tau,kind,status", [
+    # axis 1 carries no record: each key holds a cell of each of its slabs
+    ([GRID6, [0.0, 0.5, 1.0], GRID6], [0, 2], 1.9, VAR, "optimal"),
+    # the same under the hinge: a key carries its cells' largest objective
+    ([GRID6, [0.0, 0.5, 1.0], GRID6], [0, 2], 1.9, HINGE, "optimal"),
+    # a record-free axis with the top slab (1, inf): a key above tau holds
+    # the collapsed cells of [0, 1] and the vertex and ray cells of
+    # (1, inf), whose rays raise the hinge at no cost
+    ([GRID6, [0.0, 1.0, np.inf], GRID6], [0, 2], 1.9, HINGE, "unbounded"),
+], ids=["var", "hinge", "hinge_open_axis"])
+def test_record_free_axes_agree_with_highs(bps, axes, tau, kind, status):
+    partition = build_box_partition([np.array(b) for b in bps], tau)
+    fns = _frequency_records(partition.breakpoints, axes)
+    risk = RiskFunctional(kind, tau)
+    got = solve_bound(partition, fns, risk)
+    assert (got.status, got.engine) == (status, "dcg")
+    for rows in (False, True):
+        ref_status, ref = _highs_bound(partition, fns, risk, rows=rows)
+        assert ref_status == status
+        if status == "optimal":
+            assert abs(got.bound - ref) <= 1e-9 * max(1.0, abs(ref)), (rows, got.bound, ref)
+    dual = got.dual
+    # fewer keys than collapsed cells: cells share keys
+    assert dual.master_generator().count - dual.scan_entries().count < np.count_nonzero(dual.eliminable)
+    for box_block in (None, 1, dual_builder.BOX_BLOCK):
+        _assert_pricer_matches_the_sweep(dual, np.random.default_rng(3), box_block)
+
+
+def test_dual_keeps_no_per_cell_array_but_eliminable():
+    # after the seed and a searched pricing call, no array of the dual or
+    # of its point entries grows with the cells, save the partition's own
+    dual = _frequency_grid_dual()
+    _seed, gen = dual.master_seed()
+    duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
+    gen.reduced_costs(duals, True, 8, np.zeros(0, dtype=np.intp))
+    assert dual._units is not None  # the search ran
+    cells = dual.partition.cell_count
+    exempt = [dual.eliminable, *dual.partition.ref_arrays()]
+    for owner in (dual, dual.scan_entries()):
+        for name, value in vars(owner).items():
+            if isinstance(value, np.ndarray) and value.size and len(value) >= cells:
+                assert any(value is arr for arr in exempt), name
+
+
 def _affine_record(axis, slab, v):
     return TestFunction(f"aff_{axis}", TestFunctionKind.SLAB_AFFINE, axis, slab, Sense.UPPER,
                         0.5, v=np.array(v, dtype=float), c=0.25)
@@ -1182,8 +1308,8 @@ def test_reduced_costs_match_the_gather_formula_on_fixed_models(bps, tau, kind, 
     entries = dual.scan_entries()
     assert (dual.corner_cell is not None) == corner
     assert bool(np.any(entries.ray)) == rays
-    # position 0 is the corner's point entry when there is a corner
-    assert np.any(entries.vertex[1:] >= 0)
+    # point entries past the corner, which is position 0 when there is one
+    assert entries.count > corner
     _assert_scores_match_the_gather_formula(dual)
 
 
