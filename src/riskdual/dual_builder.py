@@ -294,17 +294,15 @@ class DualLP:
         VaR charges 1 past tau; the hinge charges a cell past tau its
         largest sum less tau, and 0 below.  A collapsed cell past tau has
         finite tops, so the largest sum puts every axis without records
-        at its largest finite top; it adds the tops in axis order, as
-        the partition does."""
+        in its last slab with a finite top."""
         above = keys < self._n_boxes
         out = above.astype(float)
         if self.riskfn.kind is RiskKind.CVAR_HINGE:
             slabs = dict(zip(self._tables, self._key_slabs(keys[above])))
-            total = 0.0
-            for a, tops in enumerate(b[1:] for b in self.partition.breakpoints):
-                total = total + (tops[slabs[a]] if a in slabs
-                                 else np.max(tops[np.isfinite(tops)], initial=-np.inf))
-            out[above] = total - self.riskfn.tau
+            bps = self.partition.breakpoints
+            top = [slabs[a] if a in slabs else np.count_nonzero(np.isfinite(b[1:])) - 1
+                   for a, b in enumerate(bps)]
+            out[above] = self.partition.top_sums(top) - self.riskfn.tau
         return out
 
     # -- cell enumeration --
@@ -573,12 +571,12 @@ class DualLP:
         lower bound on their scores (:meth:`_bounded_units`), in doubling
         blocks, until the next bound passes the q-th candidate so far, or
         -RC_TOL while there are fewer than q; a unit whose bound equals
-        it is still evaluated when its first key comes before that
-        candidate, as its keys may tie.  The search is exact: every box
-        value continues the head partial by the same additions in the
-        same order as the running sum over the axes, so it is bitwise
-        that sum, and a unit or a box is skipped only when it cannot beat
-        the q-th candidate, ties broken by position.  So the candidates,
+        it is still evaluated, as its keys may tie, and a tie counts only
+        before that candidate.  The search is exact: every box value
+        continues the head partial by the same additions in the same
+        order as the running sum over the axes, so it is bitwise that
+        sum, and a unit or a box is skipped only when it cannot beat the
+        q-th candidate, ties broken by position.  So the candidates,
         and an empty answer as a certificate, are those of a sweep of
         every column.  Each call logs, at debug level, how many boxes and
         point entries it scored.
@@ -590,18 +588,18 @@ class DualLP:
         pos, vals = np.arange(points), self._point_costs(duals, tables, use_objective)
         self._scored = points
         if self._n_keys:
-            pos, vals = self._search_units(pos, vals, duals[-1:], tables, use_objective, q, seen)
+            head, tail = tables[: (len(tables) + 1) // 2], tables[(len(tables) + 1) // 2 :]
+            partial = self._box_sums(duals[-1:], head)[0]
+            pos, vals = self._search_units(pos, vals, partial, tail, use_objective, q, seen)
         log.debug("pricing scored %d boxes and %d point entries", self._scored - points, points)
         return steepest_candidates(pos, vals, q, seen)
 
-    def _search_units(self, pos, vals, z0, tables, use_objective, q, seen):
+    def _search_units(self, pos, vals, partial, tail, use_objective, q, seen):
         """The point candidates ``(pos, vals)`` joined by the keys that
         can beat their q-th, ``(cut, last)`` as (value, position): the
         units by increasing bound, in doubling blocks, while the next
         bound is at most the cut.  On a grid of at most SWEEP_SIZE boxes
         and keys, every key instead."""
-        half = (len(tables) + 1) // 2
-        partial, tail = self._box_sums(z0, tables[:half])[0], tables[half:]
         start, n_tail = self._entries.count, self._n_tail
         if 2 * self._n_boxes + self._n_keys <= SWEEP_SIZE:
             boxes = self._box_sums(np.concatenate([partial, partial]), tail)
@@ -612,41 +610,35 @@ class DualLP:
             return np.concatenate([pos, start + keys]), np.concatenate([vals, box])
         if self._units is None:
             self._index_units()
-        # integer terms whose magnitudes sum below 2**53 add exactly
-        terms = np.concatenate([z0, *tables, self._unit_obj])
-        exact = bool(np.all(terms == np.round(terms)) and np.sum(np.abs(terms)) < 2.0**53)
         block = max(BOX_BLOCK // n_tail, 1)
         cut, last = -RC_TOL, start + 2 * self._n_boxes
         pos, vals = steepest_candidates(pos, vals, q, seen)
         if vals.size == q:
             cut = vals.max()
             last = pos[vals == cut].max()
-        units, bound = self._bounded_units(partial, tail, use_objective, cut, exact)
-        first = start + self._units[units] * n_tail
+        units, bound = self._bounded_units(partial, tail, use_objective, cut)
         done = 0
         while done < units.size and bound[done] <= cut:
             stop = min(done + block, int(np.searchsorted(bound, cut, side="right")))
-            # a unit whose bound is the cut can only tie it, and a tie
-            # counts only before the q-th candidate
-            at = units[done:stop][(bound[done:stop] < cut) | (first[done:stop] < last)]
-            new_pos, new_vals = self._box_costs(at, partial, tail, use_objective, cut, last)
+            new_pos, new_vals = self._box_costs(
+                units[done:stop], partial, tail, use_objective, cut, last
+            )
             pos, vals = steepest_candidates(
                 np.concatenate([pos, new_pos]), np.concatenate([vals, new_vals]), q, seen
             )
             if vals.size == q:
                 cut = vals.max()
                 last = pos[vals == cut].max()
-            self._scored += at.size * n_tail
+            self._scored += (stop - done) * n_tail
             done, block = stop, 2 * block
         return pos, vals
 
-    def _bounded_units(self, partial, tail, use_objective, cut, exact):
+    def _bounded_units(self, partial, tail, use_objective, cut):
         """Indices into ``_units`` of the units whose bound is at most
         ``cut``, by increasing bound, and their bounds.  A unit's bound
         is its head partial plus the least tail part that can reach its
-        side, less its side's largest objective, and less a rounding
-        slack unless every sum is ``exact``: no score in the unit falls
-        below it."""
+        side, less its side's largest objective and a rounding slack:
+        no score in the unit falls below it."""
         sign = 1.0 if use_objective else -1.0
         part = sign * self._box_sums(np.zeros(1), tail)[0]
         least = np.concatenate([
@@ -656,11 +648,10 @@ class DualLP:
         ])[self._unit_least]
         p = partial[self._unit_head]
         obj = self._unit_obj if use_objective else 0.0
-        bound = sign * p + least - obj
-        if not exact:
-            # a box sum rounds by at most a few eps of its terms' sizes
-            size = np.abs(p) + sum(np.max(np.abs(t)) for t in tail) + obj
-            bound -= 4 * (len(self._tables) + 2) * np.finfo(float).eps * size
+        # a box sum rounds by at most a few eps of its terms' sizes
+        size = np.abs(p) + sum(np.max(np.abs(t)) for t in tail) + obj
+        slack = 4 * (len(self._tables) + 2) * np.finfo(float).eps * size
+        bound = sign * p + least - obj - slack
         keep = np.flatnonzero(bound <= cut)
         order = keep[np.argsort(bound[keep], kind="stable")]
         return order, bound[order]

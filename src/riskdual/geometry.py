@@ -478,6 +478,15 @@ class Partition:
     def max_total_sum(self) -> float:
         return float(np.sum([b[-1] for b in self.breakpoints]))
 
+    def top_sums(self, slabs):
+        """Each cell's largest sum, for cells given by their slab index
+        arrays, one per axis: the slab tops added in axis order from 0.0,
+        as the max sums of :meth:`ref_arrays` are."""
+        total = 0.0
+        for b, s in zip(self.breakpoints, slabs):
+            total = total + b[1:][s]
+        return total
+
     def has_above_cells(self) -> bool:
         return bool(np.any(self._ref_side > 0))
 

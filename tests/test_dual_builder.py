@@ -43,7 +43,7 @@ from riskdual import (
 from riskdual import dual_builder, lp_engine
 from riskdual.dual_builder import CONST_TOL, _point_rows, _signed_restrictions
 from riskdual.lp_engine import _pricing_batch
-from riskdual.geometry import VERTEX_TOL, SideOfTau, partition_rays, partition_vertices
+from riskdual.geometry import VERTEX_TOL, partition_rays, partition_vertices
 
 from conftest import (
     lp_limit,
@@ -725,6 +725,17 @@ def column_models(draw):
     return assemble_dual_lp(partition, fns, RiskFunctional(kind, tau))
 
 
+def _cell_key(dual, i):
+    """Cell i's key: the flat slab index over the axes with records, in
+    table order, past the boxes when the cell lies below tau."""
+    grid, _flag, side, _mins, _maxs = dual.partition.ref_arrays()
+    counts = dual.partition.slab_counts
+    key = 0
+    for a in dual._tables:
+        key = key * counts[a] + int(grid[i, a])
+    return key + int(np.prod([counts[a] for a in dual._tables])) * int(side[i] < 0)
+
+
 def _restricted_entries(dual):
     """Master columns rebuilt cell by cell through restrict_to_cell.
     Returns the point entries, as (cell, point or ray, is a ray,
@@ -739,9 +750,6 @@ def _restricted_entries(dual):
         (vals,), (obj,) = _point_rows(dual.records, dual.riskfn, corner, [corner.lows])
         # the corner is a point of the top cell, the last slot
         points.append((dual.partition.cell_count - 1, corner.lows, False, vals, obj))
-    grid, _flag, _side, _mins, _maxs = dual.partition.ref_arrays()
-    counts = dual.partition.slab_counts
-    n_boxes = int(np.prod([counts[a] for a in dual._tables]))
     for cell in dual.iter_cells():
         i = cell.id
         if i == dual.partition.cell_count:
@@ -755,13 +763,7 @@ def _restricted_entries(dual):
         assert dual.eliminable[i] == (constant and np.isfinite(top))
         if dual.eliminable[i]:
             _lam, support = precompute_cell_lambda(cell, g)
-            # its key: the flat slab index over the axes with records, in
-            # table order, past the boxes when below tau
-            key = 0
-            for a in dual._tables:
-                key = key * counts[a] + int(grid[i, a])
-            key += n_boxes * (cell.side_of_tau is not SideOfTau.ABOVE)
-            collapsed.append((i, key, np.append(cvec, 1.0), float(e - support)))
+            collapsed.append((i, _cell_key(dual, i), np.append(cvec, 1.0), float(e - support)))
             continue
         if cell.bounded:
             verts, rays = reference_cell_vertices(cell), []
@@ -846,7 +848,8 @@ def _per_cell_gather_scores(dual, duals, use_objective):
         const = np.where(entries.ray, 0.0, acc[cells])
         score[: entries.count] = const + np.einsum("ij,ij->i", G, entries.points)
     at = dual.master_positions()
-    objective = np.concatenate([entries.objective, dual._objectives(at[entries.count :] - entries.count)])
+    keys = at[entries.count :] - entries.count
+    objective = np.concatenate([entries.objective, dual._objectives(keys)])
     score[at] = score[at] - objective if use_objective else -score[at]
     return score
 
@@ -1121,6 +1124,27 @@ def indicator_models(draw):
     return assemble_dual_lp(build_box_partition(bps, tau), fns, RiskFunctional(kind, tau))
 
 
+def _assert_key_objectives(dual):
+    """Bitwise, each key's objective is the largest of its collapsed
+    cells': VaR charges 1 above tau, the hinge the cell's max sum as the
+    partition stores it, less tau."""
+    _grid, _flag, side, _mins, maxs = dual.partition.ref_arrays()
+    hinge = dual.riskfn.kind is RiskKind.CVAR_HINGE
+    best = {}
+    for i in np.flatnonzero(dual.eliminable[: dual.partition.cell_count]):
+        obj = 0.0 if side[i] < 0 else maxs[i] - dual.riskfn.tau if hinge else 1.0
+        key = _cell_key(dual, i)
+        best[key] = max(best.get(key, -np.inf), obj)
+    keys = sorted(best)
+    assert dual._objectives(np.array(keys, dtype=np.intp)).tolist() == [best[k] for k in keys]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(column_models(), indicator_models()))
+def test_key_objective_is_bitwise_the_largest_of_its_cells(dual):
+    _assert_key_objectives(dual)
+
+
 def _assert_pricer_matches_the_sweep(dual, rng, box_block):
     """Picks and reduced costs of every pricing call equal the full
     sweep's, in both phases, for q of 1, 8 and 64, random generated
@@ -1221,28 +1245,6 @@ def test_box_search_matches_the_sweep_on_fixed_models(bps, axes, tau, kind, extr
     _assert_pricer_matches_the_sweep(dual, np.random.default_rng(7), dual_builder.BOX_BLOCK)
 
 
-def test_exact_sums_skip_units_that_can_only_tie_late():
-    # integer duals on axis 0 only: every box ties with the 4,096 of its
-    # axis-0 slab, so the q-th value is tied across whole units.  The
-    # sums are exact, so a unit whose bound is the cut and whose first
-    # key comes after the q-th candidate is skipped; z0 + 0.5 shifts
-    # every score alike but takes the rounding slack, which puts such
-    # units just under the cut and evaluates them
-    dual = _frequency_grid_dual()
-    ref = reference_generator(dual)
-    duals = np.zeros(len(dual.records) + 1)
-    duals[:32] = np.random.default_rng(0).integers(-1, 2, 32)
-    scored = []
-    for z0 in (3.0, 3.5):
-        duals[-1] = z0
-        picks, rc = _pricing_batch(dual.master_generator(), duals, 8, use_objective=False)
-        want, want_rc = _pricing_batch(ref, duals, 8, use_objective=False)
-        assert picks.tolist() == want.tolist() and np.array_equal(rc, want_rc)
-        assert np.all(rc == -z0 - 2.0)
-        scored.append(dual._scored)
-    assert scored[0] < scored[1]
-
-
 @pytest.mark.parametrize("bps,axes,tau,kind,status", [
     # axis 1 carries no record: each key holds a cell of each of its slabs
     ([GRID6, [0.0, 0.5, 1.0], GRID6], [0, 2], 1.9, VAR, "optimal"),
@@ -1266,9 +1268,22 @@ def test_record_free_axes_agree_with_highs(bps, axes, tau, kind, status):
             assert abs(got.bound - ref) <= 1e-9 * max(1.0, abs(ref)), (rows, got.bound, ref)
     dual = got.dual
     # fewer keys than collapsed cells: cells share keys
-    assert dual.master_generator().count - dual.scan_entries().count < np.count_nonzero(dual.eliminable)
+    n_keys = dual.master_generator().count - dual.scan_entries().count
+    assert n_keys < np.count_nonzero(dual.eliminable)
     for box_block in (None, 1, dual_builder.BOX_BLOCK):
         _assert_pricer_matches_the_sweep(dual, np.random.default_rng(3), box_block)
+
+
+def test_key_objective_adds_the_tops_in_axis_order():
+    # the top cell's max sum 0.1 + 0.1 + 0.4 is 0.6000000000000001 in
+    # axis order and 0.6 in table order (axis 2 first) or reversed;
+    # axis 1 carries no record, so a key takes its largest finite top
+    bps = [np.array([0.0, 0.05, 0.1]), np.array([0.0, 0.05, 0.1]), np.array([0.0, 0.2, 0.4])]
+    partition = build_box_partition(bps, 0.3)
+    dual = assemble_dual_lp(partition, _frequency_records(bps, [2, 0]), RiskFunctional(HINGE, 0.3))
+    assert list(dual._tables) == [2, 0]
+    assert partition.ref_arrays()[4].max() == 0.6000000000000001
+    _assert_key_objectives(dual)
 
 
 def test_dual_keeps_no_per_cell_array_but_eliminable():
