@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Optional
@@ -61,10 +62,11 @@ from .geometry import (
     Partition,
     SideOfTau,
     cell_vertices,
+    grid_terms,
+    head_blocks,
+    _slot_rays,
+    _slot_vertices,
     maximize_linear_over_cell,
-    partition_rays,
-    partition_vertices,
-    _grid_sums,
 )
 from . import lp_engine
 from .lp_engine import (
@@ -164,14 +166,16 @@ class ScanEntries:
     the corner, one entry per column.  Collapsed cells have none; their
     columns are keys (see :class:`DualLP`).
 
-    ``cell`` holds each entry's partition cell; the corner, when there
-    is one, is entry 0, of the last cell.  ``points`` holds the vertex,
+    ``cell`` holds each entry's partition cell and ``slabs`` that
+    cell's grid index, one slab per axis; the corner, when there is
+    one, is entry 0, of the last cell.  ``points`` holds the vertex,
     ray or corner, and ``ray`` flags the rays.  ``objective`` is the
     risk the column carries: its value at a point, its slope <g, r>
     along a ray.
     """
 
     cell: np.ndarray
+    slabs: np.ndarray
     ray: np.ndarray
     points: np.ndarray
     objective: np.ndarray
@@ -189,13 +193,15 @@ class DualLP:
     the normalization row with right-hand side one.  Cells are visited
     (:meth:`iter_cells`) with the synthetic corner first (when present),
     then cells on the high side of tau, then the rest, each group in
-    partition order.  ``eliminable`` flags the cells on which every
-    record restricts to a constant and the risk has a finite maximum;
-    in LAMBDA_ELIMINATED mode those collapse to one row of the row dual,
-    and the others get the explicit block.  The corner is the top
-    vertex of the last cell, the whole top grid cell: the master has it
-    as a point entry of that cell, the row routes as the degenerate
-    cell ``corner_cell``, one past the last in ``eliminable``.
+    partition order.  A cell collapses (:meth:`collapses`) when every
+    record restricts to a constant on it and the risk has a finite
+    maximum there; both are per-axis tests on its slabs, so no array
+    runs over the cells.  In LAMBDA_ELIMINATED mode a collapsed cell is
+    one row of the row dual, and the others get the explicit block.
+    The corner is the top vertex of the last cell, the whole top grid
+    cell: the master has it as a point entry of that cell, the row
+    routes as the degenerate cell ``corner_cell``, one past the last
+    slot, which collapses when the top cell does.
 
     The master's columns are the point entries of :meth:`scan_entries`,
     at positions 0 to P - 1, then one column per key.  A key is the flat
@@ -206,7 +212,8 @@ class DualLP:
     and carries their largest objective, which dominates the rest.
     ``_has`` flags the keys that hold a collapsed cell, one row per unit
     (side, head tuple: the first half of the table axes, rounded up) and
-    one column per tail tuple; the other keys are not columns.  Column
+    one column per tail tuple; the other keys are not columns.  It is
+    found key by key from the slab tables (:meth:`_index_keys`).  Column
     generation prices the master through :meth:`_reduced_costs`.
     """
 
@@ -219,10 +226,6 @@ class DualLP:
         self.n_ineq = sum(1 for _, _, _, iseq in records if not iseq)
         self.n_eq = len(records) - self.n_ineq
 
-        grid, _flag, side, _rmin, rmax = partition.ref_arrays()
-        self._grid = grid
-        self._side = side
-
         # each record's affine factor <v, x> + c; an indicator has v = 0, c = 1
         n = partition.dimension
         self._rec_v = np.zeros((len(records), n))
@@ -232,11 +235,11 @@ class DualLP:
                 self._rec_v[row] = fn.v
                 self._rec_c[row] = fn.c
         self._tables = self._containment_tables(spans)
-        self._index_keys(rmax)
-        if corner_cell is not None:
-            # the row routes and the oracle look the corner up by its id,
-            # one past the last cell; it shares the top cell's slabs
-            self.eliminable = np.append(self.eliminable, self.eliminable[-1])
+        # per table axis, the slabs that a record with a linear part holds
+        linear = np.max(np.abs(self._rec_v), axis=1, initial=0.0) > CONST_TOL
+        self._held = {a: np.any(mat[:, linear[rows_a]] != 0.0, axis=1)
+                      for a, (rows_a, mat) in self._tables.items()}
+        self._index_keys()
         self._entries = None
         self._units = None
 
@@ -257,33 +260,63 @@ class DualLP:
             out[a] = (np.array(rows, dtype=int), np.column_stack(mat))
         return out
 
-    def _index_keys(self, rmax):
-        """``eliminable``, the key layout and ``_has``, in one pass over
-        the cells.  A cell collapses unless the slab of a record with a
-        non-constant linear part holds it, or the hinge has no maximum on
-        it: on an unbounded cell past tau."""
-        linear = np.max(np.abs(self._rec_v), axis=1, initial=0.0) > CONST_TOL
+    def _index_keys(self):
+        """The key layout and ``_has``, key by key.  A key's cells share
+        its slabs on the table axes and may take any slab on the others;
+        sums grow with every slab index, so a key holds a cell past tau
+        exactly when its cell with the largest max sum does (each other
+        axis at its last slab, under the hinge its last with a finite
+        top, as the hinge collapses only cells with a finite max sum),
+        and one below tau exactly when its cell with the least sums does
+        (each other axis at its first slab).  Those cells' sums are added
+        in axis order from 0.0, as the partition's, so every decision is
+        the partition's.  Neither side holds a collapsed cell when a
+        record with a linear part holds one of the key's slabs."""
         counts = self.partition.slab_counts
+        bps = self.partition.breakpoints
+        tau = self.partition.tau
+        hinge = self.riskfn.kind is RiskKind.CVAR_HINGE
         self._shape = tuple(counts[a] for a in self._tables)
         half = (len(self._shape) + 1) // 2
         self._n_head = int(np.prod(self._shape[:half], dtype=np.intp))
         self._n_tail = int(np.prod(self._shape[half:], dtype=np.intp))
         self._n_boxes = self._n_head * self._n_tail
-        if self.riskfn.kind is RiskKind.CVAR_HINGE:
-            self.eliminable = (self._side <= 0) | np.isfinite(rmax)
-        else:
-            self.eliminable = np.ones(self.partition.cell_count, dtype=bool)
-        key = np.zeros(self.partition.cell_count, dtype=np.intp)
-        for a, (rows_a, mat) in self._tables.items():
-            held = np.any(mat[:, linear[rows_a]] != 0.0, axis=1)
-            self.eliminable &= ~held[self._grid[:, a]]
-            key *= counts[a]
-            key += self._grid[:, a]
-        key[self._side <= 0] += self._n_boxes
-        has = np.zeros(2 * self._n_boxes, dtype=bool)
-        has[key[self.eliminable]] = True
+        dim = {a: i for i, a in enumerate(self._tables)}
+        top, least, least_top = [], [], []
+        for a, b in enumerate(bps):
+            if a in dim:
+                top.append((dim[a], b[1:]))
+                least.append((dim[a], b[:-1]))
+                least_top.append((dim[a], b[1:]))
+            else:
+                finite = b[1:][np.isfinite(b[1:])]
+                top.append((None, finite[-1] if hinge and finite.size else b[-1]))
+                least.append((None, b[0]))
+                least_top.append((None, b[1]))
+        held = [(dim[a], h) for a, h in self._held.items() if np.any(h)]
+        has = np.zeros((2, self._n_boxes), dtype=bool)
+        best = -math.inf
+        for heads in head_blocks(self._shape):
+            constant = ~grid_terms(self._shape, heads, held, np.logical_or, False) if held else True
+            high = grid_terms(self._shape, heads, top)
+            # past tau the hinge collapses only cells with a finite max sum
+            up = (high > tau + STRADDLE_TOL) & constant
+            if hinge:
+                up &= np.isfinite(high)
+                if np.any(up):
+                    best = max(best, float(np.max(high[up])))
+            low = grid_terms(self._shape, heads, least)
+            low_top = grid_terms(self._shape, heads, least_top)
+            down = ((low_top <= tau + STRADDLE_TOL) | (low < tau - STRADDLE_TOL)) & constant
+            # the block's keys are consecutive, row-major
+            keys = slice(int(heads[0]) * up.shape[1], (int(heads[-1]) + 1) * up.shape[1])
+            has[0, keys] = up.ravel()
+            has[1, keys] = down.ravel()
         self._has = has.reshape(2 * self._n_head, self._n_tail)
         self._n_keys = int(np.count_nonzero(has))
+        # the largest objective of a key past tau: 1 under VaR, the
+        # largest max sum less tau under the hinge
+        self._top_objective = max(0.0, best - self.riskfn.tau) if hinge else 1.0
 
     def _key_slabs(self, keys):
         """Each table axis's slab at ``keys``, in table order."""
@@ -307,18 +340,54 @@ class DualLP:
 
     # -- cell enumeration --
 
-    def _above_first(self, cells):
-        """Indices of the cells that ``cells`` (a mask, or True for all)
-        flags: those above tau, then the rest, each in partition order."""
-        up = self._side > 0
-        return np.concatenate([np.flatnonzero(cells & up), np.flatnonzero(cells & ~up)])
+    def _needs_points(self, grid, side):
+        """Which of the slots with grid indices ``grid`` and sides
+        ``side`` do not collapse: a record with a linear part holds one
+        of their slabs, or they lie past tau under the hinge with an
+        infinite top, where the hinge has no maximum."""
+        need = np.zeros(len(side), dtype=bool)
+        for a, held in self._held.items():
+            need |= held[grid[:, a]]
+        if self.riskfn.kind is RiskKind.CVAR_HINGE:
+            for a, b in enumerate(self.partition.breakpoints):
+                if b[-1] == math.inf:
+                    need |= (side > 0) & (grid[:, a] == len(b) - 2)
+        return need
+
+    def collapses(self, cell) -> bool:
+        """Whether a partition cell, or the corner, collapses: every
+        record restricts to a constant on it and the risk has a finite
+        maximum there.  The corner, one past the last slot, shares the
+        top cell's slabs and collapses when it does."""
+        grid, _flag, side = self.partition.slots([min(cell.id, self.partition.cell_count - 1)])
+        return not self._needs_points(grid, side)[0]
+
+    def _point_cells(self):
+        """The slots that do not collapse, above tau first, each side in
+        slot order, as (ids, grid, flag, side) arrays.  When no record
+        has a linear part, and the hinge has a maximum on every cell,
+        there are none, and no slot is decoded."""
+        parts = []
+        hinge_open = self.riskfn.kind is RiskKind.CVAR_HINGE and any(
+            b[-1] == math.inf for b in self.partition.breakpoints)
+        if hinge_open or any(np.any(h) for h in self._held.values()):
+            for first, grid, flag, side in self.partition.slot_blocks():
+                at = np.flatnonzero(self._needs_points(grid, side))
+                parts.append((first + at, grid[at], flag[at], side[at]))
+        if not parts:
+            n = self.partition.dimension
+            return (np.zeros(0, dtype=np.intp), np.zeros((0, n), dtype=np.int32),
+                    np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int8))
+        ids, grid, flag, side = (np.concatenate(x) for x in zip(*parts))
+        order = np.argsort(side < 0, kind="stable")
+        return ids[order], grid[order], flag[order], side[order]
 
     def iter_cells(self):
         """All cells: corner first, then high side, then the rest."""
         if self.corner_cell is not None:
             yield self.corner_cell
-        for ridx in self._above_first(True):
-            yield self.partition.cell_at(int(ridx))
+        yield from self.partition.cells(above=True)
+        yield from self.partition.cells(above=False)
 
     def cell_rows(self, cell):
         """Row-dual rows of one cell under this assembly's mode, as
@@ -343,7 +412,7 @@ class DualLP:
         V, cvec = _signed_restrictions(self.records, cell)
         g, e = restrict_to_cell(self.riskfn, cell)
         const = np.append(cvec, 1.0)
-        if self.mode is ReductionMode.LAMBDA_ELIMINATED and self.eliminable[cell.id]:
+        if self.mode is ReductionMode.LAMBDA_ELIMINATED and self.collapses(cell):
             _lam, support = precompute_cell_lambda(cell, g)
             return const[None, :], None, [">="], np.array([e - support])
         n = cell.dimension
@@ -440,15 +509,18 @@ class DualLP:
         exactly when it is at every vertex and does not fall along any
         ray.  A cell with a whole-line axis is always sliced, because tau
         is finite, and :func:`partition_vertices` takes its vertices from
-        a pointed section.
+        a pointed section.  The cells that do not collapse are the only
+        ones listed (:meth:`_point_cells`).
         """
         if self._entries is not None:
             return self._entries
-        order = self._above_first(~self.eliminable[: self.partition.cell_count])
-        vstart, vpoints = partition_vertices(self.partition, order)
-        rstart, rays = partition_rays(self.partition, order)
+        order, grid, flag, side = self._point_cells()
+        vstart, vpoints = _slot_vertices(self.partition, grid, flag, order)
+        rstart, rays = _slot_rays(self.partition, grid, flag)
         nv, nr = np.diff(vstart), np.diff(rstart)
         cell = np.repeat(order, nv + nr)
+        slabs = np.repeat(grid, nv + nr, axis=0)
+        up = np.repeat(side > 0, nv + nr)
         # a cell's entries are its vertices, then its rays
         first = np.cumsum(nv + nr) - nv - nr
         vpos = np.repeat(first - vstart[:-1], nv) + np.arange(len(vpoints))
@@ -458,7 +530,6 @@ class DualLP:
         points[rpos] = rays
         ray = np.zeros(cell.size, dtype=bool)
         ray[rpos] = True
-        up = self._side[cell] > 0
         if self.riskfn.kind is RiskKind.CVAR_HINGE:
             # the hinge is sum(x) - tau past the threshold: sum(q) - tau at
             # a vertex, sum(r) along a ray; there is no corner under this risk
@@ -471,10 +542,12 @@ class DualLP:
             # that cell's slabs on every axis, as no slab ends inside it;
             # the indicator risk charges it, as it lies on the threshold
             cell = np.concatenate([[self.partition.cell_count - 1], cell])
+            top = np.array([self.partition.slab_counts], dtype=slabs.dtype) - 1
+            slabs = np.concatenate([top, slabs])
             ray = np.concatenate([[False], ray])
             points = np.vstack([self.corner_cell.lows, points])
             objective = np.concatenate([[1.0], objective])
-        self._entries = ScanEntries(cell, ray, points, objective)
+        self._entries = ScanEntries(cell, slabs, ray, points, objective)
         return self._entries
 
     def master_positions(self):
@@ -501,10 +574,11 @@ class DualLP:
         free = [a for a in range(self.partition.dimension) if a not in self._tables]
         scale = abs(tau) + sum(np.max(np.abs(b[np.isfinite(b)]), initial=0.0) for b in bps)
         margin = STRADDLE_TOL + 8 * len(bps) * np.finfo(float).eps * scale
-        low_t = _grid_sums([bps[a][:-1] for a in tail])
-        high_t = _grid_sums([bps[a][1:] for a in tail])
-        low_h = _grid_sums([bps[a][:-1] for a in head]) + sum(bps[a][0] for a in free)
-        high_h = _grid_sums([bps[a][1:] for a in head]) + sum(bps[a][-1] for a in free)
+        zero = np.zeros(1)
+        low_t = self._box_sums(zero, [bps[a][:-1] for a in tail])[0]
+        high_t = self._box_sums(zero, [bps[a][1:] for a in tail])[0]
+        low_h = self._box_sums(zero, [bps[a][:-1] for a in head])[0] + sum(bps[a][0] for a in free)
+        high_h = self._box_sums(zero, [bps[a][1:] for a in head])[0] + sum(bps[a][-1] for a in free)
         self._tail_by_high = np.argsort(high_t, kind="stable")
         above_from = np.searchsorted(
             high_t[self._tail_by_high], tau - margin - high_h, side="right"
@@ -515,15 +589,14 @@ class DualLP:
         # the units that hold columns; for each, its head tuple, the slot
         # of its least tail part in the per-round table of suffix minima
         # by high sum, inf, inf, prefix minima by low sum, and the largest
-        # objective on its side
+        # objective on its side (see _index_keys)
         self._units = np.flatnonzero(np.any(self._has, axis=1))
         above = self._units < n_head
         self._unit_head = self._units % n_head
         self._unit_least = np.where(
             above, above_from[self._unit_head], n_tail + 1 + below_to[self._unit_head]
         )
-        top = self._objectives(np.flatnonzero(self._has[:n_head]))
-        self._unit_obj = np.where(above, np.max(top, initial=0.0), 0.0)
+        self._unit_obj = np.where(above, self._top_objective, 0.0)
 
     def _columns(self, pos):
         """Master columns at positions ``pos``, as a (rows, len(pos))
@@ -534,11 +607,11 @@ class DualLP:
         entries = self.scan_entries()
         pos = np.asarray(pos)
         at = pos < entries.count
-        cells, keys = entries.cell[pos[at]], pos[~at] - entries.count
+        points, keys = pos[at], pos[~at] - entries.count
         M = np.zeros((len(self.records) + 1, pos.size))
         slabs = np.empty(pos.size, dtype=np.intp)
         for (a, (rows_a, mat)), s in zip(self._tables.items(), self._key_slabs(keys)):
-            slabs[at], slabs[~at] = self._grid[cells, a], s
+            slabs[at], slabs[~at] = entries.slabs[points, a], s
             M[rows_a, :] = mat[slabs, :].T
         M[-1, :] = 1.0
         factor = np.repeat(self._rec_c[:, None], pos.size, axis=1)
@@ -688,7 +761,7 @@ class DualLP:
         entries = self._entries
         if not entries.count:
             return np.zeros(0)
-        slabs = [self._grid[entries.cell, a] for a in self._tables]
+        slabs = [entries.slabs[:, a] for a in self._tables]
         box = duals[-1]
         for t, s in zip(tables, slabs):
             box = box + t[s]
@@ -743,7 +816,13 @@ class DualLP:
         """
         gen = self.master_generator()
         entries = self.scan_entries()
-        picks = set(self.master_positions()[:8].tolist())
+        # the first 8 positions: point entries, then keys unit by unit
+        picks = set(range(min(8, entries.count)))
+        for unit in np.flatnonzero(np.any(self._has, axis=1)):
+            if len(picks) == 8:
+                break
+            keys = unit * self._n_tail + np.flatnonzero(self._has[unit])[: 8 - len(picks)]
+            picks.update((entries.count + keys).tolist())
         skip = 0 if self.corner_cell is None else 1
         post = self._n_boxes
         for a in self._tables:
@@ -756,7 +835,7 @@ class DualLP:
             s = np.arange(slabs)
             first = entries.count + (pre * slabs + s) * post + np.argmax(has[pre, s], axis=1)
             first[~np.any(held, axis=0)] = -1
-            at, where = np.unique(self._grid[entries.cell[skip:], a], return_index=True)
+            at, where = np.unique(entries.slabs[skip:, a], return_index=True)
             first[at] = skip + where
             picks.update(first[first >= 0].tolist())
         pos = np.array(sorted(picks), dtype=np.intp)
@@ -819,7 +898,9 @@ class BoundResult:
     ``multipliers`` its dual certificate ``(y, z, z0)``), 'infeasible'
     (no measure meets the integral constraints) or 'unbounded' (the
     bound is +inf).  ``engine`` is 'dcg' or 'dense_rows';
-    ``columns_generated`` is set by 'dcg' only.
+    ``columns_generated`` is set by 'dcg' only.  ``assemble_s`` and
+    ``solve_s`` are the wall-clock seconds of the assembly and of the
+    solve that followed it.
     """
 
     status: str
@@ -831,6 +912,8 @@ class BoundResult:
     certified: bool = False
     feas_residual: Optional[float] = None
     multipliers: Optional[tuple] = None
+    assemble_s: float = 0.0
+    solve_s: float = 0.0
 
 
 def _feasibility_probe(partition, testfns, tau) -> BoundResult:
@@ -863,39 +946,54 @@ def solve_bound(
     when a zero upper bound pins the mass of an unbounded cell past tau:
     there is then no Slater point.
     """
+    t0 = time.perf_counter()
     dual = assemble_dual_lp(partition, testfns, riskfn, mode)
-    n_ineq, n_eq = dual.n_ineq, dual.n_eq
+    t1 = time.perf_counter()
     if mode is ReductionMode.LAMBDA_ELIMINATED:
-        seed, gen = dual.master_seed()
-        sol = solve_dcg(seed, gen)
-        if sol.status is LPStatus.UNBOUNDED and np.any(dual.scan_entries().ray):
-            # only phase two reports UNBOUNDED: the restricted master is
-            # feasible, and its ray is a ray of the full master
-            return BoundResult(
-                "unbounded", None, "dcg", dual,
-                iterations=sol.iterations,
-                columns_generated=sol.columns_generated,
-            )
-        if sol.status not in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE):
-            raise SolverError(f"master solve ended with {sol.status.value}")
-        if not sol.certified:
-            # a restricted master's optimum bounds the worst case from
-            # below, and its infeasibility proves nothing
-            raise SolverError("column generation stopped before a clean pricing sweep")
-        result = BoundResult(
-            "infeasible", None, "dcg", dual,
+        result = _solve_columns(dual)
+    else:
+        result = _solve_rows(dual, partition, testfns, riskfn)
+    result.assemble_s, result.solve_s = t1 - t0, time.perf_counter() - t1
+    return result
+
+
+def _solve_columns(dual) -> BoundResult:
+    """Column generation over the master, for :func:`solve_bound`."""
+    n_ineq, n_eq = dual.n_ineq, dual.n_eq
+    seed, gen = dual.master_seed()
+    sol = solve_dcg(seed, gen)
+    if sol.status is LPStatus.UNBOUNDED and np.any(dual.scan_entries().ray):
+        # only phase two reports UNBOUNDED: the restricted master is
+        # feasible, and its ray is a ray of the full master
+        return BoundResult(
+            "unbounded", None, "dcg", dual,
             iterations=sol.iterations,
             columns_generated=sol.columns_generated,
-            certified=sol.status is LPStatus.OPTIMAL,
-            feas_residual=sol.feas_residual,
         )
-        if sol.status is LPStatus.OPTIMAL:
-            result.status = "optimal"
-            result.bound = float(sol.objective)
-            d = sol.duals
-            result.multipliers = (d[:n_ineq], d[n_ineq : n_ineq + n_eq], d[-1])
-        return result
+    if sol.status not in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE):
+        raise SolverError(f"master solve ended with {sol.status.value}")
+    if not sol.certified:
+        # a restricted master's optimum bounds the worst case from
+        # below, and its infeasibility proves nothing
+        raise SolverError("column generation stopped before a clean pricing sweep")
+    result = BoundResult(
+        "infeasible", None, "dcg", dual,
+        iterations=sol.iterations,
+        columns_generated=sol.columns_generated,
+        certified=sol.status is LPStatus.OPTIMAL,
+        feas_residual=sol.feas_residual,
+    )
+    if sol.status is LPStatus.OPTIMAL:
+        result.status = "optimal"
+        result.bound = float(sol.objective)
+        d = sol.duals
+        result.multipliers = (d[:n_ineq], d[n_ineq : n_ineq + n_eq], d[-1])
+    return result
 
+
+def _solve_rows(dual, partition, testfns, riskfn) -> BoundResult:
+    """The dense row dual in one shot, for :func:`solve_bound`."""
+    n_ineq, n_eq = dual.n_ineq, dual.n_eq
     lp = dual.materialize()
     sol = solve_dense_simplex(lp)
     # the row dual holds every cell's constraints, so its optimum is final

@@ -3,9 +3,10 @@
 Cells are axis-aligned boxes, possibly cut once by the hyperplane
 ``sum(x) = tau``.  A partition is the grid generated by per-axis
 breakpoint lists; any grid cell whose interior strictly straddles the
-hyperplane is replaced by its two halves.  A Cell object is built on
-each request from its slot's arrays, so large grids never have to be
-materialized for column generation.
+hyperplane is replaced by its two halves.  A partition stores no
+per-cell array: a slot is decoded from per-axis breakpoints and small
+per-block tables, and a Cell object is built on each request, so large
+grids are never materialized for column generation.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ def cell_contains(cell: Cell, x, tol: float = CONTAIN_TOL) -> bool:
 
 
 # boxes per block in _box_vertices' deduplication, which holds a
-# boxes x candidates x dimension temporary
+# boxes x candidates x dimension temporary; head_blocks also fills a
+# block up to this many grid cells, so a small grid is one block
 VERTEX_BLOCK = 1024
 
 
@@ -305,11 +307,16 @@ def partition_vertices(partition, idx):
     cell gets its finite vertices, and :func:`partition_rays` its
     recession directions."""
     idx = np.asarray(idx, dtype=np.intp)
-    grid, flag, _side, _min, _max = partition.ref_arrays()
-    g = grid[idx]
-    lows = np.column_stack([b[g[:, a]] for a, b in enumerate(partition.breakpoints)])
-    highs = np.column_stack([b[g[:, a] + 1] for a, b in enumerate(partition.breakpoints)])
-    return _box_vertices(lows, highs, flag[idx], partition.tau, idx)
+    grid, flag, _side = partition.slots(idx)
+    return _slot_vertices(partition, grid, flag, idx)
+
+
+def _slot_vertices(partition, grid, flag, ids):
+    """:func:`partition_vertices` of slots already decoded into grid
+    indices and flags, as :meth:`Partition.slots` gives them."""
+    lows = np.column_stack([b[grid[:, a]] for a, b in enumerate(partition.breakpoints)])
+    highs = np.column_stack([b[grid[:, a] + 1] for a, b in enumerate(partition.breakpoints)])
+    return _box_vertices(lows, highs, flag, partition.tau, ids)
 
 
 def cell_vertices(cell: Cell) -> np.ndarray:
@@ -339,26 +346,31 @@ def partition_rays(partition, idx):
     lineality space.  Together with the vertices of
     :func:`partition_vertices` they span the cell.
     """
-    idx = np.asarray(idx, dtype=np.intp)
+    grid, flag, _side = partition.slots(idx)
+    return _slot_rays(partition, grid, flag)
+
+
+def _slot_rays(partition, grid, flag):
+    """:func:`partition_rays` of slots already decoded into grid indices
+    and flags, as :meth:`Partition.slots` gives them."""
     n = partition.dimension
-    grid, flag, _side, _min, _max = partition.ref_arrays()
-    up = np.zeros((idx.size, n), dtype=bool)
-    down = np.zeros((idx.size, n), dtype=bool)
+    up = np.zeros((len(flag), n), dtype=bool)
+    down = np.zeros((len(flag), n), dtype=bool)
     for a, b in enumerate(partition.breakpoints):
-        slab = grid[idx, a]
+        slab = grid[:, a]
         up[:, a] = ~np.isfinite(b[1:])[slab]
         down[:, a] = ~np.isfinite(b[:-1])[slab]
-    start = np.zeros(idx.size + 1, dtype=np.intp)
+    start = np.zeros(len(flag) + 1, dtype=np.intp)
     if not (np.any(up) or np.any(down)):
         return start, np.zeros((0, n))
-    sign = flag[idx, None]
+    sign = flag[:, None]
     eye = np.eye(n)
     pu, pl = np.divmod(np.arange(n * n), n)
     pu, pl = pu[pu != pl], pl[pu != pl]
     dirs = np.vstack([eye, -eye, eye[pu] - eye[pl]])
     valid = np.hstack([up & (sign >= 0), down & (sign <= 0), up[:, pu] & down[:, pl] & (sign != 0)])
     k, c = np.nonzero(valid)
-    np.cumsum(np.bincount(k, minlength=idx.size), out=start[1:])
+    np.cumsum(np.bincount(k, minlength=len(flag)), out=start[1:])
     return start, dirs[c]
 
 
@@ -448,27 +460,70 @@ def maximize_linear_over_cell(cell: Cell, g):
     return float(g @ x), x, lam
 
 
+def grid_terms(shape, heads, terms, op=np.add, start=0.0):
+    """Per-axis terms combined over part of a row-major grid of
+    ``shape``, whose head is its first ``len(shape) // 2`` axes and its
+    tail the rest: one row per head tuple in ``heads``, one column per
+    tail tuple.  Each term is ``(axis, values)``, values indexed by the
+    axis's slab, or ``(None, scalar)``; every entry is ``start``
+    combined with the terms by ``op`` in list order, so with np.add
+    it is the running sum of its slabs' values in that order."""
+    half = len(shape) // 2
+    tail = shape[half:]
+    slabs = np.unravel_index(heads, shape[:half]) if half else ()
+    vals = np.full((heads.size,) + (1,) * len(tail), start)
+    for axis, v in terms:
+        if axis is not None and axis < half:
+            v = v[slabs[axis]].reshape((-1,) + (1,) * len(tail))
+        elif axis is not None:
+            v = v.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
+        vals = op(vals, v)
+    return np.broadcast_to(vals, (heads.size,) + tail).reshape(heads.size, math.prod(tail))
+
+
+def head_blocks(shape):
+    """The head tuples of a row-major grid of ``shape`` (see
+    :func:`grid_terms`) in consecutive blocks of about the square root
+    of their count, so a block holds far fewer cells than a large grid;
+    or of more, up to VERTEX_BLOCK cells, which saves the per-block
+    overhead on a small grid."""
+    n = math.prod(shape[: len(shape) // 2])
+    step = max(math.isqrt(n - 1) + 1, VERTEX_BLOCK // math.prod(shape[len(shape) // 2 :]))
+    for lo in range(0, n, step):
+        yield np.arange(lo, min(lo + step, n))
+
+
 class Partition:
     """Grid partition of the box spanned by per-axis breakpoints, sliced
     by sum(x) = tau.
 
-    Cell slots are stored as integer refs (grid index plus a split
-    flag); :meth:`cell_at` builds a slot's Cell on each call.
+    Slots are numbered in grid order, row-major over the axes; a grid
+    cell whose interior strictly straddles the hyperplane takes two
+    consecutive slots, its below half first.  The partition holds no
+    array with one entry per slot.  It keeps the first slot of each
+    head tuple (the first half of the axes, rounded down) and decides a
+    head tuple's cells when asked, by the running sums of their slab
+    ends over the axes in order from 0.0 (:func:`grid_terms`).
+    :meth:`cell_at` builds a slot's Cell on each call, and
+    :meth:`slot_blocks` decodes every slot, block by block.
     """
 
-    def __init__(self, breakpoints, tau, ref_grid, ref_flag, ref_side, ref_min, ref_max):
+    def __init__(self, breakpoints, tau):
         self.breakpoints = tuple(np.asarray(b, dtype=float) for b in breakpoints)
         self.dimension = len(self.breakpoints)
         self.tau = tau
-        self._ref_grid = ref_grid
-        self._ref_flag = ref_flag
-        self._ref_side = ref_side
-        self._ref_min = ref_min
-        self._ref_max = ref_max
+        shape = self.slab_counts
+        n_head = math.prod(shape[: self.dimension // 2])
+        # each head tuple's first slot, and one past the last
+        self._start = np.zeros(n_head + 1, dtype=np.int64)
+        for heads in head_blocks(shape):
+            split = self._straddle(heads)[0]
+            self._start[heads + 1] = split.shape[1] + np.count_nonzero(split, axis=1)
+        np.cumsum(self._start, out=self._start)
 
     @property
     def cell_count(self) -> int:
-        return int(self._ref_grid.shape[0])
+        return int(self._start[-1])
 
     @property
     def slab_counts(self):
@@ -481,45 +536,113 @@ class Partition:
     def top_sums(self, slabs):
         """Each cell's largest sum, for cells given by their slab index
         arrays, one per axis: the slab tops added in axis order from 0.0,
-        as the max sums of :meth:`ref_arrays` are."""
+        as the partition's max sums are."""
         total = 0.0
         for b, s in zip(self.breakpoints, slabs):
             total = total + b[1:][s]
         return total
 
     def has_above_cells(self) -> bool:
-        return bool(np.any(self._ref_side > 0))
+        # the top cell has the largest max sum
+        top = self.top_sums([n - 1 for n in self.slab_counts])
+        return bool(top > self.tau + STRADDLE_TOL)
+
+    def _straddle(self, heads):
+        """Which cells of head tuples ``heads`` strictly straddle tau, and
+        their min and max sums, one row per head tuple."""
+        shape = self.slab_counts
+        min_sums = grid_terms(shape, heads, [(a, b[:-1]) for a, b in enumerate(self.breakpoints)])
+        max_sums = grid_terms(shape, heads, [(a, b[1:]) for a, b in enumerate(self.breakpoints)])
+        straddle = (min_sums < self.tau - STRADDLE_TOL) & (max_sums > self.tau + STRADDLE_TOL)
+        return straddle, min_sums, max_sums
+
+    def _decode(self, heads):
+        """The slots of head tuples ``heads``, in order: (grid index, flag,
+        side, min sum, max sum) arrays, one row per slot.  Flags: 0 whole
+        cell, -1 below half, +1 above half.  Sides: -1 below, +1 above."""
+        tau = self.tau
+        straddle, min_sums, max_sums = (x.ravel() for x in self._straddle(heads))
+        shape = self.slab_counts
+        half = self.dimension // 2
+        n_tail = math.prod(shape[half:])
+        head = np.unravel_index(heads, shape[:half]) if half else ()
+        tail = np.unravel_index(np.arange(n_tail), shape[half:])
+        grid = np.empty((straddle.size, self.dimension), dtype=np.int32)
+        for a in range(self.dimension):
+            if a < half:
+                grid[:, a] = np.repeat(head[a], n_tail)
+            else:
+                grid[:, a] = np.tile(tail[a - half], heads.size)
+        # a straddling grid cell takes two consecutive slots, below half first
+        reps = np.where(straddle, 2, 1)
+        ref_grid = np.repeat(grid, reps, axis=0)
+        ref_flag = np.repeat(-straddle.astype(np.int8), reps)
+        above = np.cumsum(reps)[straddle] - 1
+        ref_flag[above] = 1
+        # a half's side is its flag; a whole cell is above when its max sum
+        # passes tau
+        ref_side = np.repeat(np.where(max_sums <= tau + STRADDLE_TOL, -1, 1).astype(np.int8), reps)
+        ref_side[above - 1] = -1
+        # a half inherits the box min/max sum clipped at tau
+        ref_min = np.repeat(min_sums, reps)
+        ref_min[above] = tau
+        ref_max = np.repeat(max_sums, reps)
+        ref_max[above - 1] = tau
+        return ref_grid, ref_flag, ref_side, ref_min, ref_max
 
     def ref_arrays(self):
-        """Raw (grid_index, flag, side, min_sum, max_sum) arrays, one row
-        per cell slot.  Flags: 0 whole cell, -1 below half, +1 above half.
-        Sides: -1 below, +1 above."""
-        return self._ref_grid, self._ref_flag, self._ref_side, self._ref_min, self._ref_max
+        """Every slot's (grid_index, flag, side, min_sum, max_sum) arrays,
+        one row per slot, decoded on each call: for small partitions and
+        tests.  Flags and sides as in :meth:`slot_blocks`."""
+        return self._decode(np.arange(self._start.size - 1))
+
+    def slot_blocks(self):
+        """Every slot, in order, decoded one block of head tuples at a
+        time, as ``(first, grid, flag, side)``: the slots first, first +
+        1, ... have grid indices ``grid``, flags ``flag`` (0 whole cell,
+        -1 below half, +1 above half) and sides ``side`` (-1 below, +1
+        above)."""
+        for heads in head_blocks(self.slab_counts):
+            grid, flag, side, _min, _max = self._decode(heads)
+            yield int(self._start[heads[0]]), grid, flag, side
+
+    def slots(self, idx):
+        """The grid index, flag and side of each slot in ``idx``, as
+        :meth:`slot_blocks` gives them, decoding only the head tuples
+        that hold them."""
+        idx = np.asarray(idx, dtype=np.intp)
+        heads = np.searchsorted(self._start, idx, side="right") - 1
+        uniq, inv = np.unique(heads, return_inverse=True)
+        grid, flag, side, _min, _max = self._decode(uniq)
+        counts = self._start[uniq + 1] - self._start[uniq]
+        at = (np.cumsum(counts) - counts)[inv] + idx - self._start[heads]
+        return grid[at], flag[at], side[at]
+
+    def _cell(self, i, grid, flag, side):
+        return Cell(
+            [b[g] for b, g in zip(self.breakpoints, grid)],
+            [b[g + 1] for b, g in zip(self.breakpoints, grid)],
+            slice_sign=int(flag),
+            tau=self.tau,
+            side_of_tau=SideOfTau.BELOW if side < 0 else SideOfTau.ABOVE,
+            cell_id=i,
+        )
 
     def cell_at(self, i: int) -> Cell:
         if not (0 <= i < self.cell_count):
             raise InputError(f"cell index {i} out of range")
-        idx = self._ref_grid[i]
-        lows = np.array([self.breakpoints[a][idx[a]] for a in range(self.dimension)])
-        highs = np.array([self.breakpoints[a][idx[a] + 1] for a in range(self.dimension)])
-        return Cell(
-            lows,
-            highs,
-            slice_sign=int(self._ref_flag[i]),
-            tau=self.tau,
-            side_of_tau=SideOfTau.BELOW if self._ref_side[i] < 0 else SideOfTau.ABOVE,
-            cell_id=i,
-        )
+        grid, flag, side = self.slots([i])
+        return self._cell(i, grid[0], flag[0], side[0])
+
+    def cells(self, above: bool):
+        """The cells on one side of tau, above it when ``above``, in slot
+        order, built block by block."""
+        for first, grid, flag, side in self.slot_blocks():
+            for j in np.flatnonzero((side > 0) == above):
+                yield self._cell(first + int(j), grid[j], flag[j], side[j])
 
     def __repr__(self):
         return f"Partition(dim={self.dimension}, cells={self.cell_count}, tau={self.tau})"
-
-
-def _grid_sums(per_axis):
-    total = np.zeros(1)
-    for arr in per_axis:
-        total = (total[:, None] + arr[None, :]).reshape(-1)
-    return total
 
 
 def check_breakpoints(breakpoints):
@@ -552,8 +675,10 @@ def build_box_partition(breakpoints, tau, *, cell_budget=DEFAULT_CELL_BUDGET) ->
     finite, so every cell with a whole-line axis is sliced.  Any cell
     strictly straddling sum(x) = tau is replaced by its below and above
     halves, in two consecutive slots, below first; cells touching the
-    hyperplane only on their boundary are left whole.  The slot count
-    is checked against ``cell_budget`` before any large array is built.
+    hyperplane only on their boundary are left whole.  The slots are
+    counted block by block, and no array runs over them (see
+    :class:`Partition`); the grid's cell count is checked against
+    ``cell_budget`` before they are counted, the slot count after.
     """
     if cell_budget < 1:
         raise InputError(f"cell budget must be at least 1, got {cell_budget}")
@@ -570,29 +695,9 @@ def build_box_partition(breakpoints, tau, *, cell_budget=DEFAULT_CELL_BUDGET) ->
     tau = float(tau)
     if not math.isfinite(tau):
         raise InputError(f"partition threshold must be finite, got {tau}")
-    min_sums = _grid_sums([arr[:-1] for arr in axes])
-    max_sums = _grid_sums([arr[1:] for arr in axes])
-    straddle = (min_sums < tau - STRADDLE_TOL) & (max_sums > tau + STRADDLE_TOL)
-    if k0 + int(np.count_nonzero(straddle)) > cell_budget:
+    partition = Partition(axes, tau)
+    if partition.cell_count > cell_budget:
         raise CapacityError(
             f"sliced grid would have more than {cell_budget} cells; raise the cell budget"
         )
-    # a straddling grid cell takes two consecutive slots, below half first
-    reps = np.where(straddle, 2, 1)
-    grid = np.stack(
-        np.meshgrid(*[np.arange(m, dtype=np.int32) for m in counts], indexing="ij"), axis=-1
-    ).reshape(-1, len(axes))
-    ref_grid = np.repeat(grid, reps, axis=0)
-    ref_flag = np.repeat(-straddle.astype(np.int8), reps)
-    above = np.cumsum(reps)[straddle] - 1
-    ref_flag[above] = 1
-    # a half's side is its flag; a whole cell is above when its max sum
-    # passes tau
-    ref_side = np.repeat(np.where(max_sums <= tau + STRADDLE_TOL, -1, 1).astype(np.int8), reps)
-    ref_side[above - 1] = -1
-    # a half inherits the box min/max sum clipped at tau
-    ref_min = np.repeat(min_sums, reps)
-    ref_min[above] = tau
-    ref_max = np.repeat(max_sums, reps)
-    ref_max[above - 1] = tau
-    return Partition(axes, tau, ref_grid, ref_flag, ref_side, ref_min, ref_max)
+    return partition

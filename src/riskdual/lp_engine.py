@@ -258,10 +258,11 @@ def _leaving_row(d, xB, basis):
 
 def _pivot(basis, Binv, j, d, r):
     """Column ``j``, with basis-space entries ``d``, enters the basis in
-    row ``r``; returns the updated inverse."""
+    row ``r``; updates the inverse in place, by a rank-one update that
+    builds no second m x m array, and returns it."""
     basis[r] = j
     piv_row = Binv[r] / d[r]
-    Binv = Binv - np.outer(d, piv_row)
+    Binv -= np.multiply.outer(d, piv_row)
     Binv[r] = piv_row
     return Binv
 

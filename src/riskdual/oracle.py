@@ -72,7 +72,7 @@ def build_candidate_grid(dual) -> CandidateGrid:
             points = cell_vertices(cell)
         else:
             _start, points = partition_vertices(dual.partition, [cell.id])
-            if not dual.eliminable[cell.id]:
+            if not dual.collapses(cell):
                 _start, rays = partition_rays(dual.partition, [cell.id])
                 if len(rays):
                     exact = False

@@ -29,8 +29,15 @@ from riskdual import (
     solve_dense_simplex,
 )
 from riskdual import lp_engine
-from riskdual.errors import InputError, UnsupportedCellError
-from riskdual.geometry import VERTEX_TOL, _free_fill
+from riskdual.dual_builder import CONST_TOL
+from riskdual.errors import CapacityError, InputError, UnsupportedCellError
+from riskdual.geometry import (
+    DEFAULT_CELL_BUDGET,
+    STRADDLE_TOL,
+    VERTEX_TOL,
+    _free_fill,
+    check_breakpoints,
+)
 
 
 @contextlib.contextmanager
@@ -398,6 +405,84 @@ def reference_maximize_linear_over_cell(cell, g):
     raise InputError("cell face sum(x) = tau is empty; invalid sliced cell")
 
 
+# -- the per-slot partition build, kept as the reference --
+
+
+def _grid_sums(per_axis):
+    total = np.zeros(1)
+    for arr in per_axis:
+        total = (total[:, None] + arr[None, :]).reshape(-1)
+    return total
+
+
+def reference_box_partition(breakpoints, tau, *, cell_budget=DEFAULT_CELL_BUDGET):
+    """The partition with one array entry per slot, as
+    ``(grid, flag, side, min_sum, max_sum)``: the build that
+    ``build_box_partition``, ``Partition.cell_at`` and
+    ``Partition.ref_arrays`` must match bitwise, with the same errors.
+    Flags: 0 whole cell, -1 below half, +1 above half; sides: -1 below,
+    +1 above.
+    """
+    if cell_budget < 1:
+        raise InputError(f"cell budget must be at least 1, got {cell_budget}")
+    axes = check_breakpoints(breakpoints)
+    counts = [len(arr) - 1 for arr in axes]
+    k0 = 1
+    for m in counts:
+        k0 *= m
+        if k0 > cell_budget:
+            raise CapacityError(
+                f"grid would have more than {cell_budget} cells; raise the cell budget"
+            )
+
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise InputError(f"partition threshold must be finite, got {tau}")
+    min_sums = _grid_sums([arr[:-1] for arr in axes])
+    max_sums = _grid_sums([arr[1:] for arr in axes])
+    straddle = (min_sums < tau - STRADDLE_TOL) & (max_sums > tau + STRADDLE_TOL)
+    if k0 + int(np.count_nonzero(straddle)) > cell_budget:
+        raise CapacityError(
+            f"sliced grid would have more than {cell_budget} cells; raise the cell budget"
+        )
+    # a straddling grid cell takes two consecutive slots, below half first
+    reps = np.where(straddle, 2, 1)
+    grid = np.stack(
+        np.meshgrid(*[np.arange(m, dtype=np.int32) for m in counts], indexing="ij"), axis=-1
+    ).reshape(-1, len(axes))
+    ref_grid = np.repeat(grid, reps, axis=0)
+    ref_flag = np.repeat(-straddle.astype(np.int8), reps)
+    above = np.cumsum(reps)[straddle] - 1
+    ref_flag[above] = 1
+    # a half's side is its flag; a whole cell is above when its max sum
+    # passes tau
+    ref_side = np.repeat(np.where(max_sums <= tau + STRADDLE_TOL, -1, 1).astype(np.int8), reps)
+    ref_side[above - 1] = -1
+    # a half inherits the box min/max sum clipped at tau
+    ref_min = np.repeat(min_sums, reps)
+    ref_min[above] = tau
+    ref_max = np.repeat(max_sums, reps)
+    ref_max[above - 1] = tau
+    return ref_grid, ref_flag, ref_side, ref_min, ref_max
+
+
+def reference_collapsed(dual):
+    """Each slot's collapse flag by the per-slot rule over the decoded
+    partition: a slot collapses unless the slab of a record with a
+    non-constant linear part holds it, or the hinge has no maximum on
+    it: past tau with an infinite max sum."""
+    grid, _flag, side, _min, rmax = dual.partition.ref_arrays()
+    linear = np.max(np.abs(dual._rec_v), axis=1, initial=0.0) > CONST_TOL
+    if dual.riskfn.kind is RiskKind.CVAR_HINGE:
+        out = (side <= 0) | np.isfinite(rmax)
+    else:
+        out = np.ones(len(side), dtype=bool)
+    for a, (rows_a, mat) in dual._tables.items():
+        held = np.any(mat[:, linear[rows_a]] != 0.0, axis=1)
+        out &= ~held[grid[:, a]]
+    return out
+
+
 # -- the per-entry pricing sweep, kept as the reference --
 
 
@@ -420,16 +505,17 @@ def reference_reduced_costs(dual, duals, use_objective):
     boxes = duals[-1]
     box = np.zeros(entries.count, dtype=np.intp)
     k = len(dual._tables)
+    grid = dual.partition.ref_arrays()[0]
     for i, (a, (rows_a, mat)) in enumerate(dual._tables.items()):
         t = mat @ (duals[rows_a] * dual._rec_c[rows_a])
         boxes = boxes + t.reshape((-1,) + (1,) * (k - 1 - i))
-        box = box * counts[a] + dual._grid[entries.cell, a]
+        box = box * counts[a] + grid[entries.cell, a]
     boxes = np.ravel(boxes)
     score = np.concatenate([boxes[box], boxes, boxes])
     if entries.count:
         G = np.zeros((entries.count, dual.partition.dimension))
         for a, (rows_a, mat) in dual._tables.items():
-            G += (mat @ (duals[rows_a, None] * dual._rec_v[rows_a]))[dual._grid[entries.cell, a]]
+            G += (mat @ (duals[rows_a, None] * dual._rec_v[rows_a]))[grid[entries.cell, a]]
         const = np.where(entries.ray, 0.0, score[: entries.count])
         score[: entries.count] = const + np.einsum("ij,ij->i", G, entries.points)
     keys = np.flatnonzero(dual._has)

@@ -101,7 +101,12 @@ def test_bound_on_the_two_point_model(tmp_path):
     assert 0.0 <= det["feas_residual"] <= 1e-9
     mult = det["multipliers"]
     assert {r["id"] for r in mult["records"]} == {"mean_one_plus_x"}
-    assert "wall_s" in report["timing"]
+    # wall_s runs from the built partition to the report, so it holds the
+    # assembly and the solve but not the partition's build
+    timing = report["timing"]
+    assert sorted(timing) == ["assemble_s", "partition_s", "solve_s", "wall_s"]
+    assert all(v >= 0.0 for v in timing.values())
+    assert timing["assemble_s"] + timing["solve_s"] <= timing["wall_s"]
 
 
 def test_bound_report_is_deterministic(tmp_path):
@@ -873,6 +878,16 @@ def test_bench_checks_the_cell_budget_before_building_a_model(monkeypatch, capsy
     args = ["bench", "--sizes", "2:4,2:20", "--budget-cells", "100", "--repeats", "1"]
     assert main(args) == EXIT_BUDGET
     assert "grid would have more than 100 cells" in capsys.readouterr().err
+    assert built == []
+
+
+def test_bench_checks_the_sliced_cell_budget_before_building_a_model(monkeypatch, capsys):
+    # 2:4 has 16 grid cells and 23 slots at tau = 0.62 * 2
+    built, make = [], cli.TestFunction
+    monkeypatch.setattr(cli, "TestFunction", lambda *a, **k: built.append(a) or make(*a, **k))
+    args = ["bench", "--sizes", "2:4", "--budget-cells", "20", "--repeats", "1"]
+    assert main(args) == EXIT_BUDGET
+    assert "sliced grid would have more than 20 cells" in capsys.readouterr().err
     assert built == []
 
 

@@ -49,6 +49,7 @@ from conftest import (
     lp_limit,
     random_instance,
     reference_cell_vertices,
+    reference_collapsed,
     reference_generator,
     reference_reduced_costs,
     scipy_reference,
@@ -207,7 +208,7 @@ def test_collapsed_row_support_equals_cell_maximum():
     dual = inst.dual()
     checked = 0
     for cell in dual.iter_cells():
-        if cell.degenerate or not dual.eliminable[cell.id]:
+        if cell.degenerate or not dual.collapses(cell):
             continue
         base, lam, senses, rhs = dual.cell_rows(cell)
         g, e = restrict_to_cell(inst.risk, cell)
@@ -415,6 +416,11 @@ def test_corner_reaches_tau_only_as_evaluate_has_it(mode):
         assert (res.status, res.bound, res.certified) == ("optimal", bound, True)
 
 
+def _collapsed(dual):
+    """Whether each slot collapses, in slot order."""
+    return [dual.collapses(dual.partition.cell_at(i)) for i in range(dual.partition.cell_count)]
+
+
 def test_shortfall_with_unbounded_domain_is_flagged():
     # cells: [0, 0.5] and [0.5, 1] (the halves of [0, 1]), then [1, inf)
     part = build_box_partition([np.array([0.0, 1.0, np.inf])], 0.5)
@@ -423,7 +429,7 @@ def test_shortfall_with_unbounded_domain_is_flagged():
     # the hinge has no maximum on the tail cell, so it does not collapse:
     # its vertex 1 and its ray e_0 are master columns; the ray's objective
     # is the hinge's slope along it
-    assert dual.eliminable.tolist() == [True, True, False]
+    assert _collapsed(dual) == [True, True, False]
     entries = dual.scan_entries()
     assert entries.cell.tolist() == [2, 2]
     assert entries.ray.tolist() == [False, True]
@@ -437,12 +443,12 @@ def test_shortfall_with_unbounded_domain_is_flagged():
     assert (res.status, res.engine) == ("unbounded", "dcg")
     # under VaR every cell collapses
     var_dual = assemble_dual_lp(part, [], RiskFunctional(RiskKind.VAR_INDICATOR, 0.5))
-    assert np.all(var_dual.eliminable)
+    assert all(_collapsed(var_dual))
     # a moment record on the tail keeps its cell out of the collapse too
     tail = TestFunction("tail_m", TestFunctionKind.SLAB_AFFINE, 0, (1.0, np.inf),
                         Sense.UPPER, 0.5, v=np.array([1.0]), c=0.0)
     dual = assemble_dual_lp(part, [tail], RiskFunctional(RiskKind.VAR_INDICATOR, 0.5))
-    assert dual.eliminable.tolist() == [True, True, False]
+    assert _collapsed(dual) == [True, True, False]
 
 
 @pytest.mark.xfail(
@@ -760,8 +766,8 @@ def _restricted_entries(dual):
         # risk has a finite maximum there
         top, _x, _lam = maximize_linear_over_cell(cell, g)
         constant = np.max(np.abs(V), initial=0.0) <= CONST_TOL
-        assert dual.eliminable[i] == (constant and np.isfinite(top))
-        if dual.eliminable[i]:
+        assert dual.collapses(cell) == (constant and np.isfinite(top))
+        if dual.collapses(cell):
             _lam, support = precompute_cell_lambda(cell, g)
             collapsed.append((i, _cell_key(dual, i), np.append(cvec, 1.0), float(e - support)))
             continue
@@ -829,16 +835,16 @@ def _per_cell_gather_scores(dual, duals, use_objective):
     entry adds <G, q>, and a ray entry scores <G, r> alone.  +inf where
     no column is."""
     entries = dual.scan_entries()
-    grid = dual._grid
+    grid, _flag, side, _mins, _maxs = dual.partition.ref_arrays()
     counts = dual.partition.slab_counts
     acc = np.full(grid.shape[0], duals[-1])
     key = np.zeros(grid.shape[0], dtype=np.intp)
     for a, (rows_a, mat) in dual._tables.items():
         acc += (mat @ (duals[rows_a] * dual._rec_c[rows_a]))[grid[:, a]]
         key = key * counts[a] + grid[:, a]
-    key[dual._side <= 0] += dual._n_boxes
+    key[side <= 0] += dual._n_boxes
     score = np.full(entries.count + 2 * dual._n_boxes, np.inf)
-    collapsed = dual.eliminable[: grid.shape[0]]
+    collapsed = reference_collapsed(dual)
     score[entries.count + key[collapsed]] = acc[collapsed]
     if entries.count:
         cells = entries.cell
@@ -884,6 +890,23 @@ def _price_by(mp, box_block):
 @given(column_models(), st.integers(0, 2**32 - 1))
 def test_reduced_costs_match_the_per_cell_gather_formula(dual, seed):
     _assert_scores_match_the_gather_formula(dual, seed)
+
+
+@pytest.mark.parametrize("kind", [RiskKind.VAR_INDICATOR, RiskKind.CVAR_HINGE])
+def test_a_thin_cell_within_the_tolerance_of_tau_holds_its_key_below(kind):
+    # axis 1 carries no record; the cell [0.5, 0.5 + 5e-13] x [0, 5e-13]
+    # has both sums within STRADDLE_TOL of tau, so it is a whole cell
+    # below tau, and its key's cell with the least sums decides that
+    bps = [np.array([0.0, 0.5, 0.5 + 5e-13, 1.0]), np.array([0.0, 5e-13, 1.0])]
+    tau = 0.5 + 5e-13
+    partition = build_box_partition(bps, tau)
+    grid, flag, side, _mins, _maxs = partition.ref_arrays()
+    assert (grid[3].tolist(), flag[3], side[3]) == ([1, 0], 0, -1)
+    dual = assemble_dual_lp(partition, _frequency_records(partition.breakpoints, [0]),
+                            RiskFunctional(kind, tau))
+    # keys (slab 1, below) and (slab 1, above) both hold a cell
+    assert dual._has.reshape(2, -1)[:, 1].tolist() == [True, True]
+    _assert_scores_match_the_gather_formula(dual)
 
 
 # -- solve_bound against HiGHS --
@@ -1131,7 +1154,7 @@ def _assert_key_objectives(dual):
     _grid, _flag, side, _mins, maxs = dual.partition.ref_arrays()
     hinge = dual.riskfn.kind is RiskKind.CVAR_HINGE
     best = {}
-    for i in np.flatnonzero(dual.eliminable[: dual.partition.cell_count]):
+    for i in np.flatnonzero(reference_collapsed(dual)):
         obj = 0.0 if side[i] < 0 else maxs[i] - dual.riskfn.tau if hinge else 1.0
         key = _cell_key(dual, i)
         best[key] = max(best.get(key, -np.inf), obj)
@@ -1269,7 +1292,7 @@ def test_record_free_axes_agree_with_highs(bps, axes, tau, kind, status):
     dual = got.dual
     # fewer keys than collapsed cells: cells share keys
     n_keys = dual.master_generator().count - dual.scan_entries().count
-    assert n_keys < np.count_nonzero(dual.eliminable)
+    assert n_keys < np.count_nonzero(reference_collapsed(dual))
     for box_block in (None, 1, dual_builder.BOX_BLOCK):
         _assert_pricer_matches_the_sweep(dual, np.random.default_rng(3), box_block)
 
@@ -1286,20 +1309,40 @@ def test_key_objective_adds_the_tops_in_axis_order():
     _assert_key_objectives(dual)
 
 
-def test_dual_keeps_no_per_cell_array_but_eliminable():
-    # after the seed and a searched pricing call, no array of the dual or
-    # of its point entries grows with the cells, save the partition's own
+def test_dual_and_partition_keep_no_per_cell_array():
+    # after the seed and a searched pricing call, no array of the dual,
+    # of its point entries or of its partition grows with the cells
     dual = _frequency_grid_dual()
     _seed, gen = dual.master_seed()
     duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
     gen.reduced_costs(duals, True, 8, np.zeros(0, dtype=np.intp))
     assert dual._units is not None  # the search ran
     cells = dual.partition.cell_count
-    exempt = [dual.eliminable, *dual.partition.ref_arrays()]
-    for owner in (dual, dual.scan_entries()):
+    for owner in (dual, dual.scan_entries(), dual.partition):
         for name, value in vars(owner).items():
-            if isinstance(value, np.ndarray) and value.size and len(value) >= cells:
-                assert any(value is arr for arr in exempt), name
+            arrays = value.values() if isinstance(value, dict) else [value]
+            for arr in arrays:
+                if isinstance(arr, np.ndarray) and arr.size:
+                    assert len(arr) < cells, name
+
+
+def test_build_assemble_and_seed_hold_no_per_slot_memory():
+    # family (a) at d=5, m=14, VaR at 0.7 * 5: 568,400 slots, whose
+    # per-slot arrays took 44 MB at this stage
+    d, m = 5, 14
+    bps = [np.array([g / m for g in range(m + 1)])] * d
+    fns = _frequency_records(bps, range(d))
+    risk = RiskFunctional(VAR, 0.7 * d)
+    tracemalloc.start()
+    try:
+        partition = build_box_partition(bps, risk.tau)
+        dual = assemble_dual_lp(partition, fns, risk)
+        dual.master_seed()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert partition.cell_count == 568_400
+    assert peak <= 8 * 2**20
 
 
 def _affine_record(axis, slab, v):

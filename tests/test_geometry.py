@@ -18,8 +18,13 @@ from riskdual import (
     maximize_linear_over_cell,
 )
 from riskdual.errors import UnsupportedCellError
+from riskdual.geometry import STRADDLE_TOL
 
-from conftest import reference_cell_vertices, reference_maximize_linear_over_cell
+from conftest import (
+    reference_box_partition,
+    reference_cell_vertices,
+    reference_maximize_linear_over_cell,
+)
 
 UNIT = np.array([0.0, 1.0])
 HALVES = np.array([0.0, 0.5, 1.0])
@@ -240,6 +245,81 @@ def test_grid_scale_counts():
     assert part.cell_count == 4580
     part4 = build_box_partition([np.linspace(0.0, 1.0, 9)] * 4, 2.48)
     assert part4.cell_count == 5145
+
+
+@st.composite
+def partition_inputs(draw):
+    """Breakpoints of one to four axes of one to four slabs, eighths
+    (so grid sums tie) or any floats, with open first or last ends; a
+    threshold on a grid sum, within a few STRADDLE_TOL of one, or
+    anywhere; and a cell budget near the grid's cell count, or none."""
+    d = draw(st.integers(1, 4))
+    eighths = st.integers(-16, 16).map(lambda k: k / 8)
+    bps = []
+    for _ in range(d):
+        ticks = draw(st.lists(st.one_of(eighths, st.floats(-2, 2)), min_size=1, max_size=5,
+                              unique=True))
+        ends = draw(st.sampled_from(["none", "low", "high", "both"]))
+        b = sorted(ticks)
+        if ends in ("low", "both"):
+            b.insert(0, -np.inf)
+        if ends in ("high", "both"):
+            b.append(np.inf)
+        if len(b) < 2:
+            b.append(b[-1] + 1.0)
+        bps.append(np.array(b))
+    if draw(st.booleans()):
+        # a grid sum, added in axis order from 0.0 as the partition adds
+        ends = [draw(st.sampled_from(b[np.isfinite(b)].tolist())) for b in bps]
+        tau = 0.0
+        for v in ends:
+            tau = tau + v
+        tau += draw(st.sampled_from([0.0, 1, -1, 0.5, -0.5, 1.5, -1.5])) * STRADDLE_TOL
+    else:
+        tau = draw(st.floats(-8, 8))
+    k0 = int(np.prod([len(b) - 1 for b in bps]))
+    budget = draw(st.one_of(st.none(), st.integers(max(1, k0 - 2), 2 * k0 + 2)))
+    return bps, tau, budget
+
+
+def _built(build, bps, tau, budget):
+    kwargs = {} if budget is None else {"cell_budget": budget}
+    try:
+        return build(bps, tau, **kwargs), None
+    except CapacityError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_inputs())
+def test_partition_matches_the_per_slot_reference_bitwise(inputs):
+    bps, tau, budget = inputs
+    part, err = _built(build_box_partition, bps, tau, budget)
+    ref, ref_err = _built(reference_box_partition, bps, tau, budget)
+    assert err == ref_err
+    if ref is None:
+        return
+    grid, flag, side, mins, maxs = ref
+    assert part.cell_count == len(flag)
+    for got, want in zip(part.ref_arrays(), ref):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert part.has_above_cells() == bool(np.any(side > 0))
+    for i in range(part.cell_count):
+        cell = part.cell_at(i)
+        assert cell.id == i
+        assert cell.lows.tobytes() == np.array([b[g] for b, g in zip(bps, grid[i])]).tobytes()
+        assert cell.highs.tobytes() == np.array([b[g + 1] for b, g in zip(bps, grid[i])]).tobytes()
+        assert cell.slice_sign == flag[i]
+        assert cell.side_of_tau is (SideOfTau.ABOVE if side[i] > 0 else SideOfTau.BELOW)
+    # any slots in any order, and every slot block by block
+    idx = np.random.default_rng(0).integers(0, part.cell_count, 2 * part.cell_count)
+    got = part.slots(idx)
+    assert [x.tolist() for x in got] == [grid[idx].tolist(), flag[idx].tolist(), side[idx].tolist()]
+    blocks = list(part.slot_blocks())
+    assert [first for first, *_ in blocks] == np.cumsum([0] + [len(f) for _, _, f, _ in blocks[:-1]]).tolist()
+    assert np.concatenate([g for _, g, _, _ in blocks]).tolist() == grid.tolist()
+    assert [c.id for c in part.cells(True)] == np.flatnonzero(side > 0).tolist()
+    assert [c.id for c in part.cells(False)] == np.flatnonzero(side < 0).tolist()
 
 
 @st.composite

@@ -117,7 +117,7 @@ def _far_threshold_tail():
     ]
     dual = assemble_dual_lp(part, fns, RiskFunctional(RiskKind.VAR_INDICATOR, 5.0))
     (cell,) = [c for c in dual.iter_cells() if not c.bounded and c.slice_sign > 0]
-    assert not dual.eliminable[cell.id]
+    assert not dual.collapses(cell)
     return dual, cell
 
 
