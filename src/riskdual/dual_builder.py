@@ -57,7 +57,6 @@ from .errors import (
     SolverError,
 )
 from .geometry import (
-    STRADDLE_TOL,
     Cell,
     Partition,
     SideOfTau,
@@ -241,7 +240,7 @@ class DualLP:
                       for a, (rows_a, mat) in self._tables.items()}
         self._index_keys()
         self._entries = None
-        self._units = None
+        self._unit_least = None
 
     # -- per-record slab containment, tabulated over slab indices --
 
@@ -261,59 +260,55 @@ class DualLP:
         return out
 
     def _index_keys(self):
-        """The key layout and ``_has``, key by key.  A key's cells share
-        its slabs on the table axes and may take any slab on the others;
-        sums grow with every slab index, so a key holds a cell past tau
-        exactly when its cell with the largest max sum does (each other
-        axis at its last slab, under the hinge its last with a finite
-        top, as the hinge collapses only cells with a finite max sum),
-        and one below tau exactly when its cell with the least sums does
-        (each other axis at its first slab).  Those cells' sums are added
-        in axis order from 0.0, as the partition's, so every decision is
-        the partition's.  Neither side holds a collapsed cell when a
-        record with a linear part holds one of the key's slabs."""
+        """The key layout, ``_has`` key by key, and the units that hold a
+        key.  A key's cells share its slabs on the table axes and may
+        take any slab on the others; sums grow with every slab index, so
+        a key holds a cell past tau exactly when its cell with the
+        largest max sum does (each other axis at ``_free_top``), and one
+        below tau exactly when its cell with the least sums does (each
+        other axis at its first slab).  Their sums are added in axis
+        order from 0.0 and :meth:`Partition.sides` decides, so every
+        decision is the partition's.  Neither side holds a collapsed
+        cell when a record with a linear part holds one of its slabs."""
         counts = self.partition.slab_counts
         bps = self.partition.breakpoints
-        tau = self.partition.tau
         hinge = self.riskfn.kind is RiskKind.CVAR_HINGE
         self._shape = tuple(counts[a] for a in self._tables)
         half = (len(self._shape) + 1) // 2
         self._n_head = int(np.prod(self._shape[:half], dtype=np.intp))
         self._n_tail = int(np.prod(self._shape[half:], dtype=np.intp))
         self._n_boxes = self._n_head * self._n_tail
+        # a record-free axis's slab in a key's cell with the largest max
+        # sum: its last, or under the hinge, which collapses only cells
+        # with a finite max sum, its last with a finite top
+        self._free_top = {a: (max(np.count_nonzero(np.isfinite(b[1:])), 1) - 1 if hinge
+                              else len(b) - 2) for a, b in enumerate(bps) if a not in self._tables}
         dim = {a: i for i, a in enumerate(self._tables)}
-        top, least, least_top = [], [], []
-        for a, b in enumerate(bps):
-            if a in dim:
-                top.append((dim[a], b[1:]))
-                least.append((dim[a], b[:-1]))
-                least_top.append((dim[a], b[1:]))
-            else:
-                finite = b[1:][np.isfinite(b[1:])]
-                top.append((None, finite[-1] if hinge and finite.size else b[-1]))
-                least.append((None, b[0]))
-                least_top.append((None, b[1]))
+        top = [(dim.get(a), b[1:] if a in dim else b[1 + self._free_top[a]])
+               for a, b in enumerate(bps)]
+        least = [(dim.get(a), b[:-1] if a in dim else b[0]) for a, b in enumerate(bps)]
+        least_top = [(dim.get(a), b[1:] if a in dim else b[1]) for a, b in enumerate(bps)]
         held = [(dim[a], h) for a, h in self._held.items() if np.any(h)]
         has = np.zeros((2, self._n_boxes), dtype=bool)
         best = -math.inf
         for heads in head_blocks(self._shape):
             constant = ~grid_terms(self._shape, heads, held, np.logical_or, False) if held else True
+            low = grid_terms(self._shape, heads, least)
             high = grid_terms(self._shape, heads, top)
-            # past tau the hinge collapses only cells with a finite max sum
-            up = (high > tau + STRADDLE_TOL) & constant
+            up = self.partition.sides(low, high)[0] & constant
             if hinge:
                 up &= np.isfinite(high)
                 if np.any(up):
                     best = max(best, float(np.max(high[up])))
-            low = grid_terms(self._shape, heads, least)
             low_top = grid_terms(self._shape, heads, least_top)
-            down = ((low_top <= tau + STRADDLE_TOL) | (low < tau - STRADDLE_TOL)) & constant
+            down = self.partition.sides(low, low_top)[1] & constant
             # the block's keys are consecutive, row-major
             keys = slice(int(heads[0]) * up.shape[1], (int(heads[-1]) + 1) * up.shape[1])
             has[0, keys] = up.ravel()
             has[1, keys] = down.ravel()
         self._has = has.reshape(2 * self._n_head, self._n_tail)
         self._n_keys = int(np.count_nonzero(has))
+        self._units = np.flatnonzero(np.any(self._has, axis=1))
         # the largest objective of a key past tau: 1 under VaR, the
         # largest max sum less tau under the hinge
         self._top_objective = max(0.0, best - self.riskfn.tau) if hinge else 1.0
@@ -325,16 +320,14 @@ class DualLP:
     def _objectives(self, keys):
         """The objective of each key's column, the largest of its cells'.
         VaR charges 1 past tau; the hinge charges a cell past tau its
-        largest sum less tau, and 0 below.  A collapsed cell past tau has
-        finite tops, so the largest sum puts every axis without records
-        in its last slab with a finite top."""
+        largest sum less tau, and 0 below; the largest sum puts every
+        axis without records in its top slab, ``_free_top``."""
         above = keys < self._n_boxes
         out = above.astype(float)
         if self.riskfn.kind is RiskKind.CVAR_HINGE:
             slabs = dict(zip(self._tables, self._key_slabs(keys[above])))
-            bps = self.partition.breakpoints
-            top = [slabs[a] if a in slabs else np.count_nonzero(np.isfinite(b[1:])) - 1
-                   for a, b in enumerate(bps)]
+            top = [slabs[a] if a in slabs else self._free_top[a]
+                   for a in range(self.partition.dimension)]
             out[above] = self.partition.top_sums(top) - self.riskfn.tau
         return out
 
@@ -557,45 +550,33 @@ class DualLP:
         return np.concatenate([np.arange(start), start + np.flatnonzero(self._has)])
 
     def _index_units(self):
-        """The search's per-run tables, built on its first use.
+        """The search's per-run tables, built on its first use from the
+        keys alone, reading ``_has`` a block of units at a time.
 
-        A tail can put a box above tau only if the box's largest sum,
-        with the free axes at their tops, passes tau, and below only if
-        its least sum stays under tau; with the tails sorted by those
-        sums, the ones that can are a suffix or a prefix, found once per
-        unit.  A margin well past the partition's rounding keeps every
-        tail that can.
+        Each side's tails are ranked by how many of its units hold a key
+        there, fewest first: a tail that puts one unit's box past tau
+        puts those of units with larger sums there too, and below
+        likewise, so a unit's keys tend to be the last tails.  In any
+        order a unit's keys lie at or after its first, so its slot in
+        :meth:`_bounded_units`' table of suffix minima is its first
+        key's rank; the order only makes the bound tight.
         """
-        axes = list(self._tables)
-        head, tail = axes[: (len(axes) + 1) // 2], axes[(len(axes) + 1) // 2 :]
         n_head, n_tail = self._n_head, self._n_tail
-        bps = self.partition.breakpoints
-        tau = self.partition.tau
-        free = [a for a in range(self.partition.dimension) if a not in self._tables]
-        scale = abs(tau) + sum(np.max(np.abs(b[np.isfinite(b)]), initial=0.0) for b in bps)
-        margin = STRADDLE_TOL + 8 * len(bps) * np.finfo(float).eps * scale
-        zero = np.zeros(1)
-        low_t = self._box_sums(zero, [bps[a][:-1] for a in tail])[0]
-        high_t = self._box_sums(zero, [bps[a][1:] for a in tail])[0]
-        low_h = self._box_sums(zero, [bps[a][:-1] for a in head])[0] + sum(bps[a][0] for a in free)
-        high_h = self._box_sums(zero, [bps[a][1:] for a in head])[0] + sum(bps[a][-1] for a in free)
-        self._tail_by_high = np.argsort(high_t, kind="stable")
-        above_from = np.searchsorted(
-            high_t[self._tail_by_high], tau - margin - high_h, side="right"
-        )
-        self._tail_by_low = np.argsort(low_t, kind="stable")
-        below_to = np.searchsorted(low_t[self._tail_by_low], tau + margin - low_h)
-
-        # the units that hold columns; for each, its head tuple, the slot
-        # of its least tail part in the per-round table of suffix minima
-        # by high sum, inf, inf, prefix minima by low sum, and the largest
-        # objective on its side (see _index_keys)
-        self._units = np.flatnonzero(np.any(self._has, axis=1))
+        has = self._has.reshape(2, n_head, n_tail)
+        step = max(SWEEP_SIZE // n_tail, 1)
+        blocks = [(side, slice(lo, lo + step)) for side in (0, 1) for lo in range(0, n_head, step)]
+        held = np.zeros((2, n_tail), dtype=np.intp)
+        for side, rows in blocks:
+            held[side] += np.count_nonzero(has[side, rows], axis=0)
+        self._tail_order = np.argsort(held, axis=1, kind="stable")
+        first = np.empty((2, n_head), dtype=np.intp)
+        for side, rows in blocks:
+            first[side, rows] = np.argmax(has[side, rows][:, self._tail_order[side]], axis=1)
+        # for each unit that holds a key, its head tuple, its slot and
+        # the largest objective on its side (see _index_keys)
         above = self._units < n_head
         self._unit_head = self._units % n_head
-        self._unit_least = np.where(
-            above, above_from[self._unit_head], n_tail + 1 + below_to[self._unit_head]
-        )
+        self._unit_least = first.ravel()[self._units] + np.where(above, 0, n_tail)
         self._unit_obj = np.where(above, self._top_objective, 0.0)
 
     def _columns(self, pos):
@@ -641,8 +622,9 @@ class DualLP:
 
         Keys are swept when the grid is small (SWEEP_SIZE), and found by
         bound and evaluate otherwise: units are evaluated in order of a
-        lower bound on their scores (:meth:`_bounded_units`), in doubling
-        blocks, until the next bound passes the q-th candidate so far, or
+        lower bound on their scores over the tails where they hold keys
+        (:meth:`_bounded_units`), in blocks that double up to SWEEP_SIZE
+        boxes, until the next bound passes the q-th candidate so far, or
         -RC_TOL while there are fewer than q; a unit whose bound equals
         it is still evaluated, as its keys may tie, and a tie counts only
         before that candidate.  The search is exact: every box value
@@ -681,9 +663,11 @@ class DualLP:
             box = box - self._objectives(keys) if use_objective else -box
             self._scored += boxes.size
             return np.concatenate([pos, start + keys]), np.concatenate([vals, box])
-        if self._units is None:
+        if self._unit_least is None:
             self._index_units()
+        # blocks double up to SWEEP_SIZE boxes, or keep a larger first size
         block = max(BOX_BLOCK // n_tail, 1)
+        most = max(block, SWEEP_SIZE // n_tail)
         cut, last = -RC_TOL, start + 2 * self._n_boxes
         pos, vals = steepest_candidates(pos, vals, q, seen)
         if vals.size == q:
@@ -703,22 +687,20 @@ class DualLP:
                 cut = vals.max()
                 last = pos[vals == cut].max()
             self._scored += (stop - done) * n_tail
-            done, block = stop, 2 * block
+            done, block = stop, min(2 * block, most)
         return pos, vals
 
     def _bounded_units(self, partial, tail, use_objective, cut):
         """Indices into ``_units`` of the units whose bound is at most
         ``cut``, by increasing bound, and their bounds.  A unit's bound
-        is its head partial plus the least tail part that can reach its
-        side, less its side's largest objective and a rounding slack:
-        no score in the unit falls below it."""
+        is its head partial plus the least tail part from its first key
+        on, in its side's tail order (:meth:`_index_units`), less its
+        side's largest objective and a rounding slack: no score in the
+        unit falls below it."""
         sign = 1.0 if use_objective else -1.0
         part = sign * self._box_sums(np.zeros(1), tail)[0]
-        least = np.concatenate([
-            np.minimum.accumulate(part[self._tail_by_high][::-1])[::-1],
-            [np.inf, np.inf],
-            np.minimum.accumulate(part[self._tail_by_low]),
-        ])[self._unit_least]
+        suffix = np.minimum.accumulate(part[self._tail_order][:, ::-1], axis=1)[:, ::-1]
+        least = suffix.ravel()[self._unit_least]
         p = partial[self._unit_head]
         obj = self._unit_obj if use_objective else 0.0
         # a box sum rounds by at most a few eps of its terms' sizes
@@ -809,7 +791,8 @@ class DualLP:
         Seeds the first 8 positions plus, for every pair of a table axis
         and one of its slabs, the first column past the corner whose
         cells lie in that slab: a point entry when there is one, else
-        the first key, found on ``_has`` by the key layout.  So each
+        the first key, found on ``_has`` by the key layout, a block of
+        at most SWEEP_SIZE keys or one leading tuple at a time.  So each
         record row starts with coverage and phase one converges in few
         rounds.  Returns (LinearProgram, ColumnGenerator) with the seeded
         positions marked generated.
@@ -818,7 +801,7 @@ class DualLP:
         entries = self.scan_entries()
         # the first 8 positions: point entries, then keys unit by unit
         picks = set(range(min(8, entries.count)))
-        for unit in np.flatnonzero(np.any(self._has, axis=1)):
+        for unit in self._units:
             if len(picks) == 8:
                 break
             keys = unit * self._n_tail + np.flatnonzero(self._has[unit])[: 8 - len(picks)]
@@ -828,13 +811,18 @@ class DualLP:
         for a in self._tables:
             slabs = self.partition.slab_counts[a]
             post //= slabs
-            # the keys as (side and earlier axes, slab, later axes)
+            # the keys as (side and earlier axes, slab, later axes), read
+            # in blocks of at most SWEEP_SIZE keys, or one leading tuple
             has = self._has.reshape(-1, slabs, post)
-            held = np.any(has, axis=2)
-            pre = np.argmax(held, axis=0)
-            s = np.arange(slabs)
-            first = entries.count + (pre * slabs + s) * post + np.argmax(has[pre, s], axis=1)
-            first[~np.any(held, axis=0)] = -1
+            step = max(SWEEP_SIZE // (slabs * post), 1)
+            first = np.full(slabs, -1)
+            for lo in range(0, has.shape[0], step):
+                held = np.any(has[lo : lo + step], axis=2)
+                s = np.flatnonzero((first < 0) & np.any(held, axis=0))
+                pre = lo + np.argmax(held[:, s], axis=0)
+                first[s] = entries.count + (pre * slabs + s) * post + np.argmax(has[pre, s], axis=1)
+                if np.all(first >= 0):
+                    break
             at, where = np.unique(entries.slabs[skip:, a], return_index=True)
             first[at] = skip + where
             picks.update(first[first >= 0].tolist())

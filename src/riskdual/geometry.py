@@ -499,11 +499,13 @@ class Partition:
 
     Slots are numbered in grid order, row-major over the axes; a grid
     cell whose interior strictly straddles the hyperplane takes two
-    consecutive slots, its below half first.  The partition holds no
-    array with one entry per slot.  It keeps the first slot of each
-    head tuple (the first half of the axes, rounded down) and decides a
-    head tuple's cells when asked, by the running sums of their slab
-    ends over the axes in order from 0.0 (:func:`grid_terms`).
+    consecutive slots, its below half first.  :meth:`sides` decides
+    which sides of tau a grid cell has, here and for the dual's keys.
+    The partition holds no array with one entry per slot.  It keeps the
+    first slot of each head tuple (the first half of the axes, rounded
+    down) and decides a head tuple's cells when asked, by the running
+    sums of their slab ends over the axes in order from 0.0
+    (:func:`grid_terms`).
     :meth:`cell_at` builds a slot's Cell on each call, and
     :meth:`slot_blocks` decodes every slot, block by block.
     """
@@ -517,7 +519,7 @@ class Partition:
         # each head tuple's first slot, and one past the last
         self._start = np.zeros(n_head + 1, dtype=np.int64)
         for heads in head_blocks(shape):
-            split = self._straddle(heads)[0]
+            split = np.logical_and(*self.sides(*self._sums(heads)))
             self._start[heads + 1] = split.shape[1] + np.count_nonzero(split, axis=1)
         np.cumsum(self._start, out=self._start)
 
@@ -542,26 +544,34 @@ class Partition:
             total = total + b[1:][s]
         return total
 
+    def sides(self, min_sums, max_sums):
+        """``(above, below)``: whether grid cells with these min and max
+        sums have a slot above tau, their max sum past it by more than
+        STRADDLE_TOL, and one below, not above or their min sum short of
+        it by as much.  A cell with both strictly straddles tau."""
+        above = max_sums > self.tau + STRADDLE_TOL
+        return above, ~above | (min_sums < self.tau - STRADDLE_TOL)
+
     def has_above_cells(self) -> bool:
         # the top cell has the largest max sum
         top = self.top_sums([n - 1 for n in self.slab_counts])
-        return bool(top > self.tau + STRADDLE_TOL)
+        return bool(self.sides(top, top)[0])
 
-    def _straddle(self, heads):
-        """Which cells of head tuples ``heads`` strictly straddle tau, and
-        their min and max sums, one row per head tuple."""
+    def _sums(self, heads):
+        """The min and max sums of the grid cells of head tuples
+        ``heads``, one row per head tuple."""
         shape = self.slab_counts
-        min_sums = grid_terms(shape, heads, [(a, b[:-1]) for a, b in enumerate(self.breakpoints)])
-        max_sums = grid_terms(shape, heads, [(a, b[1:]) for a, b in enumerate(self.breakpoints)])
-        straddle = (min_sums < self.tau - STRADDLE_TOL) & (max_sums > self.tau + STRADDLE_TOL)
-        return straddle, min_sums, max_sums
+        return (grid_terms(shape, heads, [(a, b[:-1]) for a, b in enumerate(self.breakpoints)]),
+                grid_terms(shape, heads, [(a, b[1:]) for a, b in enumerate(self.breakpoints)]))
 
     def _decode(self, heads):
         """The slots of head tuples ``heads``, in order: (grid index, flag,
         side, min sum, max sum) arrays, one row per slot.  Flags: 0 whole
         cell, -1 below half, +1 above half.  Sides: -1 below, +1 above."""
         tau = self.tau
-        straddle, min_sums, max_sums = (x.ravel() for x in self._straddle(heads))
+        min_sums, max_sums = (x.ravel() for x in self._sums(heads))
+        above, below = self.sides(min_sums, max_sums)
+        straddle = above & below
         shape = self.slab_counts
         half = self.dimension // 2
         n_tail = math.prod(shape[half:])
@@ -577,17 +587,16 @@ class Partition:
         reps = np.where(straddle, 2, 1)
         ref_grid = np.repeat(grid, reps, axis=0)
         ref_flag = np.repeat(-straddle.astype(np.int8), reps)
-        above = np.cumsum(reps)[straddle] - 1
-        ref_flag[above] = 1
-        # a half's side is its flag; a whole cell is above when its max sum
-        # passes tau
-        ref_side = np.repeat(np.where(max_sums <= tau + STRADDLE_TOL, -1, 1).astype(np.int8), reps)
-        ref_side[above - 1] = -1
+        upper = np.cumsum(reps)[straddle] - 1
+        ref_flag[upper] = 1
+        # a half's side is its flag; a whole cell's is the one it has
+        ref_side = np.repeat(np.where(above, 1, -1).astype(np.int8), reps)
+        ref_side[upper - 1] = -1
         # a half inherits the box min/max sum clipped at tau
         ref_min = np.repeat(min_sums, reps)
-        ref_min[above] = tau
+        ref_min[upper] = tau
         ref_max = np.repeat(max_sums, reps)
-        ref_max[above - 1] = tau
+        ref_max[upper - 1] = tau
         return ref_grid, ref_flag, ref_side, ref_min, ref_max
 
     def ref_arrays(self):

@@ -1316,7 +1316,7 @@ def test_dual_and_partition_keep_no_per_cell_array():
     _seed, gen = dual.master_seed()
     duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
     gen.reduced_costs(duals, True, 8, np.zeros(0, dtype=np.intp))
-    assert dual._units is not None  # the search ran
+    assert dual._unit_least is not None  # the search ran
     cells = dual.partition.cell_count
     for owner in (dual, dual.scan_entries(), dual.partition):
         for name, value in vars(owner).items():
@@ -1343,6 +1343,85 @@ def test_build_assemble_and_seed_hold_no_per_slot_memory():
         tracemalloc.stop()
     assert partition.cell_count == 568_400
     assert peak <= 8 * 2**20
+
+
+def test_seed_reads_the_key_table_in_blocks():
+    # family (a) at d=5, m=14, VaR at 0.7 * 5; the seed's slab cover
+    # held two copies of _has when it read the table whole
+    d, m = 5, 14
+    bps = [np.array([g / m for g in range(m + 1)])] * d
+    risk = RiskFunctional(VAR, 0.7 * d)
+    dual = assemble_dual_lp(build_box_partition(bps, risk.tau), _frequency_records(bps, range(d)),
+                            risk)
+    tracemalloc.start()
+    try:
+        dual.master_seed()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * dual._has.nbytes
+
+
+def test_box_search_blocks_stop_doubling_at_the_sweep_size(monkeypatch):
+    # no _box_costs call evaluates more than max(SWEEP_SIZE, n_tail)
+    # boxes: one unit at a time when SWEEP_SIZE is 0, and at most
+    # SWEEP_SIZE boxes when z0-only duals tie every box, so that every
+    # unit is evaluated
+    dual = _frequency_grid_dual()
+    sizes = []
+    box_costs = dual._box_costs
+
+    def counted(at, *args):
+        sizes.append(len(at) * dual._n_tail)
+        return box_costs(at, *args)
+
+    monkeypatch.setattr(dual, "_box_costs", counted)
+    n = len(dual.records) + 1
+    seen = np.zeros(0, dtype=np.intp)
+    dual._reduced_costs(np.eye(n)[-1], False, 8, seen)
+    assert sum(sizes) == dual._units.size * dual._n_tail
+    assert max(sizes) <= dual_builder.SWEEP_SIZE
+    sizes.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        _price_by(mp, 1)
+        dual._reduced_costs(np.random.default_rng(0).normal(0.0, 1.0, n), True, 8, seen)
+    assert len(sizes) > 1 and max(sizes) == dual._n_tail
+
+
+def test_box_bound_reaches_only_the_tails_where_a_unit_holds_keys():
+    # two axes of 4 slabs, VaR at 1.2.  An affine record on axis 1's top
+    # slab leaves no key on that tail, though its sums reach past tau
+    # from every head.  Duals that make that tail's part the least must
+    # not pull a unit's bound down: each bound is its head partial plus
+    # the least part of the tails where it holds keys.
+    grid = np.linspace(0.0, 1.0, 5)
+    fns = _frequency_records([grid] * 2, [0, 1]) + [_affine_record(1, (0.75, 1.0), [0.0, 1.0])]
+    dual = assemble_dual_lp(build_box_partition([grid] * 2, 1.2), fns, RiskFunctional(VAR, 1.2))
+    assert not np.any(dual._has[:, 3]) and np.any(dual._has[: dual._n_head])
+    rows, mat = dual._tables[1]
+    slab_3 = np.flatnonzero(np.all((mat != 0.0) == (np.arange(4) == 3)[:, None], axis=0))[0]
+    duals = np.zeros(len(dual.records) + 1)
+    duals[rows[slab_3]] = -100.0 / mat[3, slab_3]
+    tables = [mat_a @ (duals[rows_a] * dual._rec_c[rows_a])
+              for rows_a, mat_a in dual._tables.values()]
+    assert np.argmin(tables[1]) == 3 and tables[1][3] == -100.0
+    dual._index_units()
+    partial = dual._box_sums(duals[-1:], tables[:1])[0]
+    units, bound = dual._bounded_units(partial, tables[1:], True, np.inf)
+    assert units.size == dual._units.size
+    for i, b in zip(units, bound):
+        unit = dual._units[i]
+        held = tables[1][dual._has[unit]]
+        assert b == pytest.approx(partial[unit % dual._n_head] + held.min() - dual._unit_obj[i])
+    gen, ref = dual.master_generator(), reference_generator(dual)
+    for use_objective in (True, False):
+        for q in (1, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                _price_by(mp, 1)
+                picks, rc = _pricing_batch(gen, duals, q, use_objective=use_objective)
+            want, want_rc = _pricing_batch(ref, duals, q, use_objective=use_objective)
+            assert picks.tolist() == want.tolist() and np.array_equal(rc, want_rc)
+    _assert_pricer_matches_the_sweep(dual, np.random.default_rng(0), 1)
 
 
 def _affine_record(axis, slab, v):
