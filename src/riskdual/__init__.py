@@ -15,14 +15,12 @@ from .dual_builder import (
     DualLP,
     ReductionMode,
     assemble_dual_lp,
-    precompute_cell_lambda,
     solve_bound,
 )
 from .errors import (
     CapacityError,
     FactorizationError,
     InputError,
-    ModelInfeasibleOnCell,
     PartitionIncompatibleError,
     RiskdualError,
     SolverError,
@@ -30,7 +28,6 @@ from .errors import (
 )
 from .geometry import (
     Cell,
-    Halfspace,
     Partition,
     SideOfTau,
     build_box_partition,
@@ -75,18 +72,15 @@ __all__ = [
     "DualLP",
     "ReductionMode",
     "assemble_dual_lp",
-    "precompute_cell_lambda",
     "solve_bound",
     "CapacityError",
     "FactorizationError",
     "InputError",
-    "ModelInfeasibleOnCell",
     "PartitionIncompatibleError",
     "RiskdualError",
     "SolverError",
     "UnsupportedCellError",
     "Cell",
-    "Halfspace",
     "Partition",
     "SideOfTau",
     "build_box_partition",

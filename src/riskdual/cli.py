@@ -37,7 +37,7 @@ from .geometry import DEFAULT_CELL_BUDGET, build_box_partition
 
 # only solve_bound calls solve_dcg; the name stays bound here because the
 # perfbench tracer is checked to rebind both solvers in this module
-from .lp_engine import solve_dcg, solve_dense_simplex  # noqa: F401
+from .lp_engine import LPStatus, solve_dcg, solve_dense_simplex  # noqa: F401
 from .test_functions import (
     RiskFunctional,
     RiskKind,
@@ -391,6 +391,9 @@ def cmd_bench(args) -> int:
                 rejected = True
             else:
                 sol = solve_dense_simplex(lp)
+                # the bench model is feasible and bounded
+                if sol.status is not LPStatus.OPTIMAL:
+                    raise SolverError(f"single-shot solve ended with {sol.status.value}")
                 ss_obj = float(sol.objective)
                 ss_times.append(time.perf_counter() - t0)
             # the column-generation side runs what ``bound`` runs

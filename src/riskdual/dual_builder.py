@@ -7,8 +7,11 @@ the infinite constraint family collapses to finitely many linear rows.
 Three reduction routes produce the rows:
 
 * an explicit multiplier block per cell (valid on any nonempty cell),
+  on the cell's H-form ``F, ell = Cell.halfspaces``,
 * a support-function collapse for cells where every test function
-  restricts to a constant, leaving a single row per cell,
+  restricts to a constant, leaving a single row per cell whose
+  right-hand side is the risk's maximum over the cell, from
+  :func:`~riskdual.geometry.maximize_linear_over_cell`,
 * vertex enumeration for bounded cells.
 
 All three describe the same feasible set on their common domain;
@@ -26,7 +29,9 @@ over the axes that carry records and a side of tau, which stands for
 every collapsed cell there.  A cell is the hull of its vertices plus
 the cone of its rays plus its lineality space, whose generators enter
 as rays in both directions, so domination on the cell is domination at
-every vertex plus a gap that does not fall along any ray.  Columns and
+every vertex plus a gap that does not fall along any ray; the vertices
+and rays come from :func:`~riskdual.geometry.slot_vertices` and
+:func:`~riskdual.geometry.slot_rays` on the decoded slots.  Columns and
 reduced costs come from one array source: per-axis tables of each
 record's signed slab containment, indexed by slab, times the record's
 affine factor at the entry's vertex, or its slope along the entry's
@@ -50,12 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    InputError,
-    ModelInfeasibleOnCell,
-    SolverError,
-)
+from .errors import CapacityError, InputError, SolverError
 from .geometry import (
     Cell,
     Partition,
@@ -63,9 +63,9 @@ from .geometry import (
     cell_vertices,
     grid_terms,
     head_blocks,
-    _slot_rays,
-    _slot_vertices,
     maximize_linear_over_cell,
+    slot_rays,
+    slot_vertices,
 )
 from . import lp_engine
 from .lp_engine import (
@@ -136,27 +136,6 @@ def _point_rows(records, riskfn, cell, points):
     g, e = restrict_to_cell(riskfn, cell)
     vals = np.array([np.append(V @ q + cvec, 1.0) for q in points])
     return vals, np.array([g @ q + e for q in points])
-
-
-def precompute_cell_lambda(cell, g):
-    """Best multiplier vector for a collapsed cell row.
-
-    Solves max lam @ ell subject to sum_j lam_j f_j = -g, lam >= 0
-    over the cell's halfspaces (f_j, ell_j): by LP duality the optimum
-    is minus the maximum of <g, x> over the cell, and lam is the
-    certificate that :func:`maximize_linear_over_cell` returns with it.
-    Returns (lam, C) with C the optimum.  Raises ModelInfeasibleOnCell
-    when no feasible lam exists, which happens exactly when <g, x> is
-    unbounded above on the cell.
-    """
-    g = np.asarray(g, dtype=float)
-    val, _x, lam = maximize_linear_over_cell(cell, g)
-    if not np.isfinite(val):
-        raise ModelInfeasibleOnCell(
-            f"cell {cell.id} is unbounded along the risk gradient",
-            cell_id=cell.id,
-        )
-    return lam, -val
 
 
 @dataclass(eq=False)
@@ -350,10 +329,10 @@ class DualLP:
     def collapses(self, cell) -> bool:
         """Whether a partition cell, or the corner, collapses: every
         record restricts to a constant on it and the risk has a finite
-        maximum there.  The corner, one past the last slot, shares the
-        top cell's slabs and collapses when it does."""
-        grid, _flag, side = self.partition.slots([min(cell.id, self.partition.cell_count - 1)])
-        return not self._needs_points(grid, side)[0]
+        maximum there.  Reads the slabs and side the cell was built with;
+        the corner has the top cell's slabs and collapses when it does."""
+        side = 1 if cell.side_of_tau is SideOfTau.ABOVE else -1
+        return not self._needs_points(cell.slabs[None], np.array([side]))[0]
 
     def _point_cells(self):
         """The slots that do not collapse, above tau first, each side in
@@ -406,11 +385,10 @@ class DualLP:
         g, e = restrict_to_cell(self.riskfn, cell)
         const = np.append(cvec, 1.0)
         if self.mode is ReductionMode.LAMBDA_ELIMINATED and self.collapses(cell):
-            _lam, support = precompute_cell_lambda(cell, g)
-            return const[None, :], None, [">="], np.array([e - support])
+            support = maximize_linear_over_cell(cell, g)[0]
+            return const[None, :], None, [">="], np.array([e + support])
         n = cell.dimension
-        F = np.array([h.normal for h in cell.halfspaces]).reshape(-1, n)
-        ell = np.array([h.bound for h in cell.halfspaces])
+        F, ell = cell.halfspaces
         first_use = np.argsort(np.argmax(F != 0.0, axis=1), kind="stable")
         base = np.vstack([np.hstack([V.T, np.zeros((n, 1))]), const])
         lam = np.vstack([-F[first_use].T, ell[first_use]])
@@ -494,22 +472,22 @@ class DualLP:
 
         The corner comes first, as a point entry of the last cell; then
         every cell that does not collapse, in :meth:`iter_cells` order,
-        gives one entry per vertex, in :func:`partition_vertices` order,
+        gives one entry per vertex, in :func:`slot_vertices` order,
         then one per ray when it is unbounded.  By Minkowski-Weyl a cell
         is the hull of its vertices plus the cone of its rays plus its
         lineality space, whose generators appear as rays in both
         directions; so an affine function is nonnegative on the cell
         exactly when it is at every vertex and does not fall along any
         ray.  A cell with a whole-line axis is always sliced, because tau
-        is finite, and :func:`partition_vertices` takes its vertices from
+        is finite, and :func:`slot_vertices` takes its vertices from
         a pointed section.  The cells that do not collapse are the only
         ones listed (:meth:`_point_cells`).
         """
         if self._entries is not None:
             return self._entries
         order, grid, flag, side = self._point_cells()
-        vstart, vpoints = _slot_vertices(self.partition, grid, flag, order)
-        rstart, rays = _slot_rays(self.partition, grid, flag)
+        vstart, vpoints = slot_vertices(self.partition, grid, flag, order)
+        rstart, rays = slot_rays(self.partition, grid, flag)
         nv, nr = np.diff(vstart), np.diff(rstart)
         cell = np.repeat(order, nv + nr)
         slabs = np.repeat(grid, nv + nr, axis=0)
@@ -819,8 +797,10 @@ class DualLP:
             for lo in range(0, has.shape[0], step):
                 held = np.any(has[lo : lo + step], axis=2)
                 s = np.flatnonzero((first < 0) & np.any(held, axis=0))
-                pre = lo + np.argmax(held[:, s], axis=0)
-                first[s] = entries.count + (pre * slabs + s) * post + np.argmax(has[pre, s], axis=1)
+                # one slab at a time: has[p, t] is a view, where a gather
+                # over every found slab would copy a whole side's keys
+                for t, p in zip(s.tolist(), (lo + np.argmax(held[:, s], axis=0)).tolist()):
+                    first[t] = entries.count + (p * slabs + t) * post + np.argmax(has[p, t])
                 if np.all(first >= 0):
                     break
             at, where = np.unique(entries.slabs[skip:, a], return_index=True)
@@ -849,6 +829,7 @@ def _make_corner_cell(partition, riskfn):
         side_of_tau=SideOfTau.ABOVE,
         cell_id=partition.cell_count,
         degenerate=True,
+        slabs=np.array(partition.slab_counts) - 1,
     )
 
 

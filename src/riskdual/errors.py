@@ -38,11 +38,3 @@ class FactorizationError(SolverError):
         # estimated condition number of the offending basis, if known
         self.condition = condition
 
-
-class ModelInfeasibleOnCell(RiskdualError):
-    """No finite dual certificate exists on some cell, so the bound is
-    +infinity (the objective grows along a recession direction of the cell)."""
-
-    def __init__(self, message, cell_id=None):
-        super().__init__(message)
-        self.cell_id = cell_id

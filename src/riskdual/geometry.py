@@ -12,7 +12,6 @@ grids are never materialized for column generation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum, unique
 
 import numpy as np
@@ -38,30 +37,15 @@ class SideOfTau(Enum):
     ABOVE = "above"
 
 
-@dataclass(eq=False, frozen=True)
-class Halfspace:
-    """Closed halfspace {x : <normal, x> >= bound}."""
-
-    normal: np.ndarray
-    bound: float
-
-    def __post_init__(self):
-        normal = np.asarray(self.normal, dtype=float)
-        if normal.ndim != 1 or normal.size == 0:
-            raise InputError("halfspace normal must be a nonempty vector")
-        if not np.any(normal != 0.0):
-            raise InputError("halfspace normal must be nonzero")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "bound", float(self.bound))
-
-
 class Cell:
     """One box cell, optionally cut by the hyperplane sum(x) = tau.
 
     ``lows``/``highs`` give the per-axis interval (entries may be
     -inf/+inf).  ``slice_sign`` is 0 for an uncut box, +1 when the cell
     keeps the side sum(x) >= tau and -1 when it keeps sum(x) <= tau.
-    A ``degenerate`` cell may have zero-width axes.  Instances are
+    A ``degenerate`` cell may have zero-width axes.  ``slabs`` holds a
+    partition cell's grid index, one slab per axis, as the partition
+    decoded it, and is None on a cell built by hand.  Instances are
     immutable after construction.
     """
 
@@ -73,7 +57,7 @@ class Cell:
         "tau",
         "side_of_tau",
         "degenerate",
-        "_halfspaces",
+        "slabs",
     )
 
     def __init__(
@@ -86,6 +70,7 @@ class Cell:
         side_of_tau=None,
         cell_id=0,
         degenerate=False,
+        slabs=None,
     ):
         lows = np.asarray(lows, dtype=float)
         highs = np.asarray(highs, dtype=float)
@@ -108,7 +93,7 @@ class Cell:
         self.tau = None if tau is None else float(tau)
         self.side_of_tau = side_of_tau
         self.degenerate = bool(degenerate)
-        self._halfspaces = None
+        self.slabs = None if slabs is None else np.array(slabs, dtype=np.intp)
 
     @property
     def dimension(self) -> int:
@@ -126,28 +111,23 @@ class Cell:
     def max_sum(self) -> float:
         return float(np.sum(self.highs))
 
-    def _build_halfspaces(self):
-        n = self.dimension
-        halfspaces = []
-        for axis in range(n):
-            if math.isfinite(self.lows[axis]):
-                e = np.zeros(n)
-                e[axis] = 1.0
-                halfspaces.append(Halfspace(e, self.lows[axis]))
-            if math.isfinite(self.highs[axis]):
-                e = np.zeros(n)
-                e[axis] = -1.0
-                halfspaces.append(Halfspace(e, -self.highs[axis]))
-        if self.slice_sign != 0:
-            ones = np.full(n, float(self.slice_sign))
-            halfspaces.append(Halfspace(ones, self.slice_sign * self.tau))
-        self._halfspaces = tuple(halfspaces)
-
     @property
     def halfspaces(self):
-        if self._halfspaces is None:
-            self._build_halfspaces()
-        return self._halfspaces
+        """The cell as ``(F, ell)``, {x : F x >= ell}: one row per finite
+        bound, each axis's low (x_a >= low) then its high (-x_a >= -high),
+        axis by axis, then the slice (s sum(x) >= s tau)."""
+        n = self.dimension
+        axis = np.arange(n)
+        F = np.zeros((2 * n, n))
+        F[2 * axis, axis] = 1.0
+        F[2 * axis + 1, axis] = -1.0
+        ell = np.column_stack([self.lows, -self.highs]).ravel()
+        finite = np.isfinite(ell)
+        F, ell = F[finite], ell[finite]
+        if self.slice_sign != 0:
+            F = np.vstack([F, np.full(n, float(self.slice_sign))])
+            ell = np.append(ell, self.slice_sign * self.tau)
+        return F, ell
 
     def __repr__(self):
         tag = "" if self.slice_sign == 0 else (" | sum>=tau" if self.slice_sign > 0 else " | sum<=tau")
@@ -300,20 +280,13 @@ def _box_vertices(lows, highs, sign, tau, ids):
     return start, points
 
 
-def partition_vertices(partition, idx):
-    """Vertices of the partition cells ``idx``, stacked in that order,
-    as ``(start, points)`` from :func:`_box_vertices`: the vertices of
-    cell ``idx[j]`` are ``points[start[j]:start[j + 1]]``.  An unbounded
-    cell gets its finite vertices, and :func:`partition_rays` its
-    recession directions."""
-    idx = np.asarray(idx, dtype=np.intp)
-    grid, flag, _side = partition.slots(idx)
-    return _slot_vertices(partition, grid, flag, idx)
-
-
-def _slot_vertices(partition, grid, flag, ids):
-    """:func:`partition_vertices` of slots already decoded into grid
-    indices and flags, as :meth:`Partition.slots` gives them."""
+def slot_vertices(partition, grid, flag, ids):
+    """Vertices of the partition cells with grid indices ``grid`` and
+    flags ``flag``, as :meth:`Partition.slot_blocks` decodes them, stacked
+    in that order, as ``(start, points)`` from :func:`_box_vertices`: the
+    vertices of the j-th cell, whose id ``ids[j]`` names it in errors,
+    are ``points[start[j]:start[j + 1]]``.  An unbounded cell gets its
+    finite vertices, and :func:`slot_rays` its recession directions."""
     lows = np.column_stack([b[grid[:, a]] for a, b in enumerate(partition.breakpoints)])
     highs = np.column_stack([b[grid[:, a] + 1] for a, b in enumerate(partition.breakpoints)])
     return _box_vertices(lows, highs, flag, partition.tau, ids)
@@ -333,10 +306,11 @@ def cell_vertices(cell: Cell) -> np.ndarray:
     return _box_vertices(cell.lows[None], cell.highs[None], sign, tau, [cell.id])[1]
 
 
-def partition_rays(partition, idx):
-    """Extreme rays of the partition cells ``idx``, stacked in that order.
+def slot_rays(partition, grid, flag):
+    """Extreme rays of the partition cells with grid indices ``grid``
+    and flags ``flag``, stacked in that order.
 
-    Returns ``(start, rays)`` laid out as in :func:`partition_vertices`.
+    Returns ``(start, rays)`` laid out as in :func:`slot_vertices`.
     With U the axes of a cell that have an infinite high, and L those
     with an infinite low (a whole-line axis is in both), the rays are
     e_u for u in U unless the cell keeps sum(x) <= tau, then -e_l for l
@@ -344,15 +318,8 @@ def partition_rays(partition, idx):
     (u, l) with u != l on a sliced cell.  A bounded cell has none.  Two
     line axes a and b give both e_a - e_b and e_b - e_a, which span the
     lineality space.  Together with the vertices of
-    :func:`partition_vertices` they span the cell.
+    :func:`slot_vertices` they span the cell.
     """
-    grid, flag, _side = partition.slots(idx)
-    return _slot_rays(partition, grid, flag)
-
-
-def _slot_rays(partition, grid, flag):
-    """:func:`partition_rays` of slots already decoded into grid indices
-    and flags, as :meth:`Partition.slots` gives them."""
     n = partition.dimension
     up = np.zeros((len(flag), n), dtype=bool)
     down = np.zeros((len(flag), n), dtype=bool)
@@ -402,10 +369,9 @@ def maximize_linear_over_cell(cell: Cell, g):
     """Maximize <g, x> over the cell.
 
     Returns ``(value, x, lam)`` where ``lam`` is the vector of
-    nonnegative multipliers, aligned with ``cell.halfspaces``, that
-    certifies the value: sum_j lam_j f_j = -g and sum_j lam_j l_j =
-    -value.  When the maximum is +infinity the result is
-    ``(inf, None, None)``.
+    nonnegative multipliers, one per row of ``F, ell = cell.halfspaces``,
+    that certifies the value: F^T lam = -g and lam @ ell = -value.
+    When the maximum is +infinity the result is ``(inf, None, None)``.
 
     This is the LP dual over the slice multiplier gamma >= 0: with s
     the slice sign and h = g + s gamma 1, the value is the least
@@ -452,7 +418,7 @@ def maximize_linear_over_cell(cell: Cell, g):
         for i, v in _free_fill(lows, highs, free, target).items():
             x[i] = v
     # row-major selection: each axis's finite low, then its finite high,
-    # in the order of cell.halfspaces
+    # in the row order of cell.halfspaces
     lam = np.column_stack([np.where(h < 0, -h, 0.0), np.where(h > 0, h, 0.0)])
     lam = lam[np.column_stack([np.isfinite(lows), np.isfinite(highs)])]
     if s != 0:
@@ -635,6 +601,7 @@ class Partition:
             tau=self.tau,
             side_of_tau=SideOfTau.BELOW if side < 0 else SideOfTau.ABOVE,
             cell_id=i,
+            slabs=grid,
         )
 
     def cell_at(self, i: int) -> Cell:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dual_builder import _point_rows
 from .errors import CapacityError
-from .geometry import cell_vertices, partition_rays, partition_vertices
+from .geometry import cell_vertices, slot_rays, slot_vertices
 from .lp_engine import LinearProgram, LPSolution, LPStatus, solve_dense_simplex
 
 # candidate points closer than this are the same point for reporting
@@ -56,14 +56,15 @@ def build_candidate_grid(dual) -> CandidateGrid:
 
     Every cell contributes its vertices: a bounded cell and the corner
     through :func:`cell_vertices`, an unbounded cell its finite ones
-    through :func:`partition_vertices`.  An unbounded cell that does not
-    collapse also contributes each vertex moved twice RAY_RADIUS along
-    each of its rays from :func:`partition_rays`; the grid is inexact
-    when any such cell has a ray, since its restricted maximum need not
-    be attained.  A collapsible cell has every record constant and a
-    finite risk maximum, attained at a vertex.  Raises CapacityError
-    when the grid holds more than POINT_BUDGET entries.  RAY_RADIUS and
-    POINT_BUDGET are module constants, read at call time.
+    through :func:`slot_vertices` on the slabs and slice it was built
+    with.  An unbounded cell that does not collapse also contributes
+    each vertex moved twice RAY_RADIUS along each of its rays from
+    :func:`slot_rays`; the grid is inexact when any such cell has a
+    ray, since its restricted maximum need not be attained.  A
+    collapsible cell has every record constant and a finite risk
+    maximum, attained at a vertex.  Raises CapacityError when the grid
+    holds more than POINT_BUDGET entries.  RAY_RADIUS and POINT_BUDGET
+    are module constants, read at call time.
     """
     entries = []
     exact = True
@@ -71,9 +72,10 @@ def build_candidate_grid(dual) -> CandidateGrid:
         if cell.bounded:
             points = cell_vertices(cell)
         else:
-            _start, points = partition_vertices(dual.partition, [cell.id])
+            grid, flag = cell.slabs[None], np.array([cell.slice_sign])
+            _start, points = slot_vertices(dual.partition, grid, flag, [cell.id])
             if not dual.collapses(cell):
-                _start, rays = partition_rays(dual.partition, [cell.id])
+                _start, rays = slot_rays(dual.partition, grid, flag)
                 if len(rays):
                     exact = False
                     moved = points[:, None, :] + 2 * RAY_RADIUS * rays

@@ -35,8 +35,10 @@ from riskdual.geometry import (
     DEFAULT_CELL_BUDGET,
     STRADDLE_TOL,
     VERTEX_TOL,
+    Partition,
     _free_fill,
     check_breakpoints,
+    head_blocks,
 )
 
 
@@ -47,6 +49,17 @@ def lp_limit(name, value):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_engine, name, value)
         yield
+
+
+def count_decodes(monkeypatch, partition):
+    """A list that gets one entry per Partition._decode call from now
+    on, and the number of head blocks of ``partition``: a pass over
+    every slot decodes each block once."""
+    calls = []
+    decode = Partition._decode
+    monkeypatch.setattr(Partition, "_decode",
+                        lambda self, heads: calls.append(heads) or decode(self, heads))
+    return calls, sum(1 for _ in head_blocks(partition.slab_counts))
 
 
 def solve_rows(dual):
@@ -237,7 +250,7 @@ def reference_cell_vertices(cell):
     corners on the kept side plus the intersection of the hyperplane
     with each box edge it crosses.  Unbounded cells have no vertex form
     and raise UnsupportedCellError.  This is the reference that the
-    array kernel behind ``cell_vertices`` and ``partition_vertices``
+    array kernel behind ``cell_vertices`` and ``slot_vertices``
     must match value for value, in order, with the same errors.
     """
     if not cell.bounded:
@@ -278,7 +291,7 @@ def reference_cell_vertices(cell):
 
 
 def _halfspace_roles(cell):
-    """("lo", axis), ("hi", axis) and ("slice", -1) for each of
+    """("lo", axis), ("hi", axis) and ("slice", -1) for each row of
     ``cell.halfspaces``, in order: each finite low then each finite
     high, axis by axis, then the slice."""
     roles = []
@@ -293,7 +306,7 @@ def _halfspace_roles(cell):
 
 
 def _lam_from_bounds(cell, at_hi, coeff_hi, at_lo, coeff_lo, slice_coeff=0.0):
-    lam = np.zeros(len(cell.halfspaces))
+    lam = np.zeros(len(cell.halfspaces[1]))
     for j, role in enumerate(_halfspace_roles(cell)):
         kind, axis = role
         if kind == "hi" and axis in at_hi:

@@ -28,7 +28,7 @@ from riskdual import (
     build_box_partition,
     build_candidate_grid,
     duality_gap,
-    precompute_cell_lambda,
+    maximize_linear_over_cell,
     solve_dcg,
     solve_dense_simplex,
     solve_primal_discretization,
@@ -200,9 +200,8 @@ def test_criterion_5_multiplier_precompute(capsys):
             tau = float(lows.sum() + rng.uniform(0.1, 0.9) * (highs - lows).sum())
         cell = Cell(lows, highs, slice_sign=slice_sign, tau=tau)
         g = rng.normal(0.0, 1.0, d)
-        _, C = precompute_cell_lambda(cell, g)
-        F = np.array([h.normal for h in cell.halfspaces])
-        ell = np.array([h.bound for h in cell.halfspaces])
+        C = -maximize_linear_over_cell(cell, g)[0]
+        F, ell = cell.halfspaces
         sol = solve_dense_simplex(
             LinearProgram("max", ell, F.T, ["="] * d, -g, name="lambda_direct")
         )

@@ -891,6 +891,14 @@ def test_bench_checks_the_sliced_cell_budget_before_building_a_model(monkeypatch
     assert built == []
 
 
+def test_bench_single_shot_failure_exit_six(capsys):
+    # the single-shot solve stops at the iteration limit: a solver
+    # failure, not a crash on its missing objective
+    with lp_limit("ITER_LIMIT", 3):
+        assert main(["bench", "--sizes", "2:4", "--repeats", "1"]) == EXIT_SOLVER
+    assert "solver failure: single-shot solve ended with iteration_limit" in capsys.readouterr().err
+
+
 def test_bench_smoke(tmp_path):
     out = tmp_path / "bench.json"
     code = main(["bench", "--sizes", "2:4", "--repeats", "1", "--out", str(out)])

@@ -22,7 +22,6 @@ from riskdual import (
     InputError,
     LPStatus,
     LinearProgram,
-    ModelInfeasibleOnCell,
     PartitionIncompatibleError,
     ReductionMode,
     RiskFunctional,
@@ -34,7 +33,6 @@ from riskdual import (
     build_box_partition,
     evaluate,
     maximize_linear_over_cell,
-    precompute_cell_lambda,
     restrict_to_cell,
     solve_bound,
     solve_dcg,
@@ -43,9 +41,10 @@ from riskdual import (
 from riskdual import dual_builder, lp_engine
 from riskdual.dual_builder import CONST_TOL, _point_rows, _signed_restrictions
 from riskdual.lp_engine import _pricing_batch
-from riskdual.geometry import VERTEX_TOL, partition_rays, partition_vertices
+from riskdual.geometry import VERTEX_TOL, slot_rays, slot_vertices
 
 from conftest import (
+    count_decodes,
     lp_limit,
     random_instance,
     reference_cell_vertices,
@@ -113,11 +112,11 @@ def test_two_point_infeasible_moment():
 
 def test_precompute_lambda_on_a_box():
     cell = Cell([1.0, 1.0], [2.0, 2.0])
-    lam, C = precompute_cell_lambda(cell, np.array([1.0, 1.0]))
+    val, _x, lam = maximize_linear_over_cell(cell, np.array([1.0, 1.0]))
+    C = -val
     # support of <g, x> on the box is 4, reached at the top corner
     assert C == pytest.approx(-4.0, abs=1e-12)
-    F = np.array([h.normal for h in cell.halfspaces])
-    ell = np.array([h.bound for h in cell.halfspaces])
+    F, ell = cell.halfspaces
     assert np.all(lam >= 0)
     assert np.allclose(F.T @ lam, [-1.0, -1.0], atol=1e-12)
     assert lam @ ell == pytest.approx(C, abs=1e-12)
@@ -135,25 +134,23 @@ def test_precompute_lambda_matches_direct_lp(seed):
         tau = float(lows.sum() + rng.uniform(0.1, 0.9) * (highs - lows).sum())
     cell = Cell(lows, highs, slice_sign=slice_sign, tau=tau)
     g = rng.normal(0, 1, d)
-    lam, C = precompute_cell_lambda(cell, g)
+    val, _x, lam = maximize_linear_over_cell(cell, g)
+    C = -val
 
     # the same multiplier program, handed to the simplex directly
-    F = np.array([h.normal for h in cell.halfspaces])
-    ell = np.array([h.bound for h in cell.halfspaces])
+    F, ell = cell.halfspaces
     lp = LinearProgram("max", ell, F.T, ["="] * d, -g, name="lambda_direct")
     sol = solve_dense_simplex(lp)
     assert sol.status is LPStatus.OPTIMAL
     assert C == pytest.approx(sol.objective, abs=1e-9)
-    assert lam.shape == (len(cell.halfspaces),)
+    assert lam.shape == ell.shape
 
 
 def test_precompute_lambda_unbounded_gradient():
     ray = Cell([0.0], [np.inf])
-    with pytest.raises(ModelInfeasibleOnCell):
-        precompute_cell_lambda(ray, np.array([1.0]))
+    assert maximize_linear_over_cell(ray, np.array([1.0])) == (np.inf, None, None)
     # the matching multiplier program has no feasible lam either
-    F = np.array([h.normal for h in ray.halfspaces])
-    ell = np.array([h.bound for h in ray.halfspaces])
+    F, ell = ray.halfspaces
     lp = LinearProgram("max", ell, F.T, ["="], [-1.0])
     assert solve_dense_simplex(lp).status is LPStatus.INFEASIBLE
 
@@ -182,9 +179,9 @@ def test_explicit_block_shape():
     # one equality per coordinate plus the constant row
     assert senses == ["="] * cell.dimension + [">="]
     assert base.shape == (cell.dimension + 1, len(dual.records) + 1)
-    assert lam.shape == (cell.dimension + 1, len(cell.halfspaces))
+    assert lam.shape == (cell.dimension + 1, len(cell.halfspaces[1]))
     assert base[-1, -1] == 1.0
-    assert sorted(lam[-1]) == sorted(h.bound for h in cell.halfspaces)
+    assert sorted(lam[-1]) == sorted(cell.halfspaces[1])
     g, e = restrict_to_cell(risk, cell)
     assert rhs[-1] == e
     assert rhs[0] == g[0]
@@ -225,7 +222,7 @@ def test_row_dual_layout_and_deduplication():
     fns = [TestFunction("mass", TestFunctionKind.SLAB_INDICATOR, 0, (0.0, 1.0), Sense.UPPER, 1.0)]
     risk = RiskFunctional(RiskKind.VAR_INDICATOR, 0.75)
     cells = list(assemble_dual_lp(part, fns, risk).iter_cells())
-    assert [len(cell.halfspaces) for cell in cells] == [3, 2, 3]
+    assert [len(cell.halfspaces[1]) for cell in cells] == [3, 2, 3]
 
     lp = assemble_dual_lp(part, fns, risk, ReductionMode.EXPLICIT).materialize()
     A = lp.dense_matrix()
@@ -518,6 +515,25 @@ def test_materialize_budget(monkeypatch):
         inst.dual().master_lp()
 
 
+def test_row_routes_decode_each_slot_once(monkeypatch):
+    # 40 x 40 slabs on [0, 1]^2, two head blocks, and a mean record on
+    # one slab of axis 0: the cells it holds get the explicit block and
+    # the rest collapse, a test on the slabs each cell was built with
+    grid = np.linspace(0.0, 1.0, 41)
+    partition = build_box_partition([grid] * 2, 1.1)
+    mean = TestFunction("mean", TestFunctionKind.SLAB_AFFINE, 0, (grid[10], grid[11]),
+                        Sense.UPPER, 0.1, v=np.array([1.0, 0.0]), c=0.0)
+    dual = assemble_dual_lp(partition, [mean], RiskFunctional(RiskKind.CVAR_HINGE, 1.1))
+    calls, blocks = count_decodes(monkeypatch, partition)
+    assert blocks == 2
+    with lp_limit("DENSE_BUDGET", 20_000):
+        lp = dual.materialize()
+    # explicit blocks add multiplier columns past y and z0
+    assert lp.n_cols > 2
+    # one pass over the cells above tau, one over those below
+    assert len(calls) <= 2 * blocks
+
+
 def test_scan_order_prefers_cells_past_the_threshold():
     inst = random_instance(21, d=2, m=4, risk_kind=RiskKind.VAR_INDICATOR)
     dual = inst.dual()
@@ -587,7 +603,8 @@ def sliced_partitions(draw):
 def test_vertex_table_matches_cell_vertices(partition, rnd):
     idx = list(range(partition.cell_count))
     rnd.shuffle(idx)
-    start, points = partition_vertices(partition, idx)
+    grid, flag, _side = partition.slots(idx)
+    start, points = slot_vertices(partition, grid, flag, idx)
     for j, i in enumerate(idx):
         ref = np.array(reference_cell_vertices(partition.cell_at(i)))
         got = points[start[j] : start[j + 1]]
@@ -602,8 +619,7 @@ def brute_force_vertices_and_rays(cell):
     every n tight halfspaces with a unique solution that meets the rest,
     every n - 1 with a one-dimensional solution set whose direction
     meets the recession cone.  Rays are scaled to a largest entry of 1."""
-    F = np.array([h.normal for h in cell.halfspaces]).reshape(-1, cell.dimension)
-    ell = np.array([h.bound for h in cell.halfspaces])
+    F, ell = cell.halfspaces
     n = cell.dimension
     verts, rays = [], []
     for rows in itertools.combinations(range(len(F)), n):
@@ -656,8 +672,9 @@ def line_section(cell):
 @given(open_partitions())
 def test_vertex_and_ray_table_matches_brute_force(partition):
     idx = np.arange(partition.cell_count)
-    vstart, points = partition_vertices(partition, idx)
-    rstart, rays = partition_rays(partition, idx)
+    grid, flag, _side = partition.slots(idx)
+    vstart, points = slot_vertices(partition, grid, flag, idx)
+    rstart, rays = slot_rays(partition, grid, flag)
     for i in idx:
         cell = partition.cell_at(int(i))
         section, lines = line_section(cell)
@@ -683,7 +700,7 @@ def test_vertex_and_ray_table_matches_brute_force(partition):
         assert all(listed(eye[a] - eye[b]) for a in lines for b in lines if a != b)
         if lines.size:
             # every table ray is a recession direction of the cell
-            F = np.array([h.normal for h in cell.halfspaces])
+            F = cell.halfspaces[0]
             assert np.all(F @ table.T >= -1e-12)
         else:
             # a cell with no line: the table holds its extreme rays only
@@ -753,6 +770,9 @@ def _restricted_entries(dual):
     points, collapsed = [], []
     corner = dual.corner_cell
     if corner is not None:
+        # the corner has the slabs of the top cell, the last slot
+        last = dual.partition.cell_at(dual.partition.cell_count - 1)
+        assert corner.slabs.tolist() == last.slabs.tolist()
         (vals,), (obj,) = _point_rows(dual.records, dual.riskfn, corner, [corner.lows])
         # the corner is a point of the top cell, the last slot
         points.append((dual.partition.cell_count - 1, corner.lows, False, vals, obj))
@@ -768,8 +788,7 @@ def _restricted_entries(dual):
         constant = np.max(np.abs(V), initial=0.0) <= CONST_TOL
         assert dual.collapses(cell) == (constant and np.isfinite(top))
         if dual.collapses(cell):
-            _lam, support = precompute_cell_lambda(cell, g)
-            collapsed.append((i, _cell_key(dual, i), np.append(cvec, 1.0), float(e - support)))
+            collapsed.append((i, _cell_key(dual, i), np.append(cvec, 1.0), float(e + top)))
             continue
         if cell.bounded:
             verts, rays = reference_cell_vertices(cell), []
@@ -1347,7 +1366,8 @@ def test_build_assemble_and_seed_hold_no_per_slot_memory():
 
 def test_seed_reads_the_key_table_in_blocks():
     # family (a) at d=5, m=14, VaR at 0.7 * 5; the seed's slab cover
-    # held two copies of _has when it read the table whole
+    # held two copies of _has when it read the table whole, and half a
+    # copy when it gathered a whole side's keys for the first axis
     d, m = 5, 14
     bps = [np.array([g / m for g in range(m + 1)])] * d
     risk = RiskFunctional(VAR, 0.7 * d)
@@ -1359,7 +1379,7 @@ def test_seed_reads_the_key_table_in_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.75 * dual._has.nbytes
+    assert peak <= 0.25 * dual._has.nbytes
 
 
 def test_box_search_blocks_stop_doubling_at_the_sweep_size(monkeypatch):

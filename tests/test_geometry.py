@@ -182,9 +182,9 @@ def test_halfspaces_are_the_finite_bounds_then_the_slice():
     cell = Cell([0.0, -np.inf], [1.0, 2.0], slice_sign=-1, tau=1.5)
     # x0 >= 0, -x0 >= -1, then -x1 >= -2 (the -inf lower bound
     # contributes no halfspace), then -x0 - x1 >= -1.5
-    normals = [h.normal.tolist() for h in cell.halfspaces]
-    assert normals == [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]]
-    assert [h.bound for h in cell.halfspaces] == [0.0, -1.0, -2.0, -1.5]
+    F, ell = cell.halfspaces
+    assert F.tolist() == [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]]
+    assert ell.tolist() == [0.0, -1.0, -2.0, -1.5]
 
 
 def test_breakpoint_validation():
@@ -311,6 +311,7 @@ def test_partition_matches_the_per_slot_reference_bitwise(inputs):
         assert cell.highs.tobytes() == np.array([b[g + 1] for b, g in zip(bps, grid[i])]).tobytes()
         assert cell.slice_sign == flag[i]
         assert cell.side_of_tau is (SideOfTau.ABOVE if side[i] > 0 else SideOfTau.BELOW)
+        assert cell.slabs.tolist() == grid[i].tolist()
     # any slots in any order, and every slot block by block
     idx = np.random.default_rng(0).integers(0, part.cell_count, 2 * part.cell_count)
     got = part.slots(idx)
@@ -348,8 +349,7 @@ def test_linear_support_matches_vertex_max(cg):
     assert abs(val - best) <= 1e-9 * scale
     assert cell_contains(cell, x)
     # multiplier certificate: nonnegative, reproduces -g, prices the bounds
-    F = np.array([h.normal for h in cell.halfspaces])
-    ell = np.array([h.bound for h in cell.halfspaces])
+    F, ell = cell.halfspaces
     assert np.all(lam >= -1e-12)
     assert np.allclose(F.T @ lam, -g, atol=1e-9)
     assert abs(lam @ ell + val) <= 1e-8 * scale
@@ -395,8 +395,7 @@ def test_linear_support_with_zero_slopes_on_unbounded_cells(lows, highs, sign, t
         val, x, lam = maximize_linear_over_cell(cell, g)
     assert val == pytest.approx(value, abs=1e-12)
     assert np.all(np.isfinite(x)) and cell_contains(cell, x)
-    F = np.array([h.normal for h in cell.halfspaces])
-    ell = np.array([h.bound for h in cell.halfspaces])
+    F, ell = cell.halfspaces
     assert np.all(lam >= 0.0)
     assert np.allclose(F.T @ lam, -g, atol=1e-12)
     assert lam @ ell == pytest.approx(-val, abs=1e-12)
@@ -461,8 +460,7 @@ def test_kink_scan_matches_the_reference_solver(cg):
     assert abs(val - want[0]) <= 1e-9 * scale
     assert cell_contains(cell, x, tol=1e-9)
     assert float(g @ x) == val
-    F = np.array([h.normal for h in cell.halfspaces]).reshape(-1, cell.dimension)
-    ell = np.array([h.bound for h in cell.halfspaces])
+    F, ell = cell.halfspaces
     assert np.all(lam >= 0.0)
     assert np.allclose(F.T @ lam, -g, atol=1e-9)
     assert abs(lam @ ell + val) <= 1e-9 * scale

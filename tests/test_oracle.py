@@ -23,7 +23,7 @@ from riskdual import (
 
 from riskdual.dual_builder import _point_rows
 
-from conftest import random_instance, solve_rows, two_point_model
+from conftest import count_decodes, random_instance, solve_rows, two_point_model
 
 
 def _dual_value(dual):
@@ -119,6 +119,27 @@ def _far_threshold_tail():
     (cell,) = [c for c in dual.iter_cells() if not c.bounded and c.slice_sign > 0]
     assert not dual.collapses(cell)
     return dual, cell
+
+
+def test_candidate_grid_decodes_each_slot_once(monkeypatch):
+    # family (c) on two axes: 40 slabs on [0, 1] and the tail [1, inf),
+    # two head blocks, with a moment record on each tail, so the
+    # unbounded cells do not collapse and take the ray branch
+    bp = np.append(np.linspace(0.0, 1.0, 41), np.inf)
+    part = build_box_partition([bp] * 2, 1.8)
+    fns = [
+        TestFunction(
+            f"tail_m_{a}", TestFunctionKind.SLAB_AFFINE, a, (1.0, np.inf),
+            Sense.UPPER, 0.3, v=np.eye(2)[a], c=0.0,
+        )
+        for a in range(2)
+    ]
+    dual = assemble_dual_lp(part, fns, RiskFunctional(RiskKind.VAR_INDICATOR, 1.8))
+    calls, blocks = count_decodes(monkeypatch, part)
+    assert blocks == 2
+    assert not build_candidate_grid(dual).exact
+    # one pass over the cells above tau, one over those below
+    assert len(calls) <= 2 * blocks
 
 
 def test_far_threshold_tail_gets_points_along_its_ray(monkeypatch):
