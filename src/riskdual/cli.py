@@ -434,6 +434,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
+    t_load = time.perf_counter()
     cfg = ModelConfig.load(args.config)
     samples = cfg.load_samples(args.samples)
     t0 = time.perf_counter()
@@ -455,7 +456,8 @@ def cmd_bootstrap(args) -> int:
             {"id": b.function_id, "lower": b.lower, "upper": b.upper} for b in bounds
         ],
     )
-    _emit({"deterministic": det, "timing": {"wall_s": time.perf_counter() - t0}}, args)
+    timing = {"load_s": t0 - t_load, "wall_s": time.perf_counter() - t0}
+    _emit({"deterministic": det, "timing": timing}, args)
     return EXIT_OK
 
 

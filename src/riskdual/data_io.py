@@ -5,6 +5,13 @@ function means.  Replicates are indexed draws: replicate r uses the
 generator seeded with (seed, r), so results are reproducible.  A
 replicate mean is the count-weighted sum sum_i (N_i / k) * values_i,
 where N_i counts the draws of row i, so no resampled rows are copied.
+
+Each distinct test function definition is evaluated once, and the
+replicates are summed in blocks.  A column whose values are integers
+with max|value| * k < 2**53 goes through one BLAS product per block:
+every product N_i * value_i and every partial sum is an integer below
+2**53, so the sum is exact in any order and at any BLAS thread count.
+The other columns go through einsum, whose summation order is fixed.
 """
 
 from __future__ import annotations
@@ -20,6 +27,9 @@ from .errors import InputError
 from .test_functions import evaluate
 
 MIN_REPLICATES = 100
+# replicates whose draw counts are summed in one product; the block's
+# counts take _BLOCK * k * 8 bytes
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -140,19 +150,44 @@ def bootstrap_integral_bounds(
         raise InputError("bootstrap needs a nonempty two-dimensional sample set")
     testfns = list(testfns)
     k = data.shape[0]
-    values = np.empty((k, len(testfns)))
-    for j, fn in enumerate(testfns):
-        values[:, j] = evaluate(fn, data)
-    means = np.empty((replicates, len(testfns)))
-    for r in range(replicates):
-        idx = np.random.default_rng((seed, r)).integers(0, k, size=k)
-        # einsum, not @: BLAS gemv sums in an order set by its thread count;
-        # float counts, since einsum casts an int64 operand chunk by chunk
-        counts = np.bincount(idx, minlength=k).astype(float)
-        means[r] = np.einsum("i,ij->j", counts, values) / k
+    # one column per distinct definition
+    slot, defs = [], {}
+    for fn in testfns:
+        v = None if fn.v is None else tuple(fn.v)
+        key = (fn.kind, fn.axis, fn.slab, v, fn.c)
+        slot.append(defs.setdefault(key, (len(defs), fn))[0])
+    # exact columns fill the rows from the top, the rest from the bottom
+    values = np.empty((len(defs), k))
+    row, top, bottom = [], 0, len(defs)
+    for _, fn in defs.values():
+        col = evaluate(fn, data)
+        if np.array_equal(col, np.trunc(col)) and np.abs(col).max() * k < 2.0**53:
+            row.append(top)
+            top += 1
+        else:
+            bottom -= 1
+            row.append(bottom)
+        values[row[-1]] = col
+    exact, rest = values[:top], values[top:]
+    means = np.empty((replicates, len(defs)))
+    # float counts: BLAS takes them as they are, and einsum would cast
+    # an int64 operand chunk by chunk
+    counts = np.empty((_BLOCK, k))
+    for r0 in range(0, replicates, _BLOCK):
+        block = counts[: min(_BLOCK, replicates - r0)]
+        for b, drawn in enumerate(block):
+            idx = np.random.default_rng((seed, r0 + b)).integers(0, k, size=k)
+            drawn[:] = np.bincount(idx, minlength=k)
+        out = means[r0 : r0 + len(block)]
+        # @ on the exact columns only: each of their sums is an integer
+        # below 2**53, the same in any order.  einsum, not @, on the rest:
+        # BLAS sums a float column in an order set by its thread count
+        out[:, :top] = block @ exact.T
+        out[:, top:] = np.einsum("ri,ji->rj", block, rest)
+    means /= k
     q = [100.0 * (1.0 - level) / 2.0, 100.0 * (1.0 + level) / 2.0]
     lower, upper = np.percentile(means, q, axis=0)
     return [
-        IntegralBound(fn.id, float(lo), float(hi), level, replicates)
-        for fn, lo, hi in zip(testfns, lower, upper)
+        IntegralBound(fn.id, float(lower[row[j]]), float(upper[row[j]]), level, replicates)
+        for fn, j in zip(testfns, slot)
     ]

@@ -733,6 +733,9 @@ def test_bootstrap_command(tmp_path):
     assert interval["id"] == "mean_one_plus_x"
     assert det["replicates"] == 200
     assert det["n_samples"] == 800
+    # load_s reads the model and the samples, wall_s runs from there
+    assert sorted(report["timing"]) == ["load_s", "wall_s"]
+    assert all(v >= 0.0 for v in report["timing"].values())
     # deterministic given the seed
     _, again = run(
         ["bootstrap", write_config(tmp_path, cfg), "--samples", samples,
@@ -847,8 +850,9 @@ def test_column_generation_picks_are_pinned(tmp_path):
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
 def test_bootstrap_report_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # 51 test functions on 20k rows, the size where a BLAS matrix-vector
-    # product for the replicate means sums in a thread-dependent order
+    # 51 test functions on 20k rows, the size where BLAS splits a product
+    # across threads: the indicator columns' replicate sums go through
+    # BLAS and are exact integers, the affine ones through einsum
     rng = np.random.default_rng(5)
     data = 0.4 * rng.beta(2.0, 3.0, (20_000, 1)) + 0.6 * rng.beta(2.0, 2.0, (20_000, 3))
     samples = tmp_path / "samples.csv"
