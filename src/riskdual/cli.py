@@ -259,6 +259,8 @@ def cmd_bound(args) -> int:
         status=res.status,
         bound=res.bound,
         iterations=res.iterations,
+        rounds=res.rounds,
+        refactors=res.refactors,
         # a clean pricing sweep, or the full row dual, certifies the optimum
         certified=res.certified,
         feas_residual=res.feas_residual,

@@ -867,9 +867,11 @@ class BoundResult:
     ``multipliers`` its dual certificate ``(y, z, z0)``), 'infeasible'
     (no measure meets the integral constraints) or 'unbounded' (the
     bound is +inf).  ``engine`` is 'dcg' or 'dense_rows';
-    ``columns_generated`` is set by 'dcg' only.  ``assemble_s`` and
-    ``solve_s`` are the wall-clock seconds of the assembly and of the
-    solve that followed it.
+    ``columns_generated`` is set by 'dcg' only.  ``rounds`` counts the
+    dense solves, one per column-generation round, and ``refactors``
+    their basis factorizations, pivot-check solves included.
+    ``assemble_s`` and ``solve_s`` are the wall-clock seconds of the
+    assembly and of the solve that followed it.
     """
 
     status: str
@@ -877,6 +879,8 @@ class BoundResult:
     engine: str
     dual: DualLP
     iterations: int
+    rounds: int = 1
+    refactors: int = 0
     columns_generated: Optional[int] = None
     certified: bool = False
     feas_residual: Optional[float] = None
@@ -937,6 +941,8 @@ def _solve_columns(dual) -> BoundResult:
         return BoundResult(
             "unbounded", None, "dcg", dual,
             iterations=sol.iterations,
+            rounds=sol.rounds,
+            refactors=sol.refactors,
             columns_generated=sol.columns_generated,
         )
     if sol.status not in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE):
@@ -948,6 +954,8 @@ def _solve_columns(dual) -> BoundResult:
     result = BoundResult(
         "infeasible", None, "dcg", dual,
         iterations=sol.iterations,
+        rounds=sol.rounds,
+        refactors=sol.refactors,
         columns_generated=sol.columns_generated,
         certified=sol.status is LPStatus.OPTIMAL,
         feas_residual=sol.feas_residual,
@@ -969,6 +977,7 @@ def _solve_rows(dual, partition, testfns, riskfn) -> BoundResult:
     result = BoundResult(
         "infeasible", None, "dense_rows", dual,
         iterations=sol.iterations,
+        refactors=sol.refactors,
         certified=sol.status is LPStatus.OPTIMAL,
         feas_residual=sol.feas_residual,
     )

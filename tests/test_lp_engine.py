@@ -8,14 +8,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from riskdual import (
     CapacityError,
+    FactorizationError,
     InputError,
     LPStatus,
     LinearProgram,
     ReductionMode,
+    RiskFunctional,
     RiskKind,
+    Sense,
+    TestFunction,
+    TestFunctionKind,
+    assemble_dual_lp,
+    build_box_partition,
+    solve_bound,
     solve_dcg,
     solve_dense_simplex,
 )
@@ -90,9 +99,12 @@ def test_warm_start_skips_the_work():
     )
     cold = solve_dense_simplex(lp)
     assert cold.status is LPStatus.OPTIMAL and cold.iterations > 0
-    warm = solve_dense_simplex(lp, warm_basis=cold.basis)
+    # a second solve resumes from the basis and inverse the first kept
+    warm = solve_dense_simplex(lp)
     assert warm.objective == pytest.approx(cold.objective)
     assert warm.iterations == 0
+    assert (cold.refactors, warm.refactors) == (1, 0)
+    assert np.array_equal(warm.basis, cold.basis)
 
 
 def test_warm_start_survives_column_append():
@@ -102,8 +114,11 @@ def test_warm_start_survives_column_append():
     first = solve_dense_simplex(lp)
     standard = lp.standard_form()
     basic_cols = standard.A[:, first.basis]
-    basis = lp.append_columns([[1.0], [4.0]], [5.0], first.basis)
-    warm = solve_dense_simplex(lp, warm_basis=basis)
+    lp.append_columns([[1.0], [4.0]], [5.0])
+    basis = standard.basis.copy()
+    # the inverse kept with the moved positions still inverts their columns
+    assert np.allclose(standard.Binv @ standard.A[:, basis], np.eye(2), rtol=0.0, atol=1e-12)
+    warm = solve_dense_simplex(lp)
     bigger = LinearProgram(
         "max",
         [1.0, 2.0, 5.0],
@@ -121,6 +136,8 @@ def test_warm_start_survives_column_append():
     # start takes
     assert np.array_equal(standard.A[:, basis], basic_cols)
     assert (warm.iterations, cold.iterations) == (2, 1)
+    # and it starts with no refactor, where the cold start factorizes
+    assert (warm.refactors, cold.refactors) == (0, 1)
     assert warm.status is LPStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective)
     ref_status, ref_value = scipy_reference(bigger)
@@ -138,8 +155,8 @@ def test_infeasible_exit_reports_pricing_duals():
     assert sol.duals @ np.array([0.0, 1.0]) > 0
     assert sol.duals @ np.array([1.0, 0.0]) <= 1e-9
     # phase one resumes from the returned basis once such a column is in
-    basis = lp.append_columns([[0.0], [1.0]], [2.0], sol.basis)
-    resumed = solve_dense_simplex(lp, warm_basis=basis)
+    lp.append_columns([[0.0], [1.0]], [2.0])
+    resumed = solve_dense_simplex(lp)
     cold = solve_dense_simplex(
         LinearProgram("max", [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], ["=", "="], [1.0, 1.0])
     )
@@ -386,7 +403,7 @@ def test_dcg_logs_one_debug_line_per_round(caplog, monkeypatch):
     def counted_solve(lp, **kwargs):
         sol = solve(lp, **kwargs)
         # solve_dcg sums the pivots into the last solution it returns
-        solves.append((sol.status, sol.objective, sol.iterations))
+        solves.append((sol.status, sol.objective, sol.iterations, sol.refactors))
         return sol
 
     monkeypatch.setattr(lp_engine, "solve_dense_simplex", counted_solve)
@@ -397,11 +414,175 @@ def test_dcg_logs_one_debug_line_per_round(caplog, monkeypatch):
     assert sol.certified
     lines = [r.getMessage() for r in caplog.records if r.name == "riskdual.lp_engine"]
     assert len(lines) == len(solves) > 2
-    for n, (line, (status, objective, pivots)) in enumerate(zip(lines, solves), start=1):
+    for n, (line, (status, objective, pivots, refactors)) in enumerate(
+        zip(lines, solves), start=1
+    ):
         phase = 2 if status is LPStatus.OPTIMAL else 1
         assert line.startswith(
-            f"dcg round {n}: phase {phase}, objective {objective}, pivots {pivots}, picks "
+            f"dcg round {n}: phase {phase}, objective {objective}, pivots {pivots}, "
+            f"refactors {refactors}, picks "
         )
         assert re.search(r", min rc \S+, pricing \d+\.\d{6} s$", line)
     assert all(", picks 2, min rc -" in line for line in lines[:-1])
     assert ", picks 0, min rc None, " in lines[-1]
+
+
+def _kept_inverse_error(lp):
+    """max-row-sum norm of Binv @ B - I for the basis and inverse the
+    LP's standard form keeps, or None when it keeps none."""
+    canon = lp.standard_form()
+    if canon.basis is None:
+        assert canon.Binv is None
+        return None
+    gap = canon.Binv @ canon.A[:, canon.basis] - np.eye(canon.m)
+    return float(np.linalg.norm(gap, np.inf))
+
+
+def _frequency_grid_model(d, m, tau_scale):
+    """Partition, test functions and risk of two-sided slab frequency
+    bounds on an m-slab grid on [0, 1]^d, VaR risk at tau_scale * d."""
+    grid = np.linspace(0.0, 1.0, m + 1)
+    fns = []
+    for a in range(d):
+        for g in range(m):
+            slab = (float(grid[g]), float(grid[g + 1]))
+            fns.append(TestFunction(f"hi_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, a, slab,
+                                    Sense.UPPER, 1.35 / m))
+            fns.append(TestFunction(f"lo_{a}_{g}", TestFunctionKind.SLAB_INDICATOR, a, slab,
+                                    Sense.LOWER, 0.65 / m))
+    tau = tau_scale * d
+    partition = build_box_partition([grid] * d, tau)
+    return partition, fns, RiskFunctional(RiskKind.VAR_INDICATOR, tau)
+
+
+def test_dcg_factorizes_on_the_pivot_cadence_not_per_round(monkeypatch):
+    # the basis inverse lives across rounds: the one cold start
+    # factorizes, then only every REFACTOR_EVERY pivots and a checked
+    # pivot (its direct solve, and a rebuild when the two disagree) do
+    calls = []
+    refactor = lp_engine._refactor
+
+    def counted(A, basis, rhs=None):
+        calls.append(rhs is None)
+        return refactor(A, basis, rhs)
+
+    monkeypatch.setattr(lp_engine, "_refactor", counted)
+    model = _frequency_grid_model(5, 8, 0.7)
+    seed_lp, gen = assemble_dual_lp(*model).master_seed()
+    sol = solve_dcg(seed_lp, gen)
+    assert sol.status is LPStatus.OPTIMAL and sol.certified
+    checks = calls.count(False)
+    assert len(calls) == sol.refactors
+    assert sol.iterations > 2 * lp_engine.REFACTOR_EVERY
+    assert sol.refactors < sol.rounds
+    assert sol.refactors <= 1 + sol.iterations // lp_engine.REFACTOR_EVERY + checks
+    # the bound result carries both counts
+    calls.clear()
+    result = solve_bound(*model)
+    assert (result.rounds, result.refactors) == (sol.rounds, sol.refactors)
+    assert len(calls) == result.refactors
+
+
+def _highs_row_duals(lp):
+    """HiGHS's row duals of an LP with '=' and '<=' rows, in the LP's
+    own sense: the objective's rate of change in each right-hand side."""
+    A = lp.dense_matrix()
+    eq = np.array([s == "=" for s in lp.row_senses])
+    sign = 1.0 if lp.sense == "min" else -1.0
+    res = linprog(sign * lp.c, A_ub=A[~eq], b_ub=lp.rhs[~eq], A_eq=A[eq], b_eq=lp.rhs[eq],
+                  method="highs")
+    assert res.status == 0, res.message
+    duals = np.empty(lp.n_rows)
+    duals[eq] = res.eqlin.marginals
+    duals[~eq] = res.ineqlin.marginals
+    return sign * duals
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 8), st.integers(10, 80), st.integers(1, 6),
+       st.sampled_from([5, 20, 100]))
+def test_dcg_carries_an_exact_inverse_across_rounds(seed, n_rows, n_cols, batch, cadence):
+    lp = _random_master(seed, n_rows, n_cols)
+    seed_lp, gen = _seeded_master(lp, [0, 1])
+    solve = lp_engine.solve_dense_simplex
+    errors, masters = [], []
+
+    def checked(master):
+        sol = solve(master)
+        errors.append(_kept_inverse_error(master))
+        masters.append(master)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_engine, "solve_dense_simplex", checked)
+        mp.setattr(lp_engine, "DCG_BATCH", batch)
+        mp.setattr(lp_engine, "REFACTOR_EVERY", cadence)
+        sol = solve_dcg(seed_lp, gen)
+    assert sol.status is LPStatus.OPTIMAL and sol.certified
+    assert len(errors) == sol.rounds
+    assert max(errors) <= 1e-9
+    # the final master, solved cold and by HiGHS, has the same optimum
+    master = masters[-1]
+    cold = solve_dense_simplex(
+        LinearProgram(master.sense, master.c, master.A, master.row_senses, master.rhs)
+    )
+    assert cold.status is LPStatus.OPTIMAL
+    assert sol.objective == pytest.approx(cold.objective, rel=0.0, abs=1e-9)
+    assert np.max(np.abs(sol.duals - cold.duals)) <= 1e-9
+    ref_status, ref_value = scipy_reference(master)
+    assert ref_status == "optimal"
+    assert sol.objective == pytest.approx(ref_value, rel=0.0, abs=1e-9)
+    assert np.max(np.abs(sol.duals - _highs_row_duals(master))) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 6))
+def test_a_stopped_solve_keeps_its_inverse_in_step(seed, limit):
+    # every exit, a phase-one or phase-two iteration limit, infeasible or
+    # unbounded, keeps a basis with its own inverse, and the next solve
+    # of the same LP resumes from it to the answer a cold solve gives
+    lp = random_lp(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_engine, "ITER_LIMIT", limit)
+        stopped = solve_dense_simplex(lp)
+    assert stopped.iterations <= limit
+    assert _kept_inverse_error(lp) <= 1e-9
+    assert np.array_equal(lp.standard_form().basis, stopped.basis)
+    resumed = solve_dense_simplex(lp)
+    assert _kept_inverse_error(lp) <= 1e-9
+    # HiGHS calls some unbounded draws infeasible, so the status is
+    # checked against a cold solve and the value against both
+    cold = solve_dense_simplex(random_lp(seed))
+    assert resumed.status is cold.status
+    if cold.status is LPStatus.OPTIMAL:
+        ref_status, ref_value = scipy_reference(lp)
+        assert ref_status == "optimal"
+        assert resumed.objective == pytest.approx(cold.objective, abs=1e-9, rel=1e-9)
+        assert resumed.objective == pytest.approx(ref_value, abs=1e-7, rel=1e-7)
+
+
+def test_a_failed_solve_drops_the_kept_inverse(monkeypatch):
+    # a refactor that raises after a pivot has moved the basis leaves the
+    # standard form with no basis, so the next solve starts cold
+    lp = _random_master(7, n_rows=4, n_cols=6)
+    first = solve_dense_simplex(lp)
+    assert first.status is LPStatus.OPTIMAL
+    refactor = lp_engine._refactor
+    seen = []
+
+    def failing(A, basis, rhs=None):
+        seen.append(basis.copy())
+        raise FactorizationError("singular simplex basis: test")
+
+    lp.append_columns(np.full((4, 1), 0.01), [50.0])
+    kept = lp.standard_form().basis.copy()
+    monkeypatch.setattr(lp_engine, "_refactor", failing)
+    monkeypatch.setattr(lp_engine, "REFACTOR_EVERY", 1)
+    with pytest.raises(FactorizationError):
+        solve_dense_simplex(lp)
+    assert len(seen) == 1 and not np.array_equal(seen[0], kept)
+    assert _kept_inverse_error(lp) is None
+    monkeypatch.setattr(lp_engine, "_refactor", refactor)
+    again = solve_dense_simplex(lp)
+    assert again.status is LPStatus.OPTIMAL and again.refactors >= 1
+    assert again.objective == pytest.approx(scipy_reference(lp)[1], abs=1e-9)
