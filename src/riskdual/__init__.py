@@ -31,7 +31,6 @@ from .geometry import (
     Partition,
     SideOfTau,
     build_box_partition,
-    cell_contains,
     cell_vertices,
     maximize_linear_over_cell,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "Partition",
     "SideOfTau",
     "build_box_partition",
-    "cell_contains",
     "cell_vertices",
     "maximize_linear_over_cell",
     "ColumnGenerator",

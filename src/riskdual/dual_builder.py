@@ -195,10 +195,9 @@ class DualLP:
     generation prices the master through :meth:`_reduced_costs`.
     """
 
-    def __init__(self, partition, riskfn, mode, records, spans, corner_cell):
+    def __init__(self, partition, riskfn, records, spans, corner_cell):
         self.partition = partition
         self.riskfn = riskfn
-        self.mode = mode
         self.records = records
         self.corner_cell = corner_cell
         self.n_ineq = sum(1 for _, _, _, iseq in records if not iseq)
@@ -361,8 +360,8 @@ class DualLP:
         yield from self.partition.cells(above=True)
         yield from self.partition.cells(above=False)
 
-    def cell_rows(self, cell):
-        """Row-dual rows of one cell under this assembly's mode, as
+    def cell_rows(self, cell, mode):
+        """Row-dual rows of one cell under the reduction ``mode``, as
         ``(base, lam, senses, rhs)``.
 
         ``base`` holds each row's coefficients on y and z (in record
@@ -378,13 +377,15 @@ class DualLP:
         linear parts to the halfspace normals through nonnegative
         multipliers, then the '>=' row on the constant parts.
         """
-        if self.mode is ReductionMode.VERTEX:
+        if not isinstance(mode, ReductionMode):
+            raise InputError(f"unknown reduction mode: {mode!r}")
+        if mode is ReductionMode.VERTEX:
             base, rhs = _point_rows(self.records, self.riskfn, cell, cell_vertices(cell))
             return base, None, [">="] * len(rhs), rhs
         V, cvec = _signed_restrictions(self.records, cell)
         g, e = restrict_to_cell(self.riskfn, cell)
         const = np.append(cvec, 1.0)
-        if self.mode is ReductionMode.LAMBDA_ELIMINATED and self.collapses(cell):
+        if mode is ReductionMode.LAMBDA_ELIMINATED and self.collapses(cell):
             support = maximize_linear_over_cell(cell, g)[0]
             return const[None, :], None, [">="], np.array([e + support])
         n = cell.dimension
@@ -396,8 +397,9 @@ class DualLP:
 
     # -- materialized dual (row form) --
 
-    def materialize(self) -> LinearProgram:
-        """Build the row dual from every cell's :meth:`cell_rows`.
+    def materialize(self, mode=ReductionMode.LAMBDA_ELIMINATED) -> LinearProgram:
+        """Build the row dual under the reduction ``mode`` from every
+        cell's :meth:`cell_rows`.
 
         Columns are y, z, z0, then each explicit block's multipliers,
         block by block in :meth:`iter_cells` order.  A row with no
@@ -416,7 +418,7 @@ class DualLP:
         seen = set()
         n_rows = n_lam = 0
         for cell in self.iter_cells():
-            base, lam, senses, rhs = self.cell_rows(cell)
+            base, lam, senses, rhs = self.cell_rows(cell, mode)
             if lam is None:
                 keep = []
                 for i, row in enumerate(base):
@@ -586,49 +588,55 @@ class DualLP:
         return M, objective
 
     def _reduced_costs(self, duals, use_objective, q, seen):
-        """Pricing candidates, as :class:`ColumnGenerator` defines them;
-        here exactly the q steepest columns outside ``seen`` whose
-        reduced cost is below -RC_TOL, by value, then position.
+        """The round's picks, as :class:`ColumnGenerator` defines them:
+        the q steepest columns outside ``seen`` whose reduced cost is
+        below -RC_TOL, steepest first, ties broken by position.
 
-        Each axis's slab table weighted by the duals gives a record part
-        per slab.  A box's value is z0 plus its parts, summed in table
-        order; a key scores its box's value less its objective in phase
-        two, and minus it in phase one.  Point entries (vertices, rays
-        and the corner) are all scored: the box value plus <G, q>, with
-        G the dual-weighted sum of the linear parts of the records whose
-        slab holds the cell, or <G, r> alone for a ray.
+        Phase one prices the negated duals with objective weight 0.  That
+        is exactly its -duals @ column: negation commutes with the table
+        products and the running sums, so only the sign of a zero can
+        change.  Each axis's slab table weighted by the duals gives a
+        record part per slab.  A box's value is z0 plus its parts,
+        summed in table order; a key scores its box's value less its
+        weighted objective.  Point entries (vertices, rays and the
+        corner) are all scored: the box value plus <G, q>, with G the
+        dual-weighted sum of the linear parts of the records whose slab
+        holds the cell, or <G, r> alone for a ray.
 
         Keys are swept when the grid is small (SWEEP_SIZE), and found by
         bound and evaluate otherwise: units are evaluated in order of a
         lower bound on their scores over the tails where they hold keys
         (:meth:`_bounded_units`), in blocks that double up to SWEEP_SIZE
-        boxes, until the next bound passes the q-th candidate so far, or
+        boxes, until the next bound passes the q-th pick so far, or
         -RC_TOL while there are fewer than q; a unit whose bound equals
         it is still evaluated, as its keys may tie, and a tie counts only
-        before that candidate.  The search is exact: every box value
+        before that pick.  The search is exact: every box value
         continues the head partial by the same additions in the same
         order as the running sum over the axes, so it is bitwise that
         sum, and a unit or a box is skipped only when it cannot beat the
-        q-th candidate, ties broken by position.  So the candidates,
-        and an empty answer as a certificate, are those of a sweep of
-        every column.  Each call logs, at debug level, how many boxes and
-        point entries it scored.
+        q-th pick, ties broken by position.  So the picks, and an empty
+        answer as a certificate, are those of a sweep of every column.
+        Each call logs, at debug level, how many boxes and point entries
+        it scored.
         """
         duals = np.asarray(duals, dtype=float)
+        weight = 1.0
+        if not use_objective:
+            duals, weight = -duals, 0.0
         tables = [mat @ (duals[rows_a] * self._rec_c[rows_a])
                   for rows_a, mat in self._tables.values()]
         points = self.scan_entries().count
-        pos, vals = np.arange(points), self._point_costs(duals, tables, use_objective)
+        pos, vals = np.arange(points), self._point_costs(duals, tables, weight)
         self._scored = points
         if self._n_keys:
             head, tail = tables[: (len(tables) + 1) // 2], tables[(len(tables) + 1) // 2 :]
             partial = self._box_sums(duals[-1:], head)[0]
-            pos, vals = self._search_units(pos, vals, partial, tail, use_objective, q, seen)
+            pos, vals = self._search_units(pos, vals, partial, tail, weight, q, seen)
         log.debug("pricing scored %d boxes and %d point entries", self._scored - points, points)
         return steepest_candidates(pos, vals, q, seen)
 
-    def _search_units(self, pos, vals, partial, tail, use_objective, q, seen):
-        """The point candidates ``(pos, vals)`` joined by the keys that
+    def _search_units(self, pos, vals, partial, tail, weight, q, seen):
+        """The point picks among ``(pos, vals)`` joined by the keys that
         can beat their q-th, ``(cut, last)`` as (value, position): the
         units by increasing bound, in doubling blocks, while the next
         bound is at most the cut.  On a grid of at most SWEEP_SIZE boxes
@@ -637,8 +645,7 @@ class DualLP:
         if 2 * self._n_boxes + self._n_keys <= SWEEP_SIZE:
             boxes = self._box_sums(np.concatenate([partial, partial]), tail)
             keys = np.flatnonzero(self._has)
-            box = boxes[self._has]
-            box = box - self._objectives(keys) if use_objective else -box
+            box = boxes[self._has] - weight * self._objectives(keys)
             self._scored += boxes.size
             return np.concatenate([pos, start + keys]), np.concatenate([vals, box])
         if self._unit_least is None:
@@ -649,62 +656,57 @@ class DualLP:
         cut, last = -RC_TOL, start + 2 * self._n_boxes
         pos, vals = steepest_candidates(pos, vals, q, seen)
         if vals.size == q:
-            cut = vals.max()
-            last = pos[vals == cut].max()
-        units, bound = self._bounded_units(partial, tail, use_objective, cut)
+            cut, last = vals[-1], pos[-1]
+        units, bound = self._bounded_units(partial, tail, weight, cut)
         done = 0
         while done < units.size and bound[done] <= cut:
             stop = min(done + block, int(np.searchsorted(bound, cut, side="right")))
-            new_pos, new_vals = self._box_costs(
-                units[done:stop], partial, tail, use_objective, cut, last
-            )
+            new_pos, new_vals = self._box_costs(units[done:stop], partial, tail, weight, cut, last)
             pos, vals = steepest_candidates(
                 np.concatenate([pos, new_pos]), np.concatenate([vals, new_vals]), q, seen
             )
             if vals.size == q:
-                cut = vals.max()
-                last = pos[vals == cut].max()
+                cut, last = vals[-1], pos[-1]
             self._scored += (stop - done) * n_tail
             done, block = stop, min(2 * block, most)
         return pos, vals
 
-    def _bounded_units(self, partial, tail, use_objective, cut):
+    def _bounded_units(self, partial, tail, weight, cut):
         """Indices into ``_units`` of the units whose bound is at most
         ``cut``, by increasing bound, and their bounds.  A unit's bound
         is its head partial plus the least tail part from its first key
         on, in its side's tail order (:meth:`_index_units`), less its
-        side's largest objective and a rounding slack: no score in the
-        unit falls below it."""
-        sign = 1.0 if use_objective else -1.0
-        part = sign * self._box_sums(np.zeros(1), tail)[0]
+        side's largest objective times ``weight`` and a rounding slack:
+        no score in the unit falls below it."""
+        part = self._box_sums(np.zeros(1), tail)[0]
         suffix = np.minimum.accumulate(part[self._tail_order][:, ::-1], axis=1)[:, ::-1]
         least = suffix.ravel()[self._unit_least]
         p = partial[self._unit_head]
-        obj = self._unit_obj if use_objective else 0.0
+        obj = weight * self._unit_obj
         # a box sum rounds by at most a few eps of its terms' sizes
         size = np.abs(p) + sum(np.max(np.abs(t)) for t in tail) + obj
         slack = 4 * (len(self._tables) + 2) * np.finfo(float).eps * size
-        bound = sign * p + least - obj - slack
+        bound = p + least - obj - slack
         keep = np.flatnonzero(bound <= cut)
         order = keep[np.argsort(bound[keep], kind="stable")]
         return order, bound[order]
 
-    def _box_costs(self, at, partial, tail, use_objective, cut, last):
+    def _box_costs(self, at, partial, tail, weight, cut, last):
         """Positions and reduced costs of the keys of units ``_units[at]``
-        that can beat the q-th candidate so far, ``(cut, last)`` as
-        (value, position).  Each box value continues its head partial
-        over the tail tables in table order.  Less the side's largest
+        that can beat the q-th pick so far, ``(cut, last)`` as (value,
+        position).  Each box value continues its head partial over the
+        tail tables in table order.  Less the side's largest weighted
         objective it rounds, rounding being monotone, to at most the
         key's score; a box that ties the cut counts only before
         ``last``."""
         units = self._units[at]
         vals = self._box_sums(partial[self._unit_head[at]], tail)
-        low = vals - self._unit_obj[at, None] if use_objective else -vals
+        low = vals - weight * self._unit_obj[at, None]
         row, col = np.nonzero(self._has[units] & (low <= cut))
         keys = units[row] * vals.shape[1] + col
         keep = (low[row, col] < cut) | (self._entries.count + keys < last)
         keys, box = keys[keep], vals[row[keep], col[keep]]
-        return self._entries.count + keys, box - self._objectives(keys) if use_objective else -box
+        return self._entries.count + keys, box - weight * self._objectives(keys)
 
     @staticmethod
     def _box_sums(partial, tables):
@@ -716,7 +718,7 @@ class DualLP:
             vals = vals + t.reshape((-1,) + (1,) * (len(tables) - 1 - i))
         return vals.reshape(partial.size, math.prod(t.size for t in tables))
 
-    def _point_costs(self, duals, tables, use_objective):
+    def _point_costs(self, duals, tables, weight):
         """Reduced costs of the point entries, in position order."""
         entries = self._entries
         if not entries.count:
@@ -731,7 +733,7 @@ class DualLP:
             G += np.take(mat @ (duals[rows_a, None] * self._rec_v[rows_a]), s, axis=0)
         const = np.where(entries.ray, 0.0, box)
         score = const + np.einsum("ij,ij->i", G, entries.points)
-        return score - entries.objective if use_objective else -score
+        return score - weight * entries.objective
 
     def master_generator(self) -> ColumnGenerator:
         """Column producer over the master's columns: one per point
@@ -833,12 +835,7 @@ def _make_corner_cell(partition, riskfn):
     )
 
 
-def assemble_dual_lp(
-    partition: Partition,
-    testfns,
-    riskfn: RiskFunctional,
-    mode: ReductionMode = ReductionMode.LAMBDA_ELIMINATED,
-) -> DualLP:
+def assemble_dual_lp(partition: Partition, testfns, riskfn: RiskFunctional) -> DualLP:
     """Check the model and assemble the finite dual.
 
     The model must pass :func:`~riskdual.test_functions.check_model` on
@@ -847,8 +844,6 @@ def assemble_dual_lp(
     reachable sum, the indicator risk still charges that single point;
     a degenerate corner cell is appended so the dual sees it.
     """
-    if not isinstance(mode, ReductionMode):
-        raise InputError(f"unknown reduction mode: {mode!r}")
     records = normalized_records(testfns)
     spans = check_model(partition.breakpoints, [rec[0] for rec in records], riskfn)
     if abs(partition.tau - riskfn.tau) > EVAL_TOL:
@@ -856,7 +851,7 @@ def assemble_dual_lp(
             f"partition is sliced at {partition.tau}, risk threshold is {riskfn.tau}"
         )
     corner = _make_corner_cell(partition, riskfn)
-    return DualLP(partition, riskfn, mode, records, spans, corner)
+    return DualLP(partition, riskfn, records, spans, corner)
 
 
 @dataclass(eq=False)
@@ -889,13 +884,6 @@ class BoundResult:
     solve_s: float = 0.0
 
 
-def _feasibility_probe(partition, testfns, tau) -> BoundResult:
-    """VaR bound on the same cells: it is 'optimal' exactly when some
-    measure meets the integral constraints.  The answer does not depend
-    on the reduction, so the probe takes the default one."""
-    return solve_bound(partition, testfns, RiskFunctional(RiskKind.VAR_INDICATOR, tau))
-
-
 def solve_bound(
     partition: Partition,
     testfns,
@@ -907,91 +895,69 @@ def solve_bound(
 
     LAMBDA_ELIMINATED mode runs column generation over the point
     entries and keys, which cover every cell; EXPLICIT and VERTEX solve
-    the dense row dual in one shot.  A DCG optimum counts only after a clean
-    pricing sweep.  An unbounded DCG master means +inf when it has ray
-    columns: the restricted master was feasible and its ray is one of
-    the full master.  On the row dual, UNBOUNDED means no measure fits
-    and INFEASIBLE means no finite certificate: the bound is +inf if a
-    measure fits.  Raises SolverError on an iteration limit, an
-    uncertified DCG stop or any status without a meaning here.
+    the dense row dual in one shot.  Each engine's solver status maps
+    to the bound's status in one place, :func:`_dcg_status` and
+    :func:`_rows_status`, which raise SolverError on an iteration limit,
+    an uncertified DCG stop or any status without a meaning here.
 
     'unbounded' is the dual's value.  It can exceed the primal supremum
     when a zero upper bound pins the mass of an unbounded cell past tau:
     there is then no Slater point.
     """
     t0 = time.perf_counter()
-    dual = assemble_dual_lp(partition, testfns, riskfn, mode)
+    dual = assemble_dual_lp(partition, testfns, riskfn)
     t1 = time.perf_counter()
     if mode is ReductionMode.LAMBDA_ELIMINATED:
-        result = _solve_columns(dual)
+        engine, sol = "dcg", solve_dcg(*dual.master_seed())
+        status, values = _dcg_status(sol, dual), sol.duals
     else:
-        result = _solve_rows(dual, partition, testfns, riskfn)
-    result.assemble_s, result.solve_s = t1 - t0, time.perf_counter() - t1
-    return result
-
-
-def _solve_columns(dual) -> BoundResult:
-    """Column generation over the master, for :func:`solve_bound`."""
-    n_ineq, n_eq = dual.n_ineq, dual.n_eq
-    seed, gen = dual.master_seed()
-    sol = solve_dcg(seed, gen)
-    if sol.status is LPStatus.UNBOUNDED and np.any(dual.scan_entries().ray):
-        # only phase two reports UNBOUNDED: the restricted master is
-        # feasible, and its ray is a ray of the full master
-        return BoundResult(
-            "unbounded", None, "dcg", dual,
-            iterations=sol.iterations,
-            rounds=sol.rounds,
-            refactors=sol.refactors,
-            columns_generated=sol.columns_generated,
-        )
-    if sol.status not in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE):
-        raise SolverError(f"master solve ended with {sol.status.value}")
-    if not sol.certified:
-        # a restricted master's optimum bounds the worst case from
-        # below, and its infeasibility proves nothing
-        raise SolverError("column generation stopped before a clean pricing sweep")
-    result = BoundResult(
-        "infeasible", None, "dcg", dual,
+        engine, sol = "dense_rows", solve_dense_simplex(dual.materialize(mode))
+        status, values = _rows_status(sol, partition, testfns, riskfn), sol.x
+    optimal = status == "optimal"
+    k, n = dual.n_ineq, dual.n_ineq + dual.n_eq
+    return BoundResult(
+        status, float(sol.objective) if optimal else None, engine, dual,
         iterations=sol.iterations,
         rounds=sol.rounds,
         refactors=sol.refactors,
-        columns_generated=sol.columns_generated,
-        certified=sol.status is LPStatus.OPTIMAL,
+        columns_generated=sol.columns_generated if engine == "dcg" else None,
+        certified=optimal,
         feas_residual=sol.feas_residual,
+        multipliers=(values[:k], values[k:n], values[n]) if optimal else None,
+        assemble_s=t1 - t0,
+        solve_s=time.perf_counter() - t1,
     )
-    if sol.status is LPStatus.OPTIMAL:
-        result.status = "optimal"
-        result.bound = float(sol.objective)
-        d = sol.duals
-        result.multipliers = (d[:n_ineq], d[n_ineq : n_ineq + n_eq], d[-1])
-    return result
 
 
-def _solve_rows(dual, partition, testfns, riskfn) -> BoundResult:
-    """The dense row dual in one shot, for :func:`solve_bound`."""
-    n_ineq, n_eq = dual.n_ineq, dual.n_eq
-    lp = dual.materialize()
-    sol = solve_dense_simplex(lp)
-    # the row dual holds every cell's constraints, so its optimum is final
-    result = BoundResult(
-        "infeasible", None, "dense_rows", dual,
-        iterations=sol.iterations,
-        refactors=sol.refactors,
-        certified=sol.status is LPStatus.OPTIMAL,
-        feas_residual=sol.feas_residual,
-    )
+def _dcg_status(sol, dual) -> str:
+    """The bound's status after column generation.  An optimum counts
+    only after a clean pricing sweep: a restricted master's optimum
+    bounds the worst case from below, and its infeasibility proves
+    nothing.  An unbounded master means +inf when it has ray columns."""
+    if sol.status is LPStatus.UNBOUNDED and np.any(dual.scan_entries().ray):
+        # only phase two reports UNBOUNDED: the restricted master is
+        # feasible, and its ray is a ray of the full master
+        return "unbounded"
+    if sol.status not in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE):
+        raise SolverError(f"master solve ended with {sol.status.value}")
+    if not sol.certified:
+        raise SolverError("column generation stopped before a clean pricing sweep")
+    return sol.status.value
+
+
+def _rows_status(sol, partition, testfns, riskfn) -> str:
+    """The bound's status after the row dual's solve, which holds every
+    cell's constraints, so its optimum is final.  UNBOUNDED means the
+    dual rows fall without limit, so no measure fits; INFEASIBLE under
+    the hinge means no finite certificate, and the bound is +inf if a
+    measure fits."""
     if sol.status is LPStatus.OPTIMAL:
-        result.status = "optimal"
-        result.bound = float(sol.objective)
-        x = sol.x
-        result.multipliers = (x[:n_ineq], x[n_ineq : n_ineq + n_eq], x[n_ineq + n_eq])
-    elif sol.status is LPStatus.INFEASIBLE and riskfn.kind is RiskKind.CVAR_HINGE:
-        # no finite certificate: the bound is +inf if any measure fits
-        # (z0 = 1 always certifies the VaR risk, so this cannot recurse)
-        if _feasibility_probe(partition, testfns, riskfn.tau).status == "optimal":
-            result.status = "unbounded"
-    elif sol.status is not LPStatus.UNBOUNDED:
-        # UNBOUNDED: the dual rows fall without limit, so no measure fits
-        raise SolverError(f"dual solve ended with {sol.status.value}")
-    return result
+        return "optimal"
+    if sol.status is LPStatus.UNBOUNDED:
+        return "infeasible"
+    if sol.status is LPStatus.INFEASIBLE and riskfn.kind is RiskKind.CVAR_HINGE:
+        # the VaR bound on the same cells is 'optimal' exactly when a
+        # measure fits (z0 = 1 always certifies it, so this cannot recurse)
+        probe = solve_bound(partition, testfns, RiskFunctional(RiskKind.VAR_INDICATOR, riskfn.tau))
+        return "unbounded" if probe.status == "optimal" else "infeasible"
+    raise SolverError(f"dual solve ended with {sol.status.value}")

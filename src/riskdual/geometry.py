@@ -20,8 +20,6 @@ from .errors import CapacityError, InputError, UnsupportedCellError
 
 # strict-straddle test against the risk hyperplane
 STRADDLE_TOL = 1e-12
-# membership slack for cell_contains
-CONTAIN_TOL = 1e-12
 # vertices must satisfy their halfspaces to this tolerance; also the
 # metric tolerance for vertex deduplication
 VERTEX_TOL = 1e-9
@@ -132,19 +130,6 @@ class Cell:
     def __repr__(self):
         tag = "" if self.slice_sign == 0 else (" | sum>=tau" if self.slice_sign > 0 else " | sum<=tau")
         return f"Cell(id={self.id}, box={list(zip(self.lows, self.highs))}{tag})"
-
-
-def cell_contains(cell: Cell, x, tol: float = CONTAIN_TOL) -> bool:
-    """Membership test: every halfspace satisfied to within ``tol``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cell.dimension,):
-        raise InputError("point dimension does not match the cell")
-    if np.any(x < cell.lows - tol) or np.any(x > cell.highs + tol):
-        return False
-    if cell.slice_sign != 0:
-        if cell.slice_sign * (float(np.sum(x)) - cell.tau) < -tol:
-            return False
-    return True
 
 
 # boxes per block in _box_vertices' deduplication, which holds a

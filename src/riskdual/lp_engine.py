@@ -10,9 +10,9 @@ solver keeps one restricted master for the whole run: its standard form
 is built once, each round appends the priced cell columns to it in
 place, and the next re-solve starts from the previous basis and its
 inverse, with no refactor because a round began.  Pricing asks
-the column generator for candidates rather than for every column's
-reduced cost; the generator must find them exactly, by search or by
-sweep, so an empty answer certifies the master.  The limits
+the column generator for the round's picks rather than for every
+column's reduced cost; the generator must find them exactly, by search
+or by sweep, so an empty answer certifies the master.  The limits
 DENSE_BUDGET, ITER_LIMIT, ROUND_LIMIT and DCG_BATCH are module
 constants, read when a solve starts.
 """
@@ -141,12 +141,10 @@ class LPSolution:
     """Solver result.  ``x`` and ``duals`` refer to the original rows
     and columns.  On an infeasible exit ``duals`` holds the phase-one
     row prices: a new column ``a`` can restore feasibility only if
-    duals @ a > 0.  ``basis`` holds the final basis as positions in the
-    LP's standard form, one per row, as of this solve; the standard form
-    keeps it with its inverse, and the next solve of the LP resumes
-    there, phase one included.  ``refactors`` counts the basis
-    factorizations, pivot-check solves included, and ``rounds`` the
-    dense solves behind the result."""
+    duals @ a > 0.  The final basis stays with the LP's standard form,
+    where the next solve resumes, phase one included.  ``refactors``
+    counts the basis factorizations, pivot-check solves included, and
+    ``rounds`` the dense solves behind the result."""
 
     status: LPStatus
     objective: Optional[float]
@@ -154,7 +152,6 @@ class LPSolution:
     duals: Optional[np.ndarray]
     iterations: int
     columns_generated: int = 0
-    basis: Optional[np.ndarray] = None
     feas_residual: Optional[float] = None
     certified: bool = False
     column_positions: Optional[list] = None
@@ -441,7 +438,7 @@ def solve_dense_simplex(lp: LinearProgram) -> LPSolution:
             xB = _drive_out_artificials(canon, basis, Binv, xB)
         status, Binv, xB = _simplex_phase(canon, canon.cost2, basis, Binv, stats)
     canon.basis, canon.Binv = basis, Binv
-    done = dict(iterations=stats["iterations"], basis=basis.copy(), refactors=stats["refactors"])
+    done = dict(iterations=stats["iterations"], refactors=stats["refactors"])
 
     if status == "iteration_limit":
         return LPSolution(LPStatus.ITERATION_LIMIT, None, None, None, **done)
@@ -479,14 +476,15 @@ class ColumnGenerator:
     objectives; it is a pure function, so fetching a position again, in
     any batch, yields bit-identical data.  ``reduced_costs(duals,
     use_objective, q, seen)`` prices once per round, ``seen`` being the
-    sorted positions in ``generated``, and returns candidate
-    ``(positions, values)``: unseen positions with reduced cost below
-    -RC_TOL, their costs, and among them the q steepest by cost, then
-    position.  A pricer may find them by search rather than by scoring
-    every position, but it must be exact: :func:`_pricing_batch` picks
-    from the candidates alone, and no candidate certifies the master.
-    ``generated`` records the positions already present in the
-    restricted master.
+    sorted positions in ``generated``, and returns the round's picks
+    ``(positions, values)``: at most q unseen positions with reduced
+    cost below -RC_TOL, steepest first, ties broken by position, and
+    their costs.  Phase two (``use_objective``) prices a column as
+    duals @ column less its objective, phase one as -duals @ column.  A
+    pricer may find the picks by search rather than by scoring every
+    position, but it must be exact: :func:`solve_dcg` appends exactly
+    the picks, and none certifies the master.  ``generated`` records
+    the positions already present in the restricted master.
     """
 
     def __init__(self, count, column_at, reduced_costs):
@@ -497,10 +495,10 @@ class ColumnGenerator:
 
 
 def steepest_candidates(positions, values, q, seen):
-    """The ``q`` steepest pairs of ``(positions, values)`` that pricing
-    may pick, by value, then position: those not in ``seen``, a sorted
-    array, with value below -RC_TOL.  Partial selections find them, so
-    nothing is sorted here."""
+    """The picks among ``(positions, values)``: at most ``q`` pairs not
+    in ``seen``, a sorted array, with value below -RC_TOL, steepest
+    first, ties broken by position.  A partial selection finds them, so
+    only the picks are sorted."""
     keep = values < -RC_TOL
     positions, values = positions[keep], values[keep]
     if seen.size and positions.size:
@@ -515,18 +513,8 @@ def steepest_candidates(positions, values, q, seen):
         room = q - np.count_nonzero(keep)
         keep[tied[np.argpartition(positions[tied], room - 1)[:room]]] = True
         positions, values = positions[keep], values[keep]
-    return positions, values
-
-
-def _pricing_batch(gen, duals, q, *, use_objective=True):
-    """Positions of the ``q`` steepest unseen columns with reduced cost
-    below -RC_TOL, steepest first, ties broken by position, and their
-    reduced costs.  None from an exact pricer certifies the restricted
-    master solution."""
-    seen = np.sort(np.fromiter(gen.generated, dtype=np.intp, count=len(gen.generated)))
-    pos, vals = gen.reduced_costs(np.asarray(duals, dtype=float), use_objective, q, seen)
-    order = np.lexsort((pos, vals))[:q]
-    return pos[order], vals[order]
+    order = np.lexsort((positions, values))
+    return positions[order], values[order]
 
 
 def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
@@ -536,16 +524,16 @@ def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
     generator's pre-marked positions); initial feasibility comes from
     those columns plus the dense solver's phase-one artificials.  One
     restricted master, a copy of the seed, lives through the run.  Each
-    round re-solves it from the last basis, then prices unseen columns
-    and appends up to DCG_BATCH of the steepest to it in place.  An
-    exact pricing call that finds no candidate sets ``certified``: the
-    returned optimum, or infeasibility, then holds against every cell;
-    a stop after ROUND_LIMIT rounds leaves it unset.  Identical inputs
-    produce identical iteration counts, columns and objective.  The
-    result carries the pivots, refactors and rounds summed over the
-    run.  Each round logs one line at debug level: phase, restricted
-    objective, pivots, refactors, picks, most negative reduced cost and
-    pricing seconds.
+    round re-solves it from the last basis, then asks the generator for
+    the round's picks, at most DCG_BATCH, and appends exactly those to
+    it in place.  An exact pricing call that picks nothing sets
+    ``certified``: the returned optimum, or infeasibility, then holds
+    against every cell; a stop after ROUND_LIMIT rounds leaves it
+    unset.  Identical inputs produce identical iteration counts,
+    columns and objective.  The result carries the pivots, refactors
+    and rounds summed over the run.  Each round logs one line at debug
+    level: phase, restricted objective, pivots, refactors, picks, most
+    negative reduced cost and pricing seconds.
     """
     master = LinearProgram(
         seed_lp.sense, seed_lp.c, seed_lp.A, seed_lp.row_senses, seed_lp.rhs, name=seed_lp.name
@@ -564,7 +552,8 @@ def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
             break
         use_obj = sol.status is LPStatus.OPTIMAL
         t0 = time.perf_counter()
-        picks, rc = _pricing_batch(gen, sol.duals, DCG_BATCH, use_objective=use_obj)
+        seen = np.sort(np.fromiter(gen.generated, dtype=np.intp, count=len(gen.generated)))
+        picks, rc = gen.reduced_costs(sol.duals, use_obj, DCG_BATCH, seen)
         log.debug(
             "dcg round %d: phase %d, objective %s, pivots %d, refactors %d, picks %d, "
             "min rc %s, pricing %.6f s",

@@ -62,11 +62,11 @@ def count_decodes(monkeypatch, partition):
     return calls, sum(1 for _ in head_blocks(partition.slab_counts))
 
 
-def solve_rows(dual):
-    """The materialized row dual solved by the dense simplex, under a
-    budget of 20,000 rows and columns."""
+def solve_rows(dual, mode=ReductionMode.LAMBDA_ELIMINATED):
+    """The row dual materialized under ``mode`` and solved by the dense
+    simplex, under a budget of 20,000 rows and columns."""
     with lp_limit("DENSE_BUDGET", 20_000):
-        return solve_dense_simplex(dual.materialize())
+        return solve_dense_simplex(dual.materialize(mode))
 
 
 class Instance:
@@ -78,11 +78,11 @@ class Instance:
         self.risk = risk
         self.samples = samples
 
-    def dual(self, mode=ReductionMode.LAMBDA_ELIMINATED):
-        return assemble_dual_lp(self.partition, self.testfns, self.risk, mode)
+    def dual(self):
+        return assemble_dual_lp(self.partition, self.testfns, self.risk)
 
     def bound(self, mode=ReductionMode.LAMBDA_ELIMINATED):
-        return solve_rows(self.dual(mode))
+        return solve_rows(self.dual(), mode)
 
 
 def jittered_breakpoints(rng, m, lo=0.0, hi=1.0):
@@ -199,7 +199,10 @@ def random_lp(seed, m=None, n=None):
 def scipy_reference(lp):
     """Solve a LinearProgram with HiGHS and map the result back to the
     LP's own sense.  Returns (status, value) with status one of
-    'optimal', 'infeasible', 'unbounded'."""
+    'optimal', 'infeasible', 'unbounded'.  HiGHS reports some feasible,
+    unbounded programs as infeasible, so an infeasible answer is checked
+    by a re-solve with a zero objective: when that is feasible, the
+    program is unbounded."""
     A = lp.dense_matrix()
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
     for i, s in enumerate(lp.row_senses):
@@ -213,22 +216,29 @@ def scipy_reference(lp):
             A_eq.append(A[i])
             b_eq.append(lp.rhs[i])
     sign = 1.0 if lp.sense == "min" else -1.0
-    bounds = [(None, None) if f else (0.0, None) for f in lp.var_free]
-    res = linprog(
-        sign * lp.c,
+    rows = dict(
         A_ub=np.array(A_ub) if A_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
         A_eq=np.array(A_eq) if A_eq else None,
         b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
+        bounds=[(None, None) if f else (0.0, None) for f in lp.var_free],
         method="highs",
     )
+    res = linprog(sign * lp.c, **rows)
     if res.status == 2:
-        return "infeasible", None
+        feasible = linprog(np.zeros(lp.n_cols), **rows).status == 0
+        return ("unbounded" if feasible else "infeasible"), None
     if res.status == 3:
         return "unbounded", None
     assert res.status == 0, res.message
     return "optimal", float(sign * res.fun)
+
+
+def contains(cell, x, tol=1e-12):
+    """Whether the point ``x`` satisfies every halfspace of ``cell``,
+    F x >= ell, to within ``tol``."""
+    F, ell = cell.halfspaces
+    return bool(np.all(F @ np.asarray(x, dtype=float) >= ell - tol))
 
 
 # -- the per-cell vertex enumerator, kept as the reference --
@@ -545,17 +555,21 @@ def reference_reduced_costs(dual, duals, use_objective):
 
 def sweep_generator(count, column_at, scores):
     """A generator whose pricer scores every position with
-    ``scores(duals, use_objective)`` and returns every unseen one below
-    -RC_TOL as a candidate, leaving the selection to the caller."""
+    ``scores(duals, use_objective)`` and picks among them with
+    :func:`~riskdual.lp_engine.steepest_candidates`."""
 
     def reduced_costs(duals, use_objective, q, seen):
         rc = np.asarray(scores(duals, use_objective), dtype=float)
-        keep = rc < -lp_engine.RC_TOL
-        keep[seen] = False
-        pos = np.flatnonzero(keep)
-        return pos, rc[pos]
+        return lp_engine.steepest_candidates(np.arange(rc.size), rc, q, seen)
 
     return lp_engine.ColumnGenerator(count, column_at, reduced_costs)
+
+
+def price(gen, duals, q, use_objective=True):
+    """The picks of one pricing call on ``gen``, outside the positions
+    it has generated, as column generation asks for them."""
+    seen = np.array(sorted(gen.generated), dtype=np.intp)
+    return gen.reduced_costs(np.asarray(duals, dtype=float), use_objective, q, seen)
 
 
 def reference_generator(dual):

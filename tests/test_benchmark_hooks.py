@@ -86,3 +86,28 @@ def test_benchmark_runner_passes_its_reference_check(workload):
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0, proc.stdout
+
+
+def test_tracer_times_pricing_and_counts_rounds(monkeypatch, tmp_path):
+    # solve_dcg calls the generator's reduced_costs attribute, which the
+    # tracer rebinds to a pricing span; the traced rounds are the
+    # report's
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    path, out = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(json.dumps(workloads.build_model(("a", 3, 6, 0.70))))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = tracer.run_op("op", cli.main, ["bound", str(path), "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    det = json.loads(out.read_text())["deterministic"]
+    assert det["engine"] == "dcg" and det["rounds"] > 1
+    # one reduced_costs call per round, one column_at call per round but
+    # the last, whose empty answer certified the bound
+    pricing = [span for span in tracer.spans if span[0] == "lp_engine.pricing"]
+    assert len(pricing) == 2 * det["rounds"] - 1
+    assert tracer.counts["op"]["lp_engine.rounds"] == det["rounds"]

@@ -20,6 +20,7 @@ from riskdual import (
     CapacityError,
     Cell,
     InputError,
+    LPSolution,
     LPStatus,
     LinearProgram,
     PartitionIncompatibleError,
@@ -27,6 +28,7 @@ from riskdual import (
     RiskFunctional,
     RiskKind,
     Sense,
+    SolverError,
     TestFunction,
     TestFunctionKind,
     assemble_dual_lp,
@@ -40,12 +42,12 @@ from riskdual import (
 )
 from riskdual import dual_builder, lp_engine
 from riskdual.dual_builder import CONST_TOL, _point_rows, _signed_restrictions
-from riskdual.lp_engine import _pricing_batch
 from riskdual.geometry import VERTEX_TOL, slot_rays, slot_vertices
 
 from conftest import (
     count_decodes,
     lp_limit,
+    price,
     random_instance,
     reference_cell_vertices,
     reference_collapsed,
@@ -63,8 +65,8 @@ ALL_MODES = (
 )
 
 
-def _solve(dual):
-    sol = solve_rows(dual)
+def _solve(dual, mode=ReductionMode.LAMBDA_ELIMINATED):
+    sol = solve_rows(dual, mode)
     assert sol.status is LPStatus.OPTIMAL
     return sol.objective
 
@@ -78,7 +80,7 @@ def _solve(dual):
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_two_point_example(mode):
     inst = two_point_model(14.0 / 9.0)
-    assert _solve(inst.dual(mode)) == pytest.approx(5.0 / 9.0, abs=1e-12)
+    assert _solve(inst.dual(), mode) == pytest.approx(5.0 / 9.0, abs=1e-12)
 
 
 def test_two_point_example_column_generation():
@@ -173,9 +175,9 @@ def _simple_setup():
 
 def test_explicit_block_shape():
     part, fns, risk = _simple_setup()
-    dual = assemble_dual_lp(part, fns, risk, ReductionMode.EXPLICIT)
+    dual = assemble_dual_lp(part, fns, risk)
     cell = part.cell_at(0)
-    base, lam, senses, rhs = dual.cell_rows(cell)
+    base, lam, senses, rhs = dual.cell_rows(cell, ReductionMode.EXPLICIT)
     # one equality per coordinate plus the constant row
     assert senses == ["="] * cell.dimension + [">="]
     assert base.shape == (cell.dimension + 1, len(dual.records) + 1)
@@ -189,9 +191,9 @@ def test_explicit_block_shape():
 
 def test_vertex_block_matches_vertices():
     part, fns, risk = _simple_setup()
-    dual = assemble_dual_lp(part, fns, risk, ReductionMode.VERTEX)
+    dual = assemble_dual_lp(part, fns, risk)
     cell = part.cell_at(0)
-    base, lam, senses, rhs = dual.cell_rows(cell)
+    base, lam, senses, rhs = dual.cell_rows(cell, ReductionMode.VERTEX)
     verts = reference_cell_vertices(cell)
     assert lam is None
     assert senses == [">="] * len(verts)
@@ -207,7 +209,7 @@ def test_collapsed_row_support_equals_cell_maximum():
     for cell in dual.iter_cells():
         if cell.degenerate or not dual.collapses(cell):
             continue
-        base, lam, senses, rhs = dual.cell_rows(cell)
+        base, lam, senses, rhs = dual.cell_rows(cell, ReductionMode.LAMBDA_ELIMINATED)
         g, e = restrict_to_cell(inst.risk, cell)
         val, _, _ = maximize_linear_over_cell(cell, g)
         assert lam is None and senses == [">="] and base.shape == (1, len(dual.records) + 1)
@@ -224,7 +226,7 @@ def test_row_dual_layout_and_deduplication():
     cells = list(assemble_dual_lp(part, fns, risk).iter_cells())
     assert [len(cell.halfspaces[1]) for cell in cells] == [3, 2, 3]
 
-    lp = assemble_dual_lp(part, fns, risk, ReductionMode.EXPLICIT).materialize()
+    lp = assemble_dual_lp(part, fns, risk).materialize(ReductionMode.EXPLICIT)
     A = lp.dense_matrix()
     # columns y, z0, then each cell's multipliers, block by block in scan order
     assert A.shape == (6, 10)
@@ -245,7 +247,7 @@ def test_row_dual_layout_and_deduplication():
 
     # one row per cell, but the two cells below tau give the same row
     for mode in (ReductionMode.LAMBDA_ELIMINATED, ReductionMode.VERTEX):
-        lp = assemble_dual_lp(part, fns, risk, mode).materialize()
+        lp = assemble_dual_lp(part, fns, risk).materialize(mode)
         assert lp.dense_matrix().tolist() == [[1.0, 1.0], [1.0, 1.0]]
         assert list(lp.row_senses) == [">=", ">="]
         assert lp.rhs.tolist() == [1.0, 0.0]
@@ -254,7 +256,7 @@ def test_row_dual_layout_and_deduplication():
 @pytest.mark.parametrize("seed", range(10))
 def test_reduction_modes_agree(seed):
     inst = random_instance(seed, affine=True, equality=True)
-    values = [_solve(inst.dual(mode)) for mode in ALL_MODES]
+    values = [_solve(inst.dual(), mode) for mode in ALL_MODES]
     assert values[0] == pytest.approx(values[1], abs=1e-8)
     assert values[0] == pytest.approx(values[2], abs=1e-8)
 
@@ -463,10 +465,93 @@ def test_pinned_unbounded_tail_has_a_duality_gap():
     assert res.bound == pytest.approx(0.5, abs=1e-12)
 
 
+def _stubbed_solve(status, n, *, certified=True, dcg=True):
+    """A solve that returns ``status`` with the counters a real solve of
+    that engine carries: rounds and generated columns from column
+    generation, one round and none from the dense solver."""
+    optimal = status is LPStatus.OPTIMAL
+    values = np.arange(n + 1.0) if optimal else None
+    sol = LPSolution(status, 0.25 if optimal else None, values, values, 7,
+                     columns_generated=5 if dcg else 0, certified=certified,
+                     feas_residual=1e-13 if optimal else None, refactors=2,
+                     rounds=3 if dcg else 1)
+    return lambda *_args: sol
+
+
+def _ray_model(kind):
+    # an open top slab with a tail record: cells past tau carry rays
+    part = build_box_partition([np.array([0.0, 1.0, np.inf])], 0.5)
+    tail = TestFunction("tail", TestFunctionKind.SLAB_INDICATOR, 0, (1.0, np.inf),
+                        Sense.UPPER, 0.1)
+    return part, [tail], RiskFunctional(kind, 0.5)
+
+
+def _bounded_model(kind):
+    part = build_box_partition([np.array([0.0, 0.5, 1.0])], 0.75)
+    mass = TestFunction("mass", TestFunctionKind.SLAB_INDICATOR, 0, (0.0, 0.5), Sense.UPPER, 0.6)
+    return part, [mass], RiskFunctional(kind, 0.75)
+
+
+DCG, ROWS = ReductionMode.LAMBDA_ELIMINATED, ReductionMode.EXPLICIT
+
+
+@pytest.mark.parametrize("mode,model,status,certified,probe,want", [
+    # column generation: (status, certified, feas_residual, rounds, columns_generated)
+    (DCG, _bounded_model(RiskKind.VAR_INDICATOR), LPStatus.OPTIMAL, True, None, ("optimal", True, 1e-13, 3, 5)),
+    (DCG, _bounded_model(RiskKind.VAR_INDICATOR), LPStatus.INFEASIBLE, True, None,
+     ("infeasible", False, None, 3, 5)),
+    (DCG, _ray_model(RiskKind.CVAR_HINGE), LPStatus.UNBOUNDED, False, None, ("unbounded", False, None, 3, 5)),
+    (DCG, _bounded_model(RiskKind.CVAR_HINGE), LPStatus.UNBOUNDED, False, None,
+     "master solve ended with unbounded"),
+    (DCG, _bounded_model(RiskKind.VAR_INDICATOR), LPStatus.OPTIMAL, False, None,
+     "column generation stopped before a clean pricing sweep"),
+    (DCG, _bounded_model(RiskKind.VAR_INDICATOR), LPStatus.ITERATION_LIMIT, False, None,
+     "master solve ended with iteration_limit"),
+    # the row dual
+    (ROWS, _bounded_model(RiskKind.VAR_INDICATOR), LPStatus.OPTIMAL, False, None,
+     ("optimal", True, 1e-13, 1, None)),
+    (ROWS, _bounded_model(RiskKind.VAR_INDICATOR), LPStatus.ITERATION_LIMIT, False, None,
+     "dual solve ended with iteration_limit"),
+    (ROWS, _bounded_model(RiskKind.VAR_INDICATOR), LPStatus.UNBOUNDED, False, None,
+     ("infeasible", False, None, 1, None)),
+    (ROWS, _bounded_model(RiskKind.VAR_INDICATOR), LPStatus.INFEASIBLE, False, None,
+     "dual solve ended with infeasible"),
+    (ROWS, _ray_model(RiskKind.CVAR_HINGE), LPStatus.INFEASIBLE, False, LPStatus.OPTIMAL,
+     ("unbounded", False, None, 1, None)),
+    (ROWS, _ray_model(RiskKind.CVAR_HINGE), LPStatus.INFEASIBLE, False, LPStatus.INFEASIBLE,
+     ("infeasible", False, None, 1, None)),
+])
+def test_solve_bound_maps_each_solver_status(monkeypatch, mode, model, status, certified,
+                                             probe, want):
+    n = len(model[1])
+    dcg = mode is DCG
+    monkeypatch.setattr(dual_builder, "solve_dense_simplex",
+                        _stubbed_solve(status, n, certified=certified, dcg=False))
+    # the hinge row dual's feasibility probe is a VaR bound by column generation
+    monkeypatch.setattr(dual_builder, "solve_dcg",
+                        _stubbed_solve(status if dcg else probe, n, certified=certified or not dcg))
+    if isinstance(want, str):
+        with pytest.raises(SolverError, match=want):
+            solve_bound(*model, mode)
+        return
+    res = solve_bound(*model, mode)
+    assert (res.status, res.certified, res.feas_residual, res.rounds,
+            res.columns_generated) == want
+    assert (res.engine, res.iterations, res.refactors) == ("dcg" if dcg else "dense_rows", 7, 2)
+    if res.status == "optimal":
+        assert res.bound == 0.25
+        assert [list(res.multipliers[0]), list(res.multipliers[1]), res.multipliers[2]] == [
+            [0.0], [], 1.0]
+    else:
+        assert res.bound is None and res.multipliers is None
+
+
 def test_assemble_validation():
     part, fns, risk = _simple_setup()
     with pytest.raises(InputError):
-        assemble_dual_lp(part, fns, risk, mode="explicit")
+        assemble_dual_lp(part, fns, risk).materialize("explicit")
+    with pytest.raises(InputError):
+        solve_bound(part, fns, risk, "explicit")
     with pytest.raises(InputError):
         assemble_dual_lp(part, fns, RiskFunctional(RiskKind.VAR_INDICATOR, np.inf))
     with pytest.raises(InputError):
@@ -501,9 +586,9 @@ def test_assemble_validation():
 def test_vertex_mode_rejects_unbounded_cells():
     part = build_box_partition([np.array([0.0, 1.0, np.inf])], 0.5)
     risk = RiskFunctional(RiskKind.VAR_INDICATOR, 0.5)
-    dual = assemble_dual_lp(part, [], risk, ReductionMode.VERTEX)
+    dual = assemble_dual_lp(part, [], risk)
     with pytest.raises(Exception):
-        dual.materialize()
+        dual.materialize(ReductionMode.VERTEX)
 
 
 def test_materialize_budget(monkeypatch):
@@ -943,8 +1028,8 @@ def _highs_bound(partition, testfns, risk, rows=None):
         return scipy_reference(assemble_dual_lp(partition, testfns, risk).master_lp())
 
     def rows(riskfn):
-        dual = assemble_dual_lp(partition, testfns, riskfn, ReductionMode.EXPLICIT)
-        return scipy_reference(dual.materialize())
+        dual = assemble_dual_lp(partition, testfns, riskfn)
+        return scipy_reference(dual.materialize(ReductionMode.EXPLICIT))
 
     status, value = rows(risk)
     if status == "unbounded":
@@ -1204,8 +1289,8 @@ def _assert_pricer_matches_the_sweep(dual, rng, box_block):
             for use_objective in (True, False):
                 with pytest.MonkeyPatch.context() as mp:
                     _price_by(mp, box_block)
-                    picks, rc = _pricing_batch(gen, duals, q, use_objective=use_objective)
-                want, want_rc = _pricing_batch(ref, duals, q, use_objective=use_objective)
+                    picks, rc = price(gen, duals, q, use_objective)
+                want, want_rc = price(ref, duals, q, use_objective)
                 assert picks.tolist() == want.tolist()
                 assert np.array_equal(rc, want_rc)
 
@@ -1238,8 +1323,23 @@ def test_box_search_keeps_boxes_whose_sums_round_low():
     assert np.all(reference_reduced_costs(dual, duals, False)[dual.master_positions()] == -4.0)
     with pytest.MonkeyPatch.context() as mp:
         _price_by(mp, 1)
-        picks, rc = _pricing_batch(dual.master_generator(), duals, 1, use_objective=False)
+        picks, rc = price(dual.master_generator(), duals, 1, use_objective=False)
     assert picks.tolist() == [16] and rc.tolist() == [-4.0]
+
+
+def test_a_tie_in_a_later_unit_replaces_the_last_pick():
+    # units run by bound, not by position: here key 7 ties key 12, the
+    # 4th pick so far, at -3 and sits before it, but its unit comes
+    # later, so ties count up to the last pick's position
+    grid = np.linspace(0.0, 1.0, 4)
+    dual = assemble_dual_lp(build_box_partition([grid] * 2, 1.0),
+                            _frequency_records([grid] * 2, [0, 1]), RiskFunctional(VAR, 1.0))
+    duals = np.array([1.0, -1.0, -1.0, 2.0, -2.0, -1.0, 1.0, 1.0, 1.0, 2.0, -2.0, -1.0, 0.0])
+    with pytest.MonkeyPatch.context() as mp:
+        _price_by(mp, 1)
+        picks, rc = price(dual.master_generator(), duals, 4)
+    assert picks.tolist() == price(reference_generator(dual), duals, 4)[0].tolist()
+    assert picks.tolist() == [4, 5, 13, 7] and rc.tolist() == [-5.0, -5.0, -4.0, -3.0]
 
 
 def _frequency_records(bps, axes):
@@ -1427,7 +1527,7 @@ def test_box_bound_reaches_only_the_tails_where_a_unit_holds_keys():
     assert np.argmin(tables[1]) == 3 and tables[1][3] == -100.0
     dual._index_units()
     partial = dual._box_sums(duals[-1:], tables[:1])[0]
-    units, bound = dual._bounded_units(partial, tables[1:], True, np.inf)
+    units, bound = dual._bounded_units(partial, tables[1:], 1.0, np.inf)
     assert units.size == dual._units.size
     for i, b in zip(units, bound):
         unit = dual._units[i]
@@ -1438,8 +1538,8 @@ def test_box_bound_reaches_only_the_tails_where_a_unit_holds_keys():
         for q in (1, 8):
             with pytest.MonkeyPatch.context() as mp:
                 _price_by(mp, 1)
-                picks, rc = _pricing_batch(gen, duals, q, use_objective=use_objective)
-            want, want_rc = _pricing_batch(ref, duals, q, use_objective=use_objective)
+                picks, rc = price(gen, duals, q, use_objective)
+            want, want_rc = price(ref, duals, q, use_objective)
             assert picks.tolist() == want.tolist() and np.array_equal(rc, want_rc)
     _assert_pricer_matches_the_sweep(dual, np.random.default_rng(0), 1)
 

@@ -13,7 +13,6 @@ from riskdual import (
     InputError,
     SideOfTau,
     build_box_partition,
-    cell_contains,
     cell_vertices,
     maximize_linear_over_cell,
 )
@@ -21,6 +20,7 @@ from riskdual.errors import UnsupportedCellError
 from riskdual.geometry import STRADDLE_TOL
 
 from conftest import (
+    contains,
     reference_box_partition,
     reference_cell_vertices,
     reference_maximize_linear_over_cell,
@@ -130,18 +130,6 @@ def test_cell_vertices_match_the_reference_enumerator(cell):
     assert np.array_equal(got, ref)
 
 
-def test_cell_contains_boundary_tolerance():
-    cell = Cell([0.0], [1.0])
-    assert cell_contains(cell, [0.0])
-    assert cell_contains(cell, [1.0])
-    assert not cell_contains(cell, [1.0 + 1e-10])
-    assert cell_contains(cell, [1.0 + 1e-10], tol=1e-9)
-    assert not cell_contains(cell, [1.1])
-    sliced = Cell([0.0, 0.0], [1.0, 1.0], slice_sign=1, tau=1.0)
-    assert cell_contains(sliced, [0.5, 0.5])
-    assert not cell_contains(sliced, [0.2, 0.2])
-
-
 @pytest.mark.parametrize("lows, highs, degenerate", [
     ([np.inf], [np.inf], False),
     ([-np.inf], [-np.inf], False),
@@ -161,7 +149,7 @@ def test_cell_bounds_are_compared_not_differenced(lows, highs, degenerate):
 
 def test_degenerate_cell_point():
     corner = Cell([1.0, 1.0], [1.0, 1.0], degenerate=True)
-    assert cell_contains(corner, [1.0, 1.0])
+    assert contains(corner, [1.0, 1.0])
     verts = cell_vertices(corner)
     assert len(verts) == 1
     assert np.allclose(verts[0], [1.0, 1.0])
@@ -347,7 +335,7 @@ def test_linear_support_matches_vertex_max(cg):
     best = max(float(v @ g) for v in verts)
     scale = max(1.0, abs(best))
     assert abs(val - best) <= 1e-9 * scale
-    assert cell_contains(cell, x)
+    assert contains(cell, x)
     # multiplier certificate: nonnegative, reproduces -g, prices the bounds
     F, ell = cell.halfspaces
     assert np.all(lam >= -1e-12)
@@ -394,7 +382,7 @@ def test_linear_support_with_zero_slopes_on_unbounded_cells(lows, highs, sign, t
         warnings.simplefilter("error")
         val, x, lam = maximize_linear_over_cell(cell, g)
     assert val == pytest.approx(value, abs=1e-12)
-    assert np.all(np.isfinite(x)) and cell_contains(cell, x)
+    assert np.all(np.isfinite(x)) and contains(cell, x)
     F, ell = cell.halfspaces
     assert np.all(lam >= 0.0)
     assert np.allclose(F.T @ lam, -g, atol=1e-12)
@@ -458,7 +446,7 @@ def test_kink_scan_matches_the_reference_solver(cg):
         return
     scale = max(1.0, abs(want[0]))
     assert abs(val - want[0]) <= 1e-9 * scale
-    assert cell_contains(cell, x, tol=1e-9)
+    assert contains(cell, x, tol=1e-9)
     assert float(g @ x) == val
     F, ell = cell.halfspaces
     assert np.all(lam >= 0.0)
