@@ -19,6 +19,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -33,7 +34,7 @@ from ._version import __version__
 from .data_io import bootstrap_integral_bounds, load_samples_csv
 from .dual_builder import ReductionMode, assemble_dual_lp, solve_bound
 from .errors import CapacityError, InputError, RiskdualError, SolverError
-from .geometry import DEFAULT_CELL_BUDGET, build_box_partition
+from .geometry import DEFAULT_CELL_BUDGET, build_box_partition, check_grid_budget
 
 # only solve_bound calls solve_dcg; the name stays bound here because the
 # perfbench tracer is checked to rebind both solvers in this module
@@ -370,10 +371,11 @@ def cmd_bench(args) -> int:
         raise InputError(f"--repeats must be at least 1, got {args.repeats}")
     sizes = _parse_sizes(args.sizes)
     # every size meets the cell budget before any size builds its model,
-    # whose 2 * d * m test functions can cost more than the partition; a
-    # partition counts its slots block by block and holds no per-slot
-    # array, so this check costs no memory that grows with the grid
+    # whose 2 * d * m test functions can cost more than the partition;
+    # the grid's cell count is checked before its breakpoints exist, and
+    # a partition counts its slots block by block with no per-slot array
     for d, m in sizes:
+        check_grid_budget(itertools.repeat(m, d), args.budget_cells)
         build_box_partition(*_bench_grid(d, m), cell_budget=args.budget_cells)
     results = []
     timing = []

@@ -768,18 +768,18 @@ class DualLP:
     def master_seed(self):
         """Restricted master primed for column generation.
 
-        Seeds the first 8 positions plus, for every pair of a table axis
-        and one of its slabs, the first column past the corner whose
-        cells lie in that slab: a point entry when there is one, else
-        the first key, found on ``_has`` by the key layout, a block of
-        at most SWEEP_SIZE keys or one leading tuple at a time.  So each
-        record row starts with coverage and phase one converges in few
-        rounds.  Returns (LinearProgram, ColumnGenerator) with the seeded
-        positions marked generated.
+        Seeds the first 8 master positions (point entries, then keys
+        unit by unit) plus, for every table axis and each of its slabs,
+        the first point entry past the corner whose cell lies in that
+        slab.  The batch spares phase one a round where point entries
+        are few or none; the point entries start the rows of the records
+        holding their slabs covered.  A slab with no point entry gets no
+        column of its own: pricing finds its keys.  Returns
+        (LinearProgram, ColumnGenerator) with the seeded positions
+        marked generated.
         """
         gen = self.master_generator()
         entries = self.scan_entries()
-        # the first 8 positions: point entries, then keys unit by unit
         picks = set(range(min(8, entries.count)))
         for unit in self._units:
             if len(picks) == 8:
@@ -787,27 +787,8 @@ class DualLP:
             keys = unit * self._n_tail + np.flatnonzero(self._has[unit])[: 8 - len(picks)]
             picks.update((entries.count + keys).tolist())
         skip = 0 if self.corner_cell is None else 1
-        post = self._n_boxes
         for a in self._tables:
-            slabs = self.partition.slab_counts[a]
-            post //= slabs
-            # the keys as (side and earlier axes, slab, later axes), read
-            # in blocks of at most SWEEP_SIZE keys, or one leading tuple
-            has = self._has.reshape(-1, slabs, post)
-            step = max(SWEEP_SIZE // (slabs * post), 1)
-            first = np.full(slabs, -1)
-            for lo in range(0, has.shape[0], step):
-                held = np.any(has[lo : lo + step], axis=2)
-                s = np.flatnonzero((first < 0) & np.any(held, axis=0))
-                # one slab at a time: has[p, t] is a view, where a gather
-                # over every found slab would copy a whole side's keys
-                for t, p in zip(s.tolist(), (lo + np.argmax(held[:, s], axis=0)).tolist()):
-                    first[t] = entries.count + (p * slabs + t) * post + np.argmax(has[p, t])
-                if np.all(first >= 0):
-                    break
-            at, where = np.unique(entries.slabs[skip:, a], return_index=True)
-            first[at] = skip + where
-            picks.update(first[first >= 0].tolist())
+            picks.update((skip + np.unique(entries.slabs[skip:, a], return_index=True)[1]).tolist())
         pos = np.array(sorted(picks), dtype=np.intp)
         senses, rhs = self.master_row_data()
         M, objs = self._columns(pos)

@@ -629,6 +629,22 @@ def check_breakpoints(breakpoints):
     return axes
 
 
+def check_grid_budget(counts, cell_budget):
+    """Raise InputError when ``cell_budget`` is below 1, and
+    CapacityError when a grid of ``counts`` slabs per axis has more
+    cells than it.  The product stops at the first axis past the
+    budget, so the check costs nothing that grows with the grid."""
+    if cell_budget < 1:
+        raise InputError(f"cell budget must be at least 1, got {cell_budget}")
+    cells = 1
+    for m in counts:
+        cells *= m
+        if cells > cell_budget:
+            raise CapacityError(
+                f"grid would have more than {cell_budget} cells; raise the cell budget"
+            )
+
+
 def build_box_partition(breakpoints, tau, *, cell_budget=DEFAULT_CELL_BUDGET) -> Partition:
     """Build the grid partition from per-axis breakpoints, sliced at tau.
 
@@ -639,20 +655,11 @@ def build_box_partition(breakpoints, tau, *, cell_budget=DEFAULT_CELL_BUDGET) ->
     hyperplane only on their boundary are left whole.  The slots are
     counted block by block, and no array runs over them (see
     :class:`Partition`); the grid's cell count is checked against
-    ``cell_budget`` before they are counted, the slot count after.
+    ``cell_budget`` (:func:`check_grid_budget`) before they are
+    counted, the slot count after.
     """
-    if cell_budget < 1:
-        raise InputError(f"cell budget must be at least 1, got {cell_budget}")
     axes = check_breakpoints(breakpoints)
-    counts = [len(arr) - 1 for arr in axes]
-    k0 = 1
-    for m in counts:
-        k0 *= m
-        if k0 > cell_budget:
-            raise CapacityError(
-                f"grid would have more than {cell_budget} cells; raise the cell budget"
-            )
-
+    check_grid_budget([len(arr) - 1 for arr in axes], cell_budget)
     tau = float(tau)
     if not math.isfinite(tau):
         raise InputError(f"partition threshold must be finite, got {tau}")

@@ -88,6 +88,26 @@ def test_benchmark_runner_passes_its_reference_check(workload):
     assert summary["correct"] is True and summary["failed"] == 0, proc.stdout
 
 
+def test_bound_meets_its_reference_on_every_catalogue_variant(monkeypatch, tmp_path):
+    # every variant of every bound workload, not only those a seed draws
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    with open(os.path.join(PERFBENCH, "references.json"), encoding="utf-8") as fh:
+        refs = json.load(fh)
+    variants = [v for w in workloads.CATALOGUE for v in workloads.catalogue_specs(w)]
+    assert sorted(key for key, _ in variants) == sorted(refs)
+    off = []
+    for key, spec in variants:
+        path, out = tmp_path / f"{key}.json", tmp_path / f"{key}.report.json"
+        path.write_text(json.dumps(workloads.build_model(spec)))
+        assert cli.main(["bound", str(path), "--out", str(out)]) == 0, key
+        det = json.loads(out.read_text())["deterministic"]
+        ref = refs[key]["bound"]
+        if not (det["certified"] and abs(det["bound"] - ref) <= 1e-7 * max(1.0, abs(ref))):
+            off.append((key, det["certified"], det["bound"], ref))
+    assert off == []
+
+
 def test_tracer_times_pricing_and_counts_rounds(monkeypatch, tmp_path):
     # solve_dcg calls the generator's reduced_costs attribute, which the
     # tracer rebinds to a pricing span; the traced rounds are the

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -850,8 +851,8 @@ def test_column_generation_picks_are_pinned(tmp_path):
         5, 8, {"kind": "var_indicator", "tau": 0.7 * 5}))
     det = json.loads(_deterministic_at_blas_threads(tmp_path, ["bound", cfg], "1"))
     assert (det["engine"], det["certified"]) == ("dcg", True)
-    assert (det["iterations"], det["columns_generated"]) == (391, 104)
-    assert float(det["bound"]).hex() == "0x1.ba1af286bca1ap-1"
+    assert (det["iterations"], det["columns_generated"]) == (340, 160)
+    assert float(det["bound"]).hex() == "0x1.ba1af286bca06p-1"
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
@@ -899,6 +900,19 @@ def test_bench_checks_the_sliced_cell_budget_before_building_a_model(monkeypatch
     assert main(args) == EXIT_BUDGET
     assert "sliced grid would have more than 20 cells" in capsys.readouterr().err
     assert built == []
+
+
+def test_bench_checks_the_cell_budget_before_building_the_breakpoints(capsys):
+    # 20 million slabs on one axis: their breakpoints alone take 160 MB
+    tracemalloc.start()
+    try:
+        rc = main(["bench", "--sizes", "1:20000000", "--budget-cells", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_BUDGET
+    assert "grid would have more than 10 cells; raise the cell budget" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_bench_single_shot_failure_exit_six(capsys):

@@ -345,15 +345,60 @@ def test_vectorized_pricing_matches_per_column_scores():
         assert np.all(np.delete(fast, positions) == np.inf)
 
 
+def _unbounded_tails_dual(d=2, m=4):
+    """Family (c): two-sided frequency bounds on every slab of [0, 1]
+    and a probability and first-moment bound on the tail slab [1, inf)
+    of each of d axes, VaR at 0.85 * d."""
+    grid = np.linspace(0.0, 1.0, m + 1)
+    fns = _frequency_records([grid] * d, range(d))
+    fns += [f for a in range(d) for f in _tail_records(a, d, 0.2, 0.3)]
+    risk = RiskFunctional(VAR, 0.85 * d)
+    return assemble_dual_lp(build_box_partition([np.append(grid, np.inf)] * d, risk.tau), fns,
+                            risk)
+
+
+def _first_point_entry_per_slab(dual):
+    """For each table axis and slab, the first point entry past the
+    corner whose cell lies in that slab, found entry by entry."""
+    entries = dual.scan_entries()
+    first = {}
+    for i in range(0 if dual.corner_cell is None else 1, entries.count):
+        for a in dual._tables:
+            first.setdefault((a, int(entries.slabs[i, a])), i)
+    return set(first.values())
+
+
+def test_master_seed_is_the_first_batch_plus_one_point_entry_per_slab():
+    # family (a) at d=4, m=6, VaR at 0.7 * 4: every cell collapses, so
+    # the seed is the first 8 keys
+    dual = _frequency_grid_dual(d=4, m=6)
+    assert dual.scan_entries().count == 0
+    _seed, gen = dual.master_seed()
+    assert gen.generated == set(dual.master_positions()[:8].tolist())
+    # family (c): the first 8 point entries, then one per slab
+    dual = _unbounded_tails_dual()
+    _seed, gen = dual.master_seed()
+    batch = set(dual.master_positions()[:8].tolist())
+    assert batch == set(range(8))
+    assert gen.generated == batch | _first_point_entry_per_slab(dual)
+
+
 def test_master_seed_covers_every_record_row():
-    inst = random_instance(44, d=2, m=4)
-    dual = inst.dual()
+    # a seeded point entry covers the rows of the records that hold its
+    # slabs; on family (c) every slab of every axis holds a point entry
+    # (the cells in another axis's tail slab), so every record row starts
+    # covered and phase one need not reach a row from scratch
+    dual = _unbounded_tails_dual()
     seed_lp, _gen = dual.master_seed()
-    M = seed_lp.dense_matrix()
-    # each record row needs at least one seeded column touching it,
-    # otherwise phase one starts from scratch on that row
-    touched = np.any(M != 0.0, axis=1)
+    touched = np.any(seed_lp.dense_matrix() != 0.0, axis=1)
     assert np.all(touched[: len(dual.records)])
+    # with no point entries, the rows covered are the first batch's
+    dual = _frequency_grid_dual(d=4, m=6)
+    seed_lp, _gen = dual.master_seed()
+    touched = np.any(seed_lp.dense_matrix() != 0.0, axis=1)
+    batch = dual.master_generator().column_at(dual.master_positions()[:8])[0]
+    assert np.array_equal(touched, np.any(batch != 0.0, axis=1))
+    assert not np.all(touched[: len(dual.records)])
 
 
 def test_corner_cell_covers_threshold_at_the_top():
@@ -1465,9 +1510,9 @@ def test_build_assemble_and_seed_hold_no_per_slot_memory():
 
 
 def test_seed_reads_the_key_table_in_blocks():
-    # family (a) at d=5, m=14, VaR at 0.7 * 5; the seed's slab cover
-    # held two copies of _has when it read the table whole, and half a
-    # copy when it gathered a whole side's keys for the first axis
+    # family (a) at d=5, m=14, VaR at 0.7 * 5: the seed reads _has only
+    # for its first batch, one unit's row at a time, so it holds no copy
+    # of the key table, whole or by side
     d, m = 5, 14
     bps = [np.array([g / m for g in range(m + 1)])] * d
     risk = RiskFunctional(VAR, 0.7 * d)
