@@ -276,6 +276,8 @@ def cmd_bound(args) -> int:
         "assemble_s": res.assemble_s,
         "solve_s": res.solve_s,
     }
+    if res.seed_s is not None:
+        timing["seed_s"] = res.seed_s
     _emit({"deterministic": det, "timing": timing}, args)
     return {"optimal": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "unbounded": EXIT_UNBOUNDED}[res.status]
 

@@ -847,7 +847,9 @@ class BoundResult:
     dense solves, one per column-generation round, and ``refactors``
     their basis factorizations, pivot-check solves included.
     ``assemble_s`` and ``solve_s`` are the wall-clock seconds of the
-    assembly and of the solve that followed it.
+    assembly and of the solve that followed it; ``seed_s``, set by
+    'dcg' only, is the part of ``solve_s`` spent in
+    :meth:`DualLP.master_seed`, which lists the point entries.
     """
 
     status: str
@@ -863,6 +865,7 @@ class BoundResult:
     multipliers: Optional[tuple] = None
     assemble_s: float = 0.0
     solve_s: float = 0.0
+    seed_s: Optional[float] = None
 
 
 def solve_bound(
@@ -888,8 +891,11 @@ def solve_bound(
     t0 = time.perf_counter()
     dual = assemble_dual_lp(partition, testfns, riskfn)
     t1 = time.perf_counter()
+    seed_s = None
     if mode is ReductionMode.LAMBDA_ELIMINATED:
-        engine, sol = "dcg", solve_dcg(*dual.master_seed())
+        seed = dual.master_seed()
+        seed_s = time.perf_counter() - t1
+        engine, sol = "dcg", solve_dcg(*seed)
         status, values = _dcg_status(sol, dual), sol.duals
     else:
         engine, sol = "dense_rows", solve_dense_simplex(dual.materialize(mode))
@@ -907,6 +913,7 @@ def solve_bound(
         multipliers=(values[:k], values[k:n], values[n]) if optimal else None,
         assemble_s=t1 - t0,
         solve_s=time.perf_counter() - t1,
+        seed_s=seed_s,
     )
 
 

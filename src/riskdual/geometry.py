@@ -20,8 +20,9 @@ from .errors import CapacityError, InputError, UnsupportedCellError
 
 # strict-straddle test against the risk hyperplane
 STRADDLE_TOL = 1e-12
-# vertices must satisfy their halfspaces to this tolerance; also the
-# metric tolerance for vertex deduplication
+# a corner must satisfy the slice to this tolerance, and a crossing's
+# edge must straddle it by more, so no crossing lies this close to a
+# kept corner
 VERTEX_TOL = 1e-9
 
 DEFAULT_CELL_BUDGET = 1 << 20
@@ -132,9 +133,9 @@ class Cell:
         return f"Cell(id={self.id}, box={list(zip(self.lows, self.highs))}{tag})"
 
 
-# boxes per block in _box_vertices' deduplication, which holds a
-# boxes x candidates x dimension temporary; head_blocks also fills a
-# block up to this many grid cells, so a small grid is one block
+# boxes per block in _box_vertices' general path, which holds a
+# boxes x candidates x dimension array of candidates; head_blocks also
+# fills a block up to this many grid cells, so a small grid is one block
 VERTEX_BLOCK = 1024
 
 
@@ -145,19 +146,29 @@ def _product_bits(n):
 
 
 def _vertex_candidates(lows, highs, sign, tau):
-    """The candidate vertices of each box, before deduplication: corners
-    in product order, then the hyperplane cuts axis by axis.  Returns
-    points (K, C, n) and a validity mask (K, C).  A candidate built on
-    an infinite bound is no point and is invalid."""
+    """The candidate vertices of each box: corners in product order,
+    then the hyperplane's crossings of the edges axis by axis.  Returns
+    points (K, C, n) and a validity mask (K, C).
+
+    A corner is valid on an uncut box, or on the kept side up to
+    VERTEX_TOL.  A crossing is valid on a cut box when its edge's end
+    corners straddle the hyperplane, one short of it and one past it by
+    more than VERTEX_TOL, so no crossing lies within VERTEX_TOL of a
+    valid corner.  The straddle test reads the corners' sums over the
+    real ends, so an infinite end counts, and a NaN from inf - inf is no
+    crossing.  A candidate built on an infinite bound, or whose cut
+    overflows, is no point and is invalid."""
     n = lows.shape[1]
     # NaN in place of an infinite bound spreads to every candidate built
     # on it, where inf - inf would warn
     lo_pts = np.where(np.isfinite(lows), lows, np.nan)
     hi_pts = np.where(np.isfinite(highs), highs, np.nan)
-    corners = np.where(_product_bits(n), hi_pts[:, None, :], lo_pts[:, None, :])
-    sums = np.sum(corners, axis=-1)
-    kept = (sign[:, None] == 0) | (sign[:, None] * (sums - tau) >= -VERTEX_TOL)
-    points, valid = [corners], [kept]
+    bits = _product_bits(n)
+    corners = np.where(bits, hi_pts[:, None, :], lo_pts[:, None, :])
+    with np.errstate(invalid="ignore"):
+        gap = np.sum(np.where(bits, highs[:, None, :], lows[:, None, :]), axis=-1) - tau
+        valid = [(sign[:, None] == 0) | (sign[:, None] * gap >= -VERTEX_TOL)]
+    points = [corners]
     other_bits = _product_bits(n - 1)
     for axis in range(n):
         others = [i for i in range(n) if i != axis]
@@ -166,41 +177,19 @@ def _vertex_candidates(lows, highs, sign, tau):
         total = np.zeros(fixed.shape[:2])
         for j in range(n - 1):
             total = total + fixed[:, :, j]
-        t = tau - total
         cut = np.empty(fixed.shape[:2] + (n,))
         cut[:, :, others] = fixed
-        cut[:, :, axis] = t
+        cut[:, :, axis] = tau - total
         points.append(cut)
-        valid.append((sign[:, None] != 0) & (lows[:, axis, None] < t) & (t < highs[:, axis, None]))
+        # the edge's end corners as positions in product order; the low
+        # end has the smaller sum, so it is the one that can fall short
+        low_end = other_bits @ (1 << np.arange(n - 1, -1, -1)[others])
+        high_end = low_end + (1 << (n - 1 - axis))
+        straddle = (gap[:, low_end] < -VERTEX_TOL) & (gap[:, high_end] > VERTEX_TOL)
+        valid.append((sign[:, None] != 0) & straddle)
     points = np.concatenate(points, axis=1)
-    valid = np.concatenate(valid, axis=1) & ~np.any(np.isnan(points), axis=-1)
+    valid = np.concatenate(valid, axis=1) & np.all(np.isfinite(points), axis=-1)
     return points, valid
-
-
-def _dedup_candidates(points, valid):
-    """Deduplication of every box at once: a candidate survives unless
-    it lies within VERTEX_TOL of an earlier survivor."""
-    keep = valid.copy()
-    for j in range(1, points.shape[1]):
-        near = np.max(np.abs(points[:, :j, :] - points[:, j : j + 1, :]), axis=-1) <= VERTEX_TOL
-        keep[:, j] &= ~np.any(near & keep[:, :j], axis=1)
-    return keep
-
-
-def _cut_near_an_end(points, valid, lows, highs):
-    """Cells with a valid candidate whose coordinate lies off an end of
-    its axis by at most twice VERTEX_TOL (VERTEX_TOL would do; the
-    factor is a margin).  Only a cut coordinate can: the others sit on
-    an end.  On a cell wider than VERTEX_TOL on every axis, two
-    candidates lie within VERTEX_TOL of each other only through such a
-    cut: distinct corners, and cuts along one axis, differ by a whole
-    width on some axis, and any other candidate holds the cut's axis at
-    an end.  So every other cell keeps all its valid candidates."""
-    near = np.zeros(valid.shape, dtype=bool)
-    for ends in (lows, highs):
-        gap = np.abs(points - ends[:, None, :])
-        near |= np.any((gap > 0) & (gap <= 2 * VERTEX_TOL), axis=-1)
-    return np.any(near & valid, axis=1)
 
 
 def _box_vertices(lows, highs, sign, tau, ids):
@@ -208,47 +197,44 @@ def _box_vertices(lows, highs, sign, tau, ids):
     tau on its side ``sign[j]`` (as ``Cell.slice_sign``; 0 is uncut).
 
     Returns ``(start, points)``: box j's vertices, sorted, are
-    ``points[start[j]:start[j + 1]]``: its corners on the kept side and
-    the hyperplane's crossings of its edges, less any within VERTEX_TOL
-    of an earlier one (corners in product order, then the crossings
-    axis by axis).  An unbounded box keeps the finite ones.  A sliced
-    box with k whole-line axes (interval (-inf, inf)) is its section at
-    x_b = 0 on every line axis b but the first, plus a k - 1
-    dimensional lineality space; its vertices are the section's.  A
-    partition cell with a whole-line axis has sums over (-inf, inf), so
-    it straddles the finite tau and is sliced.  Raises
-    UnsupportedCellError, naming ``ids[j]``, for the first box that has
-    no vertex.
+    ``points[start[j]:start[j + 1]]``: the valid candidates of
+    :func:`_vertex_candidates`, its corners on the kept side and the
+    crossings of the edges that straddle the hyperplane, each exact
+    repeat (from a zero-width axis) once.  An unbounded box keeps the
+    finite ones.  A sliced box with k whole-line axes (interval
+    (-inf, inf)) is its section at x_b = 0 on every line axis b but the
+    first, plus a k - 1 dimensional lineality space; its vertices are
+    the section's.  A partition cell with a whole-line axis has sums
+    over (-inf, inf), so it straddles the finite tau and is sliced.
+    Raises UnsupportedCellError, naming ``ids[j]``, for the first box
+    that has no vertex.
     """
     n = lows.shape[1]
     bounded = np.all(np.isfinite(lows) & np.isfinite(highs), axis=1)
     lines = ~np.isfinite(lows) & ~np.isfinite(highs)
-    # pin every line axis but the first at 0; the zero-width axes send
-    # the box through the deduplication
+    # pin every line axis but the first at 0
     section = lines & (np.cumsum(lines, axis=1) > 1)
     lows = np.where(section, 0.0, lows)
     highs = np.where(section, 0.0, highs)
     counts = np.zeros(len(lows), dtype=np.intp)
-    # a whole box wider than VERTEX_TOL on every axis keeps all its
-    # corners, and product order is already sorted
-    wide = np.all(highs - lows > VERTEX_TOL, axis=1)
-    plain = bounded & wide & (sign == 0)
+    # a whole box of positive width keeps all its corners, distinct and
+    # already sorted in product order
+    plain = bounded & np.all(highs > lows, axis=1) & (sign == 0)
     counts[plain] = 1 << n
     rest = np.nonzero(~plain)[0]
     rest_points = []
     for lo in range(0, rest.size, VERTEX_BLOCK):
         blk = rest[lo : lo + VERTEX_BLOCK]
         cand, valid = _vertex_candidates(lows[blk], highs[blk], sign[blk], tau)
-        # only sliver boxes and boxes with a cut next to an end of its
-        # axis need the pairwise deduplication
-        keep = valid.copy()
-        dedup = ~wide[blk] | _cut_near_an_end(cand, valid, lows[blk], highs[blk])
-        keep[dedup] = _dedup_candidates(cand[dedup], valid[dedup])
-        counts[blk] = keep.sum(axis=1)
-        k, c = np.nonzero(keep)
+        k, c = np.nonzero(valid)
         pts = cand[k, c]
         order = np.lexsort([pts[:, i] for i in range(n - 1, -1, -1)] + [k])
-        rest_points.append(pts[order])
+        k, pts = k[order], pts[order]
+        # exact repeats are neighbours now; the first of each run stays
+        new = np.ones(k.size, dtype=bool)
+        new[1:] = (k[1:] != k[:-1]) | np.any(pts[1:] != pts[:-1], axis=1)
+        counts[blk] = np.bincount(k[new], minlength=blk.size)
+        rest_points.append(pts[new])
     if not np.all(counts):
         j = int(np.argmin(counts))
         raise UnsupportedCellError(f"sliced cell {ids[j]} has an empty vertex set")

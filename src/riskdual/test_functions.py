@@ -214,18 +214,26 @@ def check_model(breakpoints, testfns, riskfn):
 
     A valid model has breakpoints that pass :func:`check_breakpoints`, a
     finite risk threshold, unique test function ids, an axis below the
-    number of axes and an affine ``v`` with one entry per axis, and slab
-    ends on breakpoints: an end counts as b_k when it lies within
-    EVAL_TOL of b_k, or when b_k ends the axis and the end lies past it
-    by at most GRID_TOL, so an infinite end must be the axis end.  Any
-    other end cuts a grid slab, which raises PartitionIncompatibleError,
-    as does a slab that holds no grid slab.  Other faults raise
-    InputError.
+    number of axes and an affine ``v`` with one entry per axis, sums
+    that stay finite (each axis's largest finite |breakpoint| summed,
+    plus |tau|, and an affine record's sum of |v_a| times that axis's
+    largest finite |breakpoint|, plus |c|), and slab ends on
+    breakpoints: an end counts as b_k when it lies within EVAL_TOL of
+    b_k, or when b_k ends the axis and the end lies past it by at most
+    GRID_TOL, so an infinite end must be the axis end.  Any other end
+    cuts a grid slab, which raises PartitionIncompatibleError, as does a
+    slab that holds no grid slab.  Other faults raise InputError.
     """
     axes = [b.tolist() for b in check_breakpoints(breakpoints)]
     n = len(axes)
     if not math.isfinite(riskfn.tau):
         raise InputError("risk threshold must be finite")
+    # the largest |x_a| at a finite breakpoint; Python floats overflow to
+    # inf without a warning
+    reach = [max((abs(x) for x in b if math.isfinite(x)), default=0.0) for b in axes]
+    if not math.isfinite(sum(reach) + abs(riskfn.tau)):
+        raise InputError("breakpoints and risk threshold overflow a float: "
+                         "the sum of each axis's largest |breakpoint| and |tau| is not finite")
     seen = set()
     for fn in testfns:
         if fn.id in seen:
@@ -235,6 +243,10 @@ def check_model(breakpoints, testfns, riskfn):
             raise InputError(f"test function {fn.id!r} axis {fn.axis} outside dimension {n}")
         if fn.v is not None and fn.v.shape != (n,):
             raise InputError(f"test function {fn.id}: v has dimension {fn.v.size}, cell has {n}")
+        if fn.v is not None and not math.isfinite(
+                sum(abs(v) * r for v, r in zip(fn.v.tolist(), reach)) + abs(fn.c)):
+            raise InputError(f"test function {fn.id}: <v, x> + c overflows a float "
+                             "at the grid's finite breakpoints")
     spans = []
     for fn in testfns:
         b = axes[fn.axis]

@@ -241,10 +241,74 @@ def contains(cell, x, tol=1e-12):
     return bool(np.all(F @ np.asarray(x, dtype=float) >= ell - tol))
 
 
-# -- the per-cell vertex enumerator, kept as the reference --
+# -- the per-cell vertex enumerators: the reference, and the greedy merge --
 
 
-def _dedup_points(points):
+def _corners(cell, axes):
+    """The corners of the cell's box over ``axes``, in product order."""
+    return itertools.product(*[(cell.lows[i], cell.highs[i]) for i in axes])
+
+
+def _check_bounded(cell):
+    if not cell.bounded:
+        raise UnsupportedCellError(
+            f"cell {cell.id} is unbounded and has no vertex representation"
+        )
+
+
+def _exact_once(points):
+    out = []
+    for p in sorted(points, key=tuple):
+        if not out or tuple(p) != tuple(out[-1]):
+            out.append(p)
+    return out
+
+
+def reference_cell_vertices(cell):
+    """Vertices of a bounded cell, enumerated one candidate at a time.
+
+    A plain box yields its 2^n corners.  A sliced box yields the
+    corners on the kept side, up to VERTEX_TOL, plus the intersection
+    of the hyperplane with each box edge whose end corners straddle it,
+    one short of it and one past it by more than VERTEX_TOL.  Exact
+    repeats, which a zero-width axis makes, count once, and the result
+    is sorted.  Unbounded cells have no vertex form and raise
+    UnsupportedCellError.  This is the reference that the array kernel
+    behind ``cell_vertices`` and ``slot_vertices`` must match value for
+    value, in order, with the same errors.
+    """
+    _check_bounded(cell)
+    n = cell.dimension
+    corners = [np.array(c, dtype=float) for c in _corners(cell, range(n))]
+    if cell.slice_sign == 0:
+        return _exact_once(corners)
+    sign, tau = cell.slice_sign, cell.tau
+
+    def gap(p):
+        return float(np.sum(p)) - tau
+
+    kept = [c for c in corners if sign * gap(c) >= -VERTEX_TOL]
+    cuts = []
+    for axis in range(n):
+        others = [i for i in range(n) if i != axis]
+        for combo in _corners(cell, others):
+            fixed = dict(zip(others, combo))
+            ends = np.empty((2, n))
+            for i, val in fixed.items():
+                ends[:, i] = val
+            ends[:, axis] = cell.lows[axis], cell.highs[axis]
+            gaps = [gap(e) for e in ends]
+            if min(gaps) < -VERTEX_TOL and max(gaps) > VERTEX_TOL:
+                p = ends[0].copy()
+                p[axis] = tau - sum(fixed.values())
+                cuts.append(p)
+    verts = _exact_once(kept + cuts)
+    if not verts:
+        raise UnsupportedCellError(f"sliced cell {cell.id} has an empty vertex set")
+    return verts
+
+
+def _greedy_merge(points):
     out = []
     for p in points:
         if not any(np.max(np.abs(p - q)) <= VERTEX_TOL for q in out):
@@ -253,45 +317,35 @@ def _dedup_points(points):
     return out
 
 
-def reference_cell_vertices(cell):
-    """Vertices of a bounded cell, enumerated one candidate at a time.
-
-    A plain box yields its 2^n corners.  A sliced box yields the
-    corners on the kept side plus the intersection of the hyperplane
-    with each box edge it crosses.  Unbounded cells have no vertex form
-    and raise UnsupportedCellError.  This is the reference that the
-    array kernel behind ``cell_vertices`` and ``slot_vertices``
-    must match value for value, in order, with the same errors.
+def greedy_cell_vertices(cell):
+    """Vertices of a bounded cell by the earlier rule: the kept corners
+    and every crossing strictly inside its edge, corners in product
+    order and then the crossings axis by axis, each dropped when it lies
+    within VERTEX_TOL of an earlier survivor.  The survivors of a chain
+    of near points depend on that order, so this is no reference; the
+    tests use it to show that the current rule loses none of the
+    vertices this one kept.
     """
-    if not cell.bounded:
-        raise UnsupportedCellError(
-            f"cell {cell.id} is unbounded and has no vertex representation"
-        )
+    _check_bounded(cell)
     n = cell.dimension
-    corners = [
-        np.array(c, dtype=float)
-        for c in itertools.product(*[(cell.lows[i], cell.highs[i]) for i in range(n)])
-    ]
+    corners = [np.array(c, dtype=float) for c in _corners(cell, range(n))]
     if cell.slice_sign == 0:
-        verts = _dedup_points(corners)
-        return verts
+        return _greedy_merge(corners)
     sign, tau = cell.slice_sign, cell.tau
     kept = [c for c in corners if sign * (float(np.sum(c)) - tau) >= -VERTEX_TOL]
     cuts = []
     for axis in range(n):
         others = [i for i in range(n) if i != axis]
-        for combo in itertools.product(*[(cell.lows[i], cell.highs[i]) for i in others]):
+        for combo in _corners(cell, others):
             fixed = dict(zip(others, combo))
             t = tau - sum(fixed.values())
-            # a cut within VERTEX_TOL of a kept corner is dropped by the
-            # deduplication; one next to a dropped corner is the vertex
             if cell.lows[axis] < t < cell.highs[axis]:
                 p = np.empty(n)
                 p[axis] = t
                 for i, val in fixed.items():
                     p[i] = val
                 cuts.append(p)
-    verts = _dedup_points(kept + cuts)
+    verts = _greedy_merge(kept + cuts)
     if not verts:
         raise UnsupportedCellError(f"sliced cell {cell.id} has an empty vertex set")
     return verts

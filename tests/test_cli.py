@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,9 +106,15 @@ def test_bound_on_the_two_point_model(tmp_path):
     # wall_s runs from the built partition to the report, so it holds the
     # assembly and the solve but not the partition's build
     timing = report["timing"]
-    assert sorted(timing) == ["assemble_s", "partition_s", "solve_s", "wall_s"]
+    # seed_s, the seed and the listing of point entries, is part of solve_s
+    assert sorted(timing) == ["assemble_s", "partition_s", "seed_s", "solve_s", "wall_s"]
     assert all(v >= 0.0 for v in timing.values())
     assert timing["assemble_s"] + timing["solve_s"] <= timing["wall_s"]
+    assert timing["seed_s"] <= timing["solve_s"]
+    # the row dual has no seed
+    code, report = run(["bound", cfg, "--mode", "vertex"], tmp_path, out="rows.json")
+    assert code == EXIT_OK
+    assert sorted(report["timing"]) == ["assemble_s", "partition_s", "solve_s", "wall_s"]
 
 
 def test_bound_report_is_deterministic(tmp_path):
@@ -579,6 +586,60 @@ def test_model_that_does_not_fit_its_axes_exits_five(tmp_path, capsys, command, 
         args += ["--samples", str(samples)]
     assert main(args) == EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+def _overflow_config(scale):
+    """One axis [0, 1], VaR at 0.5 and an upper bound on the mean of
+    ``scale`` * (1 + x): at scale 1e308 the record's value at x = 1
+    overflows a float."""
+    cfg = two_point_config(risk={"kind": "var_indicator", "tau": 0.5})
+    cfg["test_functions"][0].update(sense="inequality_upper", bound=1e308, v=[scale], c=scale)
+    return cfg
+
+
+OVERFLOW_MODELS = {
+    "affine_record": (_overflow_config(1e308), "test function mean_one_plus_x: <v, x> + c overflows"),
+    "grid_sum": (two_point_config(breakpoints=[[0.0, 1e308], [0.0, 1e308]],
+                                  risk={"kind": "cvar_hinge", "tau": 1e308}, test_functions=[]),
+                 "breakpoints and risk threshold overflow a float"),
+}
+
+
+@pytest.mark.parametrize("args", [["bound"], ["bound", "--mode", "explicit"],
+                                  ["bound", "--mode", "vertex"], ["verify"], ["bootstrap"]],
+                         ids=["dcg", "explicit", "vertex", "verify", "bootstrap"])
+@pytest.mark.parametrize("model", sorted(OVERFLOW_MODELS))
+def test_a_model_whose_sums_overflow_exits_five(tmp_path, capsys, model, args):
+    # a sum that overflows gave a wrong status, a traceback or bare
+    # Infinity/NaN in a report before the model check caught it
+    cfg, message = OVERFLOW_MODELS[model]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x,y\n0.2,0.3\n0.7,0.9\n" if model == "grid_sum" else "x\n0.2\n0.7\n")
+    argv = [args[0], write_config(tmp_path, cfg)] + args[1:]
+    if args[0] != "bound":
+        argv += ["--samples", str(samples)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_a_model_just_inside_the_float_range_is_accepted(tmp_path):
+    path = write_config(tmp_path, _overflow_config(1e307))
+    code, report = run(["bound", path], tmp_path)
+    assert code == EXIT_OK
+    assert report["deterministic"]["bound"] == 1.0
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x\n0.2\n0.7\n")
+    code, report = run(["verify", path, "--samples", str(samples)], tmp_path, out="verify.json")
+    assert code == EXIT_OK
+    assert report["deterministic"]["checks"][0]["empirical"] == pytest.approx(1.45e307)
+    code, report = run(["bootstrap", path, "--samples", str(samples)], tmp_path, out="boot.json")
+    assert code == EXIT_OK
+    (interval,) = report["deterministic"]["intervals"]
+    # the replicate means of samples 0.2 and 0.7 lie between the two values
+    assert 1.2e307 <= interval["lower"] <= interval["upper"] <= 1.7e307
 
 
 # slab end offsets around the 1e-12 and 1e-9 tolerances of the rule

@@ -686,7 +686,8 @@ def test_scan_order_prefers_cells_past_the_threshold():
 @st.composite
 def axis_breakpoints(draw, max_ticks=4):
     # quarter-grid values make corner sums land exactly on tau; a sliver
-    # slab of width near VERTEX_TOL exercises the vertex deduplication
+    # slab of width near VERTEX_TOL puts corners within VERTEX_TOL of tau
+    # and of each other
     ticks = draw(st.lists(st.integers(-4, 8), min_size=2, max_size=max_ticks, unique=True))
     bp = sorted(t / 4 for t in ticks)
     if draw(st.booleans()):
@@ -739,9 +740,7 @@ def test_vertex_table_matches_cell_vertices(partition, rnd):
         ref = np.array(reference_cell_vertices(partition.cell_at(i)))
         got = points[start[j] : start[j + 1]]
         assert got.shape == ref.shape
-        # distinct vertices lie more than VERTEX_TOL apart, so equal
-        # values position by position also means equal order
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        assert np.array_equal(got, ref)
 
 
 def brute_force_vertices_and_rays(cell):
@@ -811,9 +810,9 @@ def test_vertex_and_ray_table_matches_brute_force(partition):
         verts, ref_rays = brute_force_vertices_and_rays(section)
         got = points[vstart[i] : vstart[i + 1]]
         if cell.bounded:
-            np.testing.assert_allclose(got, reference_cell_vertices(cell), rtol=0, atol=1e-12)
-        # each table vertex is a vertex; each vertex lies within the
-        # deduplication tolerance of one in the table
+            assert np.array_equal(got, np.array(reference_cell_vertices(cell)))
+        # each table vertex is a vertex; each vertex lies within a few
+        # VERTEX_TOL of one in the table
         assert len(got) and np.all(np.isfinite(got))
         assert all(min(np.max(np.abs(q - v)) for v in verts) <= 1e-12 for q in got)
         assert all(min(np.max(np.abs(q - v)) for q in got) <= 3 * VERTEX_TOL for v in verts)

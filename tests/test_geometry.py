@@ -17,10 +17,11 @@ from riskdual import (
     maximize_linear_over_cell,
 )
 from riskdual.errors import UnsupportedCellError
-from riskdual.geometry import STRADDLE_TOL
+from riskdual.geometry import STRADDLE_TOL, VERTEX_TOL, slot_vertices
 
 from conftest import (
     contains,
+    greedy_cell_vertices,
     reference_box_partition,
     reference_cell_vertices,
     reference_maximize_linear_over_cell,
@@ -128,6 +129,42 @@ def test_cell_vertices_match_the_reference_enumerator(cell):
     got = cell_vertices(cell)
     assert got.shape == ref.shape
     assert np.array_equal(got, ref)
+
+
+@settings(max_examples=400, deadline=None)
+@given(adhoc_cells())
+def test_cell_vertices_keep_every_vertex_of_the_greedy_merge(cell):
+    # the greedy merge kept one of each chain of near candidates; the
+    # kernel keeps kept corners and straddling crossings, with no merge
+    if not cell.bounded:
+        return
+    try:
+        old = np.array(greedy_cell_vertices(cell))
+    except UnsupportedCellError:
+        with pytest.raises(UnsupportedCellError):
+            cell_vertices(cell)
+        return
+    new = cell_vertices(cell)
+    dist = np.max(np.abs(old[:, None, :] - new[None, :, :]), axis=-1)
+    assert np.all(dist.min(axis=1) <= VERTEX_TOL + 1e-12)
+    assert np.all(dist.min(axis=0) <= VERTEX_TOL + 1e-12)
+
+
+def test_cut_cells_with_cuts_on_slab_ends_keep_distinct_vertices():
+    # tau * m = 12 on a grid of fifths: up to rounding, the hyperplane
+    # passes through corners and crosses edges at their ends
+    d, m = 4, 5
+    partition = build_box_partition([np.linspace(0.0, 1.0, m + 1)] * d, 0.60 * d)
+    grid, flag, _side, _min, _max = partition.ref_arrays()
+    ids = np.flatnonzero(flag != 0)
+    assert ids.size == 400
+    start, points = slot_vertices(partition, grid[ids], flag[ids], ids)
+    for j, i in enumerate(ids):
+        got = points[start[j] : start[j + 1]]
+        assert np.array_equal(got, np.array(reference_cell_vertices(partition.cell_at(int(i)))))
+        dist = np.max(np.abs(got[:, None, :] - got[None, :, :]), axis=-1)
+        np.fill_diagonal(dist, np.inf)
+        assert dist.min() > VERTEX_TOL
 
 
 @pytest.mark.parametrize("lows, highs, degenerate", [
