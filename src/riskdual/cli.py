@@ -260,6 +260,7 @@ def cmd_bound(args) -> int:
         status=res.status,
         bound=res.bound,
         iterations=res.iterations,
+        flips=res.flips,
         rounds=res.rounds,
         refactors=res.refactors,
         # a clean pricing sweep, or the full row dual, certifies the optimum

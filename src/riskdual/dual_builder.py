@@ -26,16 +26,18 @@ The transposed master, used by column generation and the single-shot
 solve, has one column per point entry, a vertex or a ray of a cell that
 does not collapse or the corner point, then one per key, a slab tuple
 over the axes that carry records and a side of tau, which stands for
-every collapsed cell there.  A cell is the hull of its vertices plus
-the cone of its rays plus its lineality space, whose generators enter
-as rays in both directions, so domination on the cell is domination at
-every vertex plus a gap that does not fall along any ray; the vertices
-and rays come from :func:`~riskdual.geometry.slot_vertices` and
+every collapsed cell there; it has one row per record, but one ranged
+row per two-sided pair (see :class:`DualLP`).  A cell is the hull of
+its vertices plus the cone of its rays plus its lineality space, whose
+generators enter as rays in both directions, so domination on the cell
+is domination at every vertex plus a gap that does not fall along any
+ray; the vertices and rays come from
+:func:`~riskdual.geometry.slot_vertices` and
 :func:`~riskdual.geometry.slot_rays` on the decoded slots.  Columns and
 reduced costs come from one array source: per-axis tables of each
-record's signed slab containment, indexed by slab, times the record's
-affine factor at the entry's vertex, or its slope along the entry's
-ray.  The tables are built from the slab ranges that
+row's signed slab containment, indexed by slab, times the row's affine
+factor at the entry's vertex, or its slope along the entry's ray.  The
+tables are built from the slab ranges that
 :func:`~riskdual.test_functions.check_model` returns, the one check of
 a model's validity.  No column goes through a per-cell restriction; the
 row-form routes above and the primal oracle still do, which keeps them
@@ -167,8 +169,16 @@ class DualLP:
     """Assembled finite dual, ready to materialize or transpose.
 
     Rows of the master (the transposed form) are fixed as: one '<='
-    row per inequality record, one '=' row per equality record, then
-    the normalization row with right-hand side one.  Cells are visited
+    row per inequality record, but one ranged row for a two-sided pair
+    (see :func:`_master_rows`), then one '=' row per equality record,
+    then the normalization row with right-hand side one.  A pair's row
+    a.x <= hi has a slack bounded by hi - lo, so it holds lo <= a.x too.
+    ``row_records`` names the record each row takes its coefficients and
+    right-hand side from, a pair's upper one, and ``row_lower`` the
+    pair's lower record, or -1.  The slab tables and the affine factors
+    ``_rec_v``, ``_rec_c`` are per master row; the row routes and the
+    oracle keep one row per record (``records``), so they stay an
+    independent check.  Cells are visited
     (:meth:`iter_cells`) with the synthetic corner first (when present),
     then cells on the high side of tau, then the rest, each group in
     partition order.  A cell collapses (:meth:`collapses`) when every
@@ -202,12 +212,14 @@ class DualLP:
         self.corner_cell = corner_cell
         self.n_ineq = sum(1 for _, _, _, iseq in records if not iseq)
         self.n_eq = len(records) - self.n_ineq
+        self.row_records, self.row_lower = _master_rows(records)
 
-        # each record's affine factor <v, x> + c; an indicator has v = 0, c = 1
+        # each master row's affine factor <v, x> + c; an indicator has v = 0, c = 1
         n = partition.dimension
-        self._rec_v = np.zeros((len(records), n))
-        self._rec_c = np.ones(len(records))
-        for row, (fn, _sign, _rhs, _iseq) in enumerate(records):
+        self._rec_v = np.zeros((self.row_records.size, n))
+        self._rec_c = np.ones(self.row_records.size)
+        for row, r in enumerate(self.row_records):
+            fn = records[r][0]
             if fn.kind is TestFunctionKind.SLAB_AFFINE:
                 self._rec_v[row] = fn.v
                 self._rec_c[row] = fn.c
@@ -225,7 +237,8 @@ class DualLP:
     def _containment_tables(self, spans):
         counts = self.partition.slab_counts
         tables = {}
-        for row, ((fn, sign, _rhs, _iseq), (i0, i1)) in enumerate(zip(self.records, spans)):
+        for row, r in enumerate(self.row_records):
+            (fn, sign, _rhs, _iseq), (i0, i1) = self.records[r], spans[r]
             s = np.arange(counts[fn.axis])
             rows, mat = tables.setdefault(fn.axis, ([], []))
             rows.append(row)
@@ -465,9 +478,29 @@ class DualLP:
     # -- transposed master (column form) --
 
     def master_row_data(self):
-        senses = ["<="] * self.n_ineq + ["="] * self.n_eq + ["="]
+        """Senses, right-hand sides and ranges of the master's rows: a
+        pair's row has range hi - lo, every other row +inf."""
         rhs = np.array([rec[2] for rec in self.records] + [1.0])
-        return senses, rhs
+        rows = np.append(self.row_records, len(self.records))
+        paired = np.append(self.row_lower >= 0, False)
+        ranges = np.full(rows.size, np.inf)
+        # a lower record's right-hand side is -lo
+        ranges[paired] = rhs[rows[paired]] + rhs[self.row_lower[paired[:-1]]]
+        n_ineq = rows.size - self.n_eq - 1
+        return ["<="] * n_ineq + ["="] * (self.n_eq + 1), rhs[rows], ranges
+
+    def record_duals(self, duals):
+        """The master's row duals laid out as the row dual's y, z, z0: one
+        per record, then z0.  A pair's row dual y, free, splits into
+        y_hi = max(y, 0) on its upper record and y_lo = max(-y, 0) on its
+        lower one."""
+        y = duals[:-1]
+        paired = self.row_lower >= 0
+        values = np.empty(len(self.records) + 1)
+        values[self.row_records] = np.where(paired & ~(y > 0.0), 0.0, y)
+        values[self.row_lower[paired]] = np.where(y[paired] < 0.0, -y[paired], 0.0)
+        values[-1] = duals[-1]
+        return values
 
     def scan_entries(self) -> ScanEntries:
         """The master's point columns, built on first use.
@@ -569,7 +602,7 @@ class DualLP:
         pos = np.asarray(pos)
         at = pos < entries.count
         points, keys = pos[at], pos[~at] - entries.count
-        M = np.zeros((len(self.records) + 1, pos.size))
+        M = np.zeros((self._rec_c.size + 1, pos.size))
         slabs = np.empty(pos.size, dtype=np.intp)
         for (a, (rows_a, mat)), s in zip(self._tables.items(), self._key_slabs(keys)):
             slabs[at], slabs[~at] = entries.slabs[points, a], s
@@ -761,9 +794,9 @@ class DualLP:
         budget = lp_engine.DENSE_BUDGET
         if positions.size > budget:
             raise CapacityError(f"{positions.size} master columns exceed the budget {budget}")
-        senses, rhs = self.master_row_data()
+        senses, rhs, ranges = self.master_row_data()
         M, robj = self._columns(positions)
-        return LinearProgram("max", robj, M, senses, rhs, name="master")
+        return LinearProgram("max", robj, M, senses, rhs, name="master", row_range=ranges)
 
     def master_seed(self):
         """Restricted master primed for column generation.
@@ -790,11 +823,38 @@ class DualLP:
         for a in self._tables:
             picks.update((skip + np.unique(entries.slabs[skip:, a], return_index=True)[1]).tolist())
         pos = np.array(sorted(picks), dtype=np.intp)
-        senses, rhs = self.master_row_data()
+        senses, rhs, ranges = self.master_row_data()
         M, objs = self._columns(pos)
         gen.generated.update(pos.tolist())
-        lp = LinearProgram("max", objs, M, senses, rhs, name="master_seed")
+        lp = LinearProgram("max", objs, M, senses, rhs, name="master_seed", row_range=ranges)
         return lp, gen
+
+
+def _master_rows(records):
+    """The master's rows over ``records`` as two index arrays: each row's
+    record, and the lower record paired into it, or -1.
+
+    The k-th upper record of a definition (kind, axis, slab, v and c)
+    pairs with its k-th lower record when lo <= hi; the pair is one row
+    on the upper record, placed where the first of the two stands.  A
+    pair with lo > hi stays two rows, so phase one still finds it
+    infeasible.  Every other record is a row of its own, in record
+    order, equalities last."""
+    groups = {}
+    for r, (fn, sign, _rhs, iseq) in enumerate(records):
+        if not iseq:
+            v = None if fn.v is None else tuple(fn.v.tolist())
+            key = (fn.kind, fn.axis, fn.slab, v, fn.c)
+            groups.setdefault(key, ([], []))[sign < 0].append(r)
+    lower = {}
+    for uppers, lowers in groups.values():
+        for u, lo in zip(uppers, lowers):
+            # a lower record's right-hand side is -lo, so hi - lo >= 0
+            if records[u][2] + records[lo][2] >= 0.0:
+                lower[u] = lo
+    upper_of = {lo: u for u, lo in lower.items()}
+    rows = list(dict.fromkeys(upper_of.get(r, r) for r in range(len(records))))
+    return np.array(rows, dtype=np.intp), np.array([lower.get(u, -1) for u in rows], dtype=np.intp)
 
 
 def _make_corner_cell(partition, riskfn):
@@ -843,9 +903,12 @@ class BoundResult:
     ``multipliers`` its dual certificate ``(y, z, z0)``), 'infeasible'
     (no measure meets the integral constraints) or 'unbounded' (the
     bound is +inf).  ``engine`` is 'dcg' or 'dense_rows';
-    ``columns_generated`` is set by 'dcg' only.  ``rounds`` counts the
-    dense solves, one per column-generation round, and ``refactors``
-    their basis factorizations, pivot-check solves included.
+    ``columns_generated`` is set by 'dcg' only.  ``iterations`` counts
+    the pivots and ``flips`` the bound flips of ranged rows' slacks,
+    which 'dcg' masters alone have.  ``rounds`` counts the dense solves,
+    one per column-generation round, and ``refactors`` their basis
+    factorizations, pivot-check solves included.  The multipliers are
+    per record, a pair's ranged row split back into its two records.
     ``assemble_s`` and ``solve_s`` are the wall-clock seconds of the
     assembly and of the solve that followed it; ``seed_s``, set by
     'dcg' only, is the part of ``solve_s`` spent in
@@ -859,6 +922,7 @@ class BoundResult:
     iterations: int
     rounds: int = 1
     refactors: int = 0
+    flips: int = 0
     columns_generated: Optional[int] = None
     certified: bool = False
     feas_residual: Optional[float] = None
@@ -901,12 +965,15 @@ def solve_bound(
         engine, sol = "dense_rows", solve_dense_simplex(dual.materialize(mode))
         status, values = _rows_status(sol, partition, testfns, riskfn), sol.x
     optimal = status == "optimal"
+    if optimal and engine == "dcg":
+        values = dual.record_duals(values)
     k, n = dual.n_ineq, dual.n_ineq + dual.n_eq
     return BoundResult(
         status, float(sol.objective) if optimal else None, engine, dual,
         iterations=sol.iterations,
         rounds=sol.rounds,
         refactors=sol.refactors,
+        flips=sol.flips,
         columns_generated=sol.columns_generated if engine == "dcg" else None,
         certified=optimal,
         feas_residual=sol.feas_residual,

@@ -9,10 +9,13 @@ counted across solves, to bound error growth.  The column-generation
 solver keeps one restricted master for the whole run: its standard form
 is built once, each round appends the priced cell columns to it in
 place, and the next re-solve starts from the previous basis and its
-inverse, with no refactor because a round began.  Pricing asks
-the column generator for the round's picks rather than for every
-column's reduced cost; the generator must find them exactly, by search
-or by sweep, so an empty answer certifies the master.  The limits
+inverse, with no refactor because a round began.  A ranged row is one
+row whose slack is bounded by the range, and the ratio test flips a
+slack that reaches its own bound first (Dantzig, Econometrica 23,
+1955).  Pricing asks the column generator for the round's picks rather
+than for every column's reduced cost; the generator must find them
+exactly, by search or by sweep, so an empty answer certifies the
+master.  The limits
 DENSE_BUDGET, ITER_LIMIT, ROUND_LIMIT and DCG_BATCH are module
 constants, read when a solve starts.
 """
@@ -71,16 +74,20 @@ class LinearProgram:
 
     min or max  c @ x
     subject to  A[i] @ x  (<=, >=, =)  rhs[i]   for each row i
+                A[i] @ x  >=  rhs[i] - row_range[i]   for a ranged '<=' row i
                 x[j] >= 0 unless var_free[j]
 
-    ``A`` is a dense 2-dimensional array.  The simplex runs on the
-    equality standard form of :meth:`standard_form`, built once per LP
-    and kept up to date by :meth:`append_columns`, the one way to change
-    the LP after a solve.  The standard form also keeps the last solve's
-    basis and inverse, so solving the LP again resumes from there.
+    ``A`` is a dense 2-dimensional array.  ``row_range`` is +inf on every
+    row by default; a finite, nonnegative range is allowed on '<=' rows
+    only, and such a row stays one row, with a slack bounded by the
+    range.  The simplex runs on the equality standard form of
+    :meth:`standard_form`, built once per LP and kept up to date by
+    :meth:`append_columns`, the one way to change the LP after a solve.
+    The standard form also keeps the last solve's basis and inverse, so
+    solving the LP again resumes from there.
     """
 
-    def __init__(self, sense, c, A, row_senses, rhs, var_free=None, name="lp"):
+    def __init__(self, sense, c, A, row_senses, rhs, var_free=None, name="lp", row_range=None):
         if sense not in ("min", "max"):
             raise InputError("LP sense must be 'min' or 'max'")
         self.sense = sense
@@ -103,6 +110,16 @@ class LinearProgram:
             self.var_free = np.asarray(var_free, dtype=bool).reshape(-1)
             if self.var_free.size != n:
                 raise InputError("var_free length must match the column count")
+        if row_range is None:
+            self.row_range = np.full(m, np.inf)
+        else:
+            self.row_range = np.asarray(row_range, dtype=float).reshape(-1)
+            if self.row_range.size != m:
+                raise InputError("row_range length must match the row count")
+            if not np.all(self.row_range >= 0.0):
+                raise InputError("row ranges must be nonnegative")
+            if np.any(np.isfinite(self.row_range) & (np.array(senses, dtype="<U2") != "<=")):
+                raise InputError("only '<=' rows take a finite range")
         self.name = name
         self._standard = None
 
@@ -141,10 +158,14 @@ class LPSolution:
     """Solver result.  ``x`` and ``duals`` refer to the original rows
     and columns.  On an infeasible exit ``duals`` holds the phase-one
     row prices: a new column ``a`` can restore feasibility only if
-    duals @ a > 0.  The final basis stays with the LP's standard form,
-    where the next solve resumes, phase one included.  ``refactors``
-    counts the basis factorizations, pivot-check solves included, and
-    ``rounds`` the dense solves behind the result."""
+    duals @ a > 0.  A ranged row's dual is free: positive where its
+    upper end binds, negative where its lower end does.  The final basis
+    stays with the LP's standard form, where the next solve resumes,
+    phase one included.  ``iterations`` counts the pivots and ``flips``
+    the bound flips, steps that move a ranged row's slack from one bound
+    to the other with no basis change; ``refactors`` counts the basis
+    factorizations, pivot-check solves included, and ``rounds`` the
+    dense solves behind the result."""
 
     status: LPStatus
     objective: Optional[float]
@@ -157,6 +178,7 @@ class LPSolution:
     column_positions: Optional[list] = None
     refactors: int = 0
     rounds: int = 1
+    flips: int = 0
 
 
 class _Canonical:
@@ -205,11 +227,17 @@ class _Canonical:
 
         self.m = m
         self.A = A
-        self.b = np.abs(lp.rhs)
+        self.b0 = np.abs(lp.rhs)
+        self.b = self.b0.copy()
         self.row_sign = np.where(flip, -1.0, 1.0)
         self.first = np.flatnonzero(~negated)
         self.n_struct = struct.shape[1]
         self.cost2 = np.concatenate([costs, np.zeros(A.shape[1] - costs.size)])
+        self.upper = np.full(A.shape[1], np.inf)
+        self.upper[self.n_struct : n_real] = lp.row_range[self.slack_rows]
+        self.bounded = bool(np.any(np.isfinite(self.upper)))
+        # per slack, whether it is held complemented
+        self.complemented = np.zeros(self.slack_rows.size, dtype=bool)
         self.basis = None
         self.Binv = None
         self.since_refactor = 0
@@ -228,15 +256,39 @@ class _Canonical:
         flipped = cols * self.row_sign[:, None]
         self.A = np.concatenate([self.A[:, :k], flipped, self.A[:, k:]], axis=1)
         self.cost2 = np.concatenate([self.cost2[:k], costs, self.cost2[k:]])
+        self.upper = np.concatenate([self.upper[:k], np.full(costs.size, np.inf), self.upper[k:]])
         self.first = np.concatenate([self.first, k + np.arange(costs.size)])
         self.n_struct += costs.size
 
+    def complement(self, k):
+        """Hold bounded column ``k``, a slack, as its distance from its
+        bound, or back as itself: its unit entry changes sign, and its
+        row's right-hand side becomes the fresh one less the bound times
+        the fresh entry, or the fresh one again, with no rounding drift
+        over repeated flips."""
+        s = k - self.n_struct
+        i = self.slack_rows[s]
+        self.complemented[s] = not self.complemented[s]
+        self.A[i, k] = -self.A[i, k]
+        self.b[i] = self.b0[i] + self.upper[k] * self.A[i, k] if self.complemented[s] else self.b0[i]
+
     def cold_basis(self):
-        basis = self.n_real + np.arange(self.m)
+        """The slack and artificial basis, on fresh slacks but for one
+        rule: a ranged row's slack with entry +1 starts complemented when
+        the row's right-hand side exceeds its range, where it could not be
+        basic.  A slack is basic when its entry is then +1, so its value
+        b[i] >= 0 lies within its bound; the other rows start on their
+        artificials."""
         slacks = self.n_struct + np.arange(self.slack_rows.size)
-        # a slack enters the starting basis only when its flipped
-        # coefficient is +1, so the basic value equals b[i] >= 0
-        keep = self.A[self.slack_rows, slacks] > 0.5
+        sign = np.where(self.complemented, -1.0, 1.0) * self.A[self.slack_rows, slacks]
+        over = (sign > 0.5) & (self.b0[self.slack_rows] > self.upper[slacks])
+        sign[over] = -1.0
+        self.A[self.slack_rows, slacks] = sign
+        self.complemented = over
+        self.b[:] = self.b0
+        self.b[self.slack_rows[over]] -= self.upper[slacks[over]]
+        basis = self.n_real + np.arange(self.m)
+        keep = sign > 0.5
         basis[self.slack_rows[keep]] = slacks[keep]
         return basis
 
@@ -263,17 +315,28 @@ def _factor(canon, basis, stats):
     return _refactor(canon.A, basis)
 
 
-def _leaving_row(d, xB, basis):
+def _leaving_row(d, xB, basis, ubB=None):
     """Ratio test for an entering column with basis-space entries ``d``:
-    the row that leaves, or None when no entry can pivot."""
-    idx = np.nonzero(d > PIVOT_TOL)[0]
-    if idx.size == 0:
-        return None
-    ratios = xB[idx] / d[idx]
-    theta = max(float(ratios.min()), 0.0)
-    near = idx[ratios <= theta + DEGEN_TOL]
+    the row that leaves and the entering column's step, or (None, inf)
+    when no entry can pivot.  A basic value falls to zero where d > 0;
+    given ``ubB``, the basic columns' upper bounds, one also rises to its
+    bound where d < 0, at the step (xB - ubB) / d."""
+    if ubB is None:
+        idx = np.nonzero(d > PIVOT_TOL)[0]
+        if idx.size == 0:
+            return None, math.inf
+        ratios = xB[idx] / d[idx]
+    else:
+        idx = np.arange(d.size)
+        ratios = np.divide(xB - np.where(d > 0.0, 0.0, ubB), d, out=np.full(d.size, np.inf),
+                           where=np.abs(d) > PIVOT_TOL)
+    theta = float(ratios.min())
+    if theta == math.inf:
+        return None, theta
+    near = np.nonzero(ratios <= max(theta, 0.0) + DEGEN_TOL)[0]
     # deterministic leave choice: smallest basic column position
-    return int(near[basis[near].argmin()])
+    at = near[basis[idx[near]].argmin()]
+    return int(idx[at]), max(float(ratios[at]), 0.0)
 
 
 def _pivot(basis, Binv, j, d, r):
@@ -297,11 +360,18 @@ def _simplex_phase(canon, cost, basis, Binv, stats, phase_one=False):
     pivot was rounding left in the updated inverse, which is then
     rebuilt.  Phase one is bounded below, so there an entering column
     without a pivot row priced negative only by rounding; it is skipped
-    until the next pivot.
+    until the next pivot.  On a form with bounded columns the ratio test
+    also stops a basic column at its bound, which then leaves
+    complemented, and an entering bounded column that reaches its own
+    bound first flips there: it is complemented and stays nonbasic, a
+    step counted in ``stats["flips"]``, not as a pivot.
     """
     A, b = canon.A, canon.b
     n = canon.n_real
     real = A[:, :n]
+    upper = canon.upper if canon.bounded else None
+    # the basic columns' upper bounds, kept in step with the basis
+    ubB = None if upper is None else upper[basis]
     xB = Binv @ b
     if n == 0:
         return "optimal", Binv, xB
@@ -323,15 +393,25 @@ def _simplex_phase(canon, cost, basis, Binv, stats, phase_one=False):
         if not rc[j] < -RC_TOL:
             return "optimal", Binv, xB
         d = Binv @ A[:, j]
-        r = _leaving_row(d, xB, basis)
-        if r is not None and d[r] < PIVOT_CHECK * np.abs(d).max():
+        r, step = _leaving_row(d, xB, basis, ubB)
+        if r is not None and abs(d[r]) < PIVOT_CHECK * np.abs(d).max():
             stats["refactors"] += 1
             exact = _refactor(A, basis, A[:, j])
-            if abs(exact[r] - d[r]) > PIVOT_CHECK * d[r]:
+            if abs(exact[r] - d[r]) > PIVOT_CHECK * abs(d[r]):
                 Binv = _factor(canon, basis, stats)
                 xB = np.maximum(Binv @ b, 0.0)
                 d = exact
-                r = _leaving_row(d, xB, basis)
+                r, step = _leaving_row(d, xB, basis, ubB)
+        if upper is not None and upper[j] <= step and upper[j] < math.inf:
+            # the entering slack reaches its own bound first
+            xB -= upper[j] * d
+            np.maximum(xB, 0.0, out=xB)
+            canon.complement(j)
+            stats["flips"] += 1
+            if upper[j] > DEGEN_TOL:
+                degen_streak = 0
+                bland = False
+            continue
         if r is None:
             if phase_one:
                 blocked[j] = True
@@ -341,7 +421,6 @@ def _simplex_phase(canon, cost, basis, Binv, stats, phase_one=False):
         if skipped:
             blocked[skipped] = False
             skipped.clear()
-        step = xB[r] / d[r]
         if step <= DEGEN_TOL:
             degen_streak += 1
             if degen_streak >= BLAND_AFTER:
@@ -352,10 +431,17 @@ def _simplex_phase(canon, cost, basis, Binv, stats, phase_one=False):
         xB -= step * d
         xB[r] = step
         np.maximum(xB, 0.0, out=xB)
-        if basis[r] < n:
-            blocked[basis[r]] = False
+        leaving = basis[r]
+        if leaving < n:
+            blocked[leaving] = False
         blocked[j] = True
         _pivot(basis, Binv, j, d, r)
+        if d[r] < 0.0:
+            # the leaving column stops at its bound, where it is held
+            # complemented
+            canon.complement(leaving)
+        if ubB is not None:
+            ubB[r] = upper[j]
         stats["iterations"] += 1
         canon.since_refactor += 1
         if canon.since_refactor >= REFACTOR_EVERY:
@@ -383,11 +469,16 @@ def _drive_out_artificials(canon, basis, Binv, xB):
 
 
 def _feasibility_residual(lp: LinearProgram, x: np.ndarray) -> float:
+    """The largest violation of a row by ``x``, at either end of a
+    ranged row."""
     ax = lp.A @ x
     senses = np.array(lp.row_senses, dtype="<U2")
     gap = np.where(
         senses == "<=", ax - lp.rhs, np.where(senses == ">=", lp.rhs - ax, np.abs(ax - lp.rhs))
     )
+    ranged = np.isfinite(lp.row_range)
+    below = (lp.rhs[ranged] - lp.row_range[ranged]) - ax[ranged]
+    gap[ranged] = np.maximum(gap[ranged], below)
     return float(np.max(gap, initial=0.0))
 
 
@@ -396,9 +487,10 @@ def solve_dense_simplex(lp: LinearProgram) -> LPSolution:
 
     The solve resumes from the basis and inverse that the LP's standard
     form kept from its last solve, moved past any columns appended
-    since, while that basis is still feasible; otherwise it starts from
-    the slack and artificial basis.  It keeps the basis and inverse it
-    ends on for the next solve.  The inverse is rebuilt only every
+    since, while that basis is still feasible, bounds included; otherwise
+    it starts from the slack and artificial basis.  It keeps the basis,
+    its inverse and the complemented slacks it ends on for the next
+    solve.  The inverse is rebuilt only every
     REFACTOR_EVERY pivots, counted across solves, and when a checked
     pivot disagrees with a direct solve.  Raises CapacityError when the
     row or column count exceeds DENSE_BUDGET, and stops with status
@@ -409,7 +501,7 @@ def solve_dense_simplex(lp: LinearProgram) -> LPSolution:
             f"LP size {lp.n_rows}x{lp.n_cols} exceeds the dense budget {DENSE_BUDGET}"
         )
     canon = lp.standard_form()
-    stats = {"iterations": 0, "refactors": 0}
+    stats = {"iterations": 0, "refactors": 0, "flips": 0}
 
     # a kept basis may include artificials: the previous round of column
     # generation can stop mid-phase-one, and resuming it there is the
@@ -419,7 +511,7 @@ def solve_dense_simplex(lp: LinearProgram) -> LPSolution:
     canon.basis = canon.Binv = None
     if basis is not None:
         xB = Binv @ canon.b
-        if not np.all(xB >= -FEAS_TOL):
+        if not (np.all(xB >= -FEAS_TOL) and np.all(xB <= canon.upper[basis] + FEAS_TOL)):
             basis = None
     if basis is None:
         basis = canon.cold_basis()
@@ -438,7 +530,7 @@ def solve_dense_simplex(lp: LinearProgram) -> LPSolution:
             xB = _drive_out_artificials(canon, basis, Binv, xB)
         status, Binv, xB = _simplex_phase(canon, canon.cost2, basis, Binv, stats)
     canon.basis, canon.Binv = basis, Binv
-    done = dict(iterations=stats["iterations"], refactors=stats["refactors"])
+    done = dict(iterations=stats["iterations"], refactors=stats["refactors"], flips=stats["flips"])
 
     if status == "iteration_limit":
         return LPSolution(LPStatus.ITERATION_LIMIT, None, None, None, **done)
@@ -530,22 +622,24 @@ def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
     ``certified``: the returned optimum, or infeasibility, then holds
     against every cell; a stop after ROUND_LIMIT rounds leaves it
     unset.  Identical inputs produce identical iteration counts,
-    columns and objective.  The result carries the pivots, refactors
-    and rounds summed over the run.  Each round logs one line at debug
-    level: phase, restricted objective, pivots, refactors, picks, most
-    negative reduced cost and pricing seconds.
+    columns and objective.  The result carries the pivots, flips,
+    refactors and rounds summed over the run.  Each round logs one line
+    at debug level: phase, restricted objective, pivots, flips,
+    refactors, picks, most negative reduced cost and pricing seconds.
     """
     master = LinearProgram(
-        seed_lp.sense, seed_lp.c, seed_lp.A, seed_lp.row_senses, seed_lp.rhs, name=seed_lp.name
+        seed_lp.sense, seed_lp.c, seed_lp.A, seed_lp.row_senses, seed_lp.rhs, name=seed_lp.name,
+        row_range=seed_lp.row_range,
     )
     positions = [None] * seed_lp.n_cols
-    total_iters = total_refactors = 0
+    total_iters = total_refactors = total_flips = 0
     sol = None
 
     for round_no in range(ROUND_LIMIT):
         sol = solve_dense_simplex(master)
         total_iters += sol.iterations
         total_refactors += sol.refactors
+        total_flips += sol.flips
         if sol.status is LPStatus.ITERATION_LIMIT:
             break
         if sol.status is LPStatus.UNBOUNDED:
@@ -555,10 +649,10 @@ def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
         seen = np.sort(np.fromiter(gen.generated, dtype=np.intp, count=len(gen.generated)))
         picks, rc = gen.reduced_costs(sol.duals, use_obj, DCG_BATCH, seen)
         log.debug(
-            "dcg round %d: phase %d, objective %s, pivots %d, refactors %d, picks %d, "
-            "min rc %s, pricing %.6f s",
-            round_no + 1, 2 if use_obj else 1, sol.objective, sol.iterations, sol.refactors,
-            picks.size, float(rc[0]) if rc.size else None, time.perf_counter() - t0,
+            "dcg round %d: phase %d, objective %s, pivots %d, flips %d, refactors %d, "
+            "picks %d, min rc %s, pricing %.6f s",
+            round_no + 1, 2 if use_obj else 1, sol.objective, sol.iterations, sol.flips,
+            sol.refactors, picks.size, float(rc[0]) if rc.size else None, time.perf_counter() - t0,
         )
         if not picks.size:
             # exact pricing found nothing: the optimum, or after phase
@@ -573,6 +667,7 @@ def solve_dcg(seed_lp: LinearProgram, gen: ColumnGenerator) -> LPSolution:
         gen.generated.update(picks.tolist())
 
     sol.iterations, sol.refactors, sol.rounds = total_iters, total_refactors, round_no + 1
+    sol.flips = total_flips
     sol.columns_generated = len(positions) - seed_lp.n_cols
     sol.column_positions = positions
     return sol

@@ -109,7 +109,9 @@ def solve_primal_discretization(dual, grid: Optional[CandidateGrid] = None) -> D
     """
     if grid is None:
         grid = build_candidate_grid(dual)
-    senses, rhs = dual.master_row_data()
+    # one row per record, as the row routes have, not the master's rows
+    senses = ["<="] * dual.n_ineq + ["="] * (dual.n_eq + 1)
+    rhs = np.array([rec[2] for rec in dual.records] + [1.0])
     # a cell's entries form one run, restricted once
     rows = []
     for cell, run in groupby(grid.entries, key=lambda entry: entry[0]):

@@ -85,6 +85,13 @@ class Instance:
         return solve_rows(self.dual(), mode)
 
 
+def master_rows(dual):
+    """Each master row's record index, the normalization row last with
+    the record count: per-record values indexed by it give the master's
+    rows, a pair's row taking its upper record's."""
+    return np.append(dual.row_records, len(dual.records))
+
+
 def jittered_breakpoints(rng, m, lo=0.0, hi=1.0):
     bp = np.linspace(lo, hi, m + 1)
     # jitter below half the spacing keeps the order strict
@@ -198,7 +205,8 @@ def random_lp(seed, m=None, n=None):
 
 def scipy_reference(lp):
     """Solve a LinearProgram with HiGHS and map the result back to the
-    LP's own sense.  Returns (status, value) with status one of
+    LP's own sense.  A ranged row goes to HiGHS as two inequalities, so
+    the reference shares no bound handling with the engine.  Returns (status, value) with status one of
     'optimal', 'infeasible', 'unbounded'.  HiGHS reports some feasible,
     unbounded programs as infeasible, so an infeasible answer is checked
     by a re-solve with a zero objective: when that is feasible, the
@@ -209,6 +217,10 @@ def scipy_reference(lp):
         if s == "<=":
             A_ub.append(A[i])
             b_ub.append(lp.rhs[i])
+            if np.isfinite(lp.row_range[i]):
+                # a ranged row is its two inequalities here
+                A_ub.append(-A[i])
+                b_ub.append(lp.row_range[i] - lp.rhs[i])
         elif s == ">=":
             A_ub.append(-A[i])
             b_ub.append(-lp.rhs[i])

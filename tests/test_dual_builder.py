@@ -33,6 +33,7 @@ from riskdual import (
     TestFunctionKind,
     assemble_dual_lp,
     build_box_partition,
+    empirical_integral,
     evaluate,
     maximize_linear_over_cell,
     restrict_to_cell,
@@ -46,7 +47,9 @@ from riskdual.geometry import VERTEX_TOL, slot_rays, slot_vertices
 
 from conftest import (
     count_decodes,
+    jittered_breakpoints,
     lp_limit,
+    master_rows,
     price,
     random_instance,
     reference_cell_vertices,
@@ -948,10 +951,16 @@ def test_column_source_matches_the_restriction_route(dual):
     assert entries.count == len(points) and gen.count == master.n_cols == positions.size
     assert entries.cell.tolist() == [cell for cell, _q, _ray, _vals, _obj in points]
     assert entries.ray.tolist() == [ray for _cell, _q, ray, _vals, _obj in points]
-    duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
+    duals = np.random.default_rng(0).normal(0.0, 1.0, master_rows(dual).size)
     rc = reference_reduced_costs(dual, duals, use_objective=True)
 
+    paired = dual.row_lower >= 0
+
     def check(pos, vals, obj):
+        # a pair's lower record takes the negated values of its upper
+        # record, so the pair's one master row holds both
+        assert np.array_equal(vals[dual.row_lower[paired]], -vals[dual.row_records[paired]])
+        vals = vals[master_rows(dual)]
         j = int(np.searchsorted(positions, pos))
         cols, col_objs = gen.column_at(np.array([pos]))
         np.testing.assert_allclose(cols[:, 0], vals, rtol=0, atol=1e-12)
@@ -1013,7 +1022,7 @@ def _assert_scores_match_the_gather_formula(dual, seed=0):
     is every value among the pricer's candidates, whether it sweeps
     the grid or searches it one unit at a time or in blocks of the
     default size."""
-    duals = np.random.default_rng(seed).normal(0.0, 1.0, len(dual.records) + 1)
+    duals = np.random.default_rng(seed).normal(0.0, 1.0, master_rows(dual).size)
     seen = np.zeros(0, dtype=np.intp)
     for use_objective in (True, False):
         gather = _per_cell_gather_scores(dual, duals, use_objective)
@@ -1254,7 +1263,7 @@ def test_pricing_allocates_in_proportion_to_the_boxes_evaluated():
     dual = _frequency_grid_dual()
     count = dual.master_generator().count
     assert count == 70_375
-    duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
+    duals = np.random.default_rng(0).normal(0.0, 1.0, master_rows(dual).size)
     # the first search builds the unit tables, once per run
     dual._reduced_costs(-duals, True, 8, np.zeros(0, dtype=np.intp))
     tracemalloc.start()
@@ -1322,7 +1331,7 @@ def _assert_pricer_matches_the_sweep(dual, rng, box_block):
     sets, and random, integer and z0-only duals: the last two make
     ties at the q-th value common."""
     gen, ref = dual.master_generator(), reference_generator(dual)
-    n = len(dual.records) + 1
+    n = master_rows(dual).size
     positions = dual.master_positions()
     for duals in (rng.normal(0.0, 1.0, n), rng.integers(-2, 3, n).astype(float),
                   np.eye(n)[-1] * rng.integers(-2, 3)):
@@ -1378,7 +1387,10 @@ def test_a_tie_in_a_later_unit_replaces_the_last_pick():
     grid = np.linspace(0.0, 1.0, 4)
     dual = assemble_dual_lp(build_box_partition([grid] * 2, 1.0),
                             _frequency_records([grid] * 2, [0, 1]), RiskFunctional(VAR, 1.0))
-    duals = np.array([1.0, -1.0, -1.0, 2.0, -2.0, -1.0, 1.0, 1.0, 1.0, 2.0, -2.0, -1.0, 0.0])
+    # one dual per record, hi and lo in turn, then z0; a pair's master
+    # row carries hi's column, lo's negated, so its dual is y_hi - y_lo
+    y = np.array([1.0, -1.0, -1.0, 2.0, -2.0, -1.0, 1.0, 1.0, 1.0, 2.0, -2.0, -1.0])
+    duals = np.append(y[0::2] - y[1::2], 0.0)
     with pytest.MonkeyPatch.context() as mp:
         _price_by(mp, 1)
         picks, rc = price(dual.master_generator(), duals, 4)
@@ -1477,7 +1489,7 @@ def test_dual_and_partition_keep_no_per_cell_array():
     # of its point entries or of its partition grows with the cells
     dual = _frequency_grid_dual()
     _seed, gen = dual.master_seed()
-    duals = np.random.default_rng(0).normal(0.0, 1.0, len(dual.records) + 1)
+    duals = np.random.default_rng(0).normal(0.0, 1.0, master_rows(dual).size)
     gen.reduced_costs(duals, True, 8, np.zeros(0, dtype=np.intp))
     assert dual._unit_least is not None  # the search ran
     cells = dual.partition.cell_count
@@ -1540,7 +1552,7 @@ def test_box_search_blocks_stop_doubling_at_the_sweep_size(monkeypatch):
         return box_costs(at, *args)
 
     monkeypatch.setattr(dual, "_box_costs", counted)
-    n = len(dual.records) + 1
+    n = master_rows(dual).size
     seen = np.zeros(0, dtype=np.intp)
     dual._reduced_costs(np.eye(n)[-1], False, 8, seen)
     assert sum(sizes) == dual._units.size * dual._n_tail
@@ -1564,7 +1576,7 @@ def test_box_bound_reaches_only_the_tails_where_a_unit_holds_keys():
     assert not np.any(dual._has[:, 3]) and np.any(dual._has[: dual._n_head])
     rows, mat = dual._tables[1]
     slab_3 = np.flatnonzero(np.all((mat != 0.0) == (np.arange(4) == 3)[:, None], axis=0))[0]
-    duals = np.zeros(len(dual.records) + 1)
+    duals = np.zeros(master_rows(dual).size)
     duals[rows[slab_3]] = -100.0 / mat[3, slab_3]
     tables = [mat_a @ (duals[rows_a] * dual._rec_c[rows_a])
               for rows_a, mat_a in dual._tables.values()]
@@ -1847,3 +1859,130 @@ def test_var_bound_is_at_most_the_dual_bound(model):
     bps, tau = model
     bound = _uniform_mass_var_bound(bps, tau)
     assert bound <= _dual_bound(bps[0][1:], len(bps), tau) + 1e-9
+
+
+# -- ranged master rows: one row per two-sided pair --
+
+
+def _unmerged_master(dual):
+    """The master with one row per record: a record's row is its master
+    row, negated for the lower record of a pair, with the record's own
+    right-hand side, and no row has a range."""
+    with lp_limit("DENSE_BUDGET", 100_000):
+        merged = dual.master_lp()
+    row_of = np.empty(len(dual.records), dtype=np.intp)
+    sign = np.ones(len(dual.records))
+    row_of[dual.row_records] = np.arange(dual.row_records.size)
+    paired = np.flatnonzero(dual.row_lower >= 0)
+    row_of[dual.row_lower[paired]] = paired
+    sign[dual.row_lower[paired]] = -1.0
+    A = np.vstack([merged.A[row_of] * sign[:, None], merged.A[-1:]])
+    senses = ["<="] * dual.n_ineq + ["="] * (dual.n_eq + 1)
+    return LinearProgram("max", merged.c, A, senses, [rec[2] for rec in dual.records] + [1.0])
+
+
+def _ranged_model(seed):
+    """A random model on at most 3 axes of at most 3 slabs, one axis
+    sometimes unbounded above, with records calibrated on a sample so
+    it is usually feasible: indicator and affine pairs, some with
+    lo = hi, one-sided records, equalities, and duplicates of earlier
+    records, and rarely a pair with lo > hi."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    bps = [jittered_breakpoints(rng, int(rng.integers(1, 4))) for _ in range(d)]
+    data = rng.uniform(0.0, 1.0, (60, d))
+    if rng.random() < 0.3:
+        a = int(rng.integers(d))
+        bps[a] = np.append(bps[a], np.inf)
+        data[:12, a] += rng.uniform(0.0, 1.0, 12)
+    tau = float(np.quantile(data.sum(axis=1), rng.uniform(0.4, 0.9)))
+    partition = build_box_partition(bps, tau)
+    risk = RiskFunctional(VAR if rng.random() < 0.5 else HINGE, tau)
+    fns = []
+    for i in range(int(rng.integers(1, 7))):
+        a = int(rng.integers(d))
+        b = partition.breakpoints[a]
+        i0 = int(rng.integers(0, len(b) - 1))
+        slab = (float(b[i0]), float(b[int(rng.integers(i0 + 1, len(b)))]))
+        if rng.random() < 0.5:
+            kind, v, c = TestFunctionKind.SLAB_INDICATOR, None, 0.0
+        else:
+            kind, v, c = TestFunctionKind.SLAB_AFFINE, rng.normal(0.0, 1.0, d), float(rng.normal())
+
+        def record(name, sense, bound):
+            return TestFunction(f"{name}_{i}", kind, a, slab, sense, bound, v=v, c=c)
+
+        emp = empirical_integral(record("probe", Sense.UPPER, 0.0), data)
+        slack = float(rng.choice([0.02, 0.1]))
+        shape = rng.choice(["pair", "equal_pair", "upper", "lower", "equality", "duplicate"])
+        if shape in ("pair", "duplicate"):
+            fns += [record("hi", Sense.UPPER, emp + slack), record("lo", Sense.LOWER, emp - slack)]
+        if shape == "equal_pair":
+            fns += [record("lo", Sense.LOWER, emp), record("hi", Sense.UPPER, emp)]
+        if shape == "upper":
+            fns.append(record("hi", Sense.UPPER, emp + slack))
+        if shape == "lower":
+            fns.append(record("lo", Sense.LOWER, emp - slack))
+        if shape == "equality":
+            fns.append(record("eq", Sense.EQUALITY, emp))
+        if shape == "duplicate":
+            # a looser copy of one side, and a tighter one of the other
+            fns.append(record("hi2", Sense.UPPER, emp + 2 * slack))
+            fns.append(record("lo2", Sense.LOWER, emp - slack / 2))
+        if rng.random() < 0.03:
+            # lo > hi: no measure fits
+            fns += [record("xhi", Sense.UPPER, emp - slack), record("xlo", Sense.LOWER, emp + slack)]
+    rng.shuffle(fns)
+    return partition, fns, risk
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ranged_master_agrees_with_highs_on_the_unmerged_master(seed):
+    partition, fns, risk = _ranged_model(seed)
+    got = solve_bound(partition, fns, risk)
+    dual = got.dual
+    status, ref = scipy_reference(_unmerged_master(dual))
+    assert got.status == status
+    if status != "optimal":
+        assert got.multipliers is None
+        return
+    assert abs(got.bound - ref) <= 1e-7 * max(1.0, abs(ref)), (got.bound, ref)
+    # each record of a pair has its own multiplier, >= 0, and at most
+    # one of the two is nonzero
+    y, z, z0 = got.multipliers
+    paired = dual.row_lower >= 0
+    hi, lo = y[dual.row_records[paired]], y[dual.row_lower[paired]]
+    assert np.all(hi >= 0.0) and np.all(lo >= 0.0)
+    assert not np.any((hi != 0.0) & (lo != 0.0))
+    # the split multipliers certify the bound on the records' own rows
+    rhs = np.array([rec[2] for rec in dual.records])
+    value = np.concatenate([y, z]) @ rhs + z0
+    assert abs(value - got.bound) <= 1e-9 * max(1.0, abs(got.bound)), (value, got.bound)
+
+
+def test_master_rows_pair_two_sided_records_of_one_definition():
+    # hi/lo on slab 0 pair, lo first; a second upper on slab 0 and a
+    # lower with lo > hi on slab 1 stay rows of their own; the affine
+    # upper differs from the affine lower in c, so they do not pair
+    grid = [0.0, 0.5, 1.0]
+
+    def ind(name, slab, sense, bound):
+        return TestFunction(name, TestFunctionKind.SLAB_INDICATOR, 0, slab, sense, bound)
+
+    def aff(name, sense, bound, c):
+        return TestFunction(name, TestFunctionKind.SLAB_AFFINE, 0, (0.0, 1.0), sense, bound,
+                            v=np.array([1.0]), c=c)
+
+    fns = [ind("lo0", (0.0, 0.5), Sense.LOWER, 0.2), ind("hi0", (0.0, 0.5), Sense.UPPER, 0.7),
+           ind("hi0b", (0.0, 0.5), Sense.UPPER, 0.9), ind("hi1", (0.5, 1.0), Sense.UPPER, 0.3),
+           ind("lo1", (0.5, 1.0), Sense.LOWER, 0.4), aff("ahi", Sense.UPPER, 0.8, 0.0),
+           aff("alo", Sense.LOWER, 0.1, 0.5), ind("eq", (0.0, 1.0), Sense.EQUALITY, 1.0)]
+    dual = assemble_dual_lp(build_box_partition([grid], 0.75), fns, RiskFunctional(VAR, 0.75))
+    ids = [rec[0].id for rec in dual.records]
+    assert [ids[r] for r in dual.row_records] == ["hi0", "hi0b", "hi1", "lo1", "ahi", "alo", "eq"]
+    assert [ids[r] if r >= 0 else None for r in dual.row_lower] == ["lo0"] + [None] * 6
+    senses, rhs, ranges = dual.master_row_data()
+    assert senses == ["<="] * 6 + ["="] * 2
+    assert rhs.tolist() == [0.7, 0.9, 0.3, -0.4, 0.8, -0.1, 1.0, 1.0]
+    assert ranges[0] == pytest.approx(0.5) and np.all(np.isinf(ranges[1:]))

@@ -216,6 +216,11 @@ def test_linear_program_validation():
         LinearProgram("min", [1.0], [[1.0]], ["<<"], [1.0])
     with pytest.raises(InputError):
         LinearProgram("min", [1.0], [[1.0]], ["<="], [1.0], var_free=[True, False])
+    # a finite range only on a '<=' row, never negative
+    for senses, rng in ((["="], [1.0]), ([">="], [1.0]), (["<="], [-1.0]), (["<="], [np.nan]),
+                        (["<="], [1.0, 2.0])):
+        with pytest.raises(InputError):
+            LinearProgram("min", [1.0], [[1.0]], senses, [1.0], row_range=rng)
 
 
 def _scored(count, column_at):
@@ -421,7 +426,7 @@ def test_dcg_logs_one_debug_line_per_round(caplog, monkeypatch):
     def counted_solve(lp, **kwargs):
         sol = solve(lp, **kwargs)
         # solve_dcg sums the pivots into the last solution it returns
-        solves.append((sol.status, sol.objective, sol.iterations, sol.refactors))
+        solves.append((sol.status, sol.objective, sol.iterations, sol.flips, sol.refactors))
         return sol
 
     monkeypatch.setattr(lp_engine, "solve_dense_simplex", counted_solve)
@@ -432,13 +437,13 @@ def test_dcg_logs_one_debug_line_per_round(caplog, monkeypatch):
     assert sol.certified
     lines = [r.getMessage() for r in caplog.records if r.name == "riskdual.lp_engine"]
     assert len(lines) == len(solves) > 2
-    for n, (line, (status, objective, pivots, refactors)) in enumerate(
+    for n, (line, (status, objective, pivots, flips, refactors)) in enumerate(
         zip(lines, solves), start=1
     ):
         phase = 2 if status is LPStatus.OPTIMAL else 1
         assert line.startswith(
             f"dcg round {n}: phase {phase}, objective {objective}, pivots {pivots}, "
-            f"refactors {refactors}, picks "
+            f"flips {flips}, refactors {refactors}, picks "
         )
         assert re.search(r", min rc \S+, pricing \d+\.\d{6} s$", line)
     assert all(", picks 2, min rc -" in line for line in lines[:-1])
@@ -606,3 +611,147 @@ def test_a_failed_solve_drops_the_kept_inverse(monkeypatch):
     again = solve_dense_simplex(lp)
     assert again.status is LPStatus.OPTIMAL and again.refactors >= 1
     assert again.objective == pytest.approx(scipy_reference(lp)[1], abs=1e-9)
+
+
+# -- ranged rows: one row, its slack bounded by the range --
+
+
+def _ranged(sense, c, A, rhs, ranges, senses=None):
+    """An LP of '<=' rows (or ``senses``) with the given ranges."""
+    senses = ["<="] * len(rhs) if senses is None else senses
+    return LinearProgram(sense, c, A, senses, rhs, row_range=ranges)
+
+
+def _agrees_with_two_rows(lp, sol):
+    """``sol`` against HiGHS on the LP with each ranged row written as
+    its two inequalities: status, objective, both ends of every row, and
+    the duals' certificate, each ranged row's free dual taken at the end
+    its sign says binds."""
+    status, value = scipy_reference(lp)
+    assert sol.status.value == status
+    if status != "optimal":
+        return
+    assert sol.objective == pytest.approx(value, rel=1e-9, abs=1e-9)
+    assert sol.feas_residual <= 1e-9
+    ax = lp.A @ sol.x
+    ranged = np.isfinite(lp.row_range)
+    assert np.all(ax[ranged] >= lp.rhs[ranged] - lp.row_range[ranged] - 1e-9)
+    # a max problem's '<=' dual is >= 0 where the upper end binds; the
+    # lower end is the same row with the opposite sign of dual
+    y = sol.duals if lp.sense == "min" else -sol.duals
+    lower = ranged & (y > 0.0)
+    rhs = np.where(lower, lp.rhs - lp.row_range, lp.rhs)
+    assert sol.duals @ rhs == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
+
+
+def test_ranged_row_optimum_at_the_lower_end():
+    # -2 <= x1 - x2 <= 1 and x1 + x2 <= 4, max x2 - x1: the first row's
+    # slack starts basic and leaves at its bound, complemented
+    lp = _ranged("max", [-1.0, 1.0], [[1.0, -1.0], [1.0, 1.0]], [1.0, 4.0], [3.0, np.inf])
+    sol = solve_dense_simplex(lp)
+    assert sol.objective == pytest.approx(2.0)
+    assert sol.flips == 0 and sol.iterations >= 1
+    assert sol.duals[0] < 0.0
+    assert lp.standard_form().complemented.tolist() == [True, False]
+    _agrees_with_two_rows(lp, sol)
+
+
+def test_ranged_row_cold_start_complements_a_slack_above_its_range():
+    # 2 <= x <= 5: the slack cannot start basic at 5 > 3, so it starts
+    # complemented and the row's artificial holds the lower end
+    lp = _ranged("min", [1.0], [[1.0]], [5.0], [3.0])
+    canon = lp.standard_form()
+    basis = canon.cold_basis()
+    assert canon.complemented.tolist() == [True]
+    assert canon.b.tolist() == [2.0] and basis.tolist() == [canon.n_real]
+    sol = solve_dense_simplex(lp)
+    assert sol.objective == pytest.approx(2.0)
+    _agrees_with_two_rows(lp, sol)
+    # with x <= 1 besides, phase one ends infeasible
+    lp = _ranged("min", [1.0], [[1.0], [1.0]], [5.0, 1.0], [3.0, np.inf])
+    sol = solve_dense_simplex(lp)
+    assert sol.status is LPStatus.INFEASIBLE
+    _agrees_with_two_rows(lp, sol)
+
+
+def test_ranged_row_slack_flips_to_its_other_bound():
+    # 4 <= x <= 5, max x: phase one brings x to 4, then the complemented
+    # slack enters, and no basic column stops it before its own bound
+    lp = _ranged("max", [1.0], [[1.0]], [5.0], [1.0])
+    sol = solve_dense_simplex(lp)
+    assert sol.objective == pytest.approx(5.0)
+    assert sol.flips == 1 and sol.iterations == 1
+    assert lp.standard_form().complemented.tolist() == [False]
+    _agrees_with_two_rows(lp, sol)
+
+
+def test_warm_start_after_append_keeps_a_complemented_slack():
+    # 2 <= x <= 5, min x ends with the slack complemented; min x - y
+    # with y appended resumes there and flips the slack to x + y = 5
+    lp = _ranged("min", [1.0], [[1.0]], [5.0], [3.0])
+    first = solve_dense_simplex(lp)
+    assert first.objective == pytest.approx(2.0)
+    assert lp.standard_form().complemented.tolist() == [True]
+    kept = lp.standard_form().basis.copy()
+    lp.append_columns([[1.0]], [-1.0])
+    assert lp.standard_form().basis.tolist() == kept.tolist()
+    sol = solve_dense_simplex(lp)
+    assert sol.refactors == 0, "the kept basis was reused"
+    assert sol.objective == pytest.approx(-5.0)
+    assert sol.flips == 1
+    assert _kept_inverse_error(lp) <= 1e-12
+    _agrees_with_two_rows(lp, sol)
+    cold = solve_dense_simplex(_ranged("min", [1.0, -1.0], [[1.0, 1.0]], [5.0], [3.0]))
+    assert cold.objective == pytest.approx(sol.objective)
+
+
+def test_a_kept_basis_outside_a_bound_is_not_reused():
+    # no solve ends with a basic slack past its bound, so the form is
+    # edited to hold one: 0 <= x <= 5 leaves slack 0 basic at 5, and a
+    # range cut to 1 puts that past it; the next solve starts cold
+    lp = _ranged("max", [-1.0], [[1.0], [1.0]], [5.0, 9.0], [5.0, np.inf])
+    assert solve_dense_simplex(lp).objective == pytest.approx(0.0)
+    canon = lp.standard_form()
+    assert canon.n_struct in canon.basis
+    canon.upper[canon.n_struct] = 1.0
+    sol = solve_dense_simplex(lp)
+    assert sol.refactors >= 1 and sol.objective == pytest.approx(-4.0)
+
+
+def test_a_tiny_negative_pivot_is_checked(monkeypatch):
+    # 0 <= -1e-8 x <= 1 pins x at 0; its slack is basic at its bound, so
+    # x enters on the row's tiny negative entry, which is checked by a
+    # direct solve before the slack leaves complemented
+    checks = []
+    refactor = lp_engine._refactor
+
+    def counted(A, basis, rhs=None):
+        checks.append(rhs is not None)
+        return refactor(A, basis, rhs)
+
+    monkeypatch.setattr(lp_engine, "_refactor", counted)
+    lp = _ranged("max", [1.0], [[-1e-8], [1.0]], [1.0, 2.0], [1.0, np.inf])
+    sol = solve_dense_simplex(lp)
+    assert checks.count(True) == 1
+    assert sol.objective == pytest.approx(0.0, abs=1e-12)
+    assert lp.standard_form().complemented.tolist() == [True, False]
+    _agrees_with_two_rows(lp, sol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_ranged_rows_match_the_two_row_reference(seed, data):
+    # random LPs with a range, often tight and sometimes zero, on most
+    # rows, which become '<=' rows
+    base = random_lp(seed)
+    ranges = data.draw(st.lists(st.one_of(st.just(np.inf), st.sampled_from([0.0, 0.25, 1.0, 3.0])),
+                                min_size=base.n_rows, max_size=base.n_rows))
+    ranges = np.array(ranges)
+    senses = [s if r == np.inf else "<=" for s, r in zip(base.row_senses, ranges)]
+    lp = LinearProgram(base.sense, base.c, base.A, senses, base.rhs, var_free=base.var_free,
+                       row_range=ranges)
+    sol = solve_dense_simplex(lp)
+    _agrees_with_two_rows(lp, sol)
+    # a resolve from the kept basis changes nothing
+    again = solve_dense_simplex(lp)
+    assert again.status is sol.status and again.iterations == again.flips == 0
