@@ -963,7 +963,7 @@ def solve_bound(
         status, values = _dcg_status(sol, dual), sol.duals
     else:
         engine, sol = "dense_rows", solve_dense_simplex(dual.materialize(mode))
-        status, values = _rows_status(sol, partition, testfns, riskfn), sol.x
+        status, values = _rows_status(sol, partition, testfns, riskfn, mode), sol.x
     optimal = status == "optimal"
     if optimal and engine == "dcg":
         values = dual.record_duals(values)
@@ -1000,12 +1000,12 @@ def _dcg_status(sol, dual) -> str:
     return sol.status.value
 
 
-def _rows_status(sol, partition, testfns, riskfn) -> str:
+def _rows_status(sol, partition, testfns, riskfn, mode) -> str:
     """The bound's status after the row dual's solve, which holds every
     cell's constraints, so its optimum is final.  UNBOUNDED means the
     dual rows fall without limit, so no measure fits; INFEASIBLE under
     the hinge means no finite certificate, and the bound is +inf if a
-    measure fits."""
+    measure fits, which the VaR row dual of the same ``mode`` decides."""
     if sol.status is LPStatus.OPTIMAL:
         return "optimal"
     if sol.status is LPStatus.UNBOUNDED:
@@ -1013,6 +1013,7 @@ def _rows_status(sol, partition, testfns, riskfn) -> str:
     if sol.status is LPStatus.INFEASIBLE and riskfn.kind is RiskKind.CVAR_HINGE:
         # the VaR bound on the same cells is 'optimal' exactly when a
         # measure fits (z0 = 1 always certifies it, so this cannot recurse)
-        probe = solve_bound(partition, testfns, RiskFunctional(RiskKind.VAR_INDICATOR, riskfn.tau))
+        probe = solve_bound(partition, testfns, RiskFunctional(RiskKind.VAR_INDICATOR, riskfn.tau),
+                            mode)
         return "unbounded" if probe.status == "optimal" else "infeasible"
     raise SolverError(f"dual solve ended with {sol.status.value}")

@@ -10,12 +10,13 @@ solver keeps one restricted master for the whole run: its standard form
 is built once, each round appends the priced cell columns to it in
 place, and the next re-solve starts from the previous basis and its
 inverse, with no refactor because a round began.  A ranged row is one
-row whose slack is bounded by the range, and the ratio test flips a
-slack that reaches its own bound first (Dantzig, Econometrica 23,
-1955).  Pricing asks the column generator for the round's picks rather
-than for every column's reduced cost; the generator must find them
-exactly, by search or by sweep, so an empty answer certifies the
-master.  The limits
+row whose slack is bounded by the range (Dantzig, Econometrica 23,
+1955).  Every column has an upper bound, +inf where it has none, and
+every form takes one ratio test: a basic column stops at zero or at its
+bound, and a slack that reaches its own bound first flips.  Pricing
+asks the column generator for the round's picks rather than for every
+column's reduced cost; the generator must find them exactly, by search
+or by sweep, so an empty answer certifies the master.  The limits
 DENSE_BUDGET, ITER_LIMIT, ROUND_LIMIT and DCG_BATCH are module
 constants, read when a solve starts.
 """
@@ -235,7 +236,6 @@ class _Canonical:
         self.cost2 = np.concatenate([costs, np.zeros(A.shape[1] - costs.size)])
         self.upper = np.full(A.shape[1], np.inf)
         self.upper[self.n_struct : n_real] = lp.row_range[self.slack_rows]
-        self.bounded = bool(np.any(np.isfinite(self.upper)))
         # per slack, whether it is held complemented
         self.complemented = np.zeros(self.slack_rows.size, dtype=bool)
         self.basis = None
@@ -315,28 +315,21 @@ def _factor(canon, basis, stats):
     return _refactor(canon.A, basis)
 
 
-def _leaving_row(d, xB, basis, ubB=None):
+def _leaving_row(d, xB, basis, ubB):
     """Ratio test for an entering column with basis-space entries ``d``:
     the row that leaves and the entering column's step, or (None, inf)
-    when no entry can pivot.  A basic value falls to zero where d > 0;
-    given ``ubB``, the basic columns' upper bounds, one also rises to its
-    bound where d < 0, at the step (xB - ubB) / d."""
-    if ubB is None:
-        idx = np.nonzero(d > PIVOT_TOL)[0]
-        if idx.size == 0:
-            return None, math.inf
-        ratios = xB[idx] / d[idx]
-    else:
-        idx = np.arange(d.size)
-        ratios = np.divide(xB - np.where(d > 0.0, 0.0, ubB), d, out=np.full(d.size, np.inf),
-                           where=np.abs(d) > PIVOT_TOL)
+    when no entry can pivot.  A basic value falls to zero where d > 0,
+    and rises to its upper bound ``ubB`` where d < 0, at the step
+    (xB - ubB) / d, which is +inf on a column without a bound."""
+    ratios = np.divide(xB - np.where(d > 0.0, 0.0, ubB), d, out=np.full(d.size, np.inf),
+                       where=np.abs(d) > PIVOT_TOL)
     theta = float(ratios.min())
     if theta == math.inf:
         return None, theta
     near = np.nonzero(ratios <= max(theta, 0.0) + DEGEN_TOL)[0]
     # deterministic leave choice: smallest basic column position
-    at = near[basis[idx[near]].argmin()]
-    return int(idx[at]), max(float(ratios[at]), 0.0)
+    r = int(near[basis[near].argmin()])
+    return r, max(float(ratios[r]), 0.0)
 
 
 def _pivot(basis, Binv, j, d, r):
@@ -360,18 +353,16 @@ def _simplex_phase(canon, cost, basis, Binv, stats, phase_one=False):
     pivot was rounding left in the updated inverse, which is then
     rebuilt.  Phase one is bounded below, so there an entering column
     without a pivot row priced negative only by rounding; it is skipped
-    until the next pivot.  On a form with bounded columns the ratio test
-    also stops a basic column at its bound, which then leaves
-    complemented, and an entering bounded column that reaches its own
-    bound first flips there: it is complemented and stays nonbasic, a
-    step counted in ``stats["flips"]``, not as a pivot.
+    until the next pivot.  The one ratio test stops a basic column at
+    zero or at its upper bound, where it leaves complemented; a column
+    without a bound has +inf there and only falls to zero.  An entering
+    bounded column that reaches its own bound first flips there: it is
+    complemented and stays nonbasic, a step counted in
+    ``stats["flips"]``, not as a pivot.
     """
-    A, b = canon.A, canon.b
+    A, b, upper = canon.A, canon.b, canon.upper
     n = canon.n_real
     real = A[:, :n]
-    upper = canon.upper if canon.bounded else None
-    # the basic columns' upper bounds, kept in step with the basis
-    ubB = None if upper is None else upper[basis]
     xB = Binv @ b
     if n == 0:
         return "optimal", Binv, xB
@@ -393,7 +384,7 @@ def _simplex_phase(canon, cost, basis, Binv, stats, phase_one=False):
         if not rc[j] < -RC_TOL:
             return "optimal", Binv, xB
         d = Binv @ A[:, j]
-        r, step = _leaving_row(d, xB, basis, ubB)
+        r, step = _leaving_row(d, xB, basis, upper[basis])
         if r is not None and abs(d[r]) < PIVOT_CHECK * np.abs(d).max():
             stats["refactors"] += 1
             exact = _refactor(A, basis, A[:, j])
@@ -401,8 +392,8 @@ def _simplex_phase(canon, cost, basis, Binv, stats, phase_one=False):
                 Binv = _factor(canon, basis, stats)
                 xB = np.maximum(Binv @ b, 0.0)
                 d = exact
-                r, step = _leaving_row(d, xB, basis, ubB)
-        if upper is not None and upper[j] <= step and upper[j] < math.inf:
+                r, step = _leaving_row(d, xB, basis, upper[basis])
+        if upper[j] <= step and upper[j] < math.inf:
             # the entering slack reaches its own bound first
             xB -= upper[j] * d
             np.maximum(xB, 0.0, out=xB)
@@ -440,8 +431,6 @@ def _simplex_phase(canon, cost, basis, Binv, stats, phase_one=False):
             # the leaving column stops at its bound, where it is held
             # complemented
             canon.complement(leaving)
-        if ubB is not None:
-            ubB[r] = upper[j]
         stats["iterations"] += 1
         canon.since_refactor += 1
         if canon.since_refactor >= REFACTOR_EVERY:

@@ -2,6 +2,7 @@
 solver and against hand-checkable programs."""
 
 import logging
+import math
 import re
 
 import numpy as np
@@ -27,11 +28,12 @@ from riskdual import (
     solve_bound,
     solve_dcg,
     solve_dense_simplex,
+    solve_primal_discretization,
 )
 from riskdual import lp_engine
 from riskdual.lp_engine import RC_TOL, steepest_candidates
 
-from conftest import random_instance, random_lp, scipy_reference, sweep_generator
+from conftest import random_instance, random_lp, scipy_reference, solve_rows, sweep_generator
 
 
 def test_tiny_known_programs():
@@ -755,3 +757,106 @@ def test_ranged_rows_match_the_two_row_reference(seed, data):
     # a resolve from the kept basis changes nothing
     again = solve_dense_simplex(lp)
     assert again.status is sol.status and again.iterations == again.flips == 0
+
+
+# -- one ratio test for every form: +inf where a column has no bound --
+
+
+def _loop_ratios(d, xB, ubB):
+    """The steps one entry at a time: a basic value falls to zero where
+    d > PIVOT_TOL and rises to its bound where d < -PIVOT_TOL."""
+    ratios = []
+    for di, xi, ui in zip(d.tolist(), xB.tolist(), ubB.tolist()):
+        if di > lp_engine.PIVOT_TOL:
+            ratios.append(xi / di)
+        elif di < -lp_engine.PIVOT_TOL:
+            ratios.append((xi - ui) / di)
+        else:
+            ratios.append(math.inf)
+    return ratios
+
+
+def _near(ratios):
+    """The positions whose step is within DEGEN_TOL of the smallest."""
+    theta = max(min(ratios, default=math.inf), 0.0)
+    return [i for i, ratio in enumerate(ratios) if ratio <= theta + lp_engine.DEGEN_TOL]
+
+
+def _loop_leaving_row(d, xB, basis, ubB):
+    """The ratio test in plain Python: the smallest step leaves, within
+    DEGEN_TOL the smallest basic position."""
+    ratios = _loop_ratios(d, xB, ubB)
+    if min(ratios, default=math.inf) == math.inf:
+        return None, math.inf
+    r = min(_near(ratios), key=lambda i: basis[i])
+    return r, max(ratios[r], 0.0)
+
+
+def _ratio_test_case(rng):
+    """Entries mixing exact zeros, |d| <= PIVOT_TOL and both signs, basic
+    values with zeros, bounds mixing +inf and finite values at or above
+    the basic value, and at times steps tied within DEGEN_TOL or no
+    candidate at all."""
+    m = int(rng.integers(1, 9))
+    tol = lp_engine.PIVOT_TOL
+    d = rng.choice([-2.0, -0.5, 0.25, 1.0, 3.0], m) * rng.uniform(0.5, 1.5, m)
+    tiny = rng.random(m) < 0.25
+    d[tiny] = rng.choice([0.0, -0.0, tol, -tol, 0.5 * tol, -0.5 * tol], int(tiny.sum()))
+    xB = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 4.0, m))
+    ubB = np.where(rng.random(m) < 0.5, np.inf, xB + rng.choice([0.0, 0.5, 2.0], m))
+    if rng.random() < 0.3:
+        # steps equal to one value up to a few DEGEN_TOL
+        step = float(rng.choice([0.0, 1.0]))
+        jitter = rng.uniform(-2.0, 2.0, m) * lp_engine.DEGEN_TOL
+        up = d < 0.0
+        xB = np.where(up, 0.0, np.maximum(step * d + jitter, 0.0))
+        ubB = np.where(up, -(step * d + jitter), ubB)
+    if rng.random() < 0.1:
+        # nothing can pivot: tiny entries, or falling ones with no bound
+        d = np.where(rng.random(m) < 0.5, rng.uniform(-tol, tol, m), -np.abs(d))
+        ubB = np.full(m, np.inf)
+    basis = rng.permutation(3 * m)[:m]
+    return d, xB, basis, ubB
+
+
+def test_the_ratio_test_matches_a_loop_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    none = ties = 0
+    for _ in range(3000):
+        d, xB, basis, ubB = _ratio_test_case(rng)
+        want = _loop_leaving_row(d, xB, basis, ubB)
+        got = lp_engine._leaving_row(d, xB, basis, ubB.copy())
+        assert repr(got) == repr(want), (d, xB, basis, ubB)
+        none += want[0] is None
+        ties += want[0] is not None and len(_near(_loop_ratios(d, xB, ubB))) > 1
+    # the draws reach both the empty test and tied steps
+    assert none > 100 and ties > 100
+
+
+# the row-dual modes and the oracle build LPs with no ranges, so every
+# bound is +inf: pivots and objectives as with a one-sided ratio test
+ROUTE_PINS = {
+    (0, False): [(94, "0.23876332635581127"), (29, "0.23876332635581127"),
+                 (44, "0.23876332635581127"), (24, "0.23876332635581135")],
+    (3, False): [(24, "0.3557183198671798"), (8, "0.3557183198671798"),
+                 (10, "0.3557183198671798"), (12, "0.35571831986717967")],
+    (5, False): [(90, "0.24554275804378345"), (31, "0.24554275804378345"),
+                 (46, "0.24554275804378345"), (23, "0.24554275804378342")],
+    (0, True): [(93, "0.21755235456724936"), (65, "0.2175523545672494"),
+                (74, "0.21755235456724933"), (23, "0.2175523545672494")],
+    (1, True): [(94, "0.3624032738994013"), (65, "0.36240327389940136"),
+                (58, "0.3624032738994014"), (28, "0.3624032738994014")],
+    (3, True): [(101, "0.98"), (72, "0.9799999999999999"), (67, "0.9799999999999999"),
+                (17, "0.98")],
+}
+
+
+@pytest.mark.parametrize("seed,affine", sorted(ROUTE_PINS))
+def test_row_routes_and_oracle_keep_their_pivots(seed, affine):
+    inst = random_instance(seed, d=2, m=4, affine=True) if affine else random_instance(seed)
+    dual = inst.dual()
+    sols = [solve_rows(dual, mode) for mode in
+            (ReductionMode.EXPLICIT, ReductionMode.LAMBDA_ELIMINATED, ReductionMode.VERTEX)]
+    sols.append(solve_primal_discretization(dual).solution)
+    assert all(sol.status is LPStatus.OPTIMAL and sol.flips == 0 for sol in sols)
+    assert [(sol.iterations, repr(sol.objective)) for sol in sols] == ROUTE_PINS[seed, affine]

@@ -61,3 +61,46 @@ def test_runs_that_failed_are_flagged_and_a_lone_run_has_no_pair():
     assert flags == ["FLAGGED change pair 0 seed 1: 2 failed ops",
                      "FLAGGED parent pair 1 seed 2: not correct",
                      "FLAGGED change pair 1 seed 2: exit 1"]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+def _verdicts(parent, change):
+    """Each metric's verdict on pairs of op times, ``ops_per_s`` being
+    their reciprocals."""
+    runs = [_run("parent", i, v, 1.0 / v) for i, v in enumerate(parent)]
+    runs += [_run("change", i, v, 1.0 / v) for i, v in enumerate(change)]
+    return {r["metric"]: r["verdict"] for r in paired_bench.summarize(runs, END_TO_END)}
+
+
+@pytest.mark.parametrize("change,want", [
+    # 10/10 wins, medians 0.2 apart against a parent quartile distance of 0.03
+    ([0.8 * v for v in PARENT], "gain"),
+    # 8/10 wins is short of nine tenths
+    ([0.8 * v for v in PARENT[:8]] + [1.1, 1.1], "no change"),
+    # 40 % slower, 29 % fewer ops a second, against a bound of 25 %
+    ([1.4 * v for v in PARENT], "worse"),
+    # 20 % slower, 17 % fewer ops a second, is inside the bound
+    ([1.2 * v for v in PARENT], "no change"),
+    # the same values: half the pairs tie, and ties win nothing
+    (PARENT, "no change"),
+])
+def test_each_verdict_in_each_direction(change, want):
+    assert _verdicts(PARENT, change) == {"op_s.p50": want, "ops_per_s": want}
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_beats():
+    wide = [1.0, 2.0] * 5
+    # quartile distance 1.0 against a bound of 0.25 * 1.5: medians 1.5 -> 1.45
+    assert _verdicts(wide, [1.1, 1.8] * 5)["op_s.p50"] == "unresolved"
+    # every change run beats every parent run, yet by no more than the
+    # spread, so no gain either
+    assert _verdicts(wide, [0.9] * 10)["op_s.p50"] == "no change"
+
+
+def test_summary_prints_the_verdict():
+    runs = [_run(side, i, v, 1.0 / v) for i, v in enumerate(PARENT) for side in ("parent", "change")]
+    lines = paired_bench.format_summary(paired_bench.summarize(runs, END_TO_END), runs).splitlines()
+    assert lines[0].endswith("verdict")
+    assert all(line.endswith("  no change") for line in lines[1:])

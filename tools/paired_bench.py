@@ -14,9 +14,20 @@ appended to ``--out``, one JSON object a line, tagged with its ``side``,
 ``pair`` and ``seed`` and the run's exit code.  At the end, for every
 end-to-end metric of the change tree's ``BENCHMARK.json``, the summary
 gives both medians, the quartile distance of the parent's runs, the
-change/parent ratio of the medians, and in how many pairs the change
-did better, in the metric's direction.  A run that exited nonzero, was
-not ``correct``, or had ``failed`` ops is flagged.
+change/parent ratio of the medians, in how many pairs the change did
+better, in the metric's direction, and a verdict:
+
+- ``gain``: the change wins at least nine tenths of the pairs, and its
+  median is better than the parent's by more than the parent's quartile
+  distance;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound``, read as a fraction of the parent's median;
+- ``unresolved``: the parent's quartile distance is wider than that
+  bound, and not every run of the change beats every run of the parent;
+- ``no change`` otherwise.
+
+A run that exited nonzero, was not ``correct``, or had ``failed`` ops is
+flagged.
 """
 
 import argparse
@@ -68,12 +79,29 @@ def _quartile_distance(values):
     return q3 - q1
 
 
+def verdict(parent, change, wins, pairs, lower, bound):
+    """The verdict on one metric, as the module docstring defines it,
+    from each side's values, the pairs the change won out of ``pairs``,
+    the metric's direction and its ``bound``."""
+    def beats(a, b):
+        return a < b if lower else a > b
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    spread, allowed = _quartile_distance(parent), bound * abs(p_med)
+    if pairs and 10 * wins >= 9 * pairs and beats(c_med, p_med) and abs(c_med - p_med) > spread:
+        return "gain"
+    if beats(p_med, c_med) and abs(c_med - p_med) > allowed:
+        return "worse"
+    if spread > allowed and not all(beats(c, p) for c in change for p in parent):
+        return "unresolved"
+    return "no change"
+
+
 def summarize(runs, end_to_end):
     """One row per end-to-end metric of ``end_to_end`` (BENCHMARK.json's
     list): its name, the parent's and the change's median, the parent's
     quartile distance, the change/parent ratio of the medians, the pairs
-    the change won, and the pairs that have the metric on both sides.
-    ``runs`` are tagged result lines as this tool writes them."""
+    the change won, the pairs that have the metric on both sides, and the
+    verdict.  ``runs`` are tagged result lines as this tool writes them."""
     rows = []
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -95,16 +123,18 @@ def summarize(runs, end_to_end):
             "parent_iqr": _quartile_distance(parent),
             "ratio": c_med / p_med if p_med else float("nan"),
             "wins": wins, "pairs": len(both),
+            "verdict": verdict(parent, change, wins, len(both), lower, metric["bound"]),
         })
     return rows
 
 
 def format_summary(rows, runs):
     out = [f"{'metric':<14} {'parent p50':>12} {'change p50':>12} {'parent IQR':>12} "
-           f"{'ratio':>7} {'wins':>7}"]
+           f"{'ratio':>7} {'wins':>7}  verdict"]
     for r in rows:
         out.append(f"{r['metric']:<14} {r['parent_median']:>12.6g} {r['change_median']:>12.6g} "
-                   f"{r['parent_iqr']:>12.3g} {r['ratio']:>7.4f} {r['wins']:>3}/{r['pairs']:<3}")
+                   f"{r['parent_iqr']:>12.3g} {r['ratio']:>7.4f} {r['wins']:>3}/{r['pairs']:<3}  "
+                   f"{r['verdict']}")
     for run in runs:
         why = flagged(run)
         if why:
